@@ -5,26 +5,27 @@ the relative velocity of a tracked obstacle into its collision cone; the
 minimal correction that keeps the cone constraint satisfied is the closed
 form (or small active-set) solution of a quadratic program.
 
-Layout: ``models`` holds the acceleration-controlled vehicle families and
-the RK4 integrator, ``barriers`` the cone barrier and the classical
-ellipse / second-order candidates, ``validity`` the sampling probes behind
-the candidate comparison matrix, ``safety_filter`` the reference
-controllers and QP solvers, ``sim`` the closed-loop engine with audits,
-``scenarios`` the packaged YAML suite, and ``cli`` the command-line tool.
+Layout: ``models`` holds the acceleration-controlled vehicle families, the
+RK4 integrator and the model / state / input name tables; ``barriers`` the
+cone barrier and the classical ellipse / second-order candidates as array
+cores, with the one protected-point kinematics, the one (barrier, model)
+dispatch and thin typed wrappers over them; ``validity`` the sampling
+probes behind the candidate comparison matrix; ``safety_filter`` the
+reference controllers and the QP solvers; ``sim`` the closed-loop engine
+(perception gating, rows, QP, input clipping, RK4, events) with audits;
+``scenarios`` the packaged YAML suite; and ``cli`` the command-line tool.
 """
 
 from .barriers import (
     EPS_V,
     BarrierEvaluation,
     ClassK,
-    ConeGeometry,
     DegenerateVelocityError,
     DomainError,
     Obstacle,
     c3bf_bicycle,
     c3bf_pointmass,
     c3bf_unicycle,
-    cone_geometry,
     ellipse_cbf,
     hocbf,
 )
@@ -50,13 +51,10 @@ from .safety_filter import (
     ConstraintRow,
     DegenerateRowError,
     EmptyPathError,
-    FilterEvent,
-    FilterStepResult,
     PathTrackerGains,
     QpProblem,
     ReferenceController,
     SafetyFilterResult,
-    filter_step,
     reference_p_controller,
     reference_path_tracker,
     solve_multi_constraint,
@@ -82,18 +80,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineDynamics", "BarrierEvaluation", "BehaviorThresholds", "BetaReport",
-    "BicycleDynamics", "BicycleGeometry", "BicycleInput", "BicycleState",
-    "ClassK", "ConeGeometry", "ConfigError", "ConstraintRow",
-    "DegenerateRowError", "DegenerateVelocityError", "DomainError", "EPS_V",
-    "EmptyPathError", "FilterEvent", "FilterStepResult", "InvarianceReport",
-    "Obstacle", "ObstacleConfig", "PathTrackerGains", "PointMassDynamics",
-    "PointMassState", "QpProblem", "ReferenceController", "SafetyFilterResult",
-    "ScenarioConfig", "ScenarioTrace", "SimEvent", "UnicycleDynamics",
-    "UnicycleInput", "UnicycleState", "ValidityReport",
-    "beta_smallness_audit", "bicycle_dynamics", "bicycle_dynamics_exact",
-    "c3bf_bicycle", "c3bf_pointmass", "c3bf_unicycle", "classify_behavior",
-    "cone_geometry", "ellipse_cbf", "filter_step", "hocbf", "integrate_step",
-    "invariance_audit", "pointmass_dynamics", "reference_p_controller",
+    "BicycleDynamics", "BicycleGeometry", "BicycleInput", "BicycleState", "ClassK",
+    "ConfigError", "ConstraintRow", "DegenerateRowError", "DegenerateVelocityError",
+    "DomainError", "EPS_V", "EmptyPathError", "InvarianceReport", "Obstacle",
+    "ObstacleConfig", "PathTrackerGains", "PointMassDynamics", "PointMassState",
+    "QpProblem", "ReferenceController", "SafetyFilterResult", "ScenarioConfig",
+    "ScenarioTrace", "SimEvent", "UnicycleDynamics", "UnicycleInput", "UnicycleState",
+    "ValidityReport", "beta_smallness_audit", "bicycle_dynamics",
+    "bicycle_dynamics_exact", "c3bf_bicycle", "c3bf_pointmass", "c3bf_unicycle",
+    "classify_behavior", "ellipse_cbf", "hocbf", "integrate_step", "invariance_audit",
+    "pointmass_dynamics", "reference_p_controller",
     "reference_path_tracker", "run_scenario", "slip_from_steering",
     "solve_multi_constraint", "solve_single_constraint", "unicycle_dynamics",
     "validity_probe", "verdict_matrix",

@@ -24,15 +24,17 @@ relative-degree-two extension h2 = h1dot + kappa1(h1). All derivatives are
 closed form; finite differences exist only in the test suite.
 
 The ``*_terms`` functions operate on stacked arrays with broadcasting and
-perform no domain checking; the typed single-evaluation wrappers validate
-the cone's admissible domain (||p_rel|| > r, ||v_rel|| > EPS_V) and raise
-typed errors outside it.
+perform no domain checking. ``reference_kinematics`` is the one place the
+protected point and its velocity are computed per model, and
+``barrier_terms`` the one (barrier, model) dispatch to the cores. The typed
+single-evaluation wrappers are thin views over both: they validate the
+cone's admissible domain (||p_rel|| > r, ||v_rel|| > EPS_V), raise typed
+errors outside it, and otherwise return the array core's triple.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -79,33 +81,6 @@ class Obstacle:
 
     def velocity_array(self) -> np.ndarray:
         return np.array(self.velocity, dtype=float)
-
-
-@dataclass(frozen=True)
-class ConeGeometry:
-    """Relative kinematics plus the cone half-angle cosine at one instant."""
-
-    p_rel: np.ndarray
-    v_rel: np.ndarray
-    r: float
-    cos_phi: float
-
-
-def cone_geometry(p_rel: np.ndarray, v_rel: np.ndarray, r: float) -> ConeGeometry:
-    """Build the cone geometry, enforcing the admissible domain.
-
-    Raises DomainError when ||p_rel|| <= r (the vehicle is already inside
-    the combined radius) and DegenerateVelocityError when ||v_rel|| <= EPS_V.
-    """
-    p_rel = np.asarray(p_rel, dtype=float)
-    v_rel = np.asarray(v_rel, dtype=float)
-    p_norm = float(np.linalg.norm(p_rel))
-    if p_norm <= r:
-        raise DomainError(f"||p_rel||={p_norm:.6g} <= combined radius r={r:.6g}")
-    if float(np.linalg.norm(v_rel)) <= EPS_V:
-        raise DegenerateVelocityError(f"||v_rel|| <= {EPS_V}: cone direction undefined")
-    cos_phi = math.sqrt(p_norm * p_norm - r * r) / p_norm
-    return ConeGeometry(p_rel=p_rel, v_rel=v_rel, r=r, cos_phi=cos_phi)
 
 
 @dataclass(frozen=True)
@@ -186,6 +161,40 @@ class ClassK:
 # Array cores. All accept stacked/broadcast inputs and return (h, lf, lg).
 # ---------------------------------------------------------------------------
 
+_PERP = np.array([-1.0, 1.0])
+"""Multiplies a reversed (cos, sin) heading into its left normal (-sin, cos)."""
+
+
+def reference_kinematics(model: str, state, body_offset: float = 0.0):
+    """Protected point and its velocity for states (..., n) -> two (..., 2) arrays.
+
+    The cone is anchored at this point: for the unicycle the body center
+    body_offset ahead of the axle (its velocity picks up the lever term
+    body_offset * omega across the heading), for the bicycle and the point
+    mass the position the state carries (returned as a view of the state).
+    """
+    point, velocity, _ = _kinematics(model, np.asarray(state, dtype=float), body_offset)
+    return point, velocity
+
+
+def _kinematics(model: str, state: np.ndarray, body_offset: float = 0.0):
+    """reference_kinematics plus the unit heading (None for the point mass).
+
+    The cone cores reuse the heading, so cos/sin run once per state.
+    """
+    if model == "pointmass":
+        return state[..., 0:2], state[..., 2:4], None
+    theta = state[..., 2:3]
+    heading = np.concatenate([np.cos(theta), np.sin(theta)], axis=-1)
+    if model == "bicycle":
+        return state[..., 0:2], state[..., 3:4] * heading, heading
+    if model != "unicycle":
+        raise ValueError(f"unknown model {model!r}")
+    lever = body_offset * state[..., 4:5]
+    return (state[..., 0:2] + body_offset * heading,
+            state[..., 3:4] * heading + lever * (heading[..., ::-1] * _PERP), heading)
+
+
 def _cone_h(p_rel: np.ndarray, v_rel: np.ndarray, radius) -> tuple:
     """Shared cone quantities: (h, s, v_norm, q) with s the tangent length.
 
@@ -208,15 +217,11 @@ def c3bf_unicycle_terms(state, center, velocity, radius, body_offset):
     are what give the angular input its column in L_g h.
     """
     state = np.asarray(state, dtype=float)
-    center = np.asarray(center, dtype=float)
-    velocity = np.asarray(velocity, dtype=float)
-    x, y, theta, v, omega = np.moveaxis(state, -1, 0)
-    ct, st = np.cos(theta), np.sin(theta)
-    ref = np.stack([x + body_offset * ct, y + body_offset * st], axis=-1)
-    p_rel = center - ref
-    v_rel = velocity - np.stack(
-        [v * ct - body_offset * omega * st, v * st + body_offset * omega * ct], axis=-1
-    )
+    point, point_velocity, heading = _kinematics("unicycle", state, body_offset)
+    p_rel = np.asarray(center, dtype=float) - point
+    v_rel = np.asarray(velocity, dtype=float) - point_velocity
+    v, omega = state[..., 3], state[..., 4]
+    ct, st = heading[..., 0], heading[..., 1]
     h, s, v_norm, q = _cone_h(p_rel, v_rel, radius)
     # Drift part of d/dt v_rel: rotation of the body-fixed lever and heading.
     drift_acc = np.stack(
@@ -239,12 +244,11 @@ def c3bf_bicycle_terms(state, center, velocity, radius, rear_axle):
     land in the beta column of L_g h.
     """
     state = np.asarray(state, dtype=float)
-    center = np.asarray(center, dtype=float)
-    velocity = np.asarray(velocity, dtype=float)
-    x, y, theta, v = np.moveaxis(state, -1, 0)
-    ct, st = np.cos(theta), np.sin(theta)
-    p_rel = center - np.stack([x, y], axis=-1)
-    v_rel = velocity - np.stack([v * ct, v * st], axis=-1)
+    point, point_velocity, heading = _kinematics("bicycle", state)
+    p_rel = np.asarray(center, dtype=float) - point
+    v_rel = np.asarray(velocity, dtype=float) - point_velocity
+    v = state[..., 3]
+    ct, st = heading[..., 0], heading[..., 1]
     h, s, v_norm, q = _cone_h(p_rel, v_rel, radius)
     lf = v_norm**2 + _dot(p_rel, v_rel) * v_norm / s
     w_vec = np.stack([v * st, -v * ct], axis=-1)
@@ -259,11 +263,9 @@ def c3bf_bicycle_terms(state, center, velocity, radius, rear_axle):
 
 def c3bf_pointmass_terms(state, center, velocity, radius):
     """Cone barrier terms for the point mass; state (...,4) = (px,py,vx,vy)."""
-    state = np.asarray(state, dtype=float)
-    center = np.asarray(center, dtype=float)
-    velocity = np.asarray(velocity, dtype=float)
-    p_rel = center - state[..., 0:2]
-    v_rel = velocity - state[..., 2:4]
+    point, point_velocity = reference_kinematics("pointmass", state)
+    p_rel = np.asarray(center, dtype=float) - point
+    v_rel = np.asarray(velocity, dtype=float) - point_velocity
     h, s, v_norm, q = _cone_h(p_rel, v_rel, radius)
     lf = v_norm**2 + _dot(p_rel, v_rel) * v_norm / s
     return h, lf, -q
@@ -350,6 +352,31 @@ def hocbf_terms(state, center, velocity, axes, kappa1: ClassK, model: str,
     return h2, lf, lg
 
 
+def barrier_terms(barrier: str, model: str, state, center, velocity, axes, radius,
+                  body_offset: float = 0.0, rear_axle: Optional[float] = None,
+                  kappa1: Optional[ClassK] = None):
+    """(h, L_f h, L_g h) of one barrier kind on one vehicle model.
+
+    The one (barrier, model) dispatch to the array cores; it broadcasts
+    exactly as they do. The cone uses radius (and body_offset on the
+    unicycle, rear_axle on the bicycle), the ellipse candidates use axes,
+    and the second-order one also kappa1. The cores are looked up by name
+    on every call, so a wrapper installed on this module sees each one.
+    """
+    if barrier == "c3bf":
+        if model == "unicycle":
+            return c3bf_unicycle_terms(state, center, velocity, radius, body_offset)
+        if model == "bicycle":
+            return c3bf_bicycle_terms(state, center, velocity, radius, rear_axle)
+        return c3bf_pointmass_terms(state, center, velocity, radius)
+    if barrier == "ellipse":
+        return ellipse_terms(state, center, velocity, axes, model)
+    if barrier != "hocbf":
+        raise ValueError(f"unknown barrier {barrier!r}")
+    return hocbf_terms(state, center, velocity, axes, kappa1, model,
+                       rear_axle if model == "bicycle" else None)
+
+
 # ---------------------------------------------------------------------------
 # Typed single-evaluation API with domain checking.
 # ---------------------------------------------------------------------------
@@ -362,54 +389,39 @@ def _check_cone_domain(p_rel: np.ndarray, v_rel: np.ndarray, r: float) -> None:
         raise DegenerateVelocityError(f"||v_rel|| <= {EPS_V}: cone direction undefined")
 
 
+def _c3bf(model: str, s, obs: Obstacle, width: float, body_offset: float = 0.0,
+          rear_axle: Optional[float] = None) -> BarrierEvaluation:
+    """Shared kinematics, the cone domain check, then the array core."""
+    r = obs.combined_radius(width)
+    state, center, velocity = s.as_array(), obs.center_array(), obs.velocity_array()
+    point, point_velocity = reference_kinematics(model, state, body_offset)
+    _check_cone_domain(center - point, velocity - point_velocity, r)
+    h, lf, lg = barrier_terms("c3bf", model, state, center, velocity, None, r,
+                              body_offset=body_offset, rear_axle=rear_axle)
+    return BarrierEvaluation(float(h), float(lf), lg)
+
+
 def c3bf_unicycle(s: UnicycleState, obs: Obstacle, body_offset: float,
                   width: float) -> BarrierEvaluation:
     """Collision-cone barrier for the unicycle, body center offset ahead of the axle."""
-    r = obs.combined_radius(width)
-    ct, st = math.cos(s.theta), math.sin(s.theta)
-    ref = np.array([s.x_p + body_offset * ct, s.y_p + body_offset * st])
-    p_rel = obs.center_array() - ref
-    v_rel = obs.velocity_array() - np.array(
-        [s.v * ct - body_offset * s.omega * st, s.v * st + body_offset * s.omega * ct]
-    )
-    _check_cone_domain(p_rel, v_rel, r)
-    h, lf, lg = c3bf_unicycle_terms(s.as_array(), obs.center_array(),
-                                    obs.velocity_array(), r, body_offset)
-    return BarrierEvaluation(float(h), float(lf), lg)
+    return _c3bf("unicycle", s, obs, width, body_offset=body_offset)
 
 
 def c3bf_bicycle(s: BicycleState, obs: Obstacle, width: float,
                  geom: BicycleGeometry) -> BarrierEvaluation:
     """Collision-cone barrier for the small-slip bicycle model."""
-    r = obs.combined_radius(width)
-    p_rel = obs.center_array() - np.array([s.x_p, s.y_p])
-    v_rel = obs.velocity_array() - s.v * np.array([math.cos(s.theta), math.sin(s.theta)])
-    _check_cone_domain(p_rel, v_rel, r)
-    h, lf, lg = c3bf_bicycle_terms(s.as_array(), obs.center_array(),
-                                   obs.velocity_array(), r, geom.l_r)
-    return BarrierEvaluation(float(h), float(lf), lg)
+    return _c3bf("bicycle", s, obs, width, rear_axle=geom.l_r)
 
 
 def c3bf_pointmass(s: PointMassState, obs: Obstacle, width: float) -> BarrierEvaluation:
     """Collision-cone barrier for the point mass; L_g h = -q."""
-    r = obs.combined_radius(width)
-    p_rel = obs.center_array() - np.array(s.p)
-    v_rel = obs.velocity_array() - np.array(s.v)
-    _check_cone_domain(p_rel, v_rel, r)
-    h, lf, lg = c3bf_pointmass_terms(s.as_array(), obs.center_array(),
-                                     obs.velocity_array(), r)
-    return BarrierEvaluation(float(h), float(lf), lg)
-
-
-def _state4(s) -> np.ndarray:
-    arr = s.as_array()
-    return arr[:4] if arr.shape[0] > 4 else arr
+    return _c3bf("pointmass", s, obs, width)
 
 
 def ellipse_cbf(s, obs: Obstacle, model: str) -> BarrierEvaluation:
     """Ellipse distance barrier for a unicycle or bicycle state."""
     h, lf, lg = ellipse_terms(
-        _state4(s), obs.center_array(), obs.velocity_array(),
+        s.as_array(), obs.center_array(), obs.velocity_array(),
         np.array([obs.semi_axis_x, obs.semi_axis_y]), model,
     )
     return BarrierEvaluation(float(h), float(lf), lg)

@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .models import INPUT_NAMES, MODELS, STATE_NAMES
 from .safety_filter import ConstraintRow, QpProblem, solve_multi_constraint
 from .scenarios import (
     EXPECTED_BEHAVIORS,
@@ -45,20 +46,9 @@ from .sim import (
     invariance_audit,
     run_scenario,
 )
-from .validity import BARRIERS, MODELS, validity_probe, verdict_matrix
+from .validity import BARRIERS, validity_probe, verdict_matrix
 
 EMIT_KINDS = ("trace-csv", "events-json", "summary-json", "plotdata")
-
-STATE_NAMES = {
-    "unicycle": ("x_p", "y_p", "theta", "v", "omega"),
-    "bicycle": ("x_p", "y_p", "theta", "v"),
-    "pointmass": ("px", "py", "vx", "vy"),
-}
-INPUT_NAMES = {
-    "unicycle": ("a", "alpha"),
-    "bicycle": ("a", "beta"),
-    "pointmass": ("ax", "ay"),
-}
 
 
 def _fmt(x: float) -> str:
@@ -451,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list of " + ",".join(EMIT_KINDS))
     run_p.add_argument("--dt", type=float, default=None, help="timestep override (s)")
     run_p.add_argument("--duration", type=float, default=None, help="duration override (s)")
-    run_p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     run_p.add_argument("--barrier", default=None,
                        help="barrier override: c3bf|ellipse|hocbf|none")
     run_p.set_defaults(func=cmd_run)

@@ -13,8 +13,9 @@ train actually receives:
       xdot = (v cos th - v beta sin th, v sin th + v beta cos th,
               (v / l_r) beta, a)
   The exact (non-affine) variant with sin/cos of beta is kept as
-  ``bicycle_dynamics_exact`` so closed-loop runs can be re-checked against
-  it; the affine small-beta form is what the filter and simulator use.
+  ``bicycle_dynamics_exact`` (on raw state and input arrays) so closed-loop
+  runs can be re-checked against it; the affine small-beta form is what the
+  filter and simulator use.
 
 * planar point mass
       state (px, py, vx, vy), input (ax, ay)
@@ -33,6 +34,18 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+MODELS = ("unicycle", "bicycle", "pointmass")
+STATE_NAMES = {
+    "unicycle": ("x_p", "y_p", "theta", "v", "omega"),
+    "bicycle": ("x_p", "y_p", "theta", "v"),
+    "pointmass": ("px", "py", "vx", "vy"),
+}
+INPUT_NAMES = {
+    "unicycle": ("a", "alpha"),
+    "bicycle": ("a", "beta"),
+    "pointmass": ("ax", "ay"),
+}
 
 
 def _require_finite(name: str, *values: float) -> None:
@@ -226,18 +239,20 @@ def bicycle_dynamics(s: BicycleState, u: BicycleInput, geom: BicycleGeometry) ->
     return BicycleDynamics(geom)(s.as_array(), u.as_array())
 
 
-def bicycle_dynamics_exact(s: BicycleState, u: BicycleInput, geom: BicycleGeometry) -> np.ndarray:
+def bicycle_dynamics_exact(x: np.ndarray, u: np.ndarray, geom: BicycleGeometry) -> np.ndarray:
     """State derivative of the exact bicycle model (no small-angle approximation).
 
-    Not affine in the input; used only to audit how far the small-beta model
-    drifts from the exact kinematics under a recorded input sequence.
+    Takes one raw state (x_p, y_p, theta, v) and input (a, beta). Not affine
+    in the input; used only to audit how far the small-beta model drifts
+    from the exact kinematics under a recorded input sequence.
     """
-    theta, v = s.theta, s.v
+    theta, v = x[2], x[3]
+    a, beta = u[0], u[1]
     return np.array([
-        v * np.cos(theta + u.beta),
-        v * np.sin(theta + u.beta),
-        (v / geom.l_r) * np.sin(u.beta),
-        u.a,
+        v * math.cos(theta + beta),
+        v * math.sin(theta + beta),
+        (v / geom.l_r) * math.sin(beta),
+        a,
     ])
 
 

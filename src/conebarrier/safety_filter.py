@@ -18,6 +18,10 @@ Conflicting rows (possible with several cones, never with one) make the QP
 infeasible; the filter then returns the input minimizing the worst
 constraint violation, with the deviation from u_ref as tie-break, and says
 so in the result status.
+
+The QP carries no input bounds. A scenario's input bounds are applied by
+the closed-loop engine (``sim.run_scenario``), which clips the QP's answer
+and logs a ``saturation`` event when the clip changes it.
 """
 
 from __future__ import annotations
@@ -25,14 +29,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
-from . import barriers
-from .models import BicycleGeometry, BicycleState, PointMassState, UnicycleState
-from .models import slip_from_steering
+from .models import BicycleGeometry, BicycleState, slip_from_steering
 
 ACTIVE_TOL = 1e-9
 """A constraint counts as tight when |L_g h u - rhs| is below this."""
@@ -68,16 +70,16 @@ class ReferenceController:
             raise ValueError(f"v_des={self.v_des} exceeds v_max={self.v_max}")
 
 
-def reference_p_controller(s, ctrl: ReferenceController) -> np.ndarray:
-    """Reference input for a unicycle, bicycle or point-mass state."""
-    if isinstance(s, UnicycleState):
-        return np.array([ctrl.k_speed * (ctrl.v_des - s.v), -ctrl.k_damp * s.omega])
-    if isinstance(s, BicycleState):
-        return np.array([ctrl.k_speed * (ctrl.v_des - s.v), 0.0])
-    if isinstance(s, PointMassState):
+def reference_p_controller(model: str, state: np.ndarray, ctrl: ReferenceController) -> np.ndarray:
+    """Reference input for one raw unicycle, bicycle or point-mass state array."""
+    if model == "unicycle":
+        return np.array([ctrl.k_speed * (ctrl.v_des - state[3]), -ctrl.k_damp * state[4]])
+    if model == "bicycle":
+        return np.array([ctrl.k_speed * (ctrl.v_des - state[3]), 0.0])
+    if model == "pointmass":
         v_goal = ctrl.v_des * np.array([math.cos(ctrl.heading_des), math.sin(ctrl.heading_des)])
-        return ctrl.k_speed * (v_goal - np.array(s.v))
-    raise TypeError(f"unsupported state type {type(s).__name__}")
+        return ctrl.k_speed * (v_goal - np.asarray(state[2:4], dtype=float))
+    raise ValueError(f"unknown model {model!r}")
 
 
 @dataclass(frozen=True)
@@ -197,29 +199,6 @@ def solve_single_constraint(qp: QpProblem) -> SafetyFilterResult:
                               psi=np.array([psi]), active_set=(0,), status="corrected")
 
 
-def _stack(qp: QpProblem, bounds):
-    """Rows plus optional box bounds as extra half-planes A u >= b."""
-    a_list = [row.lg_h for row in qp.rows]
-    b_list = [row.rhs for row in qp.rows]
-    m = qp.u_ref.shape[0]
-    if bounds is not None:
-        lo, hi = (np.asarray(side, dtype=float) for side in bounds)
-        for j in range(m):
-            if np.isfinite(lo[j]):
-                e = np.zeros(m)
-                e[j] = 1.0
-                a_list.append(e)
-                b_list.append(lo[j])
-            if np.isfinite(hi[j]):
-                e = np.zeros(m)
-                e[j] = -1.0
-                a_list.append(e)
-                b_list.append(-hi[j])
-    if not a_list:
-        return np.zeros((0, m)), np.zeros(0)
-    return np.vstack(a_list), np.array(b_list)
-
-
 def _enumerate_active_sets(a_mat: np.ndarray, b_vec: np.ndarray,
                            u_ref: np.ndarray) -> Optional[np.ndarray]:
     """Exact minimizer of ||u - u_ref||^2 s.t. A u >= b, or None if infeasible.
@@ -272,24 +251,19 @@ def _least_violating(a_mat: np.ndarray, b_vec: np.ndarray, u_ref: np.ndarray) ->
     return u if u is not None else np.asarray(res.x[:m], dtype=float)
 
 
-def solve_multi_constraint(qp: QpProblem, bounds=None) -> SafetyFilterResult:
-    """Exact multi-row QP solve; falls back to least violation when infeasible.
-
-    bounds, when given, is a (lo, hi) pair of per-input limits handled as
-    extra rows; the closed-form feasibility guarantee only covers the
-    unbounded case.
-    """
+def solve_multi_constraint(qp: QpProblem) -> SafetyFilterResult:
+    """Exact multi-row QP solve; falls back to least violation when infeasible."""
     u_ref = qp.u_ref
     psi = np.array([float(row.lg_h @ u_ref - row.rhs) for row in qp.rows])
-    if len(qp.rows) == 0 and bounds is None:
+    if len(qp.rows) == 0:
         return SafetyFilterResult(u_star=u_ref.copy(), u_ref=u_ref, psi=psi,
                                   active_set=(), status="inactive")
-    if (len(qp.rows) == 1 and bounds is None
-            and float(qp.rows[0].lg_h @ qp.rows[0].lg_h) > 0.0):
+    if len(qp.rows) == 1 and float(qp.rows[0].lg_h @ qp.rows[0].lg_h) > 0.0:
         return solve_single_constraint(qp)
 
-    a_mat, b_vec = _stack(qp, bounds)
-    if a_mat.shape[0] == 0 or np.all(a_mat @ u_ref >= b_vec):
+    a_mat = np.vstack([row.lg_h for row in qp.rows])
+    b_vec = np.array([row.rhs for row in qp.rows])
+    if np.all(a_mat @ u_ref >= b_vec):
         return SafetyFilterResult(u_star=u_ref.copy(), u_ref=u_ref, psi=psi,
                                   active_set=(), status="inactive")
 
@@ -304,62 +278,3 @@ def solve_multi_constraint(qp: QpProblem, bounds=None) -> SafetyFilterResult:
         if abs(float(row.lg_h @ u - row.rhs)) <= ACTIVE_TOL
     )
     return SafetyFilterResult(u_star=u, u_ref=u_ref, psi=psi, active_set=active, status=status)
-
-
-@dataclass(frozen=True)
-class FilterEvent:
-    """Constraint dropped or QP degraded during one filter step."""
-
-    kind: str  # 'collision_domain' | 'degenerate_velocity' | 'infeasible'
-    obstacle_index: Optional[int] = None
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class FilterStepResult:
-    """QP outcome plus which obstacle produced which row."""
-
-    filter: SafetyFilterResult
-    row_obstacles: tuple[int, ...]
-    evaluations: tuple[barriers.BarrierEvaluation, ...]
-    events: tuple[FilterEvent, ...]
-
-
-def filter_step(state, obstacles: Sequence[barriers.Obstacle],
-                barrier: Callable[[object, barriers.Obstacle], barriers.BarrierEvaluation],
-                controller, kappa: barriers.ClassK,
-                bounds=None) -> FilterStepResult:
-    """One safety-filter step: reference, constraint rows, QP solve.
-
-    ``barrier`` maps (state, obstacle) to a BarrierEvaluation and may raise
-    the cone domain errors; such obstacles are dropped from the QP and
-    reported as events rather than aborting the step. ``controller`` is
-    either a ReferenceController or a callable state -> input.
-    """
-    if isinstance(controller, ReferenceController):
-        u_ref = reference_p_controller(state, controller)
-    else:
-        u_ref = np.asarray(controller(state), dtype=float)
-
-    rows = []
-    row_obstacles = []
-    evaluations = []
-    events = []
-    for i, obs in enumerate(obstacles):
-        try:
-            ev = barrier(state, obs)
-        except barriers.DomainError as exc:
-            events.append(FilterEvent("collision_domain", i, str(exc)))
-            continue
-        except barriers.DegenerateVelocityError as exc:
-            events.append(FilterEvent("degenerate_velocity", i, str(exc)))
-            continue
-        rows.append(ConstraintRow(lg_h=ev.lg_h, rhs=-ev.lf_h - float(kappa(ev.h))))
-        row_obstacles.append(i)
-        evaluations.append(ev)
-
-    result = solve_multi_constraint(QpProblem(u_ref=u_ref, rows=tuple(rows)), bounds=bounds)
-    if result.status == "infeasible":
-        events.append(FilterEvent("infeasible", None, "conflicting constraint rows"))
-    return FilterStepResult(filter=result, row_obstacles=tuple(row_obstacles),
-                            evaluations=tuple(evaluations), events=tuple(events))

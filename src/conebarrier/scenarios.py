@@ -68,6 +68,13 @@ def _classk_from_dict(tree: dict, context: str) -> ClassK:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
+def _classk_to_dict(kappa: ClassK) -> dict:
+    tree = {"kind": kappa.kind, "gamma": kappa.gamma}
+    if kappa.table is not None:
+        tree["table"] = [[x, y] for x, y in kappa.table]
+    return tree
+
+
 def scenario_from_dict(tree: dict) -> ScenarioConfig:
     """Build and validate a ScenarioConfig from a parsed YAML tree."""
     if not isinstance(tree, dict):
@@ -153,9 +160,6 @@ def scenario_from_dict(tree: dict) -> ScenarioConfig:
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     """Inverse of scenario_from_dict, suitable for YAML dumping."""
-    kappa = {"kind": cfg.kappa.kind, "gamma": cfg.kappa.gamma}
-    if cfg.kappa.table is not None:
-        kappa["table"] = [[x, y] for x, y in cfg.kappa.table]
     tree = {
         "name": cfg.name,
         "model": cfg.model,
@@ -178,7 +182,7 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
             "v_des": cfg.controller.v_des,
             "heading_des": cfg.controller.heading_des,
         },
-        "kappa": kappa,
+        "kappa": _classk_to_dict(cfg.kappa),
         "body_offset": cfg.body_offset,
         "width": cfg.width,
         "wheelbase_front": cfg.wheelbase_front,
@@ -191,7 +195,7 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     if cfg.controller.v_max is not None:
         tree["controller"]["v_max"] = cfg.controller.v_max
     if cfg.kappa1 is not None:
-        tree["kappa1"] = {"kind": cfg.kappa1.kind, "gamma": cfg.kappa1.gamma}
+        tree["kappa1"] = _classk_to_dict(cfg.kappa1)
     if cfg.path is not None:
         tree["path"] = [list(p) for p in cfg.path]
     if cfg.path_gains is not None:

@@ -2,13 +2,17 @@
 
 A scenario fixes one vehicle, a list of moving elliptical obstacles with
 piecewise-constant velocities, a reference controller and a barrier kind.
-Each step the engine gates obstacles by a perception radius, builds one
-constraint row per visible admissible obstacle, solves the filter QP,
-integrates one RK4 step with the filtered input held constant, and logs
-everything needed to reconstruct the run: states, both inputs, per-obstacle
-barrier values and switching scalars, separations, and discrete events
-(perception entry, cone-domain loss, degenerate relative velocity, QP
-infeasibility, collision, saturation).
+Each step the engine takes the protected point and its velocity from
+``barriers.reference_kinematics`` once, gates obstacles by a perception
+radius, builds one constraint row per visible admissible obstacle through
+``barriers.barrier_terms``, solves the filter QP, clips the result to the
+configured input bounds (the QP itself is unbounded), integrates one RK4
+step with the filtered input held constant, and logs everything needed to
+reconstruct the run: states, both inputs, per-obstacle barrier values and
+switching scalars, separations, and discrete events (perception entry,
+degenerate relative velocity, QP infeasibility, collision, saturation).
+An obstacle inside its combined radius has no cone and builds no row; the
+collision event records it.
 
 Collisions (separation at or below the combined radius) are recorded and
 the run continues by default so traces stay analyzable; ``halt_on_collision``
@@ -26,16 +30,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from . import barriers as B
 from .models import (
+    MODELS,
+    STATE_NAMES,
     BicycleDynamics,
     BicycleGeometry,
+    BicycleState,
     PointMassDynamics,
     UnicycleDynamics,
+    bicycle_dynamics_exact,
     integrate_step,
 )
 from .safety_filter import (
@@ -43,12 +52,11 @@ from .safety_filter import (
     PathTrackerGains,
     QpProblem,
     ReferenceController,
+    reference_p_controller,
     reference_path_tracker,
     solve_multi_constraint,
 )
-from .models import BicycleState
 
-MODELS = ("unicycle", "bicycle", "pointmass")
 BARRIER_KINDS = ("c3bf", "ellipse", "hocbf", "none")
 
 
@@ -102,15 +110,32 @@ class ScenarioConfig:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.barrier not in BARRIER_KINDS:
             raise ConfigError(f"unknown barrier {self.barrier!r}")
-        if not self.dt > 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
-        if self.duration < self.dt:
-            raise ConfigError("duration must cover at least one step")
-        expected = {"unicycle": 5, "bicycle": 4, "pointmass": 4}[self.model]
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
+        if not (math.isfinite(self.duration) and self.duration >= self.dt):
+            raise ConfigError(f"duration must be finite and cover at least one step, "
+                              f"got {self.duration}")
+        expected = len(STATE_NAMES[self.model])
         if len(self.initial_state) != expected:
             raise ConfigError(
                 f"{self.model} initial state needs {expected} entries, got {len(self.initial_state)}"
             )
+        if not all(math.isfinite(x) for x in self.initial_state):
+            raise ConfigError(f"initial state must be finite, got {self.initial_state}")
+        if not (self.wheelbase_front > 0 and self.wheelbase_rear > 0):
+            raise ConfigError(f"wheelbase distances must be positive, got front="
+                              f"{self.wheelbase_front}, rear={self.wheelbase_rear}")
+        if not (self.perception_radius >= 0 and self.width >= 0):
+            raise ConfigError(f"perception_radius and width must be nonnegative, got "
+                              f"{self.perception_radius} and {self.width}")
+        if self.input_bounds is not None:
+            lo, hi = self.input_bounds
+            if not (len(lo) == 2 and len(hi) == 2):
+                raise ConfigError(f"input_bounds sides need two entries each, "
+                                  f"got {self.input_bounds}")
+            if not all(lo_j <= hi_j for lo_j, hi_j in zip(lo, hi)):
+                raise ConfigError(f"input_bounds lower side exceeds upper, "
+                                  f"got {self.input_bounds}")
         if self.path is not None and self.model != "bicycle":
             raise ConfigError("path tracking is only wired for the bicycle model")
         for obs in self.obstacles:
@@ -196,42 +221,6 @@ class ScenarioTrace:
         return out
 
 
-def _reference_point(cfg: ScenarioConfig, state: np.ndarray) -> np.ndarray:
-    """The protected point the cone is anchored to (body center for the unicycle)."""
-    if cfg.model == "unicycle":
-        return np.array([state[0] + cfg.body_offset * math.cos(state[2]),
-                         state[1] + cfg.body_offset * math.sin(state[2])])
-    return state[0:2].copy()
-
-
-def _point_velocity(cfg: ScenarioConfig, state: np.ndarray) -> np.ndarray:
-    if cfg.model == "unicycle":
-        ct, st = math.cos(state[2]), math.sin(state[2])
-        return np.array([state[3] * ct - cfg.body_offset * state[4] * st,
-                         state[3] * st + cfg.body_offset * state[4] * ct])
-    if cfg.model == "bicycle":
-        return state[3] * np.array([math.cos(state[2]), math.sin(state[2])])
-    return state[2:4].copy()
-
-
-def _make_row_evaluator(cfg: ScenarioConfig):
-    """Returns fn(state, center, cdot, axes, r) -> (h, lf, lg) for the configured barrier."""
-    kind = cfg.barrier if cfg.barrier != "none" else "c3bf"
-    kappa1 = cfg.kappa1 or cfg.kappa
-    if kind == "c3bf":
-        if cfg.model == "unicycle":
-            return lambda s, c, cd, ax, r: B.c3bf_unicycle_terms(s, c, cd, r, cfg.body_offset)
-        if cfg.model == "bicycle":
-            return lambda s, c, cd, ax, r: B.c3bf_bicycle_terms(s, c, cd, r, cfg.wheelbase_rear)
-        return lambda s, c, cd, ax, r: B.c3bf_pointmass_terms(s, c, cd, r)
-    if kind == "ellipse":
-        return lambda s, c, cd, ax, r: B.ellipse_terms(s, c, cd, ax, cfg.model)
-    return lambda s, c, cd, ax, r: B.hocbf_terms(
-        s, c, cd, ax, kappa1, cfg.model,
-        cfg.wheelbase_rear if cfg.model == "bicycle" else None,
-    )
-
-
 def _make_controller(cfg: ScenarioConfig):
     if cfg.path is not None:
         geom = BicycleGeometry(cfg.wheelbase_front, cfg.wheelbase_rear)
@@ -245,14 +234,7 @@ def _make_controller(cfg: ScenarioConfig):
 
         return controller
 
-    ctrl = cfg.controller
-
-    if cfg.model == "unicycle":
-        return lambda s: np.array([ctrl.k_speed * (ctrl.v_des - s[3]), -ctrl.k_damp * s[4]])
-    if cfg.model == "bicycle":
-        return lambda s: np.array([ctrl.k_speed * (ctrl.v_des - s[3]), 0.0])
-    v_goal = ctrl.v_des * np.array([math.cos(ctrl.heading_des), math.sin(ctrl.heading_des)])
-    return lambda s: ctrl.k_speed * (v_goal - s[2:4])
+    return lambda state: reference_p_controller(cfg.model, state, cfg.controller)
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
@@ -268,10 +250,11 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
         dyn = BicycleDynamics(BicycleGeometry(cfg.wheelbase_front, cfg.wheelbase_rear))
     else:
         dyn = PointMassDynamics()
-    row_eval = _make_row_evaluator(cfg)
     controller = _make_controller(cfg)
     shadow_only = cfg.barrier == "none"
     cone_domain = cfg.barrier == "c3bf" or shadow_only
+    barrier = "c3bf" if shadow_only else cfg.barrier
+    kappa1 = cfg.kappa1 or cfg.kappa
 
     state = np.array(cfg.initial_state, dtype=float)
     centers = np.array([o.center for o in cfg.obstacles], dtype=float).reshape(n_obs, 2)
@@ -309,7 +292,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
                 _, new_v = schedules[i].pop(0)
                 velocities[i] = np.asarray(new_v, dtype=float)
 
-        ref_pt = _reference_point(cfg, state)
+        ref_pt, ref_vel = B.reference_kinematics(cfg.model, state, cfg.body_offset)
         p_rel = centers - ref_pt
         sep = np.linalg.norm(p_rel, axis=1)
         in_range = sep <= cfg.perception_radius
@@ -332,13 +315,15 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
                 if colliding[i]:
                     evaluable = False
                 else:
-                    v_rel = velocities[i] - _point_velocity(cfg, state)
+                    v_rel = velocities[i] - ref_vel
                     if np.linalg.norm(v_rel) <= B.EPS_V:
                         evaluable = False
                         degenerate_now[i] = True
             if not evaluable:
                 continue
-            h_i, lf_i, lg_i = row_eval(state, centers[i], velocities[i], axes[i], radii[i])
+            h_i, lf_i, lg_i = B.barrier_terms(
+                barrier, cfg.model, state, centers[i], velocities[i], axes[i], radii[i],
+                body_offset=cfg.body_offset, rear_axle=cfg.wheelbase_rear, kappa1=kappa1)
             h_log[k, i] = float(h_i)
             if shadow_only or not in_range[i]:
                 continue
@@ -587,15 +572,7 @@ def beta_smallness_audit(trace: ScenarioTrace, beta_limit: float = 0.3) -> BetaR
     if trace.config.model != "bicycle":
         raise ValueError("beta audit applies to bicycle traces only")
     geom = BicycleGeometry(trace.config.wheelbase_front, trace.config.wheelbase_rear)
-
-    def exact(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.array([
-            x[3] * math.cos(x[2] + u[1]),
-            x[3] * math.sin(x[2] + u[1]),
-            (x[3] / geom.l_r) * math.sin(u[1]),
-            u[0],
-        ])
-
+    exact = partial(bicycle_dynamics_exact, geom=geom)
     exact_states = np.zeros_like(trace.states)
     exact_states[0] = trace.states[0]
     x = trace.states[0].copy()

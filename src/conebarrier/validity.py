@@ -42,20 +42,17 @@ import numpy as np
 
 from .barriers import (
     ClassK,
+    barrier_terms,
     c3bf_bicycle_terms,
-    c3bf_pointmass_terms,
-    c3bf_unicycle_terms,
     ellipse_terms,
     hocbf_terms,
+    reference_kinematics,
 )
+# Unused here, but bench/tracing.py wraps every *_terms name in this module.
+from .barriers import c3bf_pointmass_terms, c3bf_unicycle_terms  # noqa: F401
+from .models import INPUT_NAMES, MODELS
 
 BARRIERS = ("c3bf", "ellipse", "hocbf")
-MODELS = ("unicycle", "bicycle", "pointmass")
-CHANNELS = {
-    "unicycle": ("a", "alpha"),
-    "bicycle": ("a", "beta"),
-    "pointmass": ("ax", "ay"),
-}
 OBSTACLE_SPEED_MAX = 5.0
 KERNEL_TOL = 1e-9
 PSI_TOL = 1e-6
@@ -124,21 +121,16 @@ def _sample_states(rng: np.random.Generator, model: str, n: int) -> np.ndarray:
     return np.column_stack([xy, vel])
 
 
-def _sample_obstacles(rng: np.random.Generator, states: np.ndarray, model: str,
-                      motion: str, params: _ProbeParams):
-    """Obstacles placed outside the combined radius, near and far."""
-    n = states.shape[0]
+def _sample_obstacles(rng: np.random.Generator, points: np.ndarray, motion: str,
+                      params: _ProbeParams):
+    """Obstacles placed outside the combined radius around each protected point."""
+    n = points.shape[0]
     axes = rng.uniform(0.3, 2.0, (n, 2))
     radii = np.max(axes, axis=1) + 0.5 * params.width
     ang = rng.uniform(0.0, 2.0 * math.pi, n)
     dist = radii + rng.uniform(0.2, 12.0, n)
     offsets = dist[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
-    if model == "unicycle":
-        ct, st = np.cos(states[:, 2]), np.sin(states[:, 2])
-        base = states[:, 0:2] + params.body_offset * np.column_stack([ct, st])
-    else:
-        base = states[:, 0:2]
-    centers = base + offsets
+    centers = points + offsets
     if motion == "static":
         velocities = np.zeros((n, 2))
     else:
@@ -146,32 +138,6 @@ def _sample_obstacles(rng: np.random.Generator, states: np.ndarray, model: str,
         vang = rng.uniform(0.0, 2.0 * math.pi, n)
         velocities = speed[:, None] * np.column_stack([np.cos(vang), np.sin(vang)])
     return centers, velocities, axes, radii
-
-
-def _vehicle_point_velocity(states: np.ndarray, model: str, params: _ProbeParams) -> np.ndarray:
-    if model == "unicycle":
-        ct, st = np.cos(states[:, 2]), np.sin(states[:, 2])
-        v, om = states[:, 3], states[:, 4]
-        return np.column_stack([v * ct - params.body_offset * om * st,
-                                v * st + params.body_offset * om * ct])
-    if model == "bicycle":
-        ct, st = np.cos(states[:, 2]), np.sin(states[:, 2])
-        return states[:, 3:4] * np.column_stack([ct, st])
-    return states[:, 2:4]
-
-
-def _eval_terms(barrier: str, model: str, states, centers, velocities, axes, radii,
-                params: _ProbeParams):
-    if barrier == "c3bf":
-        if model == "unicycle":
-            return c3bf_unicycle_terms(states, centers, velocities, radii, params.body_offset)
-        if model == "bicycle":
-            return c3bf_bicycle_terms(states, centers, velocities, radii, params.rear_axle)
-        return c3bf_pointmass_terms(states, centers, velocities, radii)
-    if barrier == "ellipse":
-        return ellipse_terms(states, centers, velocities, axes, model)
-    rear = params.rear_axle if model == "bicycle" else None
-    return hocbf_terms(states, centers, velocities, axes, params.kappa1, model, rear)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +291,9 @@ def _attack_obstacle_velocity(barrier, model, kernel_batch, params: _ProbeParams
         for direction in directions:
             for mag in magnitudes:
                 cdot = mag * direction
-                h, lf, lg = _eval_terms(barrier, model, states[i], centers[i], cdot,
-                                        axes[i], None, params)
+                h, lf, lg = barrier_terms(barrier, model, states[i], centers[i], cdot,
+                                          axes[i], None, rear_axle=params.rear_axle,
+                                          kappa1=params.kappa1)
                 if float(np.linalg.norm(lg)) > KERNEL_TOL:
                     continue
                 if float(h) < 0.0:
@@ -368,20 +335,22 @@ def validity_probe(barrier: str, model: str, motion: str = "moving",
     checks: list[str] = []
 
     states = _sample_states(rng, model, samples)
-    centers, velocities, axes, radii = _sample_obstacles(rng, states, model, motion, params)
+    points, point_velocities = reference_kinematics(model, states, params.body_offset)
+    centers, velocities, axes, radii = _sample_obstacles(rng, points, motion, params)
     if barrier == "c3bf":
         # Keep admissible relative velocities only.
-        v_rel = velocities - _vehicle_point_velocity(states, model, params)
-        ok = np.linalg.norm(v_rel, axis=1) > 1e-3
+        ok = np.linalg.norm(velocities - point_velocities, axis=1) > 1e-3
         states, centers, velocities = states[ok], centers[ok], velocities[ok]
         axes, radii = axes[ok], radii[ok]
 
-    h, lf, lg = _eval_terms(barrier, model, states, centers, velocities, axes, radii, params)
+    h, lf, lg = barrier_terms(barrier, model, states, centers, velocities, axes, radii,
+                              body_offset=params.body_offset, rear_axle=params.rear_axle,
+                              kappa1=params.kappa1)
     norms = np.linalg.norm(lg, axis=-1)
     channel_max = tuple(float(np.max(np.abs(lg[..., j]))) for j in range(lg.shape[-1]))
     scale = max(1.0, float(np.max(norms))) if norms.size else 1.0
     inactive = tuple(
-        CHANNELS[model][j] for j in range(lg.shape[-1]) if channel_max[j] <= 1e-12 * scale
+        INPUT_NAMES[model][j] for j in range(lg.shape[-1]) if channel_max[j] <= 1e-12 * scale
     )
     checks.append(f"input dependence sampled on {states.shape[0]} admissible configurations")
 
@@ -491,7 +460,7 @@ def validity_probe(barrier: str, model: str, motion: str = "moving",
         verdict = "Not a valid CBF"
     elif barrier == "c3bf":
         verdict = "Valid CBF in D" if kernel_count == 0 else "Valid CBF in C"
-    elif CHANNELS[model][0] in inactive:
+    elif INPUT_NAMES[model][0] in inactive:
         verdict = "Valid CBF, No acceleration"
     elif len(inactive) > 0:
         if motion == "moving" and conservative:

@@ -9,17 +9,17 @@ code paths they check.
 import math
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from conebarrier.barriers import (
     ClassK,
+    barrier_terms,
     c3bf_bicycle_terms,
     c3bf_pointmass_terms,
     c3bf_unicycle_terms,
-    ellipse_terms,
-    hocbf_terms,
 )
 from conebarrier.cli import main as cli_main
 from conebarrier.models import (
@@ -100,20 +100,6 @@ _PAIRS = [
 ]
 
 
-def _terms_for(barrier, model):
-    kappa1 = ClassK("linear", 1.0)
-    if barrier == "c3bf":
-        if model == "unicycle":
-            return lambda s, c, cd, ax, r: c3bf_unicycle_terms(s, c, cd, r, BODY_OFFSET)
-        if model == "bicycle":
-            return lambda s, c, cd, ax, r: c3bf_bicycle_terms(s, c, cd, r, REAR_AXLE)
-        return lambda s, c, cd, ax, r: c3bf_pointmass_terms(s, c, cd, r)
-    if barrier == "ellipse":
-        return lambda s, c, cd, ax, r: ellipse_terms(s, c, cd, ax, model)
-    return lambda s, c, cd, ax, r: hocbf_terms(
-        s, c, cd, ax, kappa1, model, REAR_AXLE if model == "bicycle" else None)
-
-
 def _dynamics_for(model):
     if model == "unicycle":
         return UnicycleDynamics()
@@ -130,7 +116,8 @@ def test_criterion_1_gradient_suite():
         rng = np.random.default_rng(hash((barrier, model)) % 2**32)
         states, centers, cdot, axes, radii = _sample_batch(
             rng, model, n, cone=barrier == "c3bf")
-        terms = _terms_for(barrier, model)
+        terms = partial(barrier_terms, barrier, model, body_offset=BODY_OFFSET,
+                        rear_axle=REAR_AXLE, kappa1=ClassK("linear", 1.0))
         dyn = _dynamics_for(model)
         h, lf, lg = terms(states, centers, cdot, axes, radii)
 

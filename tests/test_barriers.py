@@ -17,7 +17,6 @@ from conebarrier.barriers import (
     c3bf_pointmass_terms,
     c3bf_unicycle,
     c3bf_unicycle_terms,
-    cone_geometry,
     ellipse_cbf,
     ellipse_terms,
     hocbf,
@@ -183,14 +182,6 @@ def test_domain_and_velocity_errors():
         c3bf_pointmass(PointMassState((0, 0), (1.0, 0)),
                        Obstacle(center=(5, 0), velocity=(1.0, EPS_V / 2), semi_axis_x=1,
                                 semi_axis_y=1), width=0.0)
-
-
-def test_cone_geometry_invariants():
-    geo = cone_geometry(np.array([4.0, 0.0]), np.array([-1.0, 0.2]), 1.5)
-    assert 0.0 <= geo.cos_phi < 1.0
-    assert geo.cos_phi == pytest.approx(math.sqrt(16 - 2.25) / 4.0)
-    with pytest.raises(DomainError):
-        cone_geometry(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 1.5)
 
 
 def test_scale_covariance():

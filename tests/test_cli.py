@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,6 +55,15 @@ def test_run_negative_control_exit_one(tmp_path, braking_yaml):
 def test_run_malformed_config_exit_two_no_partial_outputs(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("name: x\nmodel: unicycle\n")  # missing required keys
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(bad), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
+def test_run_negative_wheelbase_exit_two_no_outputs(tmp_path):
+    bad = tmp_path / "bad.yaml"
+    save_scenario(replace(load_packaged("braking_bicycle"), wheelbase_rear=-1.0), bad)
     out = tmp_path / "out"
     rc = main(["run", "--config", str(bad), "--out", str(out)])
     assert rc == 2

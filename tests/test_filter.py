@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conebarrier.barriers import ClassK, Obstacle
-from conebarrier.models import BicycleGeometry, BicycleState, PointMassState, UnicycleState
+from conebarrier.barriers import ClassK
+from conebarrier.models import BicycleGeometry, BicycleState
 from conebarrier.safety_filter import (
     ConstraintRow,
     DegenerateRowError,
@@ -14,34 +14,37 @@ from conebarrier.safety_filter import (
     PathTrackerGains,
     QpProblem,
     ReferenceController,
-    filter_step,
     reference_p_controller,
     reference_path_tracker,
     solve_multi_constraint,
     solve_single_constraint,
 )
+from conebarrier.sim import ObstacleConfig, ScenarioConfig, run_scenario
 
 from conftest import grid_project
 
 
 def test_p_controller_at_setpoint():
     ctrl = ReferenceController(k_speed=1.0, k_damp=0.5, v_des=2.0)
-    u = reference_p_controller(UnicycleState(0, 0, 0, 2.0, 0.0), ctrl)
+    u = reference_p_controller("unicycle", np.array([0, 0, 0, 2.0, 0.0]), ctrl)
     np.testing.assert_array_equal(u, [0.0, 0.0])
 
 
 def test_p_controller_direct_substitution():
     ctrl = ReferenceController(k_speed=1.0, k_damp=0.5, v_des=2.0)
-    u = reference_p_controller(UnicycleState(0, 0, 0, 0.0, 1.0), ctrl)
+    u = reference_p_controller("unicycle", np.array([0, 0, 0, 0.0, 1.0]), ctrl)
     np.testing.assert_allclose(u, [2.0, -0.5], atol=0)
 
 
 def test_p_controller_bicycle_and_pointmass():
     ctrl = ReferenceController(k_speed=2.0, k_damp=0.5, v_des=1.5, heading_des=math.pi / 2)
     np.testing.assert_allclose(
-        reference_p_controller(BicycleState(0, 0, 0, 0.5), ctrl), [2.0, 0.0], atol=1e-15)
-    u = reference_p_controller(PointMassState((0, 0), (0.0, 0.5)), ctrl)
+        reference_p_controller("bicycle", np.array([0, 0, 0, 0.5]), ctrl), [2.0, 0.0],
+        atol=1e-15)
+    u = reference_p_controller("pointmass", np.array([0, 0, 0.0, 0.5]), ctrl)
     np.testing.assert_allclose(u, [0.0, 2.0 * (1.5 - 0.5)], atol=1e-15)
+    with pytest.raises(ValueError):
+        reference_p_controller("hovercraft", np.zeros(4), ctrl)
 
 
 def test_default_classk_gain_is_one():
@@ -257,48 +260,41 @@ def test_multi_degenerate_zero_row_infeasible_not_raising():
     assert res2.status == "inactive"
 
 
-def test_box_bounds_as_rows():
-    qp = QpProblem(u_ref=np.array([5.0, 0.0]))
-    res = solve_multi_constraint(qp, bounds=((-1.0, -1.0), (1.0, 1.0)))
-    np.testing.assert_allclose(res.u_star, [1.0, 0.0], atol=1e-12)
-
-
-def _braking_barrier(width=0.6, l=0.1):
-    from conebarrier.barriers import c3bf_unicycle
-
-    def barrier(state, obs):
-        return c3bf_unicycle(state, obs, l, width)
-
-    return barrier
+def _one_filter_step(obstacles, body_offset=0.1):
+    # The per-step filter (rows from the barrier, QP, events) runs inside
+    # run_scenario; the first record of a one-step run is its evaluation at
+    # the initial state.
+    cfg = ScenarioConfig(
+        name="filter_step", model="unicycle", initial_state=(0.0, 0.0, 0.0, 2.0, 0.0),
+        obstacles=tuple(obstacles),
+        controller=ReferenceController(k_speed=1.0, k_damp=0.5, v_des=2.0),
+        barrier="c3bf", kappa=ClassK(), body_offset=body_offset, width=0.6,
+        perception_radius=10.0, dt=0.01, duration=0.01)
+    return run_scenario(cfg)
 
 
 def test_filter_step_no_obstacles_passthrough():
-    ctrl = ReferenceController(k_speed=1.0, k_damp=0.5, v_des=2.0)
-    out = filter_step(UnicycleState(0, 0, 0, 1.0, 0.0), [], _braking_barrier(),
-                      ctrl, ClassK())
-    np.testing.assert_array_equal(out.filter.u_star, out.filter.u_ref)
-    assert out.filter.status == "inactive"
-    assert out.events == ()
+    trace = _one_filter_step([])
+    np.testing.assert_array_equal(trace.u_star[0], trace.u_ref[0])
+    assert trace.constrained.shape == (2, 0)
+    assert trace.events == ()
 
 
 def test_filter_step_braking_correction_decelerates():
     # Static obstacle dead ahead at speed: the correction must brake.
-    ctrl = ReferenceController(k_speed=1.0, k_damp=0.5, v_des=2.0)
-    obs = Obstacle(center=(9.0, 0.0), velocity=(0.0, 0.0), semi_axis_x=0.75, semi_axis_y=0.75)
-    out = filter_step(UnicycleState(0, 0, 0, 2.0, 0.0), [obs], _braking_barrier(),
-                      ctrl, ClassK())
-    assert out.filter.psi[0] < 0
-    assert out.filter.u_safe[0] < 0
-    assert out.filter.status == "corrected"
+    trace = _one_filter_step([ObstacleConfig(center=(9.0, 0.0), semi_axes=(0.75, 0.75))])
+    assert trace.constrained[0, 0] and trace.qp_active[0, 0]
+    assert trace.psi[0, 0] < 0
+    assert trace.u_safe[0, 0] < 0
 
 
 def test_filter_step_drops_domain_violations_with_events():
-    ctrl = ReferenceController(k_speed=1.0, k_damp=0.5, v_des=2.0)
-    inside = Obstacle(center=(0.5, 0.0), velocity=(0, 0), semi_axis_x=1.0, semi_axis_y=1.0)
-    degen = Obstacle(center=(5.0, 0.0), velocity=(2.0, 0.0), semi_axis_x=0.5, semi_axis_y=0.5)
-    state = UnicycleState(0, 0, 0, 2.0, 0.0)
-    out = filter_step(state, [inside, degen], _braking_barrier(l=0.0), ctrl, ClassK())
-    kinds = sorted(e.kind for e in out.events)
-    assert kinds == ["collision_domain", "degenerate_velocity"]
-    assert out.row_obstacles == ()
-    assert out.filter.status == "inactive"
+    inside = ObstacleConfig(center=(0.5, 0.0), semi_axes=(1.0, 1.0))
+    degen = ObstacleConfig(center=(5.0, 0.0), velocity=(2.0, 0.0), semi_axes=(0.5, 0.5))
+    trace = _one_filter_step([inside, degen], body_offset=0.0)
+    kinds = sorted((e.kind, e.obstacle) for e in trace.events
+                   if e.time == 0.0 and e.kind != "perception_entry")
+    assert kinds == [("collision", 0), ("degenerate_velocity", 1)]
+    assert not trace.constrained[0].any()
+    assert np.isnan(trace.h[0]).all() and np.isnan(trace.psi[0]).all()
+    np.testing.assert_array_equal(trace.u_star[0], trace.u_ref[0])

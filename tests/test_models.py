@@ -221,7 +221,8 @@ def test_exact_bicycle_reduces_to_affine_at_zero_slip():
     s = BicycleState(0.3, -0.2, 0.7, 2.2)
     u = BicycleInput(0.5, 0.0)
     np.testing.assert_allclose(
-        bicycle_dynamics_exact(s, u, geom), bicycle_dynamics(s, u, geom), atol=0)
+        bicycle_dynamics_exact(s.as_array(), u.as_array(), geom),
+        bicycle_dynamics(s, u, geom), atol=0)
 
 
 def test_exact_bicycle_small_slip_gap_is_second_order():
@@ -231,6 +232,7 @@ def test_exact_bicycle_small_slip_gap_is_second_order():
     for beta in (0.1, 0.05):
         u = BicycleInput(0.0, beta)
         gap = np.linalg.norm(
-            bicycle_dynamics_exact(s, u, geom) - bicycle_dynamics(s, u, geom))
+            bicycle_dynamics_exact(s.as_array(), u.as_array(), geom)
+            - bicycle_dynamics(s, u, geom))
         gaps.append(gap)
     assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=0.3)

@@ -1,8 +1,11 @@
 """YAML scenario codec and the packaged suite."""
 
+from dataclasses import replace
+
 import pytest
 import yaml
 
+from conebarrier.barriers import ClassK
 from conebarrier.scenarios import (
     BEHAVIOR_SUITE_NAMES,
     SUITE_NAMES,
@@ -27,10 +30,12 @@ def test_packaged_suite_complete():
 
 
 def test_roundtrip_all_packaged(tmp_path):
-    for name in SUITE_NAMES:
-        cfg = load_packaged(name)
+    custom = ClassK("custom", table=((-1.0, -2.0), (0.0, 0.0), (2.0, 1.0)))
+    configs = [load_packaged(name) for name in SUITE_NAMES]
+    configs.append(replace(configs[0], name="custom_kappa1", barrier="hocbf", kappa1=custom))
+    for cfg in configs:
         assert scenario_from_dict(scenario_to_dict(cfg)) == cfg
-        path = tmp_path / f"{name}.yaml"
+        path = tmp_path / f"{cfg.name}.yaml"
         save_scenario(cfg, path)
         assert load_scenario(path) == cfg
 

@@ -213,6 +213,24 @@ def test_config_validation_errors():
             velocity_schedule=((2.0, (0.0, 0.0)), (1.0, (1.0, 0.0)))),)).validate()
     with pytest.raises(ConfigError):
         _simple_cfg(path=((0.0, 0.0), (1.0, 1.0))).validate()  # path on unicycle
+    with pytest.raises(ConfigError):
+        _simple_cfg(wheelbase_front=0.0).validate()
+    with pytest.raises(ConfigError):
+        _simple_cfg(wheelbase_rear=-1.6).validate()
+    with pytest.raises(ConfigError):
+        _simple_cfg(input_bounds=((-1.0,), (1.0,))).validate()
+    with pytest.raises(ConfigError):
+        _simple_cfg(input_bounds=((-1.0, 1.0), (1.0, 0.5))).validate()
+    with pytest.raises(ConfigError):
+        _simple_cfg(perception_radius=-1.0).validate()
+    with pytest.raises(ConfigError):
+        _simple_cfg(width=-0.1).validate()
+    with pytest.raises(ConfigError):
+        _simple_cfg(initial_state=(0.0, math.nan, 0.0, 1.5, 0.0)).validate()
+    with pytest.raises(ConfigError):
+        _simple_cfg(dt=math.inf).validate()
+    with pytest.raises(ConfigError):
+        _simple_cfg(duration=math.nan).validate()
 
 
 def test_input_saturation_logs_and_clips():
