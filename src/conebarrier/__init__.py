@@ -2,8 +2,8 @@
 
 The package keeps a reference controller's commands unless they would send
 the relative velocity of a tracked obstacle into its collision cone; the
-minimal correction that keeps the cone constraint satisfied is the closed
-form (or small active-set) solution of a quadratic program.
+minimal correction that keeps the cone constraint satisfied is the exact
+closed-form solution of a quadratic program over the two inputs.
 
 Layout: ``models`` holds the acceleration-controlled vehicle families, the
 RK4 integrator and the model / state / input name tables; ``barriers`` the
@@ -11,9 +11,12 @@ cone barrier and the classical ellipse / second-order candidates as array
 cores, with the one protected-point kinematics, the one (barrier, model)
 dispatch and thin typed wrappers over them; ``validity`` the sampling
 probes behind the candidate comparison matrix; ``safety_filter`` the
-reference controllers and the QP solvers; ``sim`` the closed-loop engine
-(perception gating, rows, QP, input clipping, RK4, events) with audits;
-``scenarios`` the packaged YAML suite; and ``cli`` the command-line tool.
+reference controllers and the QP filter, solved exactly by enumerating the
+rows and row pairs that can pin the two-input optimum, with an exact
+least-violation answer for conflicting rows (numpy only, no LP solver);
+``sim`` the closed-loop engine (perception gating, rows, QP, input
+clipping, RK4, events) with audits; ``scenarios`` the packaged YAML suite;
+and ``cli`` the command-line tool.
 """
 
 from .barriers import (

@@ -46,7 +46,7 @@ from .sim import (
     invariance_audit,
     run_scenario,
 )
-from .validity import BARRIERS, validity_probe, verdict_matrix
+from .validity import BARRIERS, verdict_matrix, verdict_row
 
 EMIT_KINDS = ("trace-csv", "events-json", "summary-json", "plotdata")
 
@@ -172,8 +172,10 @@ def _resolve_out(args) -> Path:
     return Path(env) if env else Path("runs")
 
 
-def _emit(trace: ScenarioTrace, out_dir: Path, emit: set) -> None:
+def _emit(trace: ScenarioTrace, out_dir: Path, emit: set) -> dict:
+    """Write the requested outputs of one run; return its summary."""
     name = trace.config.name
+    summary = _summary_payload(trace) if "summary-json" in emit else trace.summary()
     if "trace-csv" in emit:
         write_trace_csv(trace, out_dir / f"{name}_trace.csv")
     if "events-json" in emit:
@@ -183,11 +185,11 @@ def _emit(trace: ScenarioTrace, out_dir: Path, emit: set) -> None:
         ]
         (out_dir / f"{name}_events.json").write_text(json.dumps(payload, indent=2))
     if "summary-json" in emit:
-        (out_dir / f"{name}_summary.json").write_text(
-            json.dumps(_summary_payload(trace), indent=2))
+        (out_dir / f"{name}_summary.json").write_text(json.dumps(summary, indent=2))
     if "plotdata" in emit:
         (out_dir / f"{name}_plotdata.json").write_text(
             json.dumps(_plotdata_payload(trace), indent=2))
+    return summary
 
 
 def _load_batch(args) -> list:
@@ -217,13 +219,12 @@ def cmd_run(args) -> int:
 
     any_collision = False
     for cfg in configs:
-        trace = run_scenario(cfg)
-        _emit(trace, out_dir, emit)
-        summary = trace.summary()
+        summary = _emit(run_scenario(cfg), out_dir, emit)
         collided = not summary["collision_free"]
         any_collision = any_collision or collided
+        min_h = math.nan if summary["min_h"] is None else summary["min_h"]  # JSON null
         print(f"{cfg.name}: behavior={summary['behavior']} "
-              f"collision_free={summary['collision_free']} min_h={summary['min_h']}")
+              f"collision_free={summary['collision_free']} min_h={min_h}")
         if collided:
             print(f"{cfg.name}: collision recorded", file=sys.stderr)
     return 1 if any_collision else 0
@@ -235,16 +236,8 @@ def cmd_validity(args) -> int:
         return 2
     out_dir = _resolve_out(args)
     if args.model or args.barrier:
-        barrier = args.barrier or "c3bf"
-        model = args.model or "unicycle"
-        rows = []
-        entry = {"barrier": barrier, "model": model,
-                 "extension": (barrier, model) == ("c3bf", "pointmass")}
-        for motion in ("static", "moving"):
-            rep = validity_probe(barrier, model, motion, samples=args.samples, seed=args.seed)
-            entry[motion] = rep.verdict
-            entry[f"{motion}_report"] = rep.to_dict()
-        rows.append(entry)
+        rows = [verdict_row(args.barrier or "c3bf", args.model or "unicycle",
+                            samples=args.samples, seed=args.seed)]
     else:
         rows = verdict_matrix(samples=args.samples, seed=args.seed)
 

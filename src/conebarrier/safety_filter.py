@@ -10,14 +10,15 @@ input set the minimizer is closed form and switches on the sign of
     psi = hdot(x, u_ref) + kappa(h):
 
 psi >= 0 leaves the reference untouched, psi < 0 projects it onto the
-constraint plane. Multiple rows are solved exactly by enumerating active
-sets on the low-dimensional input (m <= 2 here), which reproduces the
-closed form bit for bit on one-row problems.
+constraint plane. Several rows are solved exactly in one array pass: a
+projection in R^2 is pinned by at most two rows, so the minimizer is the
+nearest feasible point among the projections onto every row and row pair.
 
 Conflicting rows (possible with several cones, never with one) make the QP
 infeasible; the filter then returns the input minimizing the worst
-constraint violation, with the deviation from u_ref as tie-break, and says
-so in the result status.
+constraint violation, found exactly among the points where rows tie (no LP
+solver), with the deviation from u_ref as tie-break, and says so in the
+result status.
 
 The QP carries no input bounds. A scenario's input bounds are applied by
 the closed-loop engine (``sim.run_scenario``), which clips the QP's answer
@@ -26,13 +27,11 @@ and logs a ``saturation`` event when the clip changes it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .models import BicycleGeometry, BicycleState, slip_from_steering
 
@@ -199,82 +198,82 @@ def solve_single_constraint(qp: QpProblem) -> SafetyFilterResult:
                               psi=np.array([psi]), active_set=(0,), status="corrected")
 
 
-def _enumerate_active_sets(a_mat: np.ndarray, b_vec: np.ndarray,
-                           u_ref: np.ndarray) -> Optional[np.ndarray]:
-    """Exact minimizer of ||u - u_ref||^2 s.t. A u >= b, or None if infeasible.
+def _projections(a_mat: np.ndarray, b_vec: np.ndarray, u_ref: np.ndarray) -> np.ndarray:
+    """u_ref and its projections onto every row and every row pair's intersection.
 
-    The optimum of a projection onto a polyhedron in R^m is pinned by at
-    most m rows, so trying every subset of size <= m with nonnegative
-    multipliers and feasible primal is exhaustive for m = 2.
+    A projection onto a polygon in R^2 is pinned by at most two rows, so these
+    points, kept with multipliers >= -1e-12 (NaN for zero rows and parallel
+    pairs), contain the minimizer of ||u - u_ref||^2 s.t. A u >= b.
     """
-    n, m = a_mat.shape
-    feas_tol = 1e-9
-    if np.all(a_mat @ u_ref >= b_vec - feas_tol):
-        return u_ref.copy()
-    best = None
-    best_obj = np.inf
-    for size in range(1, m + 1):
-        for subset in itertools.combinations(range(n), size):
-            a_s = a_mat[list(subset)]
-            gram = a_s @ a_s.T
-            try:
-                lam = np.linalg.solve(gram, b_vec[list(subset)] - a_s @ u_ref)
-            except np.linalg.LinAlgError:
-                continue
-            if np.any(lam < -1e-12):
-                continue
-            u = u_ref + a_s.T @ lam
-            if np.all(a_mat @ u >= b_vec - feas_tol):
-                obj = float((u - u_ref) @ (u - u_ref))
-                if obj < best_obj - 1e-15:
-                    best_obj = obj
-                    best = u
-    return best
+    gram = a_mat @ a_mat.T
+    g = np.diag(gram)
+    r = b_vec - a_mat @ u_ref
+    lam = r / np.where(g > 0.0, g, np.nan)
+    one = lam >= -1e-12
+    i, j = np.triu_indices(len(b_vec), 1)
+    det = g[i] * g[j] - gram[i, j] ** 2  # Cramer's rule on the 2x2 Gram matrix
+    det = np.where(det > 0.0, det, np.nan)
+    lam_i = (g[j] * r[i] - gram[i, j] * r[j]) / det
+    lam_j = (g[i] * r[j] - gram[i, j] * r[i]) / det
+    ok = (lam_i >= -1e-12) & (lam_j >= -1e-12)
+    return np.vstack([u_ref, u_ref + lam[one, None] * a_mat[one],
+                      u_ref + lam_i[ok, None] * a_mat[i[ok]] + lam_j[ok, None] * a_mat[j[ok]]])
+
+
+def _nearest_feasible(cand: np.ndarray, a_mat: np.ndarray, b_vec: np.ndarray,
+                      u_ref: np.ndarray) -> Optional[np.ndarray]:
+    """The candidate nearest u_ref with A u >= b - 1e-9, or None if there is none."""
+    cand = cand[np.all(cand @ a_mat.T >= b_vec - 1e-9, axis=1)]
+    return cand[np.argmin(np.sum((cand - u_ref) ** 2, axis=1))] if len(cand) else None
 
 
 def _least_violating(a_mat: np.ndarray, b_vec: np.ndarray, u_ref: np.ndarray) -> np.ndarray:
     """Minimize the worst violation, then the deviation from u_ref.
 
-    Stage one is the LP min t s.t. A u + t >= b; stage two re-runs the
-    projection with every row relaxed by the optimal t.
+    Stage one: t* = min_u max_i (b_i - a_i u) is attained where three rows
+    tie, or where two tie if all row normals are parallel (anywhere if all
+    rows are zero), so u_ref and the pair and triple tie points (pairs: the
+    one nearest u_ref) are complete candidates. Each worst violation carries
+    its rounding bound, so far tie points cannot undercut t*. Stage two
+    projects u_ref onto the rows relaxed by t* + 1e-9; the stage-one minimizer
+    satisfies them, so it stays a candidate in case rounding on nearly
+    parallel rows puts every projection outside them.
     """
-    n, m = a_mat.shape
-    c = np.zeros(m + 1)
-    c[-1] = 1.0
-    a_ub = np.hstack([-a_mat, -np.ones((n, 1))])
-    res = linprog(c, A_ub=a_ub, b_ub=-b_vec, bounds=[(None, None)] * (m + 1), method="highs")
-    if not res.success:
-        return u_ref.copy()
-    t_star = float(res.x[-1])
-    relaxed = b_vec - t_star - 1e-9
-    u = _enumerate_active_sets(a_mat, relaxed, u_ref)
-    return u if u is not None else np.asarray(res.x[:m], dtype=float)
+    idx = np.indices((len(b_vec),) * 3).reshape(3, -1)
+    i, j, k = idx[:, (idx[0] < idx[1]) & (idx[1] < idx[2])]
+    p, q = a_mat[i] - a_mat[k], a_mat[j] - a_mat[k]
+    c_p, c_q = b_vec[i] - b_vec[k], b_vec[j] - b_vec[k]
+    det = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
+    ok = det != 0.0
+    triples = np.column_stack([c_p[ok] * q[ok, 1] - c_q[ok] * p[ok, 1],
+                               c_q[ok] * p[ok, 0] - c_p[ok] * q[ok, 0]]) / det[ok, None]
+    i, j = np.triu_indices(len(b_vec), 1)
+    d = a_mat[i] - a_mat[j]
+    dd = np.sum(d * d, axis=1)
+    shift = (b_vec[i] - b_vec[j] - d @ u_ref)[dd > 0.0] / dd[dd > 0.0]
+    cand = np.vstack([u_ref, u_ref + shift[:, None] * d[dd > 0.0], triples])
+    worst = np.max(b_vec[:, None] - a_mat @ cand.T, axis=0) + 4 * np.finfo(float).eps * np.max(
+        np.abs(b_vec)[:, None] + np.abs(a_mat) @ np.abs(cand).T, axis=0)
+    best = int(np.argmin(worst))
+    relaxed = b_vec - worst[best] - 1e-9
+    return _nearest_feasible(np.vstack([_projections(a_mat, relaxed, u_ref), cand[best]]),
+                             a_mat, relaxed, u_ref)
 
 
 def solve_multi_constraint(qp: QpProblem) -> SafetyFilterResult:
-    """Exact multi-row QP solve; falls back to least violation when infeasible."""
+    """Exact multi-row QP solve; least violation when the rows conflict."""
     u_ref = qp.u_ref
-    psi = np.array([float(row.lg_h @ u_ref - row.rhs) for row in qp.rows])
-    if len(qp.rows) == 0:
-        return SafetyFilterResult(u_star=u_ref.copy(), u_ref=u_ref, psi=psi,
-                                  active_set=(), status="inactive")
     if len(qp.rows) == 1 and float(qp.rows[0].lg_h @ qp.rows[0].lg_h) > 0.0:
         return solve_single_constraint(qp)
-
-    a_mat = np.vstack([row.lg_h for row in qp.rows])
+    a_mat = np.array([row.lg_h for row in qp.rows]).reshape(len(qp.rows), len(u_ref))
     b_vec = np.array([row.rhs for row in qp.rows])
-    if np.all(a_mat @ u_ref >= b_vec):
+    psi = a_mat @ u_ref - b_vec
+    if np.all(psi >= 0.0):
         return SafetyFilterResult(u_star=u_ref.copy(), u_ref=u_ref, psi=psi,
                                   active_set=(), status="inactive")
-
-    u = _enumerate_active_sets(a_mat, b_vec, u_ref)
+    u = _nearest_feasible(_projections(a_mat, b_vec, u_ref), a_mat, b_vec, u_ref)
+    status = "infeasible" if u is None else "corrected"
     if u is None:
         u = _least_violating(a_mat, b_vec, u_ref)
-        status = "infeasible"
-    else:
-        status = "corrected"
-    active = tuple(
-        i for i, row in enumerate(qp.rows)
-        if abs(float(row.lg_h @ u - row.rhs)) <= ACTIVE_TOL
-    )
+    active = tuple(np.flatnonzero(np.abs(a_mat @ u - b_vec) <= ACTIVE_TOL).tolist())
     return SafetyFilterResult(u_star=u, u_ref=u_ref, psi=psi, active_set=active, status=status)

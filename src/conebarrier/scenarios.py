@@ -50,20 +50,43 @@ EXPECTED_BEHAVIORS = {
 }
 
 
-def _check_keys(tree: dict, allowed: set, context: str) -> None:
+def _check_keys(tree, allowed: set, context: str) -> None:
+    if not isinstance(tree, dict):
+        raise ConfigError(f"{context} must be a mapping, got {tree!r}")
     unknown = set(tree) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {context}")
+
+
+def _num(value, context: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{context} must be a number, got {value!r}") from None
+
+
+def _items(value, context: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{context} must be a list, got {value!r}")
+    return list(value)
+
+
+def _nums(value, context: str, size=None) -> tuple[float, ...]:
+    out = tuple(_num(x, f"{context}[{i}]") for i, x in enumerate(_items(value, context)))
+    if size not in (None, len(out)):
+        raise ConfigError(f"{context} needs {size} entries, got {value!r}")
+    return out
 
 
 def _classk_from_dict(tree: dict, context: str) -> ClassK:
     _check_keys(tree, {"kind", "gamma", "table"}, context)
     table = tree.get("table")
     if table is not None:
-        table = tuple((float(x), float(y)) for x, y in table)
+        table = tuple(_nums(row, f"{context}.table[{i}]", 2)
+                      for i, row in enumerate(_items(table, f"{context}.table")))
     try:
         return ClassK(kind=tree.get("kind", "linear"),
-                      gamma=float(tree.get("gamma", 1.0)), table=table)
+                      gamma=_num(tree.get("gamma", 1.0), f"{context}.gamma"), table=table)
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
@@ -76,9 +99,10 @@ def _classk_to_dict(kappa: ClassK) -> dict:
 
 
 def scenario_from_dict(tree: dict) -> ScenarioConfig:
-    """Build and validate a ScenarioConfig from a parsed YAML tree."""
-    if not isinstance(tree, dict):
-        raise ConfigError("scenario config must be a mapping")
+    """Build and validate a ScenarioConfig from a parsed YAML tree.
+
+    A field of the wrong shape or type raises ConfigError naming the field.
+    """
     allowed = {
         "name", "model", "barrier", "initial_state", "obstacles", "controller",
         "kappa", "kappa1", "body_offset", "width", "wheelbase_front",
@@ -91,64 +115,63 @@ def scenario_from_dict(tree: dict) -> ScenarioConfig:
             raise ConfigError(f"scenario is missing required key {key!r}")
 
     obstacles = []
-    for i, ob in enumerate(tree["obstacles"]):
-        _check_keys(ob, {"center", "velocity", "semi_axes", "velocity_schedule"},
-                    f"obstacles[{i}]")
-        schedule = tuple(
-            (float(entry["t"]), (float(entry["velocity"][0]), float(entry["velocity"][1])))
-            for entry in ob.get("velocity_schedule", ())
-        )
+    for i, ob in enumerate(_items(tree["obstacles"], "obstacles")):
+        ctx = f"obstacles[{i}]"
+        _check_keys(ob, {"center", "velocity", "semi_axes", "velocity_schedule"}, ctx)
+        schedule = []
+        for j, entry in enumerate(_items(ob.get("velocity_schedule", ()),
+                                         f"{ctx}.velocity_schedule")):
+            sctx = f"{ctx}.velocity_schedule[{j}]"
+            _check_keys(entry, {"t", "velocity"}, sctx)
+            schedule.append((_num(entry.get("t"), f"{sctx}.t"),
+                             _nums(entry.get("velocity"), f"{sctx}.velocity")))
         obstacles.append(ObstacleConfig(
-            center=tuple(float(c) for c in ob["center"]),
-            velocity=tuple(float(c) for c in ob.get("velocity", (0.0, 0.0))),
-            semi_axes=tuple(float(c) for c in ob.get("semi_axes", (1.0, 1.0))),
-            velocity_schedule=schedule,
+            center=_nums(ob.get("center"), f"{ctx}.center"),
+            velocity=_nums(ob.get("velocity", (0.0, 0.0)), f"{ctx}.velocity"),
+            semi_axes=_nums(ob.get("semi_axes", (1.0, 1.0)), f"{ctx}.semi_axes"),
+            velocity_schedule=tuple(schedule),
         ))
 
     ctrl_tree = tree["controller"]
     _check_keys(ctrl_tree, {"k_speed", "k_damp", "v_des", "v_max", "heading_des"},
                 "controller")
-    controller = ReferenceController(
-        k_speed=float(ctrl_tree.get("k_speed", 1.0)),
-        k_damp=float(ctrl_tree.get("k_damp", 0.5)),
-        v_des=float(ctrl_tree.get("v_des", 1.0)),
-        v_max=None if ctrl_tree.get("v_max") is None else float(ctrl_tree["v_max"]),
-        heading_des=float(ctrl_tree.get("heading_des", 0.0)),
-    )
+    ctrl = {k: _num(v, f"controller.{k}") for k, v in ctrl_tree.items()
+            if not (k == "v_max" and v is None)}
+    try:
+        controller = ReferenceController(**ctrl)
+    except ValueError as exc:
+        raise ConfigError(f"controller: {exc}") from exc
 
     path = tree.get("path")
     if path is not None:
-        path = tuple((float(p[0]), float(p[1])) for p in path)
+        path = tuple(_nums(p, f"path[{i}]", 2) for i, p in enumerate(_items(path, "path")))
     gains = tree.get("path_gains")
     if gains is not None:
         _check_keys(gains, {"k_cross", "k_soft", "k_speed", "v_des"}, "path_gains")
-        gains = PathTrackerGains(
-            k_cross=float(gains.get("k_cross", 1.0)),
-            k_soft=float(gains.get("k_soft", 0.5)),
-            k_speed=float(gains.get("k_speed", 1.0)),
-            v_des=float(gains.get("v_des", controller.v_des)),
-        )
+        gains = PathTrackerGains(**{"v_des": controller.v_des, **{
+            k: _num(v, f"path_gains.{k}") for k, v in gains.items()}})
     bounds = tree.get("input_bounds")
     if bounds is not None:
-        bounds = (tuple(float(x) for x in bounds["lower"]),
-                  tuple(float(x) for x in bounds["upper"]))
+        _check_keys(bounds, {"lower", "upper"}, "input_bounds")
+        bounds = (_nums(bounds.get("lower"), "input_bounds.lower"),
+                  _nums(bounds.get("upper"), "input_bounds.upper"))
 
     cfg = ScenarioConfig(
         name=str(tree["name"]),
         model=str(tree["model"]),
-        initial_state=tuple(float(x) for x in tree["initial_state"]),
+        initial_state=_nums(tree["initial_state"], "initial_state"),
         obstacles=tuple(obstacles),
         controller=controller,
         barrier=str(tree.get("barrier", "c3bf")),
         kappa=_classk_from_dict(tree.get("kappa", {}), "kappa"),
         kappa1=None if "kappa1" not in tree else _classk_from_dict(tree["kappa1"], "kappa1"),
-        body_offset=float(tree.get("body_offset", 0.1)),
-        width=float(tree.get("width", 0.5)),
-        wheelbase_front=float(tree.get("wheelbase_front", 1.2)),
-        wheelbase_rear=float(tree.get("wheelbase_rear", 1.6)),
-        perception_radius=float(tree.get("perception_radius", 10.0)),
-        dt=float(tree.get("dt", 0.01)),
-        duration=float(tree.get("duration", 10.0)),
+        body_offset=_num(tree.get("body_offset", 0.1), "body_offset"),
+        width=_num(tree.get("width", 0.5), "width"),
+        wheelbase_front=_num(tree.get("wheelbase_front", 1.2), "wheelbase_front"),
+        wheelbase_rear=_num(tree.get("wheelbase_rear", 1.6), "wheelbase_rear"),
+        perception_radius=_num(tree.get("perception_radius", 10.0), "perception_radius"),
+        dt=_num(tree.get("dt", 0.01), "dt"),
+        duration=_num(tree.get("duration", 10.0), "duration"),
         path=path,
         path_gains=gains,
         halt_on_collision=bool(tree.get("halt_on_collision", False)),

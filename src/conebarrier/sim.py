@@ -74,6 +74,13 @@ class ObstacleConfig:
     velocity_schedule: tuple[tuple[float, tuple[float, float]], ...] = ()
 
     def validate(self) -> None:
+        pairs = [("center", self.center), ("velocity", self.velocity),
+                 ("semi_axes", self.semi_axes)]
+        pairs += [(f"velocity_schedule[{i}].velocity", v)
+                  for i, (_, v) in enumerate(self.velocity_schedule)]
+        for name, value in pairs:
+            if len(value) != 2 or not all(math.isfinite(x) for x in value):
+                raise ConfigError(f"obstacle {name} needs two finite entries, got {value}")
         if not (self.semi_axes[0] > 0 and self.semi_axes[1] > 0):
             raise ConfigError(f"obstacle semi-axes must be positive, got {self.semi_axes}")
         times = [t for t, _ in self.velocity_schedule]

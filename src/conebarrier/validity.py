@@ -493,26 +493,22 @@ TABLE_ROWS = (
 )
 
 
-def verdict_matrix(samples: int = 10000, seed: int = 0,
-                   include_pointmass: bool = True, **kwargs) -> list[dict]:
+def verdict_row(barrier: str, model: str, samples: int = 10000, seed: int = 0) -> dict:
+    """Static and moving verdicts of one barrier/model pair, with their reports."""
+    entry = {"barrier": barrier, "model": model,
+             "extension": (barrier, model) == ("c3bf", "pointmass")}
+    for motion in ("static", "moving"):
+        rep = validity_probe(barrier, model, motion, samples=samples, seed=seed)
+        entry[motion] = rep.verdict
+        entry[f"{motion}_report"] = rep.to_dict()
+    return entry
+
+
+def verdict_matrix(samples: int = 10000, seed: int = 0) -> list[dict]:
     """Static and moving verdicts for every barrier/model row of the comparison.
 
     The point-mass cone row is an extension beyond the published comparison
     and is flagged as such.
     """
-    rows = []
-    for barrier, model in TABLE_ROWS:
-        entry = {"barrier": barrier, "model": model, "extension": False}
-        for motion in ("static", "moving"):
-            rep = validity_probe(barrier, model, motion, samples=samples, seed=seed, **kwargs)
-            entry[motion] = rep.verdict
-            entry[f"{motion}_report"] = rep.to_dict()
-        rows.append(entry)
-    if include_pointmass:
-        entry = {"barrier": "c3bf", "model": "pointmass", "extension": True}
-        for motion in ("static", "moving"):
-            rep = validity_probe("c3bf", "pointmass", motion, samples=samples, seed=seed, **kwargs)
-            entry[motion] = rep.verdict
-            entry[f"{motion}_report"] = rep.to_dict()
-        rows.append(entry)
-    return rows
+    return [verdict_row(barrier, model, samples, seed)
+            for barrier, model in TABLE_ROWS + (("c3bf", "pointmass"),)]

@@ -2,13 +2,18 @@
 
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+from conebarrier import sim
 from conebarrier.cli import main, parse_trace_csv, write_trace_csv
-from conebarrier.scenarios import load_packaged, save_scenario
+from conebarrier.scenarios import load_packaged, save_scenario, scenario_to_dict
 from conebarrier.sim import run_scenario
 
 
@@ -52,13 +57,48 @@ def test_run_negative_control_exit_one(tmp_path, braking_yaml):
     assert any(e["kind"] == "collision" for e in events)
 
 
-def test_run_malformed_config_exit_two_no_partial_outputs(tmp_path):
+def _braking_tree(edit):
+    tree = scenario_to_dict(load_packaged("braking_unicycle"))
+    edit(tree)
+    return yaml.safe_dump(tree)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("name: x\nmodel: unicycle\n", id="missing-keys"),
+    pytest.param(_braking_tree(lambda t: t.update(input_bounds=[1, 2])), id="bounds-list"),
+    pytest.param(_braking_tree(lambda t: t["initial_state"].__setitem__(2, "north")),
+                 id="state-text"),
+    pytest.param(_braking_tree(lambda t: t["obstacles"][0].update(semi_axes=[1.0])),
+                 id="one-semi-axis"),
+    pytest.param(_braking_tree(lambda t: t.update(controller={"k_speed": -1})),
+                 id="negative-gain"),
+])
+def test_run_malformed_config_exit_two_no_partial_outputs(tmp_path, capsys, text):
     bad = tmp_path / "bad.yaml"
-    bad.write_text("name: x\nmodel: unicycle\n")  # missing required keys
+    bad.write_text(text)
     out = tmp_path / "out"
     rc = main(["run", "--config", str(bad), "--out", str(out)])
     assert rc == 2
+    assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_builds_each_summary_once(tmp_path, braking_yaml, monkeypatch):
+    calls = []
+    classify = sim.classify_behavior
+    monkeypatch.setattr(sim, "classify_behavior", lambda trace: calls.append(1) or classify(trace))
+    assert main(["run", "--config", str(braking_yaml), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, conebarrier.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_run_negative_wheelbase_exit_two_no_outputs(tmp_path):

@@ -260,6 +260,93 @@ def test_multi_degenerate_zero_row_infeasible_not_raising():
     assert res2.status == "inactive"
 
 
+def _least_violation_vs_linprog(u_ref, rows):
+    """Solve rows that conflict; check u_star's worst violation against linprog's t*.
+
+    Stage two projects onto the rows relaxed by t* + 1e-9 with a 1e-9
+    feasibility tolerance, so the worst violation lies in [t*, t* + 2e-9].
+    """
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    res = solve_multi_constraint(QpProblem(u_ref=u_ref,
+                                           rows=tuple(ConstraintRow(l, r) for l, r in rows)))
+    assert res.status == "infeasible"
+    a_mat = np.array([l for l, _ in rows])
+    b_vec = np.array([r for _, r in rows])
+    lp = linprog(np.array([0.0, 0.0, 1.0]), A_ub=np.hstack([-a_mat, -np.ones((len(rows), 1))]),
+                 b_ub=-b_vec, bounds=[(None, None)] * 3, method="highs")
+    assert lp.success and lp.x[2] > 0.0
+    worst = float(np.max(b_vec - a_mat @ res.u_star))
+    assert lp.x[2] - 1e-12 <= worst <= lp.x[2] + 2e-9
+    return res.u_star, float(lp.x[2])
+
+
+def test_least_violation_matches_linprog_random():
+    pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(12)
+    checked = 0
+    while checked < 300:
+        rows = [(np.array([math.cos(a), math.sin(a)]), float(rng.uniform(0, 2)))
+                for a in rng.uniform(0, 2 * math.pi, rng.integers(3, 13))]
+        u_ref = rng.uniform(-3, 3, 2)
+        res = solve_multi_constraint(QpProblem(u_ref=u_ref,
+                                               rows=tuple(ConstraintRow(l, r) for l, r in rows)))
+        if res.status == "infeasible":
+            _least_violation_vs_linprog(u_ref, rows)
+            checked += 1
+
+
+def test_least_violation_anti_parallel_rows_projects_on_tie_line():
+    # u0 >= 1 and u0 <= -0.5: no row triple exists; every point of the line
+    # u0 = 0.25 violates both rows by t* = 0.75, and the tie-break keeps u1.
+    # The line is axis-aligned and on the grid so the oracle lattice hits it.
+    rows = [(np.array([1.0, 0.0]), 1.0), (np.array([-1.0, 0.0]), 0.5)]
+    u_ref = np.array([2.0, -1.3])
+    u_star, t_star = _least_violation_vs_linprog(u_ref, rows)
+    assert t_star == pytest.approx(0.75, abs=1e-12)
+    ref = grid_project(u_ref, [(l, r - t_star - 1e-9) for l, r in rows])
+    f_star = float(np.sum((u_star - u_ref) ** 2))
+    f_grid = float(np.sum((ref - u_ref) ** 2))
+    assert f_star <= f_grid + 1e-12
+    assert np.sum((ref - u_star) ** 2) <= f_grid - f_star + 1e-9
+    np.testing.assert_allclose(u_star, [0.25, -1.3], atol=2e-9)
+
+
+def test_least_violation_normals_surrounding_origin_ties_three_rows():
+    angles = np.radians([90.0, 210.0, 330.0])
+    lgs = [np.array([math.cos(a), math.sin(a)]) for a in angles]
+    rows = list(zip(lgs, [1.0, 0.5, 2.0]))
+    u_star, t_star = _least_violation_vs_linprog(np.array([3.0, 3.0]), rows)
+    # The minimizer is the unique point where all three rows tie at t*.
+    tie = np.linalg.solve(np.column_stack([np.array(lgs), np.ones(3)]), [1.0, 0.5, 2.0])
+    assert t_star == pytest.approx(tie[2], abs=1e-12)
+    np.testing.assert_allclose(u_star, tie[:2], atol=1e-8)
+
+
+def test_least_violation_nearly_anti_parallel_rows():
+    # Rows 1 and 2 are 8e-5 rad from anti-parallel. Rounding puts every
+    # stage-two projection outside the relaxed rows, so the stage-one
+    # minimizer, which satisfies them, is the answer.
+    rows = [(np.array([0.2340219, 0.68432405]), 1.86913337),
+            (np.array([-2.66938494, 3.4515144]), 1.40995366),
+            (np.array([2.51312203, -3.25000547]), 1.59424484)]
+    _least_violation_vs_linprog(np.array([0.26174995, 2.61043454]), rows)
+
+
+def test_least_violation_parallel_rows_far_triples_do_not_undercut():
+    # Normals on one line, parallel only up to rounding: each triple's tie
+    # point is rounding noise ~1e16 away, where a worst violation computed in
+    # floating point is off by order one. The minimum lies on a pair's tie line.
+    theta = 6.014328936414339 + np.pi * np.array([0, 0, 1, 1, 0, 1, 0])
+    mags = np.array([1.4919649790427134, 0.7738814669539811, 2.425453678283093,
+                     2.7782374633720615, 0.8717777896476484, 1.6629097821043421,
+                     1.3839832040261415])
+    rhs = [1.72406926392462, -1.8379571552462615, 0.9280247826262431, 0.45749298779598657,
+           -1.8865385395459158, 0.8768790913069613, -1.936033081905712]
+    lgs = mags[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
+    _least_violation_vs_linprog(np.array([1.5477060141385683, 0.07655233957246832]),
+                                list(zip(lgs, rhs)))
+
+
 def _one_filter_step(obstacles, body_offset=0.1):
     # The per-step filter (rows from the barrier, QP, events) runs inside
     # run_scenario; the first record of a one-step run is its evaluation at
