@@ -23,13 +23,15 @@ function (whose derivative never sees the accelerations) and its
 relative-degree-two extension h2 = h1dot + kappa1(h1). All derivatives are
 closed form; finite differences exist only in the test suite.
 
-The ``*_terms`` functions operate on stacked arrays with broadcasting and
-perform no domain checking. ``reference_kinematics`` is the one place the
-protected point and its velocity are computed per model, and
-``barrier_terms`` the one (barrier, model) dispatch to the cores. The typed
-single-evaluation wrappers are thin views over both: they validate the
-cone's admissible domain (||p_rel|| > r, ||v_rel|| > EPS_V), raise typed
-errors outside it, and otherwise return the array core's triple.
+The ``*_terms`` functions broadcast their array inputs over the common
+leading shape (one state against an (m, 2) grid of obstacle velocities
+returns m triples) and perform no domain checking.
+``reference_kinematics`` is the one place the protected point and its
+velocity are computed per model, and ``barrier_terms`` the one (barrier,
+model) dispatch to the cores. The typed single-evaluation wrappers are thin
+views over both: they validate the cone's admissible domain (||p_rel|| > r,
+||v_rel|| > EPS_V), raise typed errors outside it, and otherwise return the
+array core's triple.
 """
 
 from __future__ import annotations
@@ -55,6 +57,14 @@ class DegenerateVelocityError(ValueError):
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", a, b)
+
+
+def _broadcast(*arrays) -> list[np.ndarray]:
+    """Float views of (..., k) arrays over their common leading shape."""
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    lead = np.broadcast(*(a[..., 0] for a in arrays)).shape
+    return [a if a.shape[:-1] == lead else np.broadcast_to(a, lead + a.shape[-1:])
+            for a in arrays]
 
 
 @dataclass(frozen=True)
@@ -279,10 +289,7 @@ def ellipse_terms(state, center, velocity, axes, model: str):
     Returned so a filter can flag the missing input authority instead of
     silently dividing by zero.
     """
-    state = np.asarray(state, dtype=float)
-    center = np.asarray(center, dtype=float)
-    velocity = np.asarray(velocity, dtype=float)
-    axes = np.asarray(axes, dtype=float)
+    state, center, velocity, axes = _broadcast(state, center, velocity, axes)
     x, y, theta, v = (state[..., i] for i in range(4))
     ct, st = np.cos(theta), np.sin(theta)
     dx = center[..., 0] - x
@@ -311,10 +318,7 @@ def hocbf_terms(state, center, velocity, axes, kappa1: ClassK, model: str,
     excluded from the definition of h2). The chain rule below is hand
     derived; the test suite checks it against central finite differences.
     """
-    state = np.asarray(state, dtype=float)
-    center = np.asarray(center, dtype=float)
-    velocity = np.asarray(velocity, dtype=float)
-    axes = np.asarray(axes, dtype=float)
+    state, center, velocity, axes = _broadcast(state, center, velocity, axes)
     x, y, theta, v = (state[..., i] for i in range(4))
     ct, st = np.cos(theta), np.sin(theta)
     dx = center[..., 0] - x

@@ -70,11 +70,6 @@ class UnicycleState:
     def as_array(self) -> np.ndarray:
         return np.array([self.x_p, self.y_p, self.theta, self.v, self.omega], dtype=float)
 
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "UnicycleState":
-        x_p, y_p, theta, v, omega = (float(a) for a in arr)
-        return cls(x_p, y_p, theta, v, omega)
-
 
 @dataclass(frozen=True)
 class UnicycleInput:
@@ -104,11 +99,6 @@ class BicycleState:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x_p, self.y_p, self.theta, self.v], dtype=float)
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "BicycleState":
-        x_p, y_p, theta, v = (float(a) for a in arr)
-        return cls(x_p, y_p, theta, v)
 
 
 @dataclass(frozen=True)
@@ -149,10 +139,6 @@ class PointMassState:
 
     def as_array(self) -> np.ndarray:
         return np.array([*self.p, *self.v], dtype=float)
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "PointMassState":
-        return cls((float(arr[0]), float(arr[1])), (float(arr[2]), float(arr[3])))
 
 
 class AffineDynamics(abc.ABC):

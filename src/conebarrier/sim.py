@@ -84,6 +84,8 @@ class ObstacleConfig:
         if not (self.semi_axes[0] > 0 and self.semi_axes[1] > 0):
             raise ConfigError(f"obstacle semi-axes must be positive, got {self.semi_axes}")
         times = [t for t, _ in self.velocity_schedule]
+        if not all(math.isfinite(t) for t in times):
+            raise ConfigError(f"obstacle velocity-change times must be finite, got {times}")
         if times != sorted(times):
             raise ConfigError("obstacle velocity-change times must be sorted")
 
@@ -132,6 +134,8 @@ class ScenarioConfig:
         if not (self.wheelbase_front > 0 and self.wheelbase_rear > 0):
             raise ConfigError(f"wheelbase distances must be positive, got front="
                               f"{self.wheelbase_front}, rear={self.wheelbase_rear}")
+        if not math.isfinite(self.body_offset):
+            raise ConfigError(f"body_offset must be finite, got {self.body_offset}")
         if not (self.perception_radius >= 0 and self.width >= 0):
             raise ConfigError(f"perception_radius and width must be nonnegative, got "
                               f"{self.perception_radius} and {self.width}")
@@ -145,8 +149,11 @@ class ScenarioConfig:
                                   f"got {self.input_bounds}")
         if self.path is not None and self.model != "bicycle":
             raise ConfigError("path tracking is only wired for the bicycle model")
-        for obs in self.obstacles:
-            obs.validate()
+        for i, obs in enumerate(self.obstacles):
+            try:
+                obs.validate()
+            except ConfigError as exc:
+                raise ConfigError(f"obstacles[{i}]: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,20 @@ fixed checklist over randomized admissible configurations:
   perpendicular to the gradient, cone-boundary headings), not rejection
   sampled, because they live on measure-zero manifolds.
 * obstacle-velocity attack: at kernel states of the ellipse and
-  second-order candidates on the bicycle, search for an admissible obstacle
-  velocity that makes hdot + kappa(h) negative inside the safe set. Success
-  is an invalidity certificate.
-* cone-barrier kernel verification: at every constructed kernel state with
-  h >= 0 the cone barrier must satisfy hdot + kappa(h) >= 0; kernel states
-  with h < 0 violating it show the guarantee holds on the safe set only.
+  second-order candidates on the bicycle, search a grid of admissible
+  obstacle velocities for one that makes hdot + kappa(h) negative inside
+  the safe set. Success is an invalidity certificate.
+* kernel verification: at every constructed kernel state with h >= 0 the
+  inequality hdot + kappa(h) >= 0 must hold; for the cone barrier, kernel
+  states with h < 0 violating it show the guarantee holds on the safe set
+  only.
 * conservativeness witness: states safe for the ellipse (h1 > 0) that the
   second-order candidate already excludes (h2 < 0).
+
+Every barrier evaluation is an array pass through ``barrier_terms``: the
+sampled configurations and each kernel batch in one call, and the attack in
+one call per kernel state over the whole velocity grid. One call over all
+states and the grid at once would hold ~77k triples and raise peak memory.
 
 The verdict phrases the outcome the way the summary comparison table does:
 'Not a valid CBF', 'Valid CBF', 'Valid CBF, No acceleration', 'Valid CBF,
@@ -40,16 +46,14 @@ from typing import Optional
 
 import numpy as np
 
-from .barriers import (
-    ClassK,
-    barrier_terms,
-    c3bf_bicycle_terms,
-    ellipse_terms,
-    hocbf_terms,
-    reference_kinematics,
-)
+from .barriers import ClassK, barrier_terms, hocbf_terms, reference_kinematics
 # Unused here, but bench/tracing.py wraps every *_terms name in this module.
-from .barriers import c3bf_pointmass_terms, c3bf_unicycle_terms  # noqa: F401
+from .barriers import (  # noqa: F401
+    c3bf_bicycle_terms,
+    c3bf_pointmass_terms,
+    c3bf_unicycle_terms,
+    ellipse_terms,
+)
 from .models import INPUT_NAMES, MODELS
 
 BARRIERS = ("c3bf", "ellipse", "hocbf")
@@ -178,8 +182,7 @@ def _kernels_c3bf_bicycle(rng, motion, n, params: _ProbeParams):
         centers.append(p)
         velocities.append(cdot)
         radii.append(r)
-    return (np.array(states), np.array(centers), np.array(velocities),
-            np.full(n, 1.0), np.array(radii))
+    return np.array(states), np.array(centers), np.array(velocities), None, np.array(radii)
 
 
 def _unit(angle: float) -> np.ndarray:
@@ -223,11 +226,13 @@ def _kernels_weighted_perp(rng, model, motion, n, params: _ProbeParams, barrier:
 
 
 def _kernels_hocbf_nonzero_speed(rng, model, motion, n, params: _ProbeParams):
-    """Second-order kernel states with v != 0, found by a 1-D root scan.
+    """Second-order kernel states with v != 0, located in closed form.
 
     The heading is pinned perpendicular to the weighted offset (zeroing the
-    acceleration column for every v); the slip column is then a polynomial
-    in v whose sign changes bracket the root.
+    acceleration column for every v). h1 and kappa1'(h1) do not depend on
+    v, so the bicycle slip column is v (c0 + c1 v): one evaluation at
+    v = +-1 gives c0 and c1, and the nonzero root is -c0 / c1, kept when
+    0.25 <= |v| <= 6.
     """
     out_states, out_centers, out_vels, out_axes = [], [], [], []
     attempts = 0
@@ -241,33 +246,13 @@ def _kernels_hocbf_nonzero_speed(rng, model, motion, n, params: _ProbeParams):
         theta = math.atan2(weighted[0], -weighted[1])
         cdot = (np.zeros(2) if motion == "static"
                 else rng.uniform(0.1, OBSTACLE_SPEED_MAX) * _unit(rng.uniform(0, 2 * math.pi)))
-
-        def lg_beta(v: float) -> float:
-            state = np.array([-d[0], -d[1], theta, v])
-            _, _, lg = hocbf_terms(state, np.zeros(2), cdot, axes, params.kappa1,
-                                   "bicycle", params.rear_axle)
-            return float(lg[1])
-
-        vs = np.linspace(-6.0, 6.0, 49)
-        vals = np.array([lg_beta(v) for v in vs])
-        root = None
-        for i in range(len(vs) - 1):
-            if abs(vs[i]) < 0.2 and abs(vs[i + 1]) < 0.2:
-                continue  # skip the trivial v = 0 root
-            if vals[i] == 0.0 and abs(vs[i]) > 0.2:
-                root = vs[i]
-                break
-            if vals[i] * vals[i + 1] < 0.0 and min(abs(vs[i]), abs(vs[i + 1])) > 0.2:
-                lo, hi = vs[i], vs[i + 1]
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    if lg_beta(lo) * lg_beta(mid) <= 0.0:
-                        hi = mid
-                    else:
-                        lo = mid
-                root = 0.5 * (lo + hi)
-                break
-        if root is None:
+        states = np.array([[-d[0], -d[1], theta, 1.0], [-d[0], -d[1], theta, -1.0]])
+        _, _, lg = hocbf_terms(states, np.zeros(2), cdot, axes, params.kappa1,
+                               "bicycle", params.rear_axle)
+        c0 = 0.5 * (lg[0, 1] - lg[1, 1])
+        c1 = 0.5 * (lg[0, 1] + lg[1, 1])
+        root = -c0 / c1 if c1 != 0.0 else 0.0
+        if not 0.25 <= abs(root) <= 6.0:
             continue
         out_states.append(np.array([-d[0], -d[1], theta, root]))
         out_centers.append(np.zeros(2))
@@ -280,35 +265,53 @@ def _kernels_hocbf_nonzero_speed(rng, model, motion, n, params: _ProbeParams):
 def _attack_obstacle_velocity(barrier, model, kernel_batch, params: _ProbeParams):
     """Search obstacle velocities defeating the constraint at kernel states.
 
+    Each state is evaluated once against a 24-direction by 16-magnitude grid.
     Keeps only velocities that leave the row in the kernel and the state in
-    the safe set, and reports the most negative psi = L_f h + kappa(h).
+    the safe set, and reports the most negative psi = L_f h + kappa(h): the
+    first such grid velocity of the first state that attains it.
     """
     states, centers, _, axes = kernel_batch
-    directions = [_unit(a) for a in np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)]
+    angles = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
+    directions = np.column_stack([np.cos(angles), np.sin(angles)])
     magnitudes = np.concatenate([np.linspace(0.05, 1.0, 8), np.linspace(1.5, OBSTACLE_SPEED_MAX, 8)])
+    grid = (magnitudes[None, :, None] * directions[:, None, :]).reshape(-1, 2)
     worst = None
     for i in range(min(states.shape[0], 200)):
-        for direction in directions:
-            for mag in magnitudes:
-                cdot = mag * direction
-                h, lf, lg = barrier_terms(barrier, model, states[i], centers[i], cdot,
-                                          axes[i], None, rear_axle=params.rear_axle,
-                                          kappa1=params.kappa1)
-                if float(np.linalg.norm(lg)) > KERNEL_TOL:
-                    continue
-                if float(h) < 0.0:
-                    continue
-                psi = float(lf) + float(params.kappa(h))
-                if psi < -PSI_TOL and (worst is None or psi < worst["psi"]):
-                    worst = {
-                        "psi": psi,
-                        "h": float(h),
-                        "state": [float(x) for x in states[i]],
-                        "center": [float(x) for x in centers[i]],
-                        "obstacle_velocity": [float(x) for x in cdot],
-                        "axes": [float(x) for x in axes[i]],
-                    }
+        h, lf, lg = barrier_terms(barrier, model, states[i], centers[i], grid, axes[i], None,
+                                  rear_axle=params.rear_axle, kappa1=params.kappa1)
+        kept = (np.linalg.norm(lg, axis=-1) <= KERNEL_TOL) & (h >= 0.0)
+        psi = np.where(kept, lf + params.kappa(h), np.inf)
+        j = int(np.argmin(psi))
+        if psi[j] < -PSI_TOL and (worst is None or psi[j] < worst["psi"]):
+            worst = {
+                "psi": float(psi[j]),
+                "h": float(h[j]),
+                "state": [float(x) for x in states[i]],
+                "center": [float(x) for x in centers[i]],
+                "obstacle_velocity": [float(x) for x in grid[j]],
+                "axes": [float(x) for x in axes[i]],
+            }
     return worst
+
+
+def _kernel_psi(barrier, model, kernel_batch, params: _ProbeParams, tol: float = KERNEL_TOL):
+    """Kernel count of a constructed batch and its least psi0 = L_f h + kappa(h).
+
+    A state is a kernel state when ||L_g h|| <= tol. Returns the count and
+    the minima of psi0 over kernel states with h >= 0 and with h < 0 (None
+    when that slice is empty).
+    """
+    states, centers, velocities, axes, *radius = kernel_batch
+    h, lf, lg = barrier_terms(barrier, model, states, centers, velocities, axes,
+                              radius[0] if radius else None,
+                              rear_axle=params.rear_axle, kappa1=params.kappa1)
+    kernel = np.linalg.norm(lg, axis=-1) <= tol
+    psi0 = lf + np.asarray(params.kappa(h))
+
+    def least(where):
+        return float(np.min(psi0[where])) if np.any(where) else None
+
+    return int(np.sum(kernel)), least(kernel & (h >= 0.0)), least(kernel & (h < 0.0))
 
 
 def validity_probe(barrier: str, model: str, motion: str = "moving",
@@ -390,21 +393,12 @@ def validity_probe(barrier: str, model: str, motion: str = "moving",
     n_kernel = min(max(200, samples // 20), 2000)
     if barrier == "c3bf":
         if model in ("unicycle", "pointmass"):
-            kernel_count = 0
             checks.append("row norm bounded away from zero on all samples; "
                           "no kernel construction exists (q cannot vanish)")
         else:
             kb = _kernels_c3bf_bicycle(rng, motion, n_kernel, params)
-            k_states, k_centers, k_vels, _, k_radii = kb
-            kh, klf, klg = c3bf_bicycle_terms(k_states, k_centers, k_vels, k_radii,
-                                              params.rear_axle)
-            mask = np.linalg.norm(klg, axis=-1) <= KERNEL_TOL
-            kernel_count = int(np.sum(mask))
-            psi0 = klf + np.asarray(params.kappa(kh))
-            safe = mask & (kh >= 0.0)
-            unsafe = mask & (kh < 0.0)
-            kernel_psi_safe = float(np.min(psi0[safe])) if np.any(safe) else None
-            kernel_psi_unsafe = float(np.min(psi0[unsafe])) if np.any(unsafe) else None
+            kernel_count, kernel_psi_safe, kernel_psi_unsafe = _kernel_psi(
+                barrier, model, kb, params)
             checks.append(f"{kernel_count} kernel states constructed; "
                           f"hdot + kappa(h) verified on the h >= 0 slice")
     elif barrier == "ellipse" and model == "bicycle":
@@ -413,13 +407,7 @@ def validity_probe(barrier: str, model: str, motion: str = "moving",
             attack_witness = _attack_obstacle_velocity("ellipse", model, kb, params)
             checks.append("obstacle-velocity attack run at rest-state kernels")
         else:
-            k_states, k_centers, k_vels, k_axes = kb
-            kh, klf, klg = ellipse_terms(k_states, k_centers, k_vels, k_axes, model)
-            mask = np.linalg.norm(klg, axis=-1) <= KERNEL_TOL
-            kernel_count = int(np.sum(mask))
-            psi0 = klf + np.asarray(params.kappa(kh))
-            safe = mask & (kh >= 0.0)
-            kernel_psi_safe = float(np.min(psi0[safe])) if np.any(safe) else None
+            kernel_count, kernel_psi_safe, _ = _kernel_psi(barrier, model, kb, params)
             checks.append("rest-state kernels satisfy the inequality for a static obstacle")
     elif barrier == "hocbf":
         if model == "bicycle" and motion == "moving":
@@ -429,28 +417,14 @@ def validity_probe(barrier: str, model: str, motion: str = "moving",
         elif model == "bicycle":
             kb = _kernels_hocbf_nonzero_speed(rng, model, motion, n_kernel // 4, params)
             if kb[0].size:
-                k_states, k_centers, k_vels, k_axes = kb
-                kh, klf, klg = hocbf_terms(k_states, k_centers, k_vels, k_axes,
-                                           params.kappa1, "bicycle", params.rear_axle)
-                mask = np.linalg.norm(klg, axis=-1) <= 1e-6
-                kernel_count = int(np.sum(mask))
-                psi0 = klf + np.asarray(params.kappa(kh))
-                safe = mask & (kh >= 0.0)
-                kernel_psi_safe = float(np.min(psi0[safe])) if np.any(safe) else None
+                kernel_count, kernel_psi_safe, _ = _kernel_psi(barrier, model, kb, params,
+                                                               tol=1e-6)
                 checks.append("nonzero-speed kernels located by root scan; "
                               "inequality verified for the static obstacle")
         elif model == "unicycle" and motion == "static":
             kb = _kernels_weighted_perp(rng, model, motion, n_kernel, params, "hocbf")
-            k_states, k_centers, k_vels, k_axes = kb
-            k_states = k_states.copy()
-            k_states[:, 3] = rng.uniform(-4.0, 4.0, k_states.shape[0])
-            kh, klf, klg = hocbf_terms(k_states, k_centers, k_vels, k_axes,
-                                       params.kappa1, "unicycle")
-            mask = np.linalg.norm(klg, axis=-1) <= KERNEL_TOL
-            kernel_count = int(np.sum(mask))
-            psi0 = klf + np.asarray(params.kappa(kh))
-            safe = mask & (kh >= 0.0)
-            kernel_psi_safe = float(np.min(psi0[safe])) if np.any(safe) else None
+            kb[0][:, 3] = rng.uniform(-4.0, 4.0, kb[0].shape[0])
+            kernel_count, kernel_psi_safe, _ = _kernel_psi(barrier, model, kb, params)
             checks.append("perpendicular-heading kernels verified for the static obstacle")
         else:
             checks.append("moving obstacle: steering column is structurally zero; "

@@ -18,9 +18,11 @@ from conebarrier.barriers import (
     c3bf_unicycle,
     c3bf_unicycle_terms,
     ellipse_cbf,
+    barrier_terms,
     ellipse_terms,
     hocbf,
     hocbf_terms,
+    reference_kinematics,
 )
 from conebarrier.models import (
     BicycleDynamics,
@@ -310,6 +312,28 @@ def test_baseline_gradients_match_finite_differences(barrier, model):
             fd = directional_fd(h_ext, ext, np.concatenate([g[:, j], np.zeros(2)]))
             worst = max(worst, abs(fd - lg[j]) / max(1.0, abs(lg[j])))
     assert worst < 1e-6
+
+
+@pytest.mark.parametrize("barrier,model", [
+    ("c3bf", "unicycle"), ("c3bf", "bicycle"), ("c3bf", "pointmass"),
+    ("ellipse", "unicycle"), ("ellipse", "bicycle"),
+    ("hocbf", "unicycle"), ("hocbf", "bicycle"),
+])
+def test_terms_broadcast_one_state_over_velocity_grid(barrier, model):
+    rng = np.random.default_rng(41)
+    state, center, _, r = _admissible_cone_sample(rng, model)
+    _, point_vel = reference_kinematics(model, state, 0.1)
+    angles = rng.uniform(0.0, 2.0 * math.pi, 32)
+    grid = point_vel + rng.uniform(0.5, 3.0, (32, 1)) * np.column_stack(
+        [np.cos(angles), np.sin(angles)])
+    axes = np.array([0.9, 0.6])
+    kw = dict(body_offset=0.1, rear_axle=1.6, kappa1=ClassK("cubic", 0.5))
+    h, lf, lg = barrier_terms(barrier, model, state, center, grid, axes, r, **kw)
+    assert (h.shape, lf.shape, lg.shape) == ((32,), (32,), (32, 2))
+    for j, cdot in enumerate(grid):
+        hj, lfj, lgj = barrier_terms(barrier, model, state, center, cdot, axes, r, **kw)
+        np.testing.assert_allclose([h[j], lf[j], *lg[j]], [hj, lfj, *lgj],
+                                   rtol=1e-12, atol=1e-12)
 
 
 def test_bicycle_kernel_states_satisfy_inequality():

@@ -205,12 +205,21 @@ def test_config_validation_errors():
         _simple_cfg(initial_state=(0.0, 0.0, 0.0)).validate()
     with pytest.raises(ConfigError):
         _simple_cfg(model="hovercraft").validate()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^obstacles\[0\]: .*semi-axes"):
         _simple_cfg(obstacles=(ObstacleConfig(center=(1, 1), semi_axes=(0.0, 1.0)),)).validate()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^obstacles\[0\]: .*sorted"):
         _simple_cfg(obstacles=(ObstacleConfig(
             center=(1, 1), semi_axes=(1.0, 1.0),
             velocity_schedule=((2.0, (0.0, 0.0)), (1.0, (1.0, 0.0)))),)).validate()
+    for bad_time in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match=r"^obstacles\[1\]: .*times must be finite"):
+            _simple_cfg(obstacles=(
+                ObstacleConfig(center=(1, 1)),
+                ObstacleConfig(center=(1, 1), velocity_schedule=((bad_time, (1.0, 0.0)),)),
+            )).validate()
+    for bad_offset in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="body_offset"):
+            _simple_cfg(body_offset=bad_offset).validate()
     with pytest.raises(ConfigError):
         _simple_cfg(path=((0.0, 0.0), (1.0, 1.0))).validate()  # path on unicycle
     with pytest.raises(ConfigError):

@@ -1,9 +1,52 @@
 """Validity-probe diagnostics beyond the headline verdicts."""
 
+import math
+
 import numpy as np
 import pytest
 
-from conebarrier.validity import validity_probe, verdict_matrix
+from conebarrier.barriers import ClassK, barrier_terms, hocbf_terms
+from conebarrier.validity import (
+    KERNEL_TOL,
+    OBSTACLE_SPEED_MAX,
+    PSI_TOL,
+    _attack_obstacle_velocity,
+    _kernels_hocbf_nonzero_speed,
+    _kernels_weighted_perp,
+    _ProbeParams,
+    validity_probe,
+    verdict_matrix,
+)
+
+
+def _attack_by_loops(barrier, model, kernel_batch, params):
+    """Reference attack: one barrier call per kernel state and grid velocity."""
+    states, centers, _, axes = kernel_batch
+    directions = [np.array([math.cos(a), math.sin(a)])
+                  for a in np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)]
+    magnitudes = np.concatenate([np.linspace(0.05, 1.0, 8),
+                                 np.linspace(1.5, OBSTACLE_SPEED_MAX, 8)])
+    worst = None
+    for i in range(min(states.shape[0], 200)):
+        for direction in directions:
+            for mag in magnitudes:
+                cdot = mag * direction
+                h, lf, lg = barrier_terms(barrier, model, states[i], centers[i], cdot,
+                                          axes[i], None, rear_axle=params.rear_axle,
+                                          kappa1=params.kappa1)
+                if float(np.linalg.norm(lg)) > KERNEL_TOL or float(h) < 0.0:
+                    continue
+                psi = float(lf) + float(params.kappa(h))
+                if psi < -PSI_TOL and (worst is None or psi < worst["psi"]):
+                    worst = {
+                        "psi": psi,
+                        "h": float(h),
+                        "state": [float(x) for x in states[i]],
+                        "center": [float(x) for x in centers[i]],
+                        "obstacle_velocity": [float(x) for x in cdot],
+                        "axes": [float(x) for x in axes[i]],
+                    }
+    return worst
 
 
 def test_probe_rejects_bad_arguments():
@@ -76,3 +119,41 @@ def test_reports_serialize(tmp_path):
     rep = validity_probe("c3bf", "bicycle", "static", samples=1500, seed=1)
     payload = json.dumps(rep.to_dict())
     assert "Valid CBF in C" in payload
+
+
+@pytest.mark.parametrize("barrier", ["ellipse", "hocbf"])
+def test_attack_matches_loop_reference(barrier):
+    params = _ProbeParams()
+    kb = _kernels_weighted_perp(np.random.default_rng(13), "bicycle", "moving", 40,
+                                params, barrier)
+    expected = _attack_by_loops(barrier, "bicycle", kb, params)
+    assert expected is not None
+    assert _attack_obstacle_velocity(barrier, "bicycle", kb, params) == expected
+
+
+def test_hocbf_bicycle_slip_column_is_quadratic_in_speed():
+    # h1 and kappa1'(h1) do not depend on v, so the slip column is
+    # v (c0 + c1 v); the nonzero-speed kernel construction relies on it.
+    rng = np.random.default_rng(23)
+    for kappa1 in (ClassK(), ClassK("cubic", 0.7)):
+        for _ in range(50):
+            xy, theta = rng.uniform(-6.0, 6.0, 2), rng.uniform(-math.pi, math.pi)
+            center, cdot, axes = rng.uniform(-6, 6, 2), rng.uniform(-3, 3, 2), rng.uniform(0.4, 2, 2)
+            speeds = np.array([1.0, -1.0, 0.3, -2.5, 4.0])
+            states = np.column_stack([np.tile(xy, (5, 1)), np.full(5, theta), speeds])
+            lg = hocbf_terms(states, center, cdot, axes, kappa1, "bicycle", 1.6)[2][:, 1]
+            c0, c1 = 0.5 * (lg[0] - lg[1]), 0.5 * (lg[0] + lg[1])
+            np.testing.assert_allclose(lg, speeds * (c0 + c1 * speeds),
+                                       rtol=1e-9, atol=1e-9 * np.max(np.abs(lg)))
+
+
+@pytest.mark.parametrize("motion", ["static", "moving"])
+def test_hocbf_nonzero_speed_kernels_are_kernels(motion):
+    params = _ProbeParams()
+    states, centers, vels, axes = _kernels_hocbf_nonzero_speed(
+        np.random.default_rng(29), "bicycle", motion, 100, params)
+    assert states.shape[0] > 20
+    assert np.all((np.abs(states[:, 3]) >= 0.25) & (np.abs(states[:, 3]) <= 6.0))
+    _, _, lg = hocbf_terms(states, centers, vels, axes, params.kappa1, "bicycle",
+                           params.rear_axle)
+    assert np.max(np.linalg.norm(lg, axis=-1)) <= 1e-9
