@@ -5,50 +5,31 @@ the relative velocity of a tracked obstacle into its collision cone; the
 minimal correction that keeps the cone constraint satisfied is the exact
 closed-form solution of a quadratic program over the two inputs.
 
-Layout: ``models`` holds the acceleration-controlled vehicle families, the
-RK4 integrator and the model / state / input name tables; ``barriers`` the
-cone barrier and the classical ellipse / second-order candidates as array
-cores, with the one protected-point kinematics, the one (barrier, model)
-dispatch and thin typed wrappers over them; ``validity`` the sampling
-probes behind the candidate comparison matrix; ``safety_filter`` the
-reference controllers and the QP filter, solved exactly by enumerating the
-rows and row pairs that can pin the two-input optimum, with an exact
+Layout: ``models`` holds the acceleration-controlled vehicle families as
+control-affine dynamics on raw arrays, the RK4 integrator and the model /
+state / input name tables; ``barriers`` the cone barrier and the classical
+ellipse / second-order candidates as broadcasting array cores, with the one
+protected-point kinematics, the one combined radius and the one (barrier,
+model) dispatch (these cores are the only barrier API); ``validity`` the
+sampling probes behind the candidate comparison matrix; ``safety_filter``
+the reference controllers and the QP filter, solved exactly by enumerating
+the rows and row pairs that can pin the two-input optimum, with an exact
 least-violation answer for conflicting rows (numpy only, no LP solver);
 ``sim`` the closed-loop engine (perception gating, rows, QP, input
 clipping, RK4, events) with audits; ``scenarios`` the packaged YAML suite;
 and ``cli`` the command-line tool.
 """
 
-from .barriers import (
-    EPS_V,
-    BarrierEvaluation,
-    ClassK,
-    DegenerateVelocityError,
-    DomainError,
-    Obstacle,
-    c3bf_bicycle,
-    c3bf_pointmass,
-    c3bf_unicycle,
-    ellipse_cbf,
-    hocbf,
-)
+from .barriers import EPS_V, ClassK
 from .models import (
     AffineDynamics,
     BicycleDynamics,
     BicycleGeometry,
-    BicycleInput,
-    BicycleState,
     PointMassDynamics,
-    PointMassState,
     UnicycleDynamics,
-    UnicycleInput,
-    UnicycleState,
-    bicycle_dynamics,
     bicycle_dynamics_exact,
     integrate_step,
-    pointmass_dynamics,
     slip_from_steering,
-    unicycle_dynamics,
 )
 from .safety_filter import (
     ConstraintRow,
@@ -64,7 +45,6 @@ from .safety_filter import (
     solve_single_constraint,
 )
 from .sim import (
-    BehaviorThresholds,
     BetaReport,
     ConfigError,
     InvarianceReport,
@@ -82,18 +62,14 @@ from .validity import ValidityReport, validity_probe, verdict_matrix
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineDynamics", "BarrierEvaluation", "BehaviorThresholds", "BetaReport",
-    "BicycleDynamics", "BicycleGeometry", "BicycleInput", "BicycleState", "ClassK",
-    "ConfigError", "ConstraintRow", "DegenerateRowError", "DegenerateVelocityError",
-    "DomainError", "EPS_V", "EmptyPathError", "InvarianceReport", "Obstacle",
-    "ObstacleConfig", "PathTrackerGains", "PointMassDynamics", "PointMassState",
+    "AffineDynamics", "BetaReport", "BicycleDynamics", "BicycleGeometry", "ClassK",
+    "ConfigError", "ConstraintRow", "DegenerateRowError", "EPS_V", "EmptyPathError",
+    "InvarianceReport", "ObstacleConfig", "PathTrackerGains", "PointMassDynamics",
     "QpProblem", "ReferenceController", "SafetyFilterResult", "ScenarioConfig",
-    "ScenarioTrace", "SimEvent", "UnicycleDynamics", "UnicycleInput", "UnicycleState",
-    "ValidityReport", "beta_smallness_audit", "bicycle_dynamics",
-    "bicycle_dynamics_exact", "c3bf_bicycle", "c3bf_pointmass", "c3bf_unicycle",
-    "classify_behavior", "ellipse_cbf", "hocbf", "integrate_step", "invariance_audit",
-    "pointmass_dynamics", "reference_p_controller",
+    "ScenarioTrace", "SimEvent", "UnicycleDynamics", "ValidityReport",
+    "beta_smallness_audit", "bicycle_dynamics_exact", "classify_behavior",
+    "integrate_step", "invariance_audit", "reference_p_controller",
     "reference_path_tracker", "run_scenario", "slip_from_steering",
-    "solve_multi_constraint", "solve_single_constraint", "unicycle_dynamics",
-    "validity_probe", "verdict_matrix",
+    "solve_multi_constraint", "solve_single_constraint", "validity_probe",
+    "verdict_matrix",
 ]

@@ -23,15 +23,14 @@ function (whose derivative never sees the accelerations) and its
 relative-degree-two extension h2 = h1dot + kappa1(h1). All derivatives are
 closed form; finite differences exist only in the test suite.
 
-The ``*_terms`` functions broadcast their array inputs over the common
-leading shape (one state against an (m, 2) grid of obstacle velocities
-returns m triples) and perform no domain checking.
-``reference_kinematics`` is the one place the protected point and its
-velocity are computed per model, and ``barrier_terms`` the one (barrier,
-model) dispatch to the cores. The typed single-evaluation wrappers are thin
-views over both: they validate the cone's admissible domain (||p_rel|| > r,
-||v_rel|| > EPS_V), raise typed errors outside it, and otherwise return the
-array core's triple.
+The ``*_terms`` functions are the package's only barrier API. They
+broadcast their array inputs over the common leading shape (one state
+against an (m, 2) grid of obstacle velocities returns m triples) and
+perform no domain checking: callers gate the cone's admissible domain
+(||p_rel|| > r, ||v_rel|| > EPS_V) themselves, as ``sim.run_scenario``
+does. ``reference_kinematics`` is the one place the protected point and its
+velocity are computed per model, ``combined_radius`` the one r, and
+``barrier_terms`` the one (barrier, model) dispatch to the cores.
 """
 
 from __future__ import annotations
@@ -41,18 +40,8 @@ from typing import Optional
 
 import numpy as np
 
-from .models import BicycleGeometry, BicycleState, PointMassState, UnicycleState
-
 EPS_V = 1e-6
 """Relative-speed floor below which the cone direction is undefined."""
-
-
-class DomainError(ValueError):
-    """Inside the combined radius: the collision cone does not exist."""
-
-
-class DegenerateVelocityError(ValueError):
-    """Relative speed at or below EPS_V: no approach direction to constrain."""
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -65,44 +54,6 @@ def _broadcast(*arrays) -> list[np.ndarray]:
     lead = np.broadcast(*(a[..., 0] for a in arrays)).shape
     return [a if a.shape[:-1] == lead else np.broadcast_to(a, lead + a.shape[-1:])
             for a in arrays]
-
-
-@dataclass(frozen=True)
-class Obstacle:
-    """Moving ellipse: center, piecewise-constant velocity and semi-axes."""
-
-    center: tuple[float, float]
-    velocity: tuple[float, float]
-    semi_axis_x: float
-    semi_axis_y: float
-
-    def __post_init__(self) -> None:
-        if not (self.semi_axis_x > 0 and self.semi_axis_y > 0):
-            raise ValueError(
-                f"semi-axes must be positive, got ({self.semi_axis_x}, {self.semi_axis_y})"
-            )
-
-    def combined_radius(self, width: float) -> float:
-        """Circumscribed radius max(c1, c2) plus half the vehicle width."""
-        return max(self.semi_axis_x, self.semi_axis_y) + 0.5 * width
-
-    def center_array(self) -> np.ndarray:
-        return np.array(self.center, dtype=float)
-
-    def velocity_array(self) -> np.ndarray:
-        return np.array(self.velocity, dtype=float)
-
-
-@dataclass(frozen=True)
-class BarrierEvaluation:
-    """The (h, L_f h, L_g h) triple a QP constraint row is built from."""
-
-    h: float
-    lf_h: float
-    lg_h: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lg_h", np.asarray(self.lg_h, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -173,6 +124,11 @@ class ClassK:
 
 _PERP = np.array([-1.0, 1.0])
 """Multiplies a reversed (cos, sin) heading into its left normal (-sin, cos)."""
+
+
+def combined_radius(semi_axes, width):
+    """Cone radius r = max(c1, c2) + width/2 for semi-axes (..., 2) -> (...)."""
+    return np.max(semi_axes, axis=-1) + 0.5 * width
 
 
 def reference_kinematics(model: str, state, body_offset: float = 0.0):
@@ -379,64 +335,3 @@ def barrier_terms(barrier: str, model: str, state, center, velocity, axes, radiu
         raise ValueError(f"unknown barrier {barrier!r}")
     return hocbf_terms(state, center, velocity, axes, kappa1, model,
                        rear_axle if model == "bicycle" else None)
-
-
-# ---------------------------------------------------------------------------
-# Typed single-evaluation API with domain checking.
-# ---------------------------------------------------------------------------
-
-def _check_cone_domain(p_rel: np.ndarray, v_rel: np.ndarray, r: float) -> None:
-    p_norm = float(np.linalg.norm(p_rel))
-    if p_norm <= r:
-        raise DomainError(f"||p_rel||={p_norm:.6g} <= combined radius r={r:.6g}")
-    if float(np.linalg.norm(v_rel)) <= EPS_V:
-        raise DegenerateVelocityError(f"||v_rel|| <= {EPS_V}: cone direction undefined")
-
-
-def _c3bf(model: str, s, obs: Obstacle, width: float, body_offset: float = 0.0,
-          rear_axle: Optional[float] = None) -> BarrierEvaluation:
-    """Shared kinematics, the cone domain check, then the array core."""
-    r = obs.combined_radius(width)
-    state, center, velocity = s.as_array(), obs.center_array(), obs.velocity_array()
-    point, point_velocity = reference_kinematics(model, state, body_offset)
-    _check_cone_domain(center - point, velocity - point_velocity, r)
-    h, lf, lg = barrier_terms("c3bf", model, state, center, velocity, None, r,
-                              body_offset=body_offset, rear_axle=rear_axle)
-    return BarrierEvaluation(float(h), float(lf), lg)
-
-
-def c3bf_unicycle(s: UnicycleState, obs: Obstacle, body_offset: float,
-                  width: float) -> BarrierEvaluation:
-    """Collision-cone barrier for the unicycle, body center offset ahead of the axle."""
-    return _c3bf("unicycle", s, obs, width, body_offset=body_offset)
-
-
-def c3bf_bicycle(s: BicycleState, obs: Obstacle, width: float,
-                 geom: BicycleGeometry) -> BarrierEvaluation:
-    """Collision-cone barrier for the small-slip bicycle model."""
-    return _c3bf("bicycle", s, obs, width, rear_axle=geom.l_r)
-
-
-def c3bf_pointmass(s: PointMassState, obs: Obstacle, width: float) -> BarrierEvaluation:
-    """Collision-cone barrier for the point mass; L_g h = -q."""
-    return _c3bf("pointmass", s, obs, width)
-
-
-def ellipse_cbf(s, obs: Obstacle, model: str) -> BarrierEvaluation:
-    """Ellipse distance barrier for a unicycle or bicycle state."""
-    h, lf, lg = ellipse_terms(
-        s.as_array(), obs.center_array(), obs.velocity_array(),
-        np.array([obs.semi_axis_x, obs.semi_axis_y]), model,
-    )
-    return BarrierEvaluation(float(h), float(lf), lg)
-
-
-def hocbf(s, obs: Obstacle, kappa1: ClassK, model: str,
-          geom: Optional[BicycleGeometry] = None) -> BarrierEvaluation:
-    """Second-order ellipse barrier for a unicycle or bicycle state."""
-    rear = geom.l_r if geom is not None else None
-    h, lf, lg = hocbf_terms(
-        s.as_array(), obs.center_array(), obs.velocity_array(),
-        np.array([obs.semi_axis_x, obs.semi_axis_y]), kappa1, model, rear,
-    )
-    return BarrierEvaluation(float(h), float(lf), lg)

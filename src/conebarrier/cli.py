@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .barriers import combined_radius
 from .models import INPUT_NAMES, MODELS, STATE_NAMES
 from .safety_filter import ConstraintRow, QpProblem, solve_multi_constraint
 from .scenarios import (
@@ -158,7 +159,7 @@ def _plotdata_payload(trace: ScenarioTrace) -> dict:
             {
                 "cx": trace.obstacle_centers[:, k, 0].tolist(),
                 "cy": trace.obstacle_centers[:, k, 1].tolist(),
-                "combined_radius": max(cfg.obstacles[k].semi_axes) + 0.5 * cfg.width,
+                "combined_radius": float(combined_radius(cfg.obstacles[k].semi_axes, cfg.width)),
             }
             for k in range(trace.h.shape[1])
         ],

@@ -20,10 +20,10 @@ train actually receives:
 * planar point mass
       state (px, py, vx, vy), input (ax, ay)
 
-Every model is exposed both as plain functions over the typed states and as
-an :class:`AffineDynamics` object (drift ``f`` plus actuation ``g``) for the
-integrator and the simulator. Headings are never wrapped; all formulas go
-through sin/cos, and unwrapped angles keep logged traces smooth.
+Every model is an :class:`AffineDynamics` object (drift ``f`` plus
+actuation ``g``) over raw state and input arrays, called as ``dyn(x, u)`` by
+the integrator and the simulator. Headings are never wrapped; all formulas
+go through sin/cos, and unwrapped angles keep logged traces smooth.
 """
 
 from __future__ import annotations
@@ -48,73 +48,6 @@ INPUT_NAMES = {
 }
 
 
-def _require_finite(name: str, *values: float) -> None:
-    for value in values:
-        if not math.isfinite(value):
-            raise ValueError(f"{name}: non-finite field value {value!r}")
-
-
-@dataclass(frozen=True)
-class UnicycleState:
-    """Pose and rates of the acceleration-controlled unicycle."""
-
-    x_p: float
-    y_p: float
-    theta: float
-    v: float
-    omega: float
-
-    def __post_init__(self) -> None:
-        _require_finite("UnicycleState", self.x_p, self.y_p, self.theta, self.v, self.omega)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x_p, self.y_p, self.theta, self.v, self.omega], dtype=float)
-
-
-@dataclass(frozen=True)
-class UnicycleInput:
-    """Linear acceleration a and angular acceleration alpha."""
-
-    a: float
-    alpha: float
-
-    def __post_init__(self) -> None:
-        _require_finite("UnicycleInput", self.a, self.alpha)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a, self.alpha], dtype=float)
-
-
-@dataclass(frozen=True)
-class BicycleState:
-    """Planar pose and forward speed of the bicycle model (CoM frame)."""
-
-    x_p: float
-    y_p: float
-    theta: float
-    v: float
-
-    def __post_init__(self) -> None:
-        _require_finite("BicycleState", self.x_p, self.y_p, self.theta, self.v)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x_p, self.y_p, self.theta, self.v], dtype=float)
-
-
-@dataclass(frozen=True)
-class BicycleInput:
-    """Acceleration at the CoM and slip angle beta (assumed small)."""
-
-    a: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        _require_finite("BicycleInput", self.a, self.beta)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a, self.beta], dtype=float)
-
-
 @dataclass(frozen=True)
 class BicycleGeometry:
     """Axle distances from the center of mass, both strictly positive."""
@@ -125,20 +58,6 @@ class BicycleGeometry:
     def __post_init__(self) -> None:
         if not (self.l_f > 0 and self.l_r > 0):
             raise ValueError(f"axle distances must be positive, got l_f={self.l_f}, l_r={self.l_r}")
-
-
-@dataclass(frozen=True)
-class PointMassState:
-    """Planar double integrator: position and velocity 2-vectors."""
-
-    p: tuple[float, float]
-    v: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        _require_finite("PointMassState", *self.p, *self.v)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([*self.p, *self.v], dtype=float)
 
 
 class AffineDynamics(abc.ABC):
@@ -215,16 +134,6 @@ class PointMassDynamics(AffineDynamics):
         return g
 
 
-def unicycle_dynamics(s: UnicycleState, u: UnicycleInput) -> np.ndarray:
-    """State derivative (xdot, ydot, thetadot, vdot, omegadot) of the unicycle."""
-    return UnicycleDynamics()(s.as_array(), u.as_array())
-
-
-def bicycle_dynamics(s: BicycleState, u: BicycleInput, geom: BicycleGeometry) -> np.ndarray:
-    """State derivative of the small-slip bicycle model."""
-    return BicycleDynamics(geom)(s.as_array(), u.as_array())
-
-
 def bicycle_dynamics_exact(x: np.ndarray, u: np.ndarray, geom: BicycleGeometry) -> np.ndarray:
     """State derivative of the exact bicycle model (no small-angle approximation).
 
@@ -252,11 +161,6 @@ def slip_from_steering(delta: float, geom: BicycleGeometry) -> float:
         raise ValueError(f"steering angle {delta} outside (-pi/2, pi/2)")
     ratio = geom.l_r / (geom.l_f + geom.l_r)
     return math.atan(ratio * math.tan(delta))
-
-
-def pointmass_dynamics(s: PointMassState, u) -> np.ndarray:
-    """State derivative (vx, vy, ax, ay) of the point mass."""
-    return PointMassDynamics()(s.as_array(), np.asarray(u, dtype=float))
 
 
 def integrate_step(

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .models import BicycleGeometry, BicycleState, slip_from_steering
+from .models import BicycleGeometry, slip_from_steering
 
 ACTIVE_TOL = 1e-9
 """A constraint counts as tight when |L_g h u - rhs| is below this."""
@@ -91,11 +91,12 @@ class PathTrackerGains:
     v_des: float = 1.0
 
 
-def reference_path_tracker(s: BicycleState, path: Sequence, geom: BicycleGeometry,
+def reference_path_tracker(state: np.ndarray, path: Sequence, geom: BicycleGeometry,
                            gains: PathTrackerGains) -> np.ndarray:
     """Cross-track plus heading-error steering mapped through the slip relation.
 
-    Finds the closest point on the polyline, steers with
+    Takes one raw bicycle state (x_p, y_p, theta, v). Finds the closest
+    point on the polyline, steers with
     delta = heading_error + atan(k_cross * e / (k_soft + |v|)) where e is the
     signed cross-track error (positive left of the path), converts delta to a
     slip angle, and holds speed with the P-law.
@@ -103,7 +104,8 @@ def reference_path_tracker(s: BicycleState, path: Sequence, geom: BicycleGeometr
     pts = np.asarray(path, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise EmptyPathError("path tracker needs at least two waypoints")
-    pos = np.array([s.x_p, s.y_p])
+    pos = np.array(state[0:2], dtype=float)
+    theta, v = state[2], state[3]
 
     best = None
     for i in range(pts.shape[0] - 1):
@@ -124,12 +126,12 @@ def reference_path_tracker(s: BicycleState, path: Sequence, geom: BicycleGeometr
     # Signed cross-track error: positive when the vehicle is left of the path.
     e_cross = float(tangent[0] * (pos[1] - foot[1]) - tangent[1] * (pos[0] - foot[0]))
     path_heading = math.atan2(tangent[1], tangent[0])
-    heading_err = math.atan2(math.sin(path_heading - s.theta), math.cos(path_heading - s.theta))
+    heading_err = math.atan2(math.sin(path_heading - theta), math.cos(path_heading - theta))
 
-    delta = heading_err - math.atan(gains.k_cross * e_cross / (gains.k_soft + abs(s.v)))
+    delta = heading_err - math.atan(gains.k_cross * e_cross / (gains.k_soft + abs(v)))
     delta = float(np.clip(delta, -1.4, 1.4))
     beta_ref = slip_from_steering(delta, geom)
-    a_ref = gains.k_speed * (gains.v_des - s.v)
+    a_ref = gains.k_speed * (gains.v_des - v)
     return np.array([a_ref, beta_ref])
 
 

@@ -20,8 +20,8 @@ truncates instead. With the barrier disabled the cone value is still logged
 as a shadow metric so negative controls can show what was violated.
 
 ``classify_behavior`` reduces a trace to one of the canonical avoidance
-outcomes (turning, braking, reversing, overtaking) using explicit,
-configurable thresholds; the audits quantify forward invariance, the
+outcomes (turning, braking, reversing, overtaking) using the explicit
+thresholds defined next to it; the audits quantify forward invariance, the
 decay rate of boundary violations, and how far the small-slip bicycle
 strays from the exact kinematics.
 """
@@ -41,7 +41,6 @@ from .models import (
     STATE_NAMES,
     BicycleDynamics,
     BicycleGeometry,
-    BicycleState,
     PointMassDynamics,
     UnicycleDynamics,
     bicycle_dynamics_exact,
@@ -241,12 +240,7 @@ def _make_controller(cfg: ScenarioConfig):
         gains = cfg.path_gains or PathTrackerGains(v_des=cfg.controller.v_des,
                                                    k_speed=cfg.controller.k_speed)
         path = np.asarray(cfg.path, dtype=float)
-
-        def controller(state: np.ndarray) -> np.ndarray:
-            s = BicycleState(*state)
-            return reference_path_tracker(s, path, geom, gains)
-
-        return controller
+        return lambda state: reference_path_tracker(state, path, geom, gains)
 
     return lambda state: reference_p_controller(cfg.model, state, cfg.controller)
 
@@ -274,7 +268,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
     centers = np.array([o.center for o in cfg.obstacles], dtype=float).reshape(n_obs, 2)
     velocities = np.array([o.velocity for o in cfg.obstacles], dtype=float).reshape(n_obs, 2)
     axes = np.array([o.semi_axes for o in cfg.obstacles], dtype=float).reshape(n_obs, 2)
-    radii = np.array([max(o.semi_axes) + 0.5 * cfg.width for o in cfg.obstacles])
+    radii = B.combined_radius(axes, cfg.width)
     schedules = [list(o.velocity_schedule) for o in cfg.obstacles]
 
     t = np.arange(n_rec) * cfg.dt
@@ -403,16 +397,19 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
     )
 
 
-@dataclass(frozen=True)
-class BehaviorThresholds:
-    """Knobs of the trace classifier; the defaults are the documented ones."""
-
-    reverse_speed: float = -0.05
-    braking_drop: float = 0.5
-    heading_deg: float = 15.0
-    overtake_lateral_min: float = 0.05
-    overtake_quiet_frac: float = 0.05
-    obstacle_moving_eps: float = 1e-3
+# Thresholds of the trace classifier.
+REVERSE_SPEED = -0.05
+"""Speed (m/s) below which a correcting filter counts as reversing."""
+BRAKING_DROP = 0.5
+"""Fraction of the speed at first filter activity that braking must shed."""
+HEADING_DEG = 15.0
+"""Heading deviation (degrees) that separates turning from braking."""
+OVERTAKE_LATERAL_MIN = 0.05
+"""Least lateral excursion (m) of an overtaking pass."""
+OVERTAKE_QUIET_FRAC = 0.05
+"""Final fraction of the run in which an overtaking filter must be quiet."""
+OBSTACLE_MOVING_EPS = 1e-3
+"""Mean obstacle speed (m/s) above which an obstacle counts as moving."""
 
 
 def _speed_series(trace: ScenarioTrace) -> np.ndarray:
@@ -438,8 +435,7 @@ def _heading_series(trace: ScenarioTrace) -> np.ndarray:
     return heading
 
 
-def classify_behavior(trace: ScenarioTrace,
-                      thresholds: BehaviorThresholds = BehaviorThresholds()) -> str:
+def classify_behavior(trace: ScenarioTrace) -> str:
     """Label a trace as turning, braking, reversing, overtaking or none.
 
     Precedence: reversing (speed below the reverse threshold while the
@@ -449,7 +445,6 @@ def classify_behavior(trace: ScenarioTrace,
     speed throughout) beats braking (speed drop past the fraction with the
     heading essentially held).
     """
-    th = thresholds
     speed = _speed_series(trace)
     heading = _heading_series(trace)
     active = trace.filter_active
@@ -458,14 +453,14 @@ def classify_behavior(trace: ScenarioTrace,
     heading_dev = np.abs(heading - heading[0])
     max_heading_deg = math.degrees(float(np.max(heading_dev)))
 
-    if float(np.min(speed[active])) < th.reverse_speed:
+    if float(np.min(speed[active])) < REVERSE_SPEED:
         return "reversing"
 
-    quiet_n = max(1, int(round(th.overtake_quiet_frac * speed.shape[0])))
+    quiet_n = max(1, int(round(OVERTAKE_QUIET_FRAC * speed.shape[0])))
     quiet_at_end = not np.any(active[-quiet_n:])
     for i in range(trace.obstacle_centers.shape[1]):
         displacement = trace.obstacle_centers[-1, i] - trace.obstacle_centers[0, i]
-        if np.linalg.norm(displacement) <= th.obstacle_moving_eps * trace.t[-1]:
+        if np.linalg.norm(displacement) <= OBSTACLE_MOVING_EPS * trace.t[-1]:
             continue
         direction = displacement / np.linalg.norm(displacement)
         pos = trace.states[:, 0:2]
@@ -473,17 +468,17 @@ def classify_behavior(trace: ScenarioTrace,
         proj_o = trace.obstacle_centers[:, i, :] @ direction
         lateral = np.abs((pos - pos[0]) @ np.array([-direction[1], direction[0]]))
         if (proj_v[0] < proj_o[0] and proj_v[-1] > proj_o[-1]
-                and float(np.max(lateral)) >= th.overtake_lateral_min and quiet_at_end):
+                and float(np.max(lateral)) >= OVERTAKE_LATERAL_MIN and quiet_at_end):
             return "overtaking"
 
-    if max_heading_deg >= th.heading_deg and np.all(speed > 0.0):
+    if max_heading_deg >= HEADING_DEG and np.all(speed > 0.0):
         return "turning"
 
     first_active = int(np.argmax(active))
     v0 = float(speed[first_active])
     v_min_after = float(np.min(speed[first_active:]))
-    if (abs(v0) > 1e-9 and (v0 - v_min_after) >= th.braking_drop * abs(v0)
-            and v_min_after > th.reverse_speed and max_heading_deg < th.heading_deg):
+    if (abs(v0) > 1e-9 and (v0 - v_min_after) >= BRAKING_DROP * abs(v0)
+            and v_min_after > REVERSE_SPEED and max_heading_deg < HEADING_DEG):
         return "braking"
     return "none"
 

@@ -46,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .barriers import ClassK, barrier_terms, hocbf_terms, reference_kinematics
+from .barriers import ClassK, barrier_terms, combined_radius, hocbf_terms, reference_kinematics
 # Unused here, but bench/tracing.py wraps every *_terms name in this module.
 from .barriers import (  # noqa: F401
     c3bf_bicycle_terms,
@@ -60,6 +60,13 @@ BARRIERS = ("c3bf", "ellipse", "hocbf")
 OBSTACLE_SPEED_MAX = 5.0
 KERNEL_TOL = 1e-9
 PSI_TOL = 1e-6
+
+# Vehicle and gains every probe uses: the packaged scenarios' defaults.
+WIDTH = 0.5
+BODY_OFFSET = 0.1
+REAR_AXLE = 1.6
+KAPPA = ClassK()
+KAPPA1 = ClassK()
 
 
 @dataclass(frozen=True)
@@ -103,15 +110,6 @@ class ValidityReport:
         return out
 
 
-@dataclass
-class _ProbeParams:
-    width: float = 0.5
-    body_offset: float = 0.1
-    rear_axle: float = 1.6
-    kappa: ClassK = field(default_factory=ClassK)
-    kappa1: ClassK = field(default_factory=ClassK)
-
-
 def _sample_states(rng: np.random.Generator, model: str, n: int) -> np.ndarray:
     xy = rng.uniform(-15.0, 15.0, (n, 2))
     theta = rng.uniform(-math.pi, math.pi, n)
@@ -125,12 +123,11 @@ def _sample_states(rng: np.random.Generator, model: str, n: int) -> np.ndarray:
     return np.column_stack([xy, vel])
 
 
-def _sample_obstacles(rng: np.random.Generator, points: np.ndarray, motion: str,
-                      params: _ProbeParams):
+def _sample_obstacles(rng: np.random.Generator, points: np.ndarray, motion: str):
     """Obstacles placed outside the combined radius around each protected point."""
     n = points.shape[0]
     axes = rng.uniform(0.3, 2.0, (n, 2))
-    radii = np.max(axes, axis=1) + 0.5 * params.width
+    radii = combined_radius(axes, WIDTH)
     ang = rng.uniform(0.0, 2.0 * math.pi, n)
     dist = radii + rng.uniform(0.2, 12.0, n)
     offsets = dist[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
@@ -148,7 +145,7 @@ def _sample_obstacles(rng: np.random.Generator, points: np.ndarray, motion: str,
 # Kernel-state constructions (deterministic, per barrier and model).
 # ---------------------------------------------------------------------------
 
-def _kernels_c3bf_bicycle(rng, motion, n, params: _ProbeParams):
+def _kernels_c3bf_bicycle(rng, motion, n):
     """States where both columns of the bicycle cone row vanish.
 
     Moving obstacle: a vehicle at rest with heading perpendicular to
@@ -169,11 +166,11 @@ def _kernels_c3bf_bicycle(rng, motion, n, params: _ProbeParams):
             theta = math.atan2(q[1], q[0]) + math.pi / 2.0
             state = np.array([0.0, 0.0, theta, 0.0])
         else:
-            dist = math.sqrt(r * r + params.rear_axle**2)
+            dist = math.sqrt(r * r + REAR_AXLE**2)
             ang = rng.uniform(0.0, 2.0 * math.pi)
             p = dist * np.array([math.cos(ang), math.sin(ang)])
             cdot = np.zeros(2)
-            s = params.rear_axle
+            s = REAR_AXLE
             # Heading with <p, e(theta)> = -s, reached with v < 0.
             phi = math.acos(max(-1.0, min(1.0, -s / dist)))
             theta = ang + phi * rng.choice([-1.0, 1.0])
@@ -189,7 +186,7 @@ def _unit(angle: float) -> np.ndarray:
     return np.array([math.cos(angle), math.sin(angle)])
 
 
-def _kernels_weighted_perp(rng, model, motion, n, params: _ProbeParams, barrier: str):
+def _kernels_weighted_perp(rng, model, motion, n, barrier: str):
     """Rest/perpendicular constructions for the ellipse and second-order rows.
 
     The acceleration column of the second-order candidate is
@@ -225,7 +222,7 @@ def _kernels_weighted_perp(rng, model, motion, n, params: _ProbeParams, barrier:
     return np.array(states), np.array(centers), np.array(velocities), np.array(axes_list)
 
 
-def _kernels_hocbf_nonzero_speed(rng, model, motion, n, params: _ProbeParams):
+def _kernels_hocbf_nonzero_speed(rng, model, motion, n):
     """Second-order kernel states with v != 0, located in closed form.
 
     The heading is pinned perpendicular to the weighted offset (zeroing the
@@ -247,8 +244,7 @@ def _kernels_hocbf_nonzero_speed(rng, model, motion, n, params: _ProbeParams):
         cdot = (np.zeros(2) if motion == "static"
                 else rng.uniform(0.1, OBSTACLE_SPEED_MAX) * _unit(rng.uniform(0, 2 * math.pi)))
         states = np.array([[-d[0], -d[1], theta, 1.0], [-d[0], -d[1], theta, -1.0]])
-        _, _, lg = hocbf_terms(states, np.zeros(2), cdot, axes, params.kappa1,
-                               "bicycle", params.rear_axle)
+        _, _, lg = hocbf_terms(states, np.zeros(2), cdot, axes, KAPPA1, "bicycle", REAR_AXLE)
         c0 = 0.5 * (lg[0, 1] - lg[1, 1])
         c1 = 0.5 * (lg[0, 1] + lg[1, 1])
         root = -c0 / c1 if c1 != 0.0 else 0.0
@@ -262,7 +258,7 @@ def _kernels_hocbf_nonzero_speed(rng, model, motion, n, params: _ProbeParams):
             np.array(out_axes))
 
 
-def _attack_obstacle_velocity(barrier, model, kernel_batch, params: _ProbeParams):
+def _attack_obstacle_velocity(barrier, model, kernel_batch):
     """Search obstacle velocities defeating the constraint at kernel states.
 
     Each state is evaluated once against a 24-direction by 16-magnitude grid.
@@ -278,9 +274,9 @@ def _attack_obstacle_velocity(barrier, model, kernel_batch, params: _ProbeParams
     worst = None
     for i in range(min(states.shape[0], 200)):
         h, lf, lg = barrier_terms(barrier, model, states[i], centers[i], grid, axes[i], None,
-                                  rear_axle=params.rear_axle, kappa1=params.kappa1)
+                                  rear_axle=REAR_AXLE, kappa1=KAPPA1)
         kept = (np.linalg.norm(lg, axis=-1) <= KERNEL_TOL) & (h >= 0.0)
-        psi = np.where(kept, lf + params.kappa(h), np.inf)
+        psi = np.where(kept, lf + KAPPA(h), np.inf)
         j = int(np.argmin(psi))
         if psi[j] < -PSI_TOL and (worst is None or psi[j] < worst["psi"]):
             worst = {
@@ -294,7 +290,7 @@ def _attack_obstacle_velocity(barrier, model, kernel_batch, params: _ProbeParams
     return worst
 
 
-def _kernel_psi(barrier, model, kernel_batch, params: _ProbeParams, tol: float = KERNEL_TOL):
+def _kernel_psi(barrier, model, kernel_batch, tol: float = KERNEL_TOL):
     """Kernel count of a constructed batch and its least psi0 = L_f h + kappa(h).
 
     A state is a kernel state when ||L_g h|| <= tol. Returns the count and
@@ -304,9 +300,9 @@ def _kernel_psi(barrier, model, kernel_batch, params: _ProbeParams, tol: float =
     states, centers, velocities, axes, *radius = kernel_batch
     h, lf, lg = barrier_terms(barrier, model, states, centers, velocities, axes,
                               radius[0] if radius else None,
-                              rear_axle=params.rear_axle, kappa1=params.kappa1)
+                              rear_axle=REAR_AXLE, kappa1=KAPPA1)
     kernel = np.linalg.norm(lg, axis=-1) <= tol
-    psi0 = lf + np.asarray(params.kappa(h))
+    psi0 = lf + np.asarray(KAPPA(h))
 
     def least(where):
         return float(np.min(psi0[where])) if np.any(where) else None
@@ -315,11 +311,7 @@ def _kernel_psi(barrier, model, kernel_batch, params: _ProbeParams, tol: float =
 
 
 def validity_probe(barrier: str, model: str, motion: str = "moving",
-                   samples: int = 10000, seed: int = 0,
-                   width: float = 0.5, body_offset: float = 0.1,
-                   rear_axle: float = 1.6,
-                   kappa: Optional[ClassK] = None,
-                   kappa1: Optional[ClassK] = None) -> ValidityReport:
+                   samples: int = 10000, seed: int = 0) -> ValidityReport:
     """Run the classification checklist for one barrier/model/motion cell."""
     if barrier not in BARRIERS:
         raise ValueError(f"unknown barrier {barrier!r}")
@@ -332,14 +324,12 @@ def validity_probe(barrier: str, model: str, motion: str = "moving",
     if barrier in ("ellipse", "hocbf") and model == "pointmass":
         raise ValueError(f"{barrier} barrier is not defined for the point mass here")
 
-    params = _ProbeParams(width=width, body_offset=body_offset, rear_axle=rear_axle,
-                          kappa=kappa or ClassK(), kappa1=kappa1 or ClassK())
     rng = np.random.default_rng(seed)
     checks: list[str] = []
 
     states = _sample_states(rng, model, samples)
-    points, point_velocities = reference_kinematics(model, states, params.body_offset)
-    centers, velocities, axes, radii = _sample_obstacles(rng, points, motion, params)
+    points, point_velocities = reference_kinematics(model, states, BODY_OFFSET)
+    centers, velocities, axes, radii = _sample_obstacles(rng, points, motion)
     if barrier == "c3bf":
         # Keep admissible relative velocities only.
         ok = np.linalg.norm(velocities - point_velocities, axis=1) > 1e-3
@@ -347,8 +337,7 @@ def validity_probe(barrier: str, model: str, motion: str = "moving",
         axes, radii = axes[ok], radii[ok]
 
     h, lf, lg = barrier_terms(barrier, model, states, centers, velocities, axes, radii,
-                              body_offset=params.body_offset, rear_axle=params.rear_axle,
-                              kappa1=params.kappa1)
+                              body_offset=BODY_OFFSET, rear_axle=REAR_AXLE, kappa1=KAPPA1)
     norms = np.linalg.norm(lg, axis=-1)
     channel_max = tuple(float(np.max(np.abs(lg[..., j]))) for j in range(lg.shape[-1]))
     scale = max(1.0, float(np.max(norms))) if norms.size else 1.0
@@ -366,7 +355,7 @@ def validity_probe(barrier: str, model: str, motion: str = "moving",
 
     if no_input:
         # Any approaching configuration certifies failure: no input can help.
-        psi0 = lf + np.asarray(params.kappa(h))
+        psi0 = lf + np.asarray(KAPPA(h))
         bad = np.argmin(psi0)
         checks.append("row is identically zero; constraint cannot recruit any input")
         if float(psi0[bad]) < 0.0:
@@ -396,35 +385,33 @@ def validity_probe(barrier: str, model: str, motion: str = "moving",
             checks.append("row norm bounded away from zero on all samples; "
                           "no kernel construction exists (q cannot vanish)")
         else:
-            kb = _kernels_c3bf_bicycle(rng, motion, n_kernel, params)
-            kernel_count, kernel_psi_safe, kernel_psi_unsafe = _kernel_psi(
-                barrier, model, kb, params)
+            kb = _kernels_c3bf_bicycle(rng, motion, n_kernel)
+            kernel_count, kernel_psi_safe, kernel_psi_unsafe = _kernel_psi(barrier, model, kb)
             checks.append(f"{kernel_count} kernel states constructed; "
                           f"hdot + kappa(h) verified on the h >= 0 slice")
     elif barrier == "ellipse" and model == "bicycle":
-        kb = _kernels_weighted_perp(rng, model, motion, n_kernel, params, "ellipse")
+        kb = _kernels_weighted_perp(rng, model, motion, n_kernel, "ellipse")
         if motion == "moving":
-            attack_witness = _attack_obstacle_velocity("ellipse", model, kb, params)
+            attack_witness = _attack_obstacle_velocity("ellipse", model, kb)
             checks.append("obstacle-velocity attack run at rest-state kernels")
         else:
-            kernel_count, kernel_psi_safe, _ = _kernel_psi(barrier, model, kb, params)
+            kernel_count, kernel_psi_safe, _ = _kernel_psi(barrier, model, kb)
             checks.append("rest-state kernels satisfy the inequality for a static obstacle")
     elif barrier == "hocbf":
         if model == "bicycle" and motion == "moving":
-            kb = _kernels_weighted_perp(rng, model, motion, n_kernel, params, "hocbf")
-            attack_witness = _attack_obstacle_velocity("hocbf", model, kb, params)
+            kb = _kernels_weighted_perp(rng, model, motion, n_kernel, "hocbf")
+            attack_witness = _attack_obstacle_velocity("hocbf", model, kb)
             checks.append("obstacle-velocity attack run at perpendicular-heading kernels")
         elif model == "bicycle":
-            kb = _kernels_hocbf_nonzero_speed(rng, model, motion, n_kernel // 4, params)
+            kb = _kernels_hocbf_nonzero_speed(rng, model, motion, n_kernel // 4)
             if kb[0].size:
-                kernel_count, kernel_psi_safe, _ = _kernel_psi(barrier, model, kb, params,
-                                                               tol=1e-6)
-                checks.append("nonzero-speed kernels located by root scan; "
+                kernel_count, kernel_psi_safe, _ = _kernel_psi(barrier, model, kb, tol=1e-6)
+                checks.append("nonzero-speed kernels located in closed form; "
                               "inequality verified for the static obstacle")
         elif model == "unicycle" and motion == "static":
-            kb = _kernels_weighted_perp(rng, model, motion, n_kernel, params, "hocbf")
+            kb = _kernels_weighted_perp(rng, model, motion, n_kernel, "hocbf")
             kb[0][:, 3] = rng.uniform(-4.0, 4.0, kb[0].shape[0])
-            kernel_count, kernel_psi_safe, _ = _kernel_psi(barrier, model, kb, params)
+            kernel_count, kernel_psi_safe, _ = _kernel_psi(barrier, model, kb)
             checks.append("perpendicular-heading kernels verified for the static obstacle")
         else:
             checks.append("moving obstacle: steering column is structurally zero; "

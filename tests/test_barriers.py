@@ -6,32 +6,17 @@ import numpy as np
 import pytest
 
 from conebarrier.barriers import (
-    EPS_V,
     ClassK,
-    DegenerateVelocityError,
-    DomainError,
-    Obstacle,
-    c3bf_bicycle,
-    c3bf_bicycle_terms,
-    c3bf_pointmass,
-    c3bf_pointmass_terms,
-    c3bf_unicycle,
-    c3bf_unicycle_terms,
-    ellipse_cbf,
     barrier_terms,
+    c3bf_bicycle_terms,
+    c3bf_pointmass_terms,
+    c3bf_unicycle_terms,
+    combined_radius,
     ellipse_terms,
-    hocbf,
     hocbf_terms,
     reference_kinematics,
 )
-from conebarrier.models import (
-    BicycleDynamics,
-    BicycleGeometry,
-    BicycleState,
-    PointMassState,
-    UnicycleDynamics,
-    UnicycleState,
-)
+from conebarrier.models import BicycleDynamics, BicycleGeometry, UnicycleDynamics
 
 from conftest import directional_fd
 
@@ -62,20 +47,16 @@ def wedge_contains(p_rel, v_rel, r):
 
 
 def test_h_value_head_on_static():
-    s = UnicycleState(0, 0, 0, 1, 0)
-    obs = Obstacle(center=(5, 0), velocity=(0, 0), semi_axis_x=1, semi_axis_y=1)
-    ev = c3bf_unicycle(s, obs, body_offset=0.0, width=0.0)
+    h, _, _ = c3bf_unicycle_terms(np.array([0, 0, 0, 1, 0]), (5, 0), (0, 0), 1.0, 0.0)
     # p_rel=(5,0), v_rel=(-1,0): h = -5 + 5 * sqrt(24)/5 = -5 + 2 sqrt(6)
-    assert ev.h == pytest.approx(-5 + 2 * math.sqrt(6), abs=1e-14)
-    assert ev.h == pytest.approx(-0.10102051443364424, abs=1e-15)
+    assert h == pytest.approx(-5 + 2 * math.sqrt(6), abs=1e-14)
+    assert h == pytest.approx(-0.10102051443364424, abs=1e-15)
 
 
 def test_h_value_fleeing_obstacle():
-    s = UnicycleState(0, 0, 0, 1, 0)
-    obs = Obstacle(center=(5, 0), velocity=(2, 0), semi_axis_x=1, semi_axis_y=1)
-    ev = c3bf_unicycle(s, obs, body_offset=0.0, width=0.0)
-    assert ev.h == pytest.approx(5 + 2 * math.sqrt(6), abs=1e-14)
-    assert ev.h > 0
+    h, _, _ = c3bf_unicycle_terms(np.array([0, 0, 0, 1, 0]), (5, 0), (2, 0), 1.0, 0.0)
+    assert h == pytest.approx(5 + 2 * math.sqrt(6), abs=1e-14)
+    assert h > 0
 
 
 def test_unicycle_lever_arm_keeps_row_nonzero():
@@ -129,34 +110,32 @@ def test_cone_boundary_h_is_zero():
 
 
 def test_bicycle_sign_matches_geometry_dead_ahead():
-    geom = BicycleGeometry(1.0, 1.0)
-    obs = Obstacle(center=(6, 0), velocity=(0, 0), semi_axis_x=1, semi_axis_y=1)
-    inside = c3bf_bicycle(BicycleState(0, 0, 0.0, 2.0), obs, width=0.0, geom=geom)
-    assert inside.h < 0  # driving straight at it
-    outside = c3bf_bicycle(BicycleState(0, 0, 0.6, 2.0), obs, width=0.0, geom=geom)
-    assert outside.h > 0  # heading well off the cone
+    rear_axle = 1.0
+    inside, _, _ = c3bf_bicycle_terms(np.array([0, 0, 0.0, 2.0]), (6, 0), (0, 0), 1.0, rear_axle)
+    assert inside < 0  # driving straight at it
+    outside, _, _ = c3bf_bicycle_terms(np.array([0, 0, 0.6, 2.0]), (6, 0), (0, 0), 1.0, rear_axle)
+    assert outside > 0  # heading well off the cone
 
 
 def test_pointmass_head_on_collinear_algebra():
-    s = PointMassState((0, 0), (3, 0))
-    obs = Obstacle(center=(7, 0), velocity=(0, 0), semi_axis_x=1.2, semi_axis_y=0.8)
-    ev = c3bf_pointmass(s, obs, width=0.4)
+    # Width 0.4 and semi-axes (1.2, 0.8) give the combined radius 1.4.
+    radius = combined_radius((1.2, 0.8), 0.4)
+    h, _, _ = c3bf_pointmass_terms(np.array([0, 0, 3, 0]), (7, 0), (0, 0), radius)
     r = 1.2 + 0.2
+    assert radius == r
     p_norm, v_norm = 7.0, 3.0
     cos_phi = math.sqrt(p_norm**2 - r**2) / p_norm
-    assert ev.h == pytest.approx(p_norm * v_norm * (cos_phi - 1.0), rel=1e-14)
-    assert ev.h < 0
+    assert h == pytest.approx(p_norm * v_norm * (cos_phi - 1.0), rel=1e-14)
+    assert h < 0
 
 
 def test_pointmass_perpendicular_flyby_safe():
-    s = PointMassState((0, 0), (0, 3))
-    obs = Obstacle(center=(8, 0), velocity=(0, 0), semi_axis_x=0.5, semi_axis_y=0.5)
-    ev = c3bf_pointmass(s, obs, width=0.0)
+    h, _, _ = c3bf_pointmass_terms(np.array([0, 0, 0, 3]), (8, 0), (0, 0), 0.5)
     # Independent evaluation of the formula.
     p, v = np.array([8.0, 0.0]), np.array([0.0, -3.0])
     expected = p @ v + np.linalg.norm(v) * math.sqrt(p @ p - 0.25)
-    assert ev.h == pytest.approx(expected, rel=1e-14)
-    assert ev.h > 0
+    assert h == pytest.approx(expected, rel=1e-14)
+    assert h > 0
 
 
 def test_pointmass_row_is_minus_q_and_never_zero():
@@ -171,19 +150,6 @@ def test_pointmass_row_is_minus_q_and_never_zero():
         q = p + v * (s_len / np.linalg.norm(v))
         np.testing.assert_allclose(lg, -q, rtol=1e-12)
         assert np.linalg.norm(lg) > 0
-
-
-def test_domain_and_velocity_errors():
-    obs = Obstacle(center=(1.0, 0), velocity=(0, 0), semi_axis_x=1.5, semi_axis_y=1.0)
-    with pytest.raises(DomainError):
-        c3bf_unicycle(UnicycleState(0, 0, 0, 1, 0), obs, 0.0, 0.0)
-    far = Obstacle(center=(5.0, 0), velocity=(0, 0), semi_axis_x=1.0, semi_axis_y=1.0)
-    with pytest.raises(DegenerateVelocityError):
-        c3bf_unicycle(UnicycleState(0, 0, 0, 0, 0), far, 0.0, 0.0)
-    with pytest.raises(DegenerateVelocityError):
-        c3bf_pointmass(PointMassState((0, 0), (1.0, 0)),
-                       Obstacle(center=(5, 0), velocity=(1.0, EPS_V / 2), semi_axis_x=1,
-                                semi_axis_y=1), width=0.0)
 
 
 def test_scale_covariance():
@@ -201,25 +167,24 @@ def test_scale_covariance():
 
 
 def test_ellipse_boundary_and_row_structure():
-    obs = Obstacle(center=(3, 4), velocity=(0.5, -0.2), semi_axis_x=2.0, semi_axis_y=1.0)
-    on_boundary = UnicycleState(3 + 2.0, 4, 0.7, 1.2, 0.3)
-    ev = ellipse_cbf(on_boundary, obs, "unicycle")
-    assert ev.h == pytest.approx(0.0, abs=1e-14)
-    np.testing.assert_array_equal(ev.lg_h, [0.0, 0.0])
+    center, cdot, axes = (3, 4), (0.5, -0.2), (2.0, 1.0)
+    on_boundary = np.array([3 + 2.0, 4, 0.7, 1.2, 0.3])
+    h, _, lg = ellipse_terms(on_boundary, center, cdot, axes, "unicycle")
+    assert h == pytest.approx(0.0, abs=1e-14)
+    np.testing.assert_array_equal(lg, [0.0, 0.0])
 
-    bike = BicycleState(0.0, 1.0, 0.4, 2.0)
-    evb = ellipse_cbf(bike, obs, "bicycle")
-    assert evb.lg_h[0] == 0.0
-    assert evb.lg_h[1] != 0.0
+    bike = np.array([0.0, 1.0, 0.4, 2.0])
+    _, _, lgb = ellipse_terms(bike, center, cdot, axes, "bicycle")
+    assert lgb[0] == 0.0
+    assert lgb[1] != 0.0
 
 
 def test_hocbf_stationary_reduces_to_inner_gain():
     kappa1 = ClassK("linear", 2.0)
-    obs = Obstacle(center=(4, 1), velocity=(0, 0), semi_axis_x=1.0, semi_axis_y=1.5)
-    s = UnicycleState(0, 0, 0.3, 0.0, 0.0)
-    ev = hocbf(s, obs, kappa1, "unicycle")
+    s = np.array([0, 0, 0.3, 0.0, 0.0])
+    h, _, _ = hocbf_terms(s, (4, 1), (0, 0), (1.0, 1.5), kappa1, "unicycle")
     h1 = (4.0 / 1.0) ** 2 + (1.0 / 1.5) ** 2 - 1.0
-    assert ev.h == pytest.approx(2.0 * h1, rel=1e-14)
+    assert h == pytest.approx(2.0 * h1, rel=1e-14)
 
 
 def _admissible_cone_sample(rng, model, l=0.1, rear=1.6):

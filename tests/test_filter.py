@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conebarrier.barriers import ClassK
-from conebarrier.models import BicycleGeometry, BicycleState
+from conebarrier.barriers import EPS_V, ClassK
+from conebarrier.models import BicycleGeometry
 from conebarrier.safety_filter import (
     ConstraintRow,
     DegenerateRowError,
@@ -63,7 +63,7 @@ def test_path_tracker_on_path_aligned():
     geom = BicycleGeometry(1.0, 1.0)
     gains = PathTrackerGains(k_cross=1.0, k_soft=0.5, k_speed=1.0, v_des=2.0)
     path = [(0.0, 0.0), (10.0, 0.0)]
-    u = reference_path_tracker(BicycleState(3.0, 0.0, 0.0, 2.0), path, geom, gains)
+    u = reference_path_tracker(np.array([3.0, 0.0, 0.0, 2.0]), path, geom, gains)
     assert u[0] == pytest.approx(0.0, abs=1e-15)
     assert u[1] == pytest.approx(0.0, abs=1e-15)
 
@@ -72,7 +72,7 @@ def test_path_tracker_offset_left_steers_right():
     geom = BicycleGeometry(1.0, 1.0)
     gains = PathTrackerGains(k_cross=1.0, k_soft=0.5, k_speed=1.0, v_des=2.0)
     path = [(0.0, 0.0), (10.0, 0.0)]
-    u = reference_path_tracker(BicycleState(3.0, 1.0, 0.0, 2.0), path, geom, gains)
+    u = reference_path_tracker(np.array([3.0, 1.0, 0.0, 2.0]), path, geom, gains)
     assert u[1] < 0.0  # left of the path: slip toward negative y
 
 
@@ -80,7 +80,7 @@ def test_path_tracker_rejects_short_path():
     geom = BicycleGeometry(1.0, 1.0)
     gains = PathTrackerGains()
     with pytest.raises(EmptyPathError):
-        reference_path_tracker(BicycleState(0, 0, 0, 1), [(0.0, 0.0)], geom, gains)
+        reference_path_tracker(np.array([0, 0, 0, 1.0]), [(0.0, 0.0)], geom, gains)
 
 
 def test_path_tracker_converges_from_offset():
@@ -93,7 +93,7 @@ def test_path_tracker_converges_from_offset():
     x = np.array([0.0, 1.0, 0.0, 2.0])
     dt = 0.01
     for _ in range(1000):
-        u = reference_path_tracker(BicycleState(*x), path, geom, gains)
+        u = reference_path_tracker(x, path, geom, gains)
         x = integrate_step(dyn, x, u, dt)
     assert abs(x[1]) < 0.05
 
@@ -385,3 +385,13 @@ def test_filter_step_drops_domain_violations_with_events():
     assert not trace.constrained[0].any()
     assert np.isnan(trace.h[0]).all() and np.isnan(trace.psi[0]).all()
     np.testing.assert_array_equal(trace.u_star[0], trace.u_ref[0])
+
+    # The EPS_V gate: obstacles pacing the vehicle (relative velocity (0, dv))
+    # build a row only when dv exceeds EPS_V.
+    slow = ObstacleConfig(center=(5.0, 2.0), velocity=(2.0, EPS_V / 2), semi_axes=(0.5, 0.5))
+    fast = ObstacleConfig(center=(5.0, -2.0), velocity=(2.0, 2 * EPS_V), semi_axes=(0.5, 0.5))
+    trace = _one_filter_step([slow, fast], body_offset=0.0)
+    kinds = sorted((e.kind, e.obstacle) for e in trace.events if e.kind != "perception_entry")
+    assert kinds == [("degenerate_velocity", 0)]
+    np.testing.assert_array_equal(trace.constrained[0], [False, True])
+    assert np.isnan(trace.h[0, 0]) and np.isfinite(trace.h[0, 1])

@@ -9,29 +9,21 @@ import sympy as sp
 from conebarrier.models import (
     BicycleDynamics,
     BicycleGeometry,
-    BicycleInput,
-    BicycleState,
     PointMassDynamics,
-    PointMassState,
     UnicycleDynamics,
-    UnicycleInput,
-    UnicycleState,
-    bicycle_dynamics,
     bicycle_dynamics_exact,
     integrate_step,
-    pointmass_dynamics,
     slip_from_steering,
-    unicycle_dynamics,
 )
 
 
 def test_unicycle_pure_forward_roll():
-    xdot = unicycle_dynamics(UnicycleState(0, 0, 0, 1, 0), UnicycleInput(0, 0))
+    xdot = UnicycleDynamics()(np.array([0, 0, 0, 1, 0]), np.array([0, 0]))
     np.testing.assert_allclose(xdot, [1, 0, 0, 0, 0], atol=0)
 
 
 def test_unicycle_quarter_turn_heading():
-    xdot = unicycle_dynamics(UnicycleState(0, 0, math.pi / 2, 2, 0.5), UnicycleInput(1, -1))
+    xdot = UnicycleDynamics()(np.array([0, 0, math.pi / 2, 2, 0.5]), np.array([1, -1]))
     np.testing.assert_allclose(xdot, [math.cos(math.pi / 2) * 2, 2, 0.5, 1, -1], atol=1e-15)
 
 
@@ -43,7 +35,7 @@ def test_unicycle_matches_symbolic_evaluation():
     expr = f + g * sp.Matrix([a, al])
     subs = {x: 1, y: 2, th: 0.3, v: 1.5, om: 0.2, a: 0.4, al: -0.1}
     expected = np.array([float(e.subs(subs)) for e in expr])
-    got = unicycle_dynamics(UnicycleState(1, 2, 0.3, 1.5, 0.2), UnicycleInput(0.4, -0.1))
+    got = UnicycleDynamics()(np.array([1, 2, 0.3, 1.5, 0.2]), np.array([0.4, -0.1]))
     np.testing.assert_allclose(got, expected, rtol=1e-14)
     # Frozen values from the symbolic oracle above.
     np.testing.assert_allclose(
@@ -53,28 +45,28 @@ def test_unicycle_matches_symbolic_evaluation():
 def test_bicycle_straight_roll():
     geom = BicycleGeometry(1.0, 1.0)
     np.testing.assert_allclose(
-        bicycle_dynamics(BicycleState(0, 0, 0, 1), BicycleInput(0, 0), geom),
+        BicycleDynamics(geom)(np.array([0, 0, 0, 1]), np.array([0, 0])),
         [1, 0, 0, 0], atol=0)
 
 
 def test_bicycle_slip_term_hand_evaluated():
     geom = BicycleGeometry(1.0, 2.0)
-    got = bicycle_dynamics(BicycleState(0, 0, 0, 2), BicycleInput(0, 0.1), geom)
+    got = BicycleDynamics(geom)(np.array([0, 0, 0, 2]), np.array([0, 0.1]))
     # xdot = v c - v b s = 2, ydot = v s + v b c = 0.2, thdot = (v/l_r) b = 0.1
     np.testing.assert_allclose(got, [2.0, 0.2, 0.1, 0.0], rtol=1e-15)
 
 
 def test_bicycle_zero_speed_kills_slip_terms():
     geom = BicycleGeometry(1.0, 1.0)
-    got = bicycle_dynamics(BicycleState(0, 0, 0, 0), BicycleInput(1, 0.5), geom)
+    got = BicycleDynamics(geom)(np.array([0, 0, 0, 0]), np.array([1, 0.5]))
     np.testing.assert_allclose(got, [0, 0, 0, 1], atol=0)
 
 
 def test_pointmass_trivial_rows():
     np.testing.assert_allclose(
-        pointmass_dynamics(PointMassState((0, 0), (1, 1)), (0, 0)), [1, 1, 0, 0], atol=0)
+        PointMassDynamics()(np.array([0, 0, 1, 1]), np.array([0, 0])), [1, 1, 0, 0], atol=0)
     np.testing.assert_allclose(
-        pointmass_dynamics(PointMassState((5, 5), (0, 0)), (1, -1)), [0, 0, 1, -1], atol=0)
+        PointMassDynamics()(np.array([5, 5, 0, 0]), np.array([1, -1])), [0, 0, 1, -1], atol=0)
 
 
 def test_pointmass_equals_block_matrix_form():
@@ -85,7 +77,7 @@ def test_pointmass_equals_block_matrix_form():
         s = rng.normal(size=4)
         u = rng.normal(size=2)
         expected = a_blk @ s + b_blk @ u
-        got = pointmass_dynamics(PointMassState((s[0], s[1]), (s[2], s[3])), u)
+        got = PointMassDynamics()(s, u)
         np.testing.assert_allclose(got, expected, rtol=1e-14, atol=1e-14)
 
 
@@ -152,13 +144,9 @@ def test_slip_from_steering_rejects_singularity():
         slip_from_steering(-2.0, geom)
 
 
-def test_state_validation_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        UnicycleState(0, 0, float("nan"), 1, 0)
+def test_bicycle_geometry_rejects_nonpositive_axle():
     with pytest.raises(ValueError):
         BicycleGeometry(0.0, 1.0)
-    with pytest.raises(ValueError):
-        BicycleInput(float("inf"), 0.0)
 
 
 def test_integrate_step_constant_derivative_exact():
@@ -218,21 +206,18 @@ def test_integrate_step_rejects_bad_dt_and_blowup():
 
 def test_exact_bicycle_reduces_to_affine_at_zero_slip():
     geom = BicycleGeometry(1.2, 1.6)
-    s = BicycleState(0.3, -0.2, 0.7, 2.2)
-    u = BicycleInput(0.5, 0.0)
+    s = np.array([0.3, -0.2, 0.7, 2.2])
+    u = np.array([0.5, 0.0])
     np.testing.assert_allclose(
-        bicycle_dynamics_exact(s.as_array(), u.as_array(), geom),
-        bicycle_dynamics(s, u, geom), atol=0)
+        bicycle_dynamics_exact(s, u, geom), BicycleDynamics(geom)(s, u), atol=0)
 
 
 def test_exact_bicycle_small_slip_gap_is_second_order():
     geom = BicycleGeometry(1.2, 1.6)
-    s = BicycleState(0, 0, 0, 2.0)
+    s = np.array([0, 0, 0, 2.0])
     gaps = []
     for beta in (0.1, 0.05):
-        u = BicycleInput(0.0, beta)
-        gap = np.linalg.norm(
-            bicycle_dynamics_exact(s.as_array(), u.as_array(), geom)
-            - bicycle_dynamics(s, u, geom))
+        u = np.array([0.0, beta])
+        gap = np.linalg.norm(bicycle_dynamics_exact(s, u, geom) - BicycleDynamics(geom)(s, u))
         gaps.append(gap)
     assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=0.3)

@@ -7,19 +7,21 @@ import pytest
 
 from conebarrier.barriers import ClassK, barrier_terms, hocbf_terms
 from conebarrier.validity import (
+    KAPPA,
+    KAPPA1,
     KERNEL_TOL,
     OBSTACLE_SPEED_MAX,
     PSI_TOL,
+    REAR_AXLE,
     _attack_obstacle_velocity,
     _kernels_hocbf_nonzero_speed,
     _kernels_weighted_perp,
-    _ProbeParams,
     validity_probe,
     verdict_matrix,
 )
 
 
-def _attack_by_loops(barrier, model, kernel_batch, params):
+def _attack_by_loops(barrier, model, kernel_batch):
     """Reference attack: one barrier call per kernel state and grid velocity."""
     states, centers, _, axes = kernel_batch
     directions = [np.array([math.cos(a), math.sin(a)])
@@ -32,11 +34,10 @@ def _attack_by_loops(barrier, model, kernel_batch, params):
             for mag in magnitudes:
                 cdot = mag * direction
                 h, lf, lg = barrier_terms(barrier, model, states[i], centers[i], cdot,
-                                          axes[i], None, rear_axle=params.rear_axle,
-                                          kappa1=params.kappa1)
+                                          axes[i], None, rear_axle=REAR_AXLE, kappa1=KAPPA1)
                 if float(np.linalg.norm(lg)) > KERNEL_TOL or float(h) < 0.0:
                     continue
-                psi = float(lf) + float(params.kappa(h))
+                psi = float(lf) + float(KAPPA(h))
                 if psi < -PSI_TOL and (worst is None or psi < worst["psi"]):
                     worst = {
                         "psi": psi,
@@ -123,12 +124,10 @@ def test_reports_serialize(tmp_path):
 
 @pytest.mark.parametrize("barrier", ["ellipse", "hocbf"])
 def test_attack_matches_loop_reference(barrier):
-    params = _ProbeParams()
-    kb = _kernels_weighted_perp(np.random.default_rng(13), "bicycle", "moving", 40,
-                                params, barrier)
-    expected = _attack_by_loops(barrier, "bicycle", kb, params)
+    kb = _kernels_weighted_perp(np.random.default_rng(13), "bicycle", "moving", 40, barrier)
+    expected = _attack_by_loops(barrier, "bicycle", kb)
     assert expected is not None
-    assert _attack_obstacle_velocity(barrier, "bicycle", kb, params) == expected
+    assert _attack_obstacle_velocity(barrier, "bicycle", kb) == expected
 
 
 def test_hocbf_bicycle_slip_column_is_quadratic_in_speed():
@@ -149,11 +148,9 @@ def test_hocbf_bicycle_slip_column_is_quadratic_in_speed():
 
 @pytest.mark.parametrize("motion", ["static", "moving"])
 def test_hocbf_nonzero_speed_kernels_are_kernels(motion):
-    params = _ProbeParams()
     states, centers, vels, axes = _kernels_hocbf_nonzero_speed(
-        np.random.default_rng(29), "bicycle", motion, 100, params)
+        np.random.default_rng(29), "bicycle", motion, 100)
     assert states.shape[0] > 20
     assert np.all((np.abs(states[:, 3]) >= 0.25) & (np.abs(states[:, 3]) <= 6.0))
-    _, _, lg = hocbf_terms(states, centers, vels, axes, params.kappa1, "bicycle",
-                           params.rear_axle)
+    _, _, lg = hocbf_terms(states, centers, vels, axes, KAPPA1, "bicycle", REAR_AXLE)
     assert np.max(np.linalg.norm(lg, axis=-1)) <= 1e-9
