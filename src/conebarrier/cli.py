@@ -40,6 +40,7 @@ from .scenarios import (
     with_overrides,
 )
 from .sim import (
+    BETA_LIMIT,
     ConfigError,
     ScenarioTrace,
     beta_smallness_audit,
@@ -50,16 +51,16 @@ from .sim import (
 from .validity import BARRIERS, verdict_matrix, verdict_row
 
 EMIT_KINDS = ("trace-csv", "events-json", "summary-json", "plotdata")
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+FLAG_EVENTS = ("collision", "degenerate_velocity", "infeasible", "saturation")
+"""Event kinds flagged per step in the trace CSV."""
+ORACLE_GRID_STEP = 0.05
+"""Grid resolution (input units) of the audit's QP cross-check."""
 
 
 def trace_csv_rows(trace: ScenarioTrace):
-    """Header plus formatted rows for one trace."""
+    """Header plus formatted rows (one string each) for one trace."""
     cfg = trace.config
-    n_obs = trace.h.shape[1]
+    n_rec, n_obs = trace.h.shape
     header = ["t"]
     header += [f"state_{n}" for n in STATE_NAMES[cfg.model]]
     header += [f"u_ref_{n}" for n in INPUT_NAMES[cfg.model]]
@@ -68,41 +69,31 @@ def trace_csv_rows(trace: ScenarioTrace):
         header += [f"h_{k}", f"psi_{k}", f"sep_{k}", f"in_range_{k}",
                    f"constrained_{k}", f"qp_active_{k}",
                    f"obs{k}_cx", f"obs{k}_cy", f"obs{k}_vx", f"obs{k}_vy"]
-    header += ["event_collision", "event_degenerate_velocity",
-               "event_infeasible", "event_saturation"]
+    header += [f"event_{kind}" for kind in FLAG_EVENTS]
 
-    flag_cols = {"collision": set(), "degenerate_velocity": set(),
-                 "infeasible": set(), "saturation": set()}
+    flags = np.zeros((n_rec, len(FLAG_EVENTS)))
     for e in trace.events:
-        if e.kind in flag_cols:
+        if e.kind in FLAG_EVENTS:
             idx = int(round(e.time / cfg.dt))
-            if 0 <= idx < trace.t.shape[0]:
-                flag_cols[e.kind].add(idx)
-
-    rows = []
-    for i in range(trace.t.shape[0]):
-        row = [_fmt(trace.t[i])]
-        row += [_fmt(v) for v in trace.states[i]]
-        row += [_fmt(v) for v in trace.u_ref[i]]
-        row += [_fmt(v) for v in trace.u_star[i]]
-        for k in range(n_obs):
-            row += [_fmt(trace.h[i, k]), _fmt(trace.psi[i, k]), _fmt(trace.sep[i, k]),
-                    str(int(trace.in_range[i, k])), str(int(trace.constrained[i, k])),
-                    str(int(trace.qp_active[i, k]))]
-            row += [_fmt(trace.obstacle_centers[i, k, 0]), _fmt(trace.obstacle_centers[i, k, 1]),
-                    _fmt(trace.obstacle_velocities[i, k, 0]), _fmt(trace.obstacle_velocities[i, k, 1])]
-        row += [str(int(i in flag_cols[kind]))
-                for kind in ("collision", "degenerate_velocity", "infeasible", "saturation")]
-        rows.append(row)
-    return header, rows
+            if 0 <= idx < n_rec:
+                flags[idx, FLAG_EVENTS.index(e.kind)] = 1.0
+    per_obstacle = np.concatenate(
+        [np.stack([trace.h, trace.psi, trace.sep, trace.in_range, trace.constrained,
+                   trace.qp_active], axis=2),
+         trace.obstacle_centers, trace.obstacle_velocities], axis=2).reshape(n_rec, 10 * n_obs)
+    table = np.column_stack([trace.t, trace.states, trace.u_ref, trace.u_star,
+                             per_obstacle, flags])
+    fmt = ",".join(["%.17g"] * (1 + trace.states.shape[1] + 4)
+                   + (["%.17g"] * 3 + ["%d"] * 3 + ["%.17g"] * 4) * n_obs
+                   + ["%d"] * len(FLAG_EVENTS))
+    return header, [fmt % tuple(row) for row in table.tolist()]
 
 
 def write_trace_csv(trace: ScenarioTrace, path: Path) -> None:
     header, rows = trace_csv_rows(trace)
     with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row + "\n" for row in rows)
 
 
 def parse_trace_csv(path) -> dict[str, np.ndarray]:
@@ -335,7 +326,7 @@ def _audit_checks(args) -> list[dict]:
     details = []
     for n, tr in sorted(bikes.items()):
         rep = beta_smallness_audit(tr)
-        ok = rep.max_abs_beta < 0.3 and rep.divergence_ratio < 0.05
+        ok = rep.max_abs_beta < BETA_LIMIT and rep.divergence_ratio < 0.05
         beta_ok = beta_ok and ok
         details.append(f"{n}: max|beta|={rep.max_abs_beta:.3f} "
                        f"divergence={100 * rep.divergence_ratio:.2f}%")
@@ -355,7 +346,7 @@ def _audit_checks(args) -> list[dict]:
         })
 
     rng = np.random.default_rng(args.seed)
-    step = args.oracle_grid_step
+    step = ORACLE_GRID_STEP
     # Certification per instance: u* feasible, at least as good as the best
     # grid point, and tied to it through the projection inequality
     # |u_g - u*|^2 <= f(u_g) - f(u*), which only the exact projection obeys.
@@ -413,7 +404,7 @@ def cmd_audit(args) -> int:
     out_dir = _resolve_out(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"passed": passed, "checks": checks,
-               "grid_step": args.oracle_grid_step, "seed": args.seed}
+               "grid_step": ORACLE_GRID_STEP, "seed": args.seed}
     (out_dir / "audit.json").write_text(json.dumps(payload, indent=2))
     print(f"wrote {out_dir / 'audit.json'}")
     return 0 if passed else 1
@@ -454,8 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     audit_p.add_argument("--duration", type=float, default=None)
     audit_p.add_argument("--seed", type=int, default=0)
     audit_p.add_argument("--barrier", default=None)
-    audit_p.add_argument("--oracle-grid-step", type=float, default=0.05,
-                         help="grid resolution of the QP cross-check")
     audit_p.set_defaults(func=cmd_audit)
     return parser
 

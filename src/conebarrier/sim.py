@@ -3,16 +3,18 @@
 A scenario fixes one vehicle, a list of moving elliptical obstacles with
 piecewise-constant velocities, a reference controller and a barrier kind.
 Each step the engine takes the protected point and its velocity from
-``barriers.reference_kinematics`` once, gates obstacles by a perception
-radius, builds one constraint row per visible admissible obstacle through
-``barriers.barrier_terms``, solves the filter QP, clips the result to the
-configured input bounds (the QP itself is unbounded), integrates one RK4
-step with the filtered input held constant, and logs everything needed to
-reconstruct the run: states, both inputs, per-obstacle barrier values and
-switching scalars, separations, and discrete events (perception entry,
-degenerate relative velocity, QP infeasibility, collision, saturation).
-An obstacle inside its combined radius has no cone and builds no row; the
-collision event records it.
+``barriers.reference_kinematics`` once, makes one ``barriers.barrier_terms``
+call over all obstacles, masks out those outside the cone's domain (inside
+the combined radius, or relative speed at most ``EPS_V``) or the perception
+radius, builds one constraint row per remaining obstacle, solves the filter
+QP, clips the result to the configured input bounds (the QP itself is
+unbounded), integrates one RK4 step with the filtered input held constant,
+and logs states, both inputs, per-obstacle barrier values, switching scalars
+and separations, and per-step flags. The events (perception entry,
+degenerate relative velocity, QP infeasibility, collision, saturation) are
+the rising edges of those logs, derived after the loop. An obstacle inside
+its combined radius has no cone and builds no row; the collision event
+records it.
 
 Collisions (separation at or below the combined radius) are recorded and
 the run continues by default so traces stay analyzable; ``halt_on_collision``
@@ -245,6 +247,11 @@ def _make_controller(cfg: ScenarioConfig):
     return lambda state: reference_p_controller(cfg.model, state, cfg.controller)
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(v, axis=1) by the same arithmetic, without its per-call checks."""
+    return np.sqrt((v * v).sum(axis=1))
+
+
 def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
     """Simulate one scenario deterministically and return its trace."""
     cfg.validate()
@@ -270,6 +277,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
     axes = np.array([o.semi_axes for o in cfg.obstacles], dtype=float).reshape(n_obs, 2)
     radii = B.combined_radius(axes, cfg.width)
     schedules = [list(o.velocity_schedule) for o in cfg.obstacles]
+    bounds = None if cfg.input_bounds is None else np.asarray(cfg.input_bounds, dtype=float)
 
     t = np.arange(n_rec) * cfg.dt
     states = np.zeros((n_rec, state.shape[0]))
@@ -281,15 +289,12 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
     in_range_log = np.zeros((n_rec, n_obs), dtype=bool)
     constrained_log = np.zeros((n_rec, n_obs), dtype=bool)
     qp_active_log = np.zeros((n_rec, n_obs), dtype=bool)
+    degenerate_log = np.zeros((n_rec, n_obs), dtype=bool)
+    infeasible_log = np.zeros(n_rec, dtype=bool)
+    saturated_log = np.zeros(n_rec, dtype=bool)
     centers_log = np.zeros((n_rec, n_obs, 2))
     velocities_log = np.zeros((n_rec, n_obs, 2))
-    events: list[SimEvent] = []
 
-    was_colliding = np.zeros(n_obs, dtype=bool)
-    was_in_range = np.zeros(n_obs, dtype=bool)
-    was_degenerate = np.zeros(n_obs, dtype=bool)
-    was_infeasible = False
-    was_saturated = False
     halted = False
     last = n_rec - 1
 
@@ -301,69 +306,35 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
                 velocities[i] = np.asarray(new_v, dtype=float)
 
         ref_pt, ref_vel = B.reference_kinematics(cfg.model, state, cfg.body_offset)
-        p_rel = centers - ref_pt
-        sep = np.linalg.norm(p_rel, axis=1)
+        sep = _row_norms(centers - ref_pt)
         in_range = sep <= cfg.perception_radius
         colliding = sep <= radii
-
-        for i in np.nonzero(colliding & ~was_colliding)[0]:
-            events.append(SimEvent("collision", float(tk), int(i),
-                                   f"separation {sep[i]:.3f} <= r {radii[i]:.3f}"))
-        for i in np.nonzero(in_range & ~was_in_range)[0]:
-            events.append(SimEvent("perception_entry", float(tk), int(i)))
+        slow = _row_norms(velocities - ref_vel) <= B.EPS_V
+        degenerate_log[k] = ~colliding & slow & cone_domain
+        skip = (colliding | slow) & cone_domain
 
         u_ref = controller(state)
-        rows = []
-        row_obstacle = []
-        degenerate_now = np.zeros(n_obs, dtype=bool)
-        kappa = cfg.kappa
-        for i in range(n_obs):
-            evaluable = True
-            if cone_domain:
-                if colliding[i]:
-                    evaluable = False
-                else:
-                    v_rel = velocities[i] - ref_vel
-                    if np.linalg.norm(v_rel) <= B.EPS_V:
-                        evaluable = False
-                        degenerate_now[i] = True
-            if not evaluable:
-                continue
-            h_i, lf_i, lg_i = B.barrier_terms(
-                barrier, cfg.model, state, centers[i], velocities[i], axes[i], radii[i],
+        # Obstacles outside the cone domain come out NaN or infinite; skip masks them.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h, lf, lg = B.barrier_terms(
+                barrier, cfg.model, state, centers, velocities, axes, radii,
                 body_offset=cfg.body_offset, rear_axle=cfg.wheelbase_rear, kappa1=kappa1)
-            h_log[k, i] = float(h_i)
-            if shadow_only or not in_range[i]:
-                continue
-            rows.append(ConstraintRow(lg_h=np.asarray(lg_i, dtype=float),
-                                      rhs=-float(lf_i) - float(kappa(h_i))))
-            row_obstacle.append(i)
-            constrained_log[k, i] = True
-
-        for i in np.nonzero(degenerate_now & in_range & ~was_degenerate)[0]:
-            events.append(SimEvent("degenerate_velocity", float(tk), int(i)))
-
-        result = solve_multi_constraint(QpProblem(u_ref=u_ref, rows=tuple(rows)))
-        if result.status == "infeasible" and not was_infeasible:
-            events.append(SimEvent("infeasible", float(tk), None))
-        was_infeasible = result.status == "infeasible"
+        h_log[k] = np.where(skip, np.nan, h)
+        row = in_range & ~skip & (not shadow_only)
+        rows = tuple(map(ConstraintRow, lg[row], (-lf[row] - cfg.kappa(h[row])).tolist()))
+        result = solve_multi_constraint(QpProblem(u_ref=u_ref, rows=rows))
+        infeasible_log[k] = result.status == "infeasible"
 
         u_star = result.u_star
-        if cfg.input_bounds is not None:
-            lo, hi = (np.asarray(side, dtype=float) for side in cfg.input_bounds)
-            clipped = np.clip(u_star, lo, hi)
-            if not np.array_equal(clipped, u_star):
-                if not was_saturated:
-                    events.append(SimEvent("saturation", float(tk), None))
-                was_saturated = True
-            else:
-                was_saturated = False
+        if bounds is not None:
+            clipped = np.clip(u_star, bounds[0], bounds[1])
+            saturated_log[k] = not np.array_equal(clipped, u_star)
             u_star = clipped
 
-        for j, i in enumerate(row_obstacle):
-            psi_log[k, i] = result.psi[j]
-            if j in result.active_set:
-                qp_active_log[k, i] = True
+        row_obstacle = row.nonzero()[0]
+        psi_log[k, row_obstacle] = result.psi
+        qp_active_log[k, row_obstacle[list(result.active_set)]] = True
+        constrained_log[k] = row
 
         states[k] = state
         u_ref_log[k] = u_ref
@@ -378,23 +349,43 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
             last = k
             break
 
-        was_colliding = colliding
-        was_in_range = in_range
-        was_degenerate = degenerate_now
-
         if k < n_rec - 1:
             state = integrate_step(dyn, state, u_star, cfg.dt)
             centers = centers + velocities * cfg.dt
 
     sl = slice(0, last + 1)
+    events = _step_events(t[sl], sep_log[sl], radii, in_range_log[sl], degenerate_log[sl],
+                          infeasible_log[sl], saturated_log[sl])
     return ScenarioTrace(
         config=cfg,
         t=t[sl], states=states[sl], u_ref=u_ref_log[sl], u_star=u_star_log[sl],
         h=h_log[sl], psi=psi_log[sl], sep=sep_log[sl], in_range=in_range_log[sl],
         constrained=constrained_log[sl], qp_active=qp_active_log[sl],
         obstacle_centers=centers_log[sl], obstacle_velocities=velocities_log[sl],
-        events=tuple(events), halted=halted,
+        events=events, halted=halted,
     )
+
+
+def _step_events(t, sep, radii, in_range, degenerate, infeasible, saturated):
+    """Events at the rising edges of the per-step flags of a run.
+
+    Ordered by step, then by kind in the order below, then by obstacle.
+    A degenerate relative velocity counts only while the obstacle is in range.
+    """
+    def rising(flags):
+        return flags & ~np.concatenate([np.zeros_like(flags[:1]), flags[:-1]])
+
+    edges = [("collision", rising(sep <= radii)), ("perception_entry", rising(in_range)),
+             ("degenerate_velocity", rising(degenerate) & in_range),
+             ("infeasible", rising(infeasible)), ("saturation", rising(saturated))]
+    found = []
+    for kind, edge in edges:
+        for k, *i in zip(*np.nonzero(edge)):  # i is [obstacle] for per-obstacle flags
+            detail = (f"separation {sep[k, i[0]]:.3f} <= r {radii[i[0]]:.3f}"
+                      if kind == "collision" else "")
+            found.append((k, SimEvent(kind, float(t[k]), int(i[0]) if i else None, detail)))
+    # A stable sort by step keeps the kind order above, then the obstacle order.
+    return tuple(event for _, event in sorted(found, key=lambda f: f[0]))
 
 
 # Thresholds of the trace classifier.
@@ -500,7 +491,7 @@ class InvarianceReport:
         return self.collided or (math.isfinite(self.min_h) and self.min_h < -1e-3)
 
 
-def invariance_audit(trace: ScenarioTrace, kappa: Optional[B.ClassK] = None) -> InvarianceReport:
+def invariance_audit(trace: ScenarioTrace) -> InvarianceReport:
     """Check the invariance story of one trace.
 
     For runs starting with h >= 0 the headline number is min_t h. For runs
@@ -509,7 +500,6 @@ def invariance_audit(trace: ScenarioTrace, kappa: Optional[B.ClassK] = None) -> 
     the pre-crossing stretch. The per-step discrete violation measures how
     much of any dip is attributable to the zero-order hold.
     """
-    kappa = kappa or trace.config.kappa
     h = trace.h
     if h.size:
         any_finite = np.any(np.isfinite(h), axis=1)
@@ -521,16 +511,10 @@ def invariance_audit(trace: ScenarioTrace, kappa: Optional[B.ClassK] = None) -> 
     started_safe = (not finite0) or agg[0] >= 0.0
     min_h = float(np.nanmin(h)) if np.any(np.isfinite(h)) else math.nan
 
-    viol = 0.0
-    dt = trace.config.dt
-    for i in range(h.shape[1]):
-        col = h[:, i]
-        enforced = trace.constrained[:, i]
-        for k in range(len(col) - 1):
-            if enforced[k] and np.isfinite(col[k]) and np.isfinite(col[k + 1]):
-                resid = (col[k + 1] - col[k]) / dt + float(kappa(col[k]))
-                if -resid > viol:
-                    viol = -resid
+    # Discrete residual of hdot + kappa(h) >= 0 over each enforced step.
+    resid = (h[1:] - h[:-1]) / trace.config.dt + trace.config.kappa(h[:-1])
+    enforced = trace.constrained[:-1] & np.isfinite(h[:-1]) & np.isfinite(h[1:])
+    viol = np.max(-resid[enforced], initial=0.0)
 
     rate = None
     crossed = None
@@ -571,7 +555,11 @@ class BetaReport:
         return self.max_divergence / self.path_length if self.path_length > 0 else 0.0
 
 
-def beta_smallness_audit(trace: ScenarioTrace, beta_limit: float = 0.3) -> BetaReport:
+BETA_LIMIT = 0.3
+"""Largest |beta| (rad) the small-slip bicycle is trusted at."""
+
+
+def beta_smallness_audit(trace: ScenarioTrace) -> BetaReport:
     """Replay the recorded inputs through the exact bicycle kinematics.
 
     The small-slip model drops the cos/sin of beta; re-integrating the
@@ -596,5 +584,5 @@ def beta_smallness_audit(trace: ScenarioTrace, beta_limit: float = 0.3) -> BetaR
         max_abs_beta=max_beta,
         max_divergence=float(np.max(diff)),
         path_length=float(np.sum(seg)),
-        flagged=max_beta > beta_limit,
+        flagged=max_beta > BETA_LIMIT,
     )

@@ -136,6 +136,41 @@ def test_degenerate_velocity_event_when_pacing():
     np.testing.assert_array_equal(trace.u_star, trace.u_ref)
 
 
+def test_event_order_within_and_across_steps():
+    # Obstacle 0 overlaps the vehicle at t = 0, obstacle 1 paces it, and
+    # obstacle 2 enters the perception radius later, when the filter's
+    # braking saturates the input bounds. Events keep their emitted order.
+    cfg = _simple_cfg(
+        obstacles=(ObstacleConfig(center=(0.1, 0.3), semi_axes=(0.5, 0.5)),
+                   ObstacleConfig(center=(3.0, 0.0), velocity=(1.5, 0.0), semi_axes=(0.5, 0.5)),
+                   ObstacleConfig(center=(14.0, -0.2), velocity=(-3.0, 0.0),
+                                  semi_axes=(0.5, 0.5))),
+        input_bounds=((-1.0, -1.0), (1.0, 1.0)))
+    got = [(e.kind, e.time, e.obstacle, e.detail) for e in run_scenario(cfg).events]
+    assert got == [
+        ("collision", 0.0, 0, "separation 0.300 <= r 0.800"),
+        ("perception_entry", 0.0, 0, ""),
+        ("perception_entry", 0.0, 1, ""),
+        ("degenerate_velocity", 0.0, 1, ""),
+        ("perception_entry", 0.87, 2, ""),
+        ("saturation", 0.87, None, ""),
+    ]
+
+
+def test_out_of_range_obstacle_leaves_run_unchanged():
+    cfg = load_packaged("braking_unicycle")
+    far = ObstacleConfig(center=(-500.0, 40.0), velocity=(0.3, -0.2), semi_axes=(0.5, 0.8))
+    base = run_scenario(cfg)
+    more = run_scenario(replace(cfg, obstacles=cfg.obstacles + (far,)))
+    assert not more.in_range[:, 1].any()
+    assert np.array_equal(more.states, base.states)
+    assert np.array_equal(more.u_star, base.u_star)
+    assert np.array_equal(more.h[:, 0], base.h[:, 0], equal_nan=True)
+    assert np.array_equal(more.psi[:, 0], base.psi[:, 0], equal_nan=True)
+    assert np.array_equal(more.qp_active[:, 0], base.qp_active[:, 0])
+    assert more.events == base.events
+
+
 def test_classifier_labels_on_suite(suite_traces):
     for name, want in EXPECTED_BEHAVIORS.items():
         assert classify_behavior(suite_traces[name]) == want, name
