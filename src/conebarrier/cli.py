@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -293,7 +294,7 @@ def _audit_checks(args) -> list[dict]:
     for n, tr in sorted(safe_start.items()):
         viol = max(0.0, -tr.min_h())
         ok = viol <= 1e-3
-        half = run_scenario(with_overrides(tr.config, dt=tr.config.dt / 2))
+        half = run_scenario(replace(tr.config, dt=tr.config.dt / 2))
         viol_half = max(0.0, -half.min_h())
         tightened = viol_half <= max(viol / 2, 1e-6)
         inv_ok = inv_ok and ok and tightened
@@ -337,7 +338,7 @@ def _audit_checks(args) -> list[dict]:
     })
 
     if "braking_unicycle" in traces:
-        neg = run_scenario(with_overrides(traces["braking_unicycle"].config, barrier="none"))
+        neg = run_scenario(replace(traces["braking_unicycle"].config, barrier="none"))
         checks.append({
             "name": "negative_control",
             "passed": neg.collided(),

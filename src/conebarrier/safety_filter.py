@@ -38,6 +38,14 @@ from .models import BicycleGeometry, slip_from_steering
 ACTIVE_TOL = 1e-9
 """A constraint counts as tight when |L_g h u - rhs| is below this."""
 
+PARALLEL_TOL = 64 * np.finfo(float).eps
+"""Row normals parallel to within this relative bound count as parallel.
+
+Rounding in forming a row leaves its direction uncertain by a few eps (up
+to ~11 eps for rows built from angles below 6 pi), so a tie point of rows
+this close to parallel is rounding noise at |u| ~ |b| / (|a| PARALLEL_TOL).
+"""
+
 
 class DegenerateRowError(ValueError):
     """Constraint row with L_g h = 0: the input cannot influence hdot."""
@@ -59,14 +67,11 @@ class ReferenceController:
     k_speed: float = 1.0
     k_damp: float = 0.5
     v_des: float = 1.0
-    v_max: Optional[float] = None
     heading_des: float = 0.0
 
     def __post_init__(self) -> None:
         if not (self.k_speed > 0 and self.k_damp > 0):
             raise ValueError("controller gains must be positive")
-        if self.v_max is not None and self.v_des > self.v_max:
-            raise ValueError(f"v_des={self.v_des} exceeds v_max={self.v_max}")
 
 
 def reference_p_controller(model: str, state: np.ndarray, ctrl: ReferenceController) -> np.ndarray:
@@ -235,18 +240,20 @@ def _least_violating(a_mat: np.ndarray, b_vec: np.ndarray, u_ref: np.ndarray) ->
     Stage one: t* = min_u max_i (b_i - a_i u) is attained where three rows
     tie, or where two tie if all row normals are parallel (anywhere if all
     rows are zero), so u_ref and the pair and triple tie points (pairs: the
-    one nearest u_ref) are complete candidates. Each worst violation carries
-    its rounding bound, so far tie points cannot undercut t*. Stage two
+    one nearest u_ref) are complete candidates. Normals parallel within
+    PARALLEL_TOL count as parallel, and each worst violation carries its
+    rounding bound, so far tie points cannot undercut t*. Stage two
     projects u_ref onto the rows relaxed by t* + 1e-9; the stage-one minimizer
     satisfies them, so it stays a candidate in case rounding on nearly
     parallel rows puts every projection outside them.
     """
+    norms = np.sqrt(np.sum(a_mat * a_mat, axis=1))
     idx = np.indices((len(b_vec),) * 3).reshape(3, -1)
     i, j, k = idx[:, (idx[0] < idx[1]) & (idx[1] < idx[2])]
     p, q = a_mat[i] - a_mat[k], a_mat[j] - a_mat[k]
     c_p, c_q = b_vec[i] - b_vec[k], b_vec[j] - b_vec[k]
     det = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
-    ok = det != 0.0
+    ok = np.abs(det) > PARALLEL_TOL * (norms[i] + norms[k]) * (norms[j] + norms[k])
     triples = np.column_stack([c_p[ok] * q[ok, 1] - c_q[ok] * p[ok, 1],
                                c_q[ok] * p[ok, 0] - c_p[ok] * q[ok, 0]]) / det[ok, None]
     i, j = np.triu_indices(len(b_vec), 1)

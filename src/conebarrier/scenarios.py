@@ -5,12 +5,25 @@ packaged suite (``data/*.yaml``) covers the four canonical avoidance
 behaviors for the unicycle and the bicycle, a boundary-violation recovery
 run, a path-tracked weave past an obstacle near the path, and a point-mass
 swerve whose reference turns the velocity into the cone from a safe start.
-Unknown keys are rejected so typos fail loudly at load time.
+
+The codec reads the config dataclasses rather than restating them:
+- YAML keys are the dataclass field names, and unknown keys are rejected
+  so typos fail loudly at load time;
+- a field without a default is a required key;
+- defaults live only on the dataclasses: an absent key, or a null where
+  the default is None, takes the field's default;
+- the YAML differs from the dataclasses in two places only: a velocity
+  change is written ``{t, velocity}`` and the input bounds
+  ``{lower, upper}``;
+- validation runs when the dataclasses are built (``ScenarioConfig`` checks
+  itself and its obstacles), so every loaded config is valid and any error
+  is a ConfigError naming the field.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import math
+from dataclasses import MISSING, asdict, astuple, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
@@ -50,185 +63,134 @@ EXPECTED_BEHAVIORS = {
 }
 
 
-def _check_keys(tree, allowed: set, context: str) -> None:
-    if not isinstance(tree, dict):
-        raise ConfigError(f"{context} must be a mapping, got {tree!r}")
-    unknown = set(tree) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {context}")
+@dataclass(frozen=True)
+class _Change:
+    """One ``velocity_schedule`` entry as the YAML writes it."""
+
+    t: float
+    velocity: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class _Bounds:
+    """``input_bounds`` as the YAML writes it."""
+
+    lower: tuple[float, ...]
+    upper: tuple[float, ...]
 
 
 def _num(value, context: str) -> float:
     try:
-        return float(value)
+        out = float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{context} must be a number, got {value!r}") from None
-
-
-def _items(value, context: str) -> list:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{context} must be a list, got {value!r}")
-    return list(value)
-
-
-def _nums(value, context: str, size=None) -> tuple[float, ...]:
-    out = tuple(_num(x, f"{context}[{i}]") for i, x in enumerate(_items(value, context)))
-    if size not in (None, len(out)):
-        raise ConfigError(f"{context} needs {size} entries, got {value!r}")
+        out = math.nan
+    if math.isnan(out):
+        raise ConfigError(f"{context} must be a number, got {value!r}")
     return out
 
 
-def _classk_from_dict(tree: dict, context: str) -> ClassK:
-    _check_keys(tree, {"kind", "gamma", "table"}, context)
-    table = tree.get("table")
-    if table is not None:
-        table = tuple(_nums(row, f"{context}.table[{i}]", 2)
-                      for i, row in enumerate(_items(table, f"{context}.table")))
+def _str(value, context: str) -> str:
+    return str(value)
+
+
+def _bool(value, context: str) -> bool:
+    return bool(value)
+
+
+def _list_of(read):
+    """Reader of a YAML list whose entries each go through ``read(entry, context)``."""
+    def parse(value, context: str) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{context} must be a list, got {value!r}")
+        return tuple(read(x, f"{context}[{i}]") for i, x in enumerate(value))
+    return parse
+
+
+_nums = _list_of(_num)
+
+
+def _pair(value, context: str) -> tuple[float, float]:
+    out = _nums(value, context)
+    if len(out) != 2:
+        raise ConfigError(f"{context} needs 2 entries, got {value!r}")
+    return out
+
+
+def _build(cls, tree, context: str, parsers: dict):
+    """Build dataclass ``cls`` from a YAML mapping keyed by its field names.
+
+    ``context`` names the mapping in messages ("" for the scenario itself).
+    Each present value goes through ``parsers[field]`` (``_num`` if absent
+    there) with its dotted context; the dataclass supplies the defaults and
+    its own checks, whose ValueErrors become ConfigErrors.
+    """
+    where = context or "scenario"
+    if not isinstance(tree, dict):
+        raise ConfigError(f"{where} must be a mapping, got {tree!r}")
+    spec = {f.name: f for f in fields(cls)}
+    unknown = set(tree) - set(spec)
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+    for name, f in spec.items():
+        if name not in tree and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where} is missing required key {name!r}")
+    prefix = f"{context}." if context else ""
+    kwargs = {k: parsers.get(k, _num)(v, prefix + k) for k, v in tree.items()
+              if not (v is None and spec[k].default is None)}
     try:
-        return ClassK(kind=tree.get("kind", "linear"),
-                      gamma=_num(tree.get("gamma", 1.0), f"{context}.gamma"), table=table)
+        return cls(**kwargs)
+    except ConfigError:
+        raise
     except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _classk_to_dict(kappa: ClassK) -> dict:
-    tree = {"kind": kappa.kind, "gamma": kappa.gamma}
-    if kappa.table is not None:
-        tree["table"] = [[x, y] for x, y in kappa.table]
-    return tree
+def _reader(cls, **parsers):
+    """``_build`` for ``cls`` as a field reader."""
+    return lambda value, context: _build(cls, value, context, parsers)
+
+
+_classk = _reader(ClassK, kind=_str, table=_list_of(_pair))
+_change = _reader(_Change, velocity=_nums)
+_bounds = _reader(_Bounds, lower=_nums, upper=_nums)
+
+_SCENARIO = {
+    "name": _str, "model": _str, "barrier": _str, "halt_on_collision": _bool,
+    "initial_state": _nums, "path": _list_of(_pair), "kappa": _classk, "kappa1": _classk,
+    "obstacles": _list_of(_reader(
+        ObstacleConfig, center=_nums, velocity=_nums, semi_axes=_nums,
+        velocity_schedule=_list_of(lambda value, context: astuple(_change(value, context))))),
+    "controller": _reader(ReferenceController),
+    "path_gains": _reader(PathTrackerGains),
+    "input_bounds": lambda value, context: astuple(_bounds(value, context)),
+}
 
 
 def scenario_from_dict(tree: dict) -> ScenarioConfig:
-    """Build and validate a ScenarioConfig from a parsed YAML tree.
+    """Build a ScenarioConfig (which validates itself) from a parsed YAML tree.
 
     A field of the wrong shape or type raises ConfigError naming the field.
     """
-    allowed = {
-        "name", "model", "barrier", "initial_state", "obstacles", "controller",
-        "kappa", "kappa1", "body_offset", "width", "wheelbase_front",
-        "wheelbase_rear", "perception_radius", "dt", "duration", "path",
-        "path_gains", "halt_on_collision", "input_bounds",
-    }
-    _check_keys(tree, allowed, "scenario")
-    for key in ("name", "model", "initial_state", "obstacles", "controller"):
-        if key not in tree:
-            raise ConfigError(f"scenario is missing required key {key!r}")
+    return _build(ScenarioConfig, tree, "", _SCENARIO)
 
-    obstacles = []
-    for i, ob in enumerate(_items(tree["obstacles"], "obstacles")):
-        ctx = f"obstacles[{i}]"
-        _check_keys(ob, {"center", "velocity", "semi_axes", "velocity_schedule"}, ctx)
-        schedule = []
-        for j, entry in enumerate(_items(ob.get("velocity_schedule", ()),
-                                         f"{ctx}.velocity_schedule")):
-            sctx = f"{ctx}.velocity_schedule[{j}]"
-            _check_keys(entry, {"t", "velocity"}, sctx)
-            schedule.append((_num(entry.get("t"), f"{sctx}.t"),
-                             _nums(entry.get("velocity"), f"{sctx}.velocity")))
-        obstacles.append(ObstacleConfig(
-            center=_nums(ob.get("center"), f"{ctx}.center"),
-            velocity=_nums(ob.get("velocity", (0.0, 0.0)), f"{ctx}.velocity"),
-            semi_axes=_nums(ob.get("semi_axes", (1.0, 1.0)), f"{ctx}.semi_axes"),
-            velocity_schedule=tuple(schedule),
-        ))
 
-    ctrl_tree = tree["controller"]
-    _check_keys(ctrl_tree, {"k_speed", "k_damp", "v_des", "v_max", "heading_des"},
-                "controller")
-    ctrl = {k: _num(v, f"controller.{k}") for k, v in ctrl_tree.items()
-            if not (k == "v_max" and v is None)}
-    try:
-        controller = ReferenceController(**ctrl)
-    except ValueError as exc:
-        raise ConfigError(f"controller: {exc}") from exc
-
-    path = tree.get("path")
-    if path is not None:
-        path = tuple(_nums(p, f"path[{i}]", 2) for i, p in enumerate(_items(path, "path")))
-    gains = tree.get("path_gains")
-    if gains is not None:
-        _check_keys(gains, {"k_cross", "k_soft", "k_speed", "v_des"}, "path_gains")
-        gains = PathTrackerGains(**{"v_des": controller.v_des, **{
-            k: _num(v, f"path_gains.{k}") for k, v in gains.items()}})
-    bounds = tree.get("input_bounds")
-    if bounds is not None:
-        _check_keys(bounds, {"lower", "upper"}, "input_bounds")
-        bounds = (_nums(bounds.get("lower"), "input_bounds.lower"),
-                  _nums(bounds.get("upper"), "input_bounds.upper"))
-
-    cfg = ScenarioConfig(
-        name=str(tree["name"]),
-        model=str(tree["model"]),
-        initial_state=_nums(tree["initial_state"], "initial_state"),
-        obstacles=tuple(obstacles),
-        controller=controller,
-        barrier=str(tree.get("barrier", "c3bf")),
-        kappa=_classk_from_dict(tree.get("kappa", {}), "kappa"),
-        kappa1=None if "kappa1" not in tree else _classk_from_dict(tree["kappa1"], "kappa1"),
-        body_offset=_num(tree.get("body_offset", 0.1), "body_offset"),
-        width=_num(tree.get("width", 0.5), "width"),
-        wheelbase_front=_num(tree.get("wheelbase_front", 1.2), "wheelbase_front"),
-        wheelbase_rear=_num(tree.get("wheelbase_rear", 1.6), "wheelbase_rear"),
-        perception_radius=_num(tree.get("perception_radius", 10.0), "perception_radius"),
-        dt=_num(tree.get("dt", 0.01), "dt"),
-        duration=_num(tree.get("duration", 10.0), "duration"),
-        path=path,
-        path_gains=gains,
-        halt_on_collision=bool(tree.get("halt_on_collision", False)),
-        input_bounds=bounds,
-    )
-    cfg.validate()
-    return cfg
+def _plain(tree):
+    """Lists for tuples and no None-valued keys: a tree ``yaml.safe_dump`` writes."""
+    if isinstance(tree, dict):
+        return {k: _plain(v) for k, v in tree.items() if v is not None}
+    if isinstance(tree, (list, tuple)):
+        return [_plain(v) for v in tree]
+    return tree
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     """Inverse of scenario_from_dict, suitable for YAML dumping."""
-    tree = {
-        "name": cfg.name,
-        "model": cfg.model,
-        "barrier": cfg.barrier,
-        "initial_state": list(cfg.initial_state),
-        "obstacles": [
-            {
-                "center": list(o.center),
-                "velocity": list(o.velocity),
-                "semi_axes": list(o.semi_axes),
-                "velocity_schedule": [
-                    {"t": t, "velocity": list(v)} for t, v in o.velocity_schedule
-                ],
-            }
-            for o in cfg.obstacles
-        ],
-        "controller": {
-            "k_speed": cfg.controller.k_speed,
-            "k_damp": cfg.controller.k_damp,
-            "v_des": cfg.controller.v_des,
-            "heading_des": cfg.controller.heading_des,
-        },
-        "kappa": _classk_to_dict(cfg.kappa),
-        "body_offset": cfg.body_offset,
-        "width": cfg.width,
-        "wheelbase_front": cfg.wheelbase_front,
-        "wheelbase_rear": cfg.wheelbase_rear,
-        "perception_radius": cfg.perception_radius,
-        "dt": cfg.dt,
-        "duration": cfg.duration,
-        "halt_on_collision": cfg.halt_on_collision,
-    }
-    if cfg.controller.v_max is not None:
-        tree["controller"]["v_max"] = cfg.controller.v_max
-    if cfg.kappa1 is not None:
-        tree["kappa1"] = _classk_to_dict(cfg.kappa1)
-    if cfg.path is not None:
-        tree["path"] = [list(p) for p in cfg.path]
-    if cfg.path_gains is not None:
-        g = cfg.path_gains
-        tree["path_gains"] = {"k_cross": g.k_cross, "k_soft": g.k_soft,
-                              "k_speed": g.k_speed, "v_des": g.v_des}
+    tree = asdict(cfg)
+    for ob in tree["obstacles"]:
+        ob["velocity_schedule"] = [asdict(_Change(*c)) for c in ob["velocity_schedule"]]
     if cfg.input_bounds is not None:
-        tree["input_bounds"] = {"lower": list(cfg.input_bounds[0]),
-                                "upper": list(cfg.input_bounds[1])}
-    return tree
+        tree["input_bounds"] = asdict(_Bounds(*cfg.input_bounds))
+    return _plain(tree)
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -268,17 +230,9 @@ def behavior_suite() -> dict[str, ScenarioConfig]:
 
 
 def with_overrides(cfg: ScenarioConfig, barrier=None, dt=None, duration=None) -> ScenarioConfig:
-    """Copy a config with batch-level overrides applied."""
-    updates = {}
-    if barrier is not None:
-        updates["barrier"] = barrier
-    if dt is not None:
-        updates["dt"] = float(dt)
-    if duration is not None:
-        updates["duration"] = float(duration)
-    out = replace(cfg, **updates) if updates else cfg
-    out.validate()
-    return out
+    """Copy a config with the batch-level overrides that are not None applied."""
+    updates = {"barrier": barrier, "dt": dt, "duration": duration}
+    return replace(cfg, **{k: v for k, v in updates.items() if v is not None})
 
 
 def load_configs(paths: Iterable) -> list[ScenarioConfig]:

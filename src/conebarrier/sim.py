@@ -16,6 +16,11 @@ the rising edges of those logs, derived after the loop. An obstacle inside
 its combined radius has no cone and builds no row; the collision event
 records it.
 
+A ``ScenarioConfig`` validates itself and its obstacles when built, so an
+invalid scenario cannot exist and ``dataclasses.replace`` checks again. Its
+field names are the YAML keys of ``scenarios`` and its defaults are the
+only ones.
+
 Collisions (separation at or below the combined radius) are recorded and
 the run continues by default so traces stay analyzable; ``halt_on_collision``
 truncates instead. With the barrier disabled the cone value is still logged
@@ -74,22 +79,6 @@ class ObstacleConfig:
     semi_axes: tuple[float, float] = (1.0, 1.0)
     velocity_schedule: tuple[tuple[float, tuple[float, float]], ...] = ()
 
-    def validate(self) -> None:
-        pairs = [("center", self.center), ("velocity", self.velocity),
-                 ("semi_axes", self.semi_axes)]
-        pairs += [(f"velocity_schedule[{i}].velocity", v)
-                  for i, (_, v) in enumerate(self.velocity_schedule)]
-        for name, value in pairs:
-            if len(value) != 2 or not all(math.isfinite(x) for x in value):
-                raise ConfigError(f"obstacle {name} needs two finite entries, got {value}")
-        if not (self.semi_axes[0] > 0 and self.semi_axes[1] > 0):
-            raise ConfigError(f"obstacle semi-axes must be positive, got {self.semi_axes}")
-        times = [t for t, _ in self.velocity_schedule]
-        if not all(math.isfinite(t) for t in times):
-            raise ConfigError(f"obstacle velocity-change times must be finite, got {times}")
-        if times != sorted(times):
-            raise ConfigError("obstacle velocity-change times must be sorted")
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -115,7 +104,7 @@ class ScenarioConfig:
     halt_on_collision: bool = False
     input_bounds: Optional[tuple[tuple[float, ...], tuple[float, ...]]] = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.barrier not in BARRIER_KINDS:
@@ -151,10 +140,21 @@ class ScenarioConfig:
         if self.path is not None and self.model != "bicycle":
             raise ConfigError("path tracking is only wired for the bicycle model")
         for i, obs in enumerate(self.obstacles):
-            try:
-                obs.validate()
-            except ConfigError as exc:
-                raise ConfigError(f"obstacles[{i}]: {exc}") from None
+            where = f"obstacles[{i}]: obstacle"
+            pairs = [("center", obs.center), ("velocity", obs.velocity),
+                     ("semi_axes", obs.semi_axes)]
+            pairs += [(f"velocity_schedule[{j}].velocity", v)
+                      for j, (_, v) in enumerate(obs.velocity_schedule)]
+            for name, value in pairs:
+                if len(value) != 2 or not all(math.isfinite(x) for x in value):
+                    raise ConfigError(f"{where} {name} needs two finite entries, got {value}")
+            if not (obs.semi_axes[0] > 0 and obs.semi_axes[1] > 0):
+                raise ConfigError(f"{where} semi-axes must be positive, got {obs.semi_axes}")
+            times = [t for t, _ in obs.velocity_schedule]
+            if not all(math.isfinite(t) for t in times):
+                raise ConfigError(f"{where} velocity-change times must be finite, got {times}")
+            if times != sorted(times):
+                raise ConfigError(f"{where} velocity-change times must be sorted")
 
 
 @dataclass(frozen=True)
@@ -254,7 +254,6 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
     """Simulate one scenario deterministically and return its trace."""
-    cfg.validate()
     n_steps = int(round(cfg.duration / cfg.dt))
     n_rec = n_steps + 1
     n_obs = len(cfg.obstacles)

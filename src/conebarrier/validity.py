@@ -41,7 +41,7 @@ verdict rather than an invalidity proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -88,26 +88,6 @@ class ValidityReport:
     conservative: bool
     verdict: str
     checks: tuple[str, ...] = field(default_factory=tuple)
-
-    def to_dict(self) -> dict:
-        out = {
-            "barrier": self.barrier,
-            "model": self.model,
-            "motion": self.motion,
-            "samples": self.samples,
-            "min_lgh_norm": self.min_lgh_norm,
-            "max_lgh_norm": self.max_lgh_norm,
-            "channel_max": list(self.channel_max),
-            "inactive_channels": list(self.inactive_channels),
-            "kernel_count": self.kernel_count,
-            "kernel_min_psi_safe": self.kernel_min_psi_safe,
-            "kernel_min_psi_unsafe": self.kernel_min_psi_unsafe,
-            "attack_witness": self.attack_witness,
-            "conservative": self.conservative,
-            "verdict": self.verdict,
-            "checks": list(self.checks),
-        }
-        return out
 
 
 def _sample_states(rng: np.random.Generator, model: str, n: int) -> np.ndarray:
@@ -461,7 +441,7 @@ def verdict_row(barrier: str, model: str, samples: int = 10000, seed: int = 0) -
     for motion in ("static", "moving"):
         rep = validity_probe(barrier, model, motion, samples=samples, seed=seed)
         entry[motion] = rep.verdict
-        entry[f"{motion}_report"] = rep.to_dict()
+        entry[f"{motion}_report"] = asdict(rep)
     return entry
 
 

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -102,8 +101,10 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_run_negative_wheelbase_exit_two_no_outputs(tmp_path):
+    tree = scenario_to_dict(load_packaged("braking_bicycle"))
+    tree["wheelbase_rear"] = -1.0
     bad = tmp_path / "bad.yaml"
-    save_scenario(replace(load_packaged("braking_bicycle"), wheelbase_rear=-1.0), bad)
+    bad.write_text(yaml.safe_dump(tree))
     out = tmp_path / "out"
     rc = main(["run", "--config", str(bad), "--out", str(out)])
     assert rc == 2

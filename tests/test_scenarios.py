@@ -1,11 +1,17 @@
 """YAML scenario codec and the packaged suite."""
 
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conebarrier.barriers import ClassK
+from conebarrier.models import MODELS, STATE_NAMES
+from conebarrier.safety_filter import PathTrackerGains, ReferenceController
 from conebarrier.scenarios import (
     BEHAVIOR_SUITE_NAMES,
     SUITE_NAMES,
@@ -19,7 +25,7 @@ from conebarrier.scenarios import (
     scenario_to_dict,
     with_overrides,
 )
-from conebarrier.sim import ConfigError
+from conebarrier.sim import BARRIER_KINDS, ConfigError, ObstacleConfig, ScenarioConfig
 
 
 def test_packaged_suite_complete():
@@ -57,6 +63,16 @@ def test_missing_required_keys_rejected():
     with pytest.raises(ConfigError):
         scenario_from_dict(tree)
 
+
+
+def test_null_takes_a_none_default_only():
+    tree = scenario_to_dict(load_packaged("weave_bicycle"))
+    tree.update(path=None, path_gains=None, kappa1=None)
+    cfg = scenario_from_dict(tree)
+    assert (cfg.path, cfg.path_gains, cfg.kappa1) == (None, None, None)
+    tree["width"] = None
+    with pytest.raises(ConfigError, match="width"):
+        scenario_from_dict(tree)
 
 def test_invalid_yaml_raises_config_error(tmp_path):
     bad = tmp_path / "bad.yaml"
@@ -97,3 +113,147 @@ def test_yaml_files_are_plain_trees():
         assert "!!" not in text
         tree = yaml.safe_load(text)
         assert tree["name"] == name
+
+
+# Property tests of the codec: generated valid configs round-trip, and one
+# corrupted field anywhere in a valid tree raises ConfigError and nothing else.
+
+_FINITE = st.floats(-1e3, 1e3, allow_nan=False)
+_POSITIVE = st.floats(1e-3, 1e3)
+_PAIR = st.tuples(_FINITE, _FINITE)
+
+
+@st.composite
+def _classks(draw):
+    kind = draw(st.sampled_from(["linear", "cubic", "custom"]))
+    if kind != "custom":
+        return ClassK(kind, gamma=draw(_POSITIVE))
+    # Positive (x, y) steps; the first k are laid out below (0, 0), the rest above.
+    step = st.floats(0.1, 10.0)
+    steps = np.array(draw(st.lists(st.tuples(step, step), min_size=1, max_size=4)))
+    k = draw(st.integers(0, len(steps) - 1))
+    table = np.vstack([-np.cumsum(steps[:k], axis=0)[::-1], [[0.0, 0.0]],
+                       np.cumsum(steps[k:], axis=0)])
+    return ClassK(kind, gamma=draw(_POSITIVE), table=tuple(map(tuple, table.tolist())))
+
+
+@st.composite
+def _input_bounds(draw):
+    lower = draw(_PAIR)
+    return lower, tuple(x + draw(_POSITIVE) for x in lower)
+
+
+@st.composite
+def _obstacles(draw):
+    times = sorted(draw(st.lists(_FINITE, max_size=3)))
+    return ObstacleConfig(center=draw(_PAIR), velocity=draw(_PAIR),
+                          semi_axes=(draw(_POSITIVE), draw(_POSITIVE)),
+                          velocity_schedule=tuple((t, draw(_PAIR)) for t in times))
+
+
+@st.composite
+def _scenarios(draw):
+    model = draw(st.sampled_from(MODELS))
+    dt = draw(st.floats(1e-3, 0.1))
+    optional = {
+        "kappa1": _classks(),
+        "path_gains": st.builds(PathTrackerGains, k_cross=_POSITIVE, k_soft=_POSITIVE,
+                                k_speed=_POSITIVE, v_des=_FINITE),
+        "input_bounds": _input_bounds(),
+    }
+    if model == "bicycle":
+        optional["path"] = st.lists(_PAIR, min_size=2, max_size=4).map(tuple)
+    chosen = draw(st.sets(st.sampled_from(sorted(optional))))
+    return ScenarioConfig(
+        name=draw(st.text(alphabet="abcxyz_019", min_size=1, max_size=12)),
+        model=model,
+        initial_state=tuple(draw(_FINITE) for _ in STATE_NAMES[model]),
+        obstacles=tuple(draw(st.lists(_obstacles(), max_size=3))),
+        controller=ReferenceController(k_speed=draw(_POSITIVE), k_damp=draw(_POSITIVE),
+                                       v_des=draw(_FINITE), heading_des=draw(_FINITE)),
+        barrier=draw(st.sampled_from(BARRIER_KINDS)),
+        kappa=draw(_classks()),
+        body_offset=draw(_FINITE),
+        width=draw(st.floats(0.0, 10.0)),
+        wheelbase_front=draw(_POSITIVE),
+        wheelbase_rear=draw(_POSITIVE),
+        perception_radius=draw(st.floats(0.0, 1e3)),
+        dt=dt,
+        duration=dt * draw(st.floats(1.0, 1e3)),
+        halt_on_collision=draw(st.booleans()),
+        **{key: draw(optional[key]) for key in chosen},
+    )
+
+
+@settings(derandomize=True, deadline=None)
+@given(_scenarios())
+def test_generated_configs_round_trip(tmp_path_factory, cfg):
+    assert scenario_from_dict(scenario_to_dict(cfg)) == cfg
+    path = tmp_path_factory.getbasetemp() / "roundtrip.yaml"
+    save_scenario(cfg, path)
+    assert load_scenario(path) == cfg
+
+
+def _nodes(tree, path=()):
+    """Every (path, value) in a YAML tree, the root included."""
+    yield path, tree
+    children = tree.items() if isinstance(tree, dict) else (
+        enumerate(tree) if isinstance(tree, list) else ())
+    for key, value in children:
+        yield from _nodes(value, path + (key,))
+
+
+def _required(path) -> bool:
+    """Whether the key at ``path`` names a field without a default."""
+    if len(path) == 1:
+        return path[0] in ("name", "model", "initial_state", "obstacles", "controller")
+    if path[0] == "input_bounds" or "velocity_schedule" in path[:-1]:
+        return True
+    return path[0] == "obstacles" and path[2:] == ("center",)
+
+
+def _corruptions(tree):
+    """(label, path) for each single-field corruption of a valid tree."""
+    for path, value in _nodes(tree):
+        if isinstance(value, float):
+            yield from (("text", path), ("nan", path))
+        elif isinstance(value, list) and value and all(isinstance(x, float) for x in value):
+            yield from (("longer", path), ("shorter", path))
+        elif isinstance(value, list):
+            yield "number-for-list", path
+        elif isinstance(value, dict):
+            yield "unknown-key", path
+            if path:
+                yield "list-for-mapping", path
+        if path and isinstance(path[-1], str) and _required(path):
+            yield "missing", path
+
+
+def _corrupt(tree, label, path) -> None:
+    parent, key, node = None, None, tree
+    for step in path:
+        parent, key, node = node, step, node[step]
+    if label == "unknown-key":
+        node["bogus"] = 1.0
+    elif label == "longer":
+        node.append(0.0)
+    elif label == "shorter":
+        node.pop()
+    elif label == "missing":
+        del parent[key]
+    else:
+        parent[key] = {"text": "x", "nan": math.nan, "number-for-list": 1.0,
+                       "list-for-mapping": [1.0]}[label]
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(_scenarios())
+def test_single_field_corruptions_raise_config_error(cfg):
+    for label, path in _corruptions(scenario_to_dict(cfg)):
+        tree = scenario_to_dict(cfg)
+        _corrupt(tree, label, path)
+        try:
+            scenario_from_dict(tree)
+        except ConfigError:
+            continue
+        pytest.fail(f"{label} at {path} was accepted")

@@ -233,48 +233,48 @@ def test_summary_payload(suite_traces):
 
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
-        _simple_cfg(dt=0.0).validate()
+        _simple_cfg(dt=0.0)
     with pytest.raises(ConfigError):
-        _simple_cfg(duration=0.001).validate()
+        _simple_cfg(duration=0.001)
     with pytest.raises(ConfigError):
-        _simple_cfg(initial_state=(0.0, 0.0, 0.0)).validate()
+        _simple_cfg(initial_state=(0.0, 0.0, 0.0))
     with pytest.raises(ConfigError):
-        _simple_cfg(model="hovercraft").validate()
+        _simple_cfg(model="hovercraft")
     with pytest.raises(ConfigError, match=r"^obstacles\[0\]: .*semi-axes"):
-        _simple_cfg(obstacles=(ObstacleConfig(center=(1, 1), semi_axes=(0.0, 1.0)),)).validate()
+        _simple_cfg(obstacles=(ObstacleConfig(center=(1, 1), semi_axes=(0.0, 1.0)),))
     with pytest.raises(ConfigError, match=r"^obstacles\[0\]: .*sorted"):
         _simple_cfg(obstacles=(ObstacleConfig(
             center=(1, 1), semi_axes=(1.0, 1.0),
-            velocity_schedule=((2.0, (0.0, 0.0)), (1.0, (1.0, 0.0)))),)).validate()
+            velocity_schedule=((2.0, (0.0, 0.0)), (1.0, (1.0, 0.0)))),))
     for bad_time in (math.nan, math.inf):
         with pytest.raises(ConfigError, match=r"^obstacles\[1\]: .*times must be finite"):
             _simple_cfg(obstacles=(
                 ObstacleConfig(center=(1, 1)),
                 ObstacleConfig(center=(1, 1), velocity_schedule=((bad_time, (1.0, 0.0)),)),
-            )).validate()
+            ))
     for bad_offset in (math.inf, math.nan):
         with pytest.raises(ConfigError, match="body_offset"):
-            _simple_cfg(body_offset=bad_offset).validate()
+            _simple_cfg(body_offset=bad_offset)
     with pytest.raises(ConfigError):
-        _simple_cfg(path=((0.0, 0.0), (1.0, 1.0))).validate()  # path on unicycle
+        _simple_cfg(path=((0.0, 0.0), (1.0, 1.0)))  # path on unicycle
     with pytest.raises(ConfigError):
-        _simple_cfg(wheelbase_front=0.0).validate()
+        _simple_cfg(wheelbase_front=0.0)
     with pytest.raises(ConfigError):
-        _simple_cfg(wheelbase_rear=-1.6).validate()
+        _simple_cfg(wheelbase_rear=-1.6)
     with pytest.raises(ConfigError):
-        _simple_cfg(input_bounds=((-1.0,), (1.0,))).validate()
+        _simple_cfg(input_bounds=((-1.0,), (1.0,)))
     with pytest.raises(ConfigError):
-        _simple_cfg(input_bounds=((-1.0, 1.0), (1.0, 0.5))).validate()
+        _simple_cfg(input_bounds=((-1.0, 1.0), (1.0, 0.5)))
     with pytest.raises(ConfigError):
-        _simple_cfg(perception_radius=-1.0).validate()
+        _simple_cfg(perception_radius=-1.0)
     with pytest.raises(ConfigError):
-        _simple_cfg(width=-0.1).validate()
+        _simple_cfg(width=-0.1)
     with pytest.raises(ConfigError):
-        _simple_cfg(initial_state=(0.0, math.nan, 0.0, 1.5, 0.0)).validate()
+        _simple_cfg(initial_state=(0.0, math.nan, 0.0, 1.5, 0.0))
     with pytest.raises(ConfigError):
-        _simple_cfg(dt=math.inf).validate()
+        _simple_cfg(dt=math.inf)
     with pytest.raises(ConfigError):
-        _simple_cfg(duration=math.nan).validate()
+        _simple_cfg(duration=math.nan)
 
 
 def test_input_saturation_logs_and_clips():

@@ -1,6 +1,7 @@
 """Validity-probe diagnostics beyond the headline verdicts."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -118,7 +119,7 @@ def test_matrix_has_seven_rows_with_extension():
 def test_reports_serialize(tmp_path):
     import json
     rep = validity_probe("c3bf", "bicycle", "static", samples=1500, seed=1)
-    payload = json.dumps(rep.to_dict())
+    payload = json.dumps(asdict(rep))
     assert "Valid CBF in C" in payload
 
 
