@@ -20,6 +20,13 @@ constraint violation, found exactly among the points where rows tie (no LP
 solver), with the deviation from u_ref as tie-break, and says so in the
 result status.
 
+Warm start: ``solve_multi_constraint(qp, basis)`` first tries the rows that
+pinned the previous step's answer. One or two rows: their projection is the
+minimizer if it is feasible with multipliers >= -1e-12 (KKT). Three rows:
+their tie point proves infeasibility and t* if the dual weights a_j x a_k
+(cyclic) share one sign and no row is violated more than the tie value,
+which exceeds 1e-9 (LP duality). A basis that fails goes to the cold pass.
+
 The QP carries no input bounds. A scenario's input bounds are applied by
 the closed-loop engine (``sim.run_scenario``), which clips the QP's answer
 and logs a ``saturation`` event when the clip changes it.
@@ -28,7 +35,8 @@ and logs a ``saturation`` event when the clip changes it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -70,8 +78,8 @@ class ReferenceController:
     heading_des: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.k_speed > 0 and self.k_damp > 0):
-            raise ValueError("controller gains must be positive")
+        if not (all(map(math.isfinite, astuple(self))) and self.k_speed > 0 and self.k_damp > 0):
+            raise ValueError(f"controller values must be finite and gains positive, got {self}")
 
 
 def reference_p_controller(model: str, state: np.ndarray, ctrl: ReferenceController) -> np.ndarray:
@@ -94,6 +102,12 @@ class PathTrackerGains:
     k_soft: float = 0.5
     k_speed: float = 1.0
     v_des: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not (all(map(math.isfinite, astuple(self))) and self.k_soft > 0
+                and self.k_speed > 0 and self.k_cross >= 0):
+            raise ValueError(f"path tracker values must be finite with k_soft > 0, "
+                             f"k_speed > 0 and k_cross >= 0, got {self}")
 
 
 def reference_path_tracker(state: np.ndarray, path: Sequence, geom: BicycleGeometry,
@@ -150,7 +164,7 @@ class ConstraintRow:
     def __post_init__(self) -> None:
         lg = np.asarray(self.lg_h, dtype=float)
         object.__setattr__(self, "lg_h", lg)
-        if not (np.all(np.isfinite(lg)) and math.isfinite(self.rhs)):
+        if not (math.isfinite(self.rhs) and all(map(math.isfinite, lg.ravel().tolist()))):
             raise ValueError("constraint row must be finite")
 
 
@@ -173,7 +187,9 @@ class SafetyFilterResult:
     status 'inactive' means u_safe = 0 (every psi was nonnegative),
     'corrected' means all constraints hold at u_star with at least one
     exactly tight, 'infeasible' means no input satisfied every row and
-    u_star is the least-violating fallback.
+    u_star is the least-violating fallback. ``basis`` is the active set
+    of a corrected solve, the tie triple of an infeasible one whose
+    stage-one minimizer is a triple tie point, and () otherwise.
     """
 
     u_star: np.ndarray
@@ -181,6 +197,7 @@ class SafetyFilterResult:
     psi: np.ndarray
     active_set: tuple[int, ...]
     status: str
+    basis: tuple[int, ...] = ()
 
     @property
     def u_safe(self) -> np.ndarray:
@@ -201,8 +218,17 @@ def solve_single_constraint(qp: QpProblem) -> SafetyFilterResult:
         return SafetyFilterResult(u_star=qp.u_ref.copy(), u_ref=qp.u_ref,
                                   psi=np.array([psi]), active_set=(), status="inactive")
     u_star = qp.u_ref - lg * (psi / lg_sq)
-    return SafetyFilterResult(u_star=u_star, u_ref=qp.u_ref,
-                              psi=np.array([psi]), active_set=(0,), status="corrected")
+    return SafetyFilterResult(u_star=u_star, u_ref=qp.u_ref, psi=np.array([psi]),
+                              active_set=(0,), status="corrected", basis=(0,))
+
+
+@lru_cache(maxsize=64)
+def _index_tuples(m: int, size: int) -> np.ndarray:
+    """Every increasing ``size``-tuple of indices below m, as the columns of a read-only array."""
+    idx = np.indices((m,) * size).reshape(size, -1)
+    tuples = idx[:, np.all(idx[:-1] < idx[1:], axis=0)]
+    tuples.flags.writeable = False
+    return tuples
 
 
 def _projections(a_mat: np.ndarray, b_vec: np.ndarray, u_ref: np.ndarray) -> np.ndarray:
@@ -217,7 +243,7 @@ def _projections(a_mat: np.ndarray, b_vec: np.ndarray, u_ref: np.ndarray) -> np.
     r = b_vec - a_mat @ u_ref
     lam = r / np.where(g > 0.0, g, np.nan)
     one = lam >= -1e-12
-    i, j = np.triu_indices(len(b_vec), 1)
+    i, j = _index_tuples(len(b_vec), 2)
     det = g[i] * g[j] - gram[i, j] ** 2  # Cramer's rule on the 2x2 Gram matrix
     det = np.where(det > 0.0, det, np.nan)
     lam_i = (g[j] * r[i] - gram[i, j] * r[j]) / det
@@ -234,43 +260,83 @@ def _nearest_feasible(cand: np.ndarray, a_mat: np.ndarray, b_vec: np.ndarray,
     return cand[np.argmin(np.sum((cand - u_ref) ** 2, axis=1))] if len(cand) else None
 
 
-def _least_violating(a_mat: np.ndarray, b_vec: np.ndarray, u_ref: np.ndarray) -> np.ndarray:
-    """Minimize the worst violation, then the deviation from u_ref.
+def _least_violation(a_mat: np.ndarray, b_vec: np.ndarray, u_ref: np.ndarray):
+    """Stage one of the fallback: (t*, a minimizer, its tie triple or ()).
 
-    Stage one: t* = min_u max_i (b_i - a_i u) is attained where three rows
-    tie, or where two tie if all row normals are parallel (anywhere if all
-    rows are zero), so u_ref and the pair and triple tie points (pairs: the
-    one nearest u_ref) are complete candidates. Normals parallel within
+    t* = min_u max_i (b_i - a_i u) is attained where three rows tie, or
+    where two tie if all row normals are parallel (anywhere if all rows are
+    zero), so u_ref and the pair and triple tie points (pairs: the one
+    nearest u_ref) are complete candidates. Normals parallel within
     PARALLEL_TOL count as parallel, and each worst violation carries its
-    rounding bound, so far tie points cannot undercut t*. Stage two
-    projects u_ref onto the rows relaxed by t* + 1e-9; the stage-one minimizer
-    satisfies them, so it stays a candidate in case rounding on nearly
-    parallel rows puts every projection outside them.
+    rounding bound, so far tie points cannot undercut t*.
     """
     norms = np.sqrt(np.sum(a_mat * a_mat, axis=1))
-    idx = np.indices((len(b_vec),) * 3).reshape(3, -1)
-    i, j, k = idx[:, (idx[0] < idx[1]) & (idx[1] < idx[2])]
+    i, j, k = _index_tuples(len(b_vec), 3)
     p, q = a_mat[i] - a_mat[k], a_mat[j] - a_mat[k]
     c_p, c_q = b_vec[i] - b_vec[k], b_vec[j] - b_vec[k]
     det = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
     ok = np.abs(det) > PARALLEL_TOL * (norms[i] + norms[k]) * (norms[j] + norms[k])
     triples = np.column_stack([c_p[ok] * q[ok, 1] - c_q[ok] * p[ok, 1],
                                c_q[ok] * p[ok, 0] - c_p[ok] * q[ok, 0]]) / det[ok, None]
-    i, j = np.triu_indices(len(b_vec), 1)
-    d = a_mat[i] - a_mat[j]
+    pi, pj = _index_tuples(len(b_vec), 2)
+    d = a_mat[pi] - a_mat[pj]
     dd = np.sum(d * d, axis=1)
-    shift = (b_vec[i] - b_vec[j] - d @ u_ref)[dd > 0.0] / dd[dd > 0.0]
+    shift = (b_vec[pi] - b_vec[pj] - d @ u_ref)[dd > 0.0] / dd[dd > 0.0]
     cand = np.vstack([u_ref, u_ref + shift[:, None] * d[dd > 0.0], triples])
     worst = np.max(b_vec[:, None] - a_mat @ cand.T, axis=0) + 4 * np.finfo(float).eps * np.max(
         np.abs(b_vec)[:, None] + np.abs(a_mat) @ np.abs(cand).T, axis=0)
     best = int(np.argmin(worst))
-    relaxed = b_vec - worst[best] - 1e-9
-    return _nearest_feasible(np.vstack([_projections(a_mat, relaxed, u_ref), cand[best]]),
-                             a_mat, relaxed, u_ref)
+    t = best - (len(cand) - len(triples))
+    return worst[best], cand[best], (int(i[ok][t]), int(j[ok][t]), int(k[ok][t])) if t >= 0 else ()
 
 
-def solve_multi_constraint(qp: QpProblem) -> SafetyFilterResult:
-    """Exact multi-row QP solve; least violation when the rows conflict."""
+def _tie_certificate(a_mat: np.ndarray, b_vec: np.ndarray, basis: tuple[int, ...]):
+    """Stage one from the row triple ``basis`` if LP duality certifies it, else None.
+
+    u and t solve a_l u + t = b_l on the triple, as in ``_least_violation``.
+    The weights y_i = a_j x a_k (cyclic) give sum y_l a_l = 0: of one sign,
+    they prove t <= t*.
+    """
+    (a_i, a_j, a_k), (b_i, b_j, b_k) = a_mat[list(basis)].tolist(), b_vec[list(basis)].tolist()
+    p, q = [x - z for x, z in zip(a_i, a_k)], [y - z for y, z in zip(a_j, a_k)]
+    det = p[0] * q[1] - p[1] * q[0]
+    norm_i, norm_j, norm_k = (math.sqrt(x * x + y * y) for x, y in (a_i, a_j, a_k))
+    weights = [x[0] * y[1] - x[1] * y[0] for x, y in ((a_j, a_k), (a_k, a_i), (a_i, a_j))]
+    if not (abs(det) > PARALLEL_TOL * (norm_i + norm_k) * (norm_j + norm_k)
+            and (min(weights) > 0.0 or max(weights) < 0.0)):
+        return None
+    c_p, c_q = b_i - b_k, b_j - b_k
+    u = np.array([c_p * q[1] - c_q * p[1], c_q * p[0] - c_p * q[0]]) / det
+    viol = b_vec - a_mat @ u
+    tie = np.max(viol[list(basis)])
+    if not (tie > 1e-9 and tie >= np.max(viol)):
+        return None
+    bound = 4 * np.finfo(float).eps * np.max(np.abs(b_vec) + np.abs(a_mat) @ np.abs(u))
+    return tie + bound, u, basis
+
+
+def _kkt_point(a_mat: np.ndarray, b_vec: np.ndarray, psi: np.ndarray, u_ref: np.ndarray,
+               basis: tuple[int, ...]) -> Optional[np.ndarray]:
+    """The projection of u_ref onto the one or two rows ``basis`` (the arithmetic
+    of ``_projections``) if KKT certifies it as the minimizer, else None."""
+    gram, r = a_mat @ a_mat.T, -psi  # r = b - A u_ref, bit for bit
+    i, j = basis[0], basis[-1]
+    det = gram[i, i] * gram[j, j] - gram[i, j] * gram[i, j]
+    if len(basis) == 1 and gram[i, i] > 0.0:
+        lam = [r[i] / gram[i, i]]
+    elif len(basis) == 2 and det > 0.0:
+        lam = [(gram[j, j] * r[i] - gram[i, j] * r[j]) / det,
+               (gram[i, i] * r[j] - gram[i, j] * r[i]) / det]
+    else:
+        return None
+    u = u_ref
+    for lam_l, row in zip(lam, basis):
+        u = u + lam_l * a_mat[row]
+    return u if min(lam) >= -1e-12 and np.all(a_mat @ u >= b_vec - 1e-9) else None
+
+
+def solve_multi_constraint(qp: QpProblem, basis: tuple[int, ...] = ()) -> SafetyFilterResult:
+    """Exact multi-row QP solve, warm from ``basis``; least violation when the rows conflict."""
     u_ref = qp.u_ref
     if len(qp.rows) == 1 and float(qp.rows[0].lg_h @ qp.rows[0].lg_h) > 0.0:
         return solve_single_constraint(qp)
@@ -280,9 +346,19 @@ def solve_multi_constraint(qp: QpProblem) -> SafetyFilterResult:
     if np.all(psi >= 0.0):
         return SafetyFilterResult(u_star=u_ref.copy(), u_ref=u_ref, psi=psi,
                                   active_set=(), status="inactive")
-    u = _nearest_feasible(_projections(a_mat, b_vec, u_ref), a_mat, b_vec, u_ref)
-    status = "infeasible" if u is None else "corrected"
-    if u is None:
-        u = _least_violating(a_mat, b_vec, u_ref)
+    u = _kkt_point(a_mat, b_vec, psi, u_ref, basis) if len(basis) in (1, 2) else None
+    stage_one = _tie_certificate(a_mat, b_vec, basis) if len(basis) == 3 else None
+    if u is None and stage_one is None:
+        u = _nearest_feasible(_projections(a_mat, b_vec, u_ref), a_mat, b_vec, u_ref)
+        stage_one = _least_violation(a_mat, b_vec, u_ref) if u is None else None
+    if stage_one is not None:
+        # Stage two: project u_ref onto the rows relaxed by t* + 1e-9. The
+        # stage-one minimizer satisfies them, so it stays a candidate in case
+        # rounding on nearly parallel rows puts every projection outside them.
+        relaxed = b_vec - stage_one[0] - 1e-9
+        u = _nearest_feasible(np.vstack([_projections(a_mat, relaxed, u_ref), stage_one[1]]),
+                              a_mat, relaxed, u_ref)
     active = tuple(np.flatnonzero(np.abs(a_mat @ u - b_vec) <= ACTIVE_TOL).tolist())
-    return SafetyFilterResult(u_star=u, u_ref=u_ref, psi=psi, active_set=active, status=status)
+    return SafetyFilterResult(u_star=u, u_ref=u_ref, psi=psi, active_set=active,
+                              status="corrected" if stage_one is None else "infeasible",
+                              basis=active if stage_one is None else stage_one[2])

@@ -94,7 +94,9 @@ def _str(value, context: str) -> str:
 
 
 def _bool(value, context: str) -> bool:
-    return bool(value)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{context} must be true or false, got {value!r}")
+    return value
 
 
 def _list_of(read):

@@ -139,6 +139,8 @@ class ScenarioConfig:
                                   f"got {self.input_bounds}")
         if self.path is not None and self.model != "bicycle":
             raise ConfigError("path tracking is only wired for the bicycle model")
+        if self.path is not None and len({tuple(p) for p in self.path}) < 2:
+            raise ConfigError(f"path needs two distinct waypoints, got {self.path}")
         for i, obs in enumerate(self.obstacles):
             where = f"obstacles[{i}]: obstacle"
             pairs = [("center", obs.center), ("velocity", obs.velocity),
@@ -296,6 +298,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
 
     halted = False
     last = n_rec - 1
+    pinned = np.zeros(0, dtype=int)  # obstacles whose rows pinned the last QP answer
 
     for k in range(n_rec):
         tk = t[k]
@@ -320,8 +323,12 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
                 body_offset=cfg.body_offset, rear_axle=cfg.wheelbase_rear, kappa1=kappa1)
         h_log[k] = np.where(skip, np.nan, h)
         row = in_range & ~skip & (not shadow_only)
+        row_obstacle = row.nonzero()[0]
         rows = tuple(map(ConstraintRow, lg[row], (-lf[row] - cfg.kappa(h[row])).tolist()))
-        result = solve_multi_constraint(QpProblem(u_ref=u_ref, rows=rows))
+        # The previous step's basis, as rows of this step, if all its obstacles kept a row.
+        hint = tuple(np.searchsorted(row_obstacle, pinned).tolist()) if row[pinned].all() else ()
+        result = solve_multi_constraint(QpProblem(u_ref=u_ref, rows=rows), hint)
+        pinned = row_obstacle[list(result.basis)]
         infeasible_log[k] = result.status == "infeasible"
 
         u_star = result.u_star
@@ -330,7 +337,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
             saturated_log[k] = not np.array_equal(clipped, u_star)
             u_star = clipped
 
-        row_obstacle = row.nonzero()[0]
         psi_log[k, row_obstacle] = result.psi
         qp_active_log[k, row_obstacle[list(result.active_set)]] = True
         constrained_log[k] = row

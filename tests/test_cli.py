@@ -1,6 +1,7 @@
 """Command-line contract: emissions, exit codes, CSV round trip."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -56,21 +57,33 @@ def test_run_negative_control_exit_one(tmp_path, braking_yaml):
     assert any(e["kind"] == "collision" for e in events)
 
 
-def _braking_tree(edit):
-    tree = scenario_to_dict(load_packaged("braking_unicycle"))
+def _packaged_tree(edit, name="braking_unicycle"):
+    tree = scenario_to_dict(load_packaged(name))
     edit(tree)
     return yaml.safe_dump(tree)
 
 
 @pytest.mark.parametrize("text", [
     pytest.param("name: x\nmodel: unicycle\n", id="missing-keys"),
-    pytest.param(_braking_tree(lambda t: t.update(input_bounds=[1, 2])), id="bounds-list"),
-    pytest.param(_braking_tree(lambda t: t["initial_state"].__setitem__(2, "north")),
+    pytest.param(_packaged_tree(lambda t: t.update(input_bounds=[1, 2])), id="bounds-list"),
+    pytest.param(_packaged_tree(lambda t: t["initial_state"].__setitem__(2, "north")),
                  id="state-text"),
-    pytest.param(_braking_tree(lambda t: t["obstacles"][0].update(semi_axes=[1.0])),
+    pytest.param(_packaged_tree(lambda t: t["obstacles"][0].update(semi_axes=[1.0])),
                  id="one-semi-axis"),
-    pytest.param(_braking_tree(lambda t: t.update(controller={"k_speed": -1})),
+    pytest.param(_packaged_tree(lambda t: t.update(controller={"k_speed": -1})),
                  id="negative-gain"),
+    pytest.param(_packaged_tree(lambda t: t["controller"].update(v_des=math.inf)),
+                 id="infinite-speed"),
+    pytest.param(_packaged_tree(lambda t: t.update(halt_on_collision="false")),
+                 id="quoted-bool"),
+    pytest.param(_packaged_tree(lambda t: t.update(path=[[0.0, 0.0]]), "weave_bicycle"),
+                 id="one-waypoint"),
+    pytest.param(_packaged_tree(lambda t: t.update(path=[[1.0, 2.0], [1.0, 2.0]]),
+                                "weave_bicycle"), id="repeated-waypoint"),
+    pytest.param(_packaged_tree(lambda t: t["path_gains"].update(k_soft=0.0), "weave_bicycle"),
+                 id="zero-k-soft"),
+    pytest.param(_packaged_tree(lambda t: t["path_gains"].update(k_cross=math.inf),
+                                "weave_bicycle"), id="infinite-gain"),
 ])
 def test_run_malformed_config_exit_two_no_partial_outputs(tmp_path, capsys, text):
     bad = tmp_path / "bad.yaml"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conebarrier import safety_filter, sim
 from conebarrier.barriers import EPS_V, ClassK
 from conebarrier.models import BicycleGeometry
 from conebarrier.safety_filter import (
@@ -94,6 +95,18 @@ def test_path_tracker_converges_from_offset():
         u = reference_path_tracker(x, path, geom, gains)
         x = integrate_step(dyn, x, u, dt)
     assert abs(x[1]) < 0.05
+
+
+@pytest.mark.parametrize("where", ["lg_h[0]", "lg_h[1]", "rhs"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_constraint_row_rejects_non_finite(where, bad):
+    lg, rhs = [0.5, -1.0], 0.3
+    if where == "rhs":
+        rhs = bad
+    else:
+        lg[int(where[-2])] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ConstraintRow(np.array(lg), rhs)
 
 
 def test_single_constraint_inactive_branch():
@@ -258,7 +271,7 @@ def test_multi_degenerate_zero_row_infeasible_not_raising():
     assert res2.status == "inactive"
 
 
-def _least_violation_vs_linprog(u_ref, rows):
+def _least_violation_vs_linprog(u_ref, rows, basis=()):
     """Solve rows that conflict; check u_star's worst violation against linprog's t*.
 
     Stage two projects onto the rows relaxed by t* + 1e-9 with a 1e-9
@@ -266,7 +279,8 @@ def _least_violation_vs_linprog(u_ref, rows):
     """
     linprog = pytest.importorskip("scipy.optimize").linprog
     res = solve_multi_constraint(QpProblem(u_ref=u_ref,
-                                           rows=tuple(ConstraintRow(l, r) for l, r in rows)))
+                                           rows=tuple(ConstraintRow(l, r) for l, r in rows)),
+                                 basis)
     assert res.status == "infeasible"
     a_mat = np.array([l for l, _ in rows])
     b_vec = np.array([r for _, r in rows])
@@ -369,6 +383,93 @@ def test_least_violation_rows_parallel_up_to_rounding_stay_near():
         if res.status == "infeasible":
             _least_violation_vs_linprog(u_ref, rows)
     assert largest <= 1e3
+
+
+def _unit_rows(rng, n_rows, rhs_low):
+    """Rows of unit normals at uniform angles with rhs uniform in [rhs_low, 2)."""
+    return [(np.array([math.cos(a), math.sin(a)]), float(rng.uniform(rhs_low, 2)))
+            for a in rng.uniform(0, 2 * math.pi, n_rows)]
+
+
+def _crowd_qps(seed):
+    """The QPs, with their basis hints, of a unicycle crossing 16 moving obstacles."""
+    rng = np.random.default_rng(seed)
+    centers = np.column_stack([4.0 + 2.5 * np.arange(8).repeat(2), np.tile([-2.0, 2.0], 8)])
+    centers += rng.uniform(-0.6, 0.6, (16, 2))
+    obstacles = [ObstacleConfig(center=tuple(c), velocity=tuple(rng.uniform(-1.0, 1.0, 2)),
+                                semi_axes=(r, r))
+                 for c, r in zip(centers, rng.uniform(0.3, 0.6, 16))]
+    cfg = ScenarioConfig(name="crowd", model="unicycle", initial_state=(0.0, 0.0, 0.0, 2.0, 0.0),
+                         obstacles=tuple(obstacles), controller=ReferenceController(v_des=2.0),
+                         width=0.5, duration=3.0)
+    calls = []
+    solve = sim.solve_multi_constraint
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "solve_multi_constraint",
+                   lambda qp, basis: calls.append((qp, basis)) or solve(qp, basis))
+        run_scenario(cfg)
+    return [(qp, basis) for qp, basis in calls if len(qp.rows) >= 2]
+
+
+def test_warm_start_matches_cold_solve(monkeypatch):
+    # Unit rows as in the grid and linprog tests, then a crowd run's rows.
+    # Each QP is solved cold, then warm from the cold basis, from a random
+    # row subset (usually wrong) and, for the crowd rows, from the engine's hint.
+    rng = np.random.default_rng(16)
+    enumerations = []
+    projections = safety_filter._projections
+    monkeypatch.setattr(safety_filter, "_projections",
+                        lambda *args: enumerations.append(1) or projections(*args))
+    certified = 0
+    cases = []
+    for n in range(1500):
+        rows = _unit_rows(rng, rng.integers(2, 13), -2.0 if n % 2 else 0.0)
+        cases.append((QpProblem(u_ref=rng.uniform(-3, 3, 2),
+                                rows=tuple(ConstraintRow(l, r) for l, r in rows)), ()))
+    cases += _crowd_qps(1) + _crowd_qps(2)
+    assert len(cases) >= 2000
+    statuses = []
+    for qp, hint in cases:
+        cold = solve_multi_constraint(qp)
+        statuses.append(cold.status)
+        m = len(qp.rows)
+        guess = tuple(sorted(rng.choice(m, min(m, rng.integers(1, 4)), replace=False).tolist()))
+        for basis in {cold.basis, guess, hint}:
+            enumerations.clear()
+            warm = solve_multi_constraint(qp, basis)
+            certified += basis == cold.basis and cold.status == "corrected" and not enumerations
+            assert (warm.status, warm.active_set) == (cold.status, cold.active_set)
+            assert np.max(np.abs(warm.u_star - cold.u_star)) <= 1e-9
+            f_warm, f_cold = (float(np.sum((r.u_star - qp.u_ref) ** 2)) for r in (warm, cold))
+            assert abs(f_warm - f_cold) <= 1e-12 * max(1.0, f_cold)
+    assert set(statuses) == {"inactive", "corrected", "infeasible"}
+    assert certified >= 0.95 * statuses.count("corrected")
+
+
+def test_warm_start_triple_certificate_matches_linprog(monkeypatch):
+    # Infeasible QPs whose stage-one minimizer is a triple tie point: from
+    # that triple the certificate skips the enumeration, and the worst
+    # violation still matches linprog's t*.
+    pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(18)
+    enumerations = []
+    least_violation = safety_filter._least_violation
+    monkeypatch.setattr(safety_filter, "_least_violation",
+                        lambda *args: enumerations.append(1) or least_violation(*args))
+    tried = certified = 0
+    while tried < 300:
+        rows = _unit_rows(rng, rng.integers(3, 13), 0.0)
+        u_ref = rng.uniform(-3, 3, 2)
+        cold = solve_multi_constraint(QpProblem(u_ref=u_ref,
+                                                rows=tuple(ConstraintRow(l, r) for l, r in rows)))
+        if cold.status != "infeasible" or len(cold.basis) != 3:
+            continue
+        enumerations.clear()
+        _least_violation_vs_linprog(u_ref, rows, cold.basis)
+        tried += 1
+        certified += not enumerations
+    assert certified >= 290
+
 
 def _one_filter_step(obstacles, body_offset=0.1):
     # The per-step filter (rows from the barrier, QP, events) runs inside

@@ -162,7 +162,7 @@ def _scenarios(draw):
         "input_bounds": _input_bounds(),
     }
     if model == "bicycle":
-        optional["path"] = st.lists(_PAIR, min_size=2, max_size=4).map(tuple)
+        optional["path"] = st.lists(_PAIR, min_size=2, max_size=4, unique=True).map(tuple)
     chosen = draw(st.sets(st.sampled_from(sorted(optional))))
     return ScenarioConfig(
         name=draw(st.text(alphabet="abcxyz_019", min_size=1, max_size=12)),
