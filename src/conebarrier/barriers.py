@@ -72,13 +72,15 @@ class ClassK:
     def __post_init__(self) -> None:
         if self.kind not in ("linear", "cubic", "custom"):
             raise ValueError(f"unknown class-K kind {self.kind!r}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if self.kind == "custom":
             if self.table is None or len(self.table) < 2:
                 raise ValueError("custom class-K needs a table of at least two points")
             xs = np.array([p[0] for p in self.table], dtype=float)
             ys = np.array([p[1] for p in self.table], dtype=float)
+            if not np.isfinite([xs, ys]).all():
+                raise ValueError("custom class-K table entries must be finite")
             if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) <= 0):
                 raise ValueError("custom class-K table must be strictly increasing")
             if abs(float(np.interp(0.0, xs, ys))) > 1e-12:

@@ -121,14 +121,14 @@ class ScenarioConfig:
             )
         if not all(math.isfinite(x) for x in self.initial_state):
             raise ConfigError(f"initial state must be finite, got {self.initial_state}")
-        if not (self.wheelbase_front > 0 and self.wheelbase_rear > 0):
-            raise ConfigError(f"wheelbase distances must be positive, got front="
+        if not (0 < self.wheelbase_front < math.inf and 0 < self.wheelbase_rear < math.inf):
+            raise ConfigError(f"wheelbase distances must be positive and finite, got front="
                               f"{self.wheelbase_front}, rear={self.wheelbase_rear}")
         if not math.isfinite(self.body_offset):
             raise ConfigError(f"body_offset must be finite, got {self.body_offset}")
-        if not (self.perception_radius >= 0 and self.width >= 0):
-            raise ConfigError(f"perception_radius and width must be nonnegative, got "
-                              f"{self.perception_radius} and {self.width}")
+        if not (self.perception_radius >= 0 and 0 <= self.width < math.inf):
+            raise ConfigError(f"perception_radius must be nonnegative and width nonnegative "
+                              f"and finite, got {self.perception_radius} and {self.width}")
         if self.input_bounds is not None:
             lo, hi = self.input_bounds
             if not (len(lo) == 2 and len(hi) == 2):
@@ -139,6 +139,8 @@ class ScenarioConfig:
                                   f"got {self.input_bounds}")
         if self.path is not None and self.model != "bicycle":
             raise ConfigError("path tracking is only wired for the bicycle model")
+        if self.path is not None and not all(math.isfinite(x) for p in self.path for x in p):
+            raise ConfigError(f"path waypoints must be finite, got {self.path}")
         if self.path is not None and len({tuple(p) for p in self.path}) < 2:
             raise ConfigError(f"path needs two distinct waypoints, got {self.path}")
         for i, obs in enumerate(self.obstacles):

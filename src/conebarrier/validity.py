@@ -22,10 +22,11 @@ fixed checklist over randomized admissible configurations:
 * conservativeness witness: states safe for the ellipse (h1 > 0) that the
   second-order candidate already excludes (h2 < 0).
 
-Every barrier evaluation is an array pass through ``barrier_terms``: the
-sampled configurations and each kernel batch in one call, and the attack in
-one call per kernel state over the whole velocity grid. One call over all
-states and the grid at once would hold ~77k triples and raise peak memory.
+Every step is an array pass: the sampled configurations go through
+``barrier_terms`` in one call, and each kind of kernel state is constructed
+in one batch and verified in one call, with the cone's q and the ellipse h1
+taken from ``barriers``. The velocity attack alone stays one call per kernel
+state over the whole velocity grid.
 
 The verdict phrases the outcome the way the summary comparison table does:
 'Not a valid CBF', 'Valid CBF', 'Valid CBF, No acceleration', 'Valid CBF,
@@ -46,14 +47,10 @@ from typing import Optional
 
 import numpy as np
 
-from .barriers import ClassK, barrier_terms, combined_radius, hocbf_terms, reference_kinematics
+from .barriers import (ClassK, _cone_h, barrier_terms, combined_radius, ellipse_terms,
+                       hocbf_terms, reference_kinematics)
 # Unused here, but bench/tracing.py wraps every *_terms name in this module.
-from .barriers import (  # noqa: F401
-    c3bf_bicycle_terms,
-    c3bf_pointmass_terms,
-    c3bf_unicycle_terms,
-    ellipse_terms,
-)
+from .barriers import c3bf_bicycle_terms, c3bf_pointmass_terms, c3bf_unicycle_terms  # noqa: F401
 from .models import INPUT_NAMES, MODELS
 
 BARRIERS = ("c3bf", "ellipse", "hocbf")
@@ -103,6 +100,19 @@ def _sample_states(rng: np.random.Generator, model: str, n: int) -> np.ndarray:
     return np.column_stack([xy, vel])
 
 
+def _directions(angles: np.ndarray) -> np.ndarray:
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def _obstacle_velocities(rng: np.random.Generator, motion: str, n: int,
+                         min_speed: float = 0.1) -> np.ndarray:
+    """Zero for a static obstacle, else uniform speeds in uniform directions."""
+    if motion == "static":
+        return np.zeros((n, 2))
+    speed = rng.uniform(min_speed, OBSTACLE_SPEED_MAX, n)
+    return speed[:, None] * _directions(rng.uniform(0.0, 2.0 * math.pi, n))
+
+
 def _sample_obstacles(rng: np.random.Generator, points: np.ndarray, motion: str):
     """Obstacles placed outside the combined radius around each protected point."""
     n = points.shape[0]
@@ -110,15 +120,8 @@ def _sample_obstacles(rng: np.random.Generator, points: np.ndarray, motion: str)
     radii = combined_radius(axes, WIDTH)
     ang = rng.uniform(0.0, 2.0 * math.pi, n)
     dist = radii + rng.uniform(0.2, 12.0, n)
-    offsets = dist[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
-    centers = points + offsets
-    if motion == "static":
-        velocities = np.zeros((n, 2))
-    else:
-        speed = rng.uniform(0.1, OBSTACLE_SPEED_MAX, n)
-        vang = rng.uniform(0.0, 2.0 * math.pi, n)
-        velocities = speed[:, None] * np.column_stack([np.cos(vang), np.sin(vang)])
-    return centers, velocities, axes, radii
+    centers = points + dist[:, None] * _directions(ang)
+    return centers, _obstacle_velocities(rng, motion, n), axes, radii
 
 
 # ---------------------------------------------------------------------------
@@ -133,37 +136,37 @@ def _kernels_c3bf_bicycle(rng, motion, n):
     row vanishes only on cone-boundary headings at tangent length s equal
     to the rear-axle distance, reached while reversing.
     """
-    states, centers, velocities, radii = [], [], [], []
-    for _ in range(n):
-        r = rng.uniform(0.4, 2.0)
-        if motion == "moving":
-            dist = r + rng.uniform(0.3, 8.0)
-            ang = rng.uniform(0.0, 2.0 * math.pi)
-            p = dist * np.array([math.cos(ang), math.sin(ang)])
-            cdot = rng.uniform(0.2, OBSTACLE_SPEED_MAX) * _unit(rng.uniform(0, 2 * math.pi))
-            s = math.sqrt(dist * dist - r * r)
-            q = p + cdot * (s / np.linalg.norm(cdot))
-            theta = math.atan2(q[1], q[0]) + math.pi / 2.0
-            state = np.array([0.0, 0.0, theta, 0.0])
-        else:
-            dist = math.sqrt(r * r + REAR_AXLE**2)
-            ang = rng.uniform(0.0, 2.0 * math.pi)
-            p = dist * np.array([math.cos(ang), math.sin(ang)])
-            cdot = np.zeros(2)
-            s = REAR_AXLE
-            # Heading with <p, e(theta)> = -s, reached with v < 0.
-            phi = math.acos(max(-1.0, min(1.0, -s / dist)))
-            theta = ang + phi * rng.choice([-1.0, 1.0])
-            state = np.array([0.0, 0.0, theta, -rng.uniform(0.3, 4.0)])
-        states.append(state)
-        centers.append(p)
-        velocities.append(cdot)
-        radii.append(r)
-    return np.array(states), np.array(centers), np.array(velocities), None, np.array(radii)
+    radii = rng.uniform(0.4, 2.0, n)
+    dist = radii + rng.uniform(0.3, 8.0, n) if motion == "moving" else np.hypot(radii, REAR_AXLE)
+    ang = rng.uniform(0.0, 2.0 * math.pi, n)
+    centers = dist[:, None] * _directions(ang)
+    velocities = _obstacle_velocities(rng, motion, n, min_speed=0.2)
+    if motion == "moving":
+        # The vehicle rests at the origin, so p_rel = center and v_rel = cdot.
+        q = _cone_h(centers, velocities, radii)[3]
+        theta, v = np.arctan2(q[:, 1], q[:, 0]) + math.pi / 2.0, np.zeros(n)
+    else:
+        # Heading with <p, e(theta)> = -s, reached with v < 0.
+        theta = ang + np.arccos(-REAR_AXLE / dist) * rng.choice([-1.0, 1.0], n)
+        v = -rng.uniform(0.3, 4.0, n)
+    zeros = np.zeros(n)
+    return np.column_stack([zeros, zeros, theta, v]), centers, velocities, None, radii
 
 
-def _unit(angle: float) -> np.ndarray:
-    return np.array([math.cos(angle), math.sin(angle)])
+def _perpendicular_batch(rng, motion, n, min_scale):
+    """Offsets outside random ellipses and headings perpendicular to them.
+
+    Returns the semi-axes, the offset d of the obstacle center from the
+    vehicle (d = scale * (c1 cos a, c2 sin a), scale >= min_scale), the
+    heading perpendicular to the weighted offset d / axes^2 and the obstacle
+    velocities.
+    """
+    axes = rng.uniform(0.4, 2.0, (n, 2))
+    scale = rng.uniform(min_scale, 3.0, n)
+    d = scale[:, None] * axes * _directions(rng.uniform(0.0, 2.0 * math.pi, n))
+    weighted = d / axes**2
+    theta = np.arctan2(weighted[:, 0], -weighted[:, 1])
+    return axes, d, theta, _obstacle_velocities(rng, motion, n)
 
 
 def _kernels_weighted_perp(rng, model, motion, n, barrier: str):
@@ -175,31 +178,11 @@ def _kernels_weighted_perp(rng, model, motion, n, barrier: str):
     factor of v, so v = 0 completes the kernel. The ellipse row needs only
     v = 0 (bicycle) since its acceleration column is identically zero.
     """
-    states, centers, velocities, axes_list = [], [], [], []
-    for _ in range(n):
-        axes = rng.uniform(0.4, 2.0, 2)
-        scale = rng.uniform(1.05, 3.0)
-        ang = rng.uniform(0.0, 2.0 * math.pi)
-        # Place the vehicle outside the ellipse along a random direction.
-        d = scale * np.array([axes[0] * math.cos(ang), axes[1] * math.sin(ang)])
-        weighted = np.array([d[0] / axes[0] ** 2, d[1] / axes[1] ** 2])
-        if barrier == "hocbf":
-            theta = math.atan2(weighted[0], -weighted[1])
-        else:
-            theta = rng.uniform(-math.pi, math.pi)
-        if motion == "static":
-            cdot = np.zeros(2)
-        else:
-            cdot = rng.uniform(0.1, OBSTACLE_SPEED_MAX) * _unit(rng.uniform(0, 2 * math.pi))
-        if model == "unicycle":
-            state = np.array([-d[0], -d[1], theta, 0.0, 0.0])
-        else:
-            state = np.array([-d[0], -d[1], theta, 0.0])
-        states.append(state)
-        centers.append(np.zeros(2))
-        velocities.append(cdot)
-        axes_list.append(axes)
-    return np.array(states), np.array(centers), np.array(velocities), np.array(axes_list)
+    axes, d, theta, velocities = _perpendicular_batch(rng, motion, n, 1.05)
+    if barrier != "hocbf":
+        theta = rng.uniform(-math.pi, math.pi, n)
+    rest = np.zeros((n, 2 if model == "unicycle" else 1))
+    return np.column_stack([-d, theta, rest]), np.zeros((n, 2)), velocities, axes
 
 
 def _kernels_hocbf_nonzero_speed(rng, model, motion, n):
@@ -208,34 +191,32 @@ def _kernels_hocbf_nonzero_speed(rng, model, motion, n):
     The heading is pinned perpendicular to the weighted offset (zeroing the
     acceleration column for every v). h1 and kappa1'(h1) do not depend on
     v, so the bicycle slip column is v (c0 + c1 v): one evaluation at
-    v = +-1 gives c0 and c1, and the nonzero root is -c0 / c1, kept when
-    0.25 <= |v| <= 6.
+    v = +-1 gives c0 and c1, and the nonzero root is -c0 / c1. The 20 n
+    candidates are drawn and evaluated in one batch, and the first n roots
+    with 0.25 <= |v| <= 6 are kept.
     """
-    out_states, out_centers, out_vels, out_axes = [], [], [], []
-    attempts = 0
-    while len(out_states) < n and attempts < 20 * n:
-        attempts += 1
-        axes = rng.uniform(0.4, 2.0, 2)
-        scale = rng.uniform(1.1, 3.0)
-        ang = rng.uniform(0.0, 2.0 * math.pi)
-        d = scale * np.array([axes[0] * math.cos(ang), axes[1] * math.sin(ang)])
-        weighted = np.array([d[0] / axes[0] ** 2, d[1] / axes[1] ** 2])
-        theta = math.atan2(weighted[0], -weighted[1])
-        cdot = (np.zeros(2) if motion == "static"
-                else rng.uniform(0.1, OBSTACLE_SPEED_MAX) * _unit(rng.uniform(0, 2 * math.pi)))
-        states = np.array([[-d[0], -d[1], theta, 1.0], [-d[0], -d[1], theta, -1.0]])
-        _, _, lg = hocbf_terms(states, np.zeros(2), cdot, axes, KAPPA1, "bicycle", REAR_AXLE)
-        c0 = 0.5 * (lg[0, 1] - lg[1, 1])
-        c1 = 0.5 * (lg[0, 1] + lg[1, 1])
-        root = -c0 / c1 if c1 != 0.0 else 0.0
-        if not 0.25 <= abs(root) <= 6.0:
-            continue
-        out_states.append(np.array([-d[0], -d[1], theta, root]))
-        out_centers.append(np.zeros(2))
-        out_vels.append(cdot)
-        out_axes.append(axes)
-    return (np.array(out_states), np.array(out_centers), np.array(out_vels),
-            np.array(out_axes))
+    axes, d, theta, velocities = _perpendicular_batch(rng, motion, 20 * n, 1.1)
+    pose = np.column_stack([-d, theta])
+    states = np.stack([np.column_stack([pose, np.full(20 * n, v)]) for v in (1.0, -1.0)])
+    lg = hocbf_terms(states, np.zeros(2), velocities, axes, KAPPA1, "bicycle", REAR_AXLE)[2]
+    c0 = 0.5 * (lg[0, :, 1] - lg[1, :, 1])
+    c1 = 0.5 * (lg[0, :, 1] + lg[1, :, 1])
+    # c1 == 0 gives an infinite or NaN root, which the range test rejects.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        root = -c0 / c1
+    keep = np.flatnonzero((np.abs(root) >= 0.25) & (np.abs(root) <= 6.0))[:n]
+    return (np.column_stack([pose[keep], root[keep]]), np.zeros((keep.size, 2)),
+            velocities[keep], axes[keep])
+
+
+def _witness(psi, h, state, center, velocity, axes=None) -> dict:
+    """JSON-ready record of a state where hdot + kappa(h) < 0 and no input can help."""
+    out = {"psi": float(psi), "h": float(h), "state": [float(x) for x in state],
+           "center": [float(x) for x in center],
+           "obstacle_velocity": [float(x) for x in velocity]}
+    if axes is not None:
+        out["axes"] = [float(x) for x in axes]
+    return out
 
 
 def _attack_obstacle_velocity(barrier, model, kernel_batch):
@@ -244,12 +225,13 @@ def _attack_obstacle_velocity(barrier, model, kernel_batch):
     Each state is evaluated once against a 24-direction by 16-magnitude grid.
     Keeps only velocities that leave the row in the kernel and the state in
     the safe set, and reports the most negative psi = L_f h + kappa(h): the
-    first such grid velocity of the first state that attains it.
+    first such grid velocity of the first state that attains it. The loop
+    makes one call per state: one call over all 200 states and the grid at
+    once would hold ~77k triples and raise peak memory.
     """
     states, centers, _, axes = kernel_batch
-    angles = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
-    directions = np.column_stack([np.cos(angles), np.sin(angles)])
     magnitudes = np.concatenate([np.linspace(0.05, 1.0, 8), np.linspace(1.5, OBSTACLE_SPEED_MAX, 8)])
+    directions = _directions(np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False))
     grid = (magnitudes[None, :, None] * directions[:, None, :]).reshape(-1, 2)
     worst = None
     for i in range(min(states.shape[0], 200)):
@@ -259,14 +241,7 @@ def _attack_obstacle_velocity(barrier, model, kernel_batch):
         psi = np.where(kept, lf + KAPPA(h), np.inf)
         j = int(np.argmin(psi))
         if psi[j] < -PSI_TOL and (worst is None or psi[j] < worst["psi"]):
-            worst = {
-                "psi": float(psi[j]),
-                "h": float(h[j]),
-                "state": [float(x) for x in states[i]],
-                "center": [float(x) for x in centers[i]],
-                "obstacle_velocity": [float(x) for x in grid[j]],
-                "axes": [float(x) for x in axes[i]],
-            }
+            worst = _witness(psi[j], h[j], states[i], centers[i], grid[j], axes[i])
     return worst
 
 
@@ -331,36 +306,24 @@ def validity_probe(barrier: str, model: str, motion: str = "moving",
     kernel_count = 0
     kernel_psi_safe: Optional[float] = None
     kernel_psi_unsafe: Optional[float] = None
-    conservative = False
+    # States safe for the ellipse (h1 > 0) but excluded by the second-order candidate.
+    conservative = barrier == "hocbf" and bool(np.any(
+        (ellipse_terms(states, centers, velocities, axes, model)[0] > 0.0) & (h < 0.0)))
+    if conservative:
+        checks.append("states safe for the ellipse but already excluded by the "
+                      "second-order candidate exist (conservative set)")
 
+    # Kernel construction + verification / attack, per barrier.
+    n_kernel = min(max(200, samples // 20), 2000)
     if no_input:
         # Any approaching configuration certifies failure: no input can help.
         psi0 = lf + np.asarray(KAPPA(h))
         bad = np.argmin(psi0)
         checks.append("row is identically zero; constraint cannot recruit any input")
         if float(psi0[bad]) < 0.0:
-            attack_witness = {
-                "psi": float(psi0[bad]),
-                "h": float(h[bad]),
-                "state": [float(x) for x in np.atleast_2d(states)[bad]],
-                "center": [float(x) for x in centers[bad]],
-                "obstacle_velocity": [float(x) for x in velocities[bad]],
-            }
-        verdict = "Not a valid CBF"
-        return ValidityReport(barrier, model, motion, int(states.shape[0]),
-                              float(np.min(norms)), float(np.max(norms)),
-                              channel_max, inactive, 0, None, None,
-                              attack_witness, False, verdict, tuple(checks))
-
-    if barrier == "hocbf":
-        conservative = bool(np.any((_ellipse_h1(states, centers, axes) > 0.0) & (h < 0.0)))
-        if conservative:
-            checks.append("states safe for the ellipse but already excluded by the "
-                          "second-order candidate exist (conservative set)")
-
-    # Kernel construction + verification / attack, per barrier.
-    n_kernel = min(max(200, samples // 20), 2000)
-    if barrier == "c3bf":
+            attack_witness = _witness(psi0[bad], h[bad], states[bad], centers[bad],
+                                      velocities[bad])
+    elif barrier == "c3bf":
         if model in ("unicycle", "pointmass"):
             checks.append("row norm bounded away from zero on all samples; "
                           "no kernel construction exists (q cannot vanish)")
@@ -397,7 +360,7 @@ def validity_probe(barrier: str, model: str, motion: str = "moving",
             checks.append("moving obstacle: steering column is structurally zero; "
                           "guarantee survives only on a shrunken set (see witness)")
 
-    if attack_witness is not None:
+    if no_input or attack_witness is not None:
         verdict = "Not a valid CBF"
     elif barrier == "c3bf":
         verdict = "Valid CBF in D" if kernel_count == 0 else "Valid CBF in C"
@@ -416,12 +379,6 @@ def validity_probe(barrier: str, model: str, motion: str = "moving",
                           channel_max, inactive, kernel_count,
                           kernel_psi_safe, kernel_psi_unsafe,
                           attack_witness, conservative, verdict, tuple(checks))
-
-
-def _ellipse_h1(states, centers, axes) -> np.ndarray:
-    dx = centers[..., 0] - states[..., 0]
-    dy = centers[..., 1] - states[..., 1]
-    return dx**2 / axes[..., 0] ** 2 + dy**2 / axes[..., 1] ** 2 - 1.0
 
 
 TABLE_ROWS = (

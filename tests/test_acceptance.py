@@ -352,6 +352,16 @@ def test_criterion_6_validity_matrix():
             "all six rows match; point-mass extension row valid in D")
 
 
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_criterion_6_validity_matrix_across_seeds(seed):
+    rows = verdict_matrix(samples=1000, seed=seed)
+    got = {(r["barrier"], r["model"]): (r["static"], r["moving"])
+           for r in rows if not r["extension"]}
+    assert got == EXPECTED_MATRIX
+    ext = [(r["static"], r["moving"]) for r in rows if r["extension"]]
+    assert ext == [("Valid CBF in D", "Valid CBF in D")]
+
+
 # --------------------------------------------------------------------------
 # Criterion 7: the eight canonical scenarios run collision-free with the
 # exact labels; the unfiltered braking setup collides; < 30 s total.

@@ -84,6 +84,22 @@ def _packaged_tree(edit, name="braking_unicycle"):
                  id="zero-k-soft"),
     pytest.param(_packaged_tree(lambda t: t["path_gains"].update(k_cross=math.inf),
                                 "weave_bicycle"), id="infinite-gain"),
+    pytest.param(_packaged_tree(lambda t: t["kappa"].update(gamma=math.inf)),
+                 id="infinite-kappa-gamma"),
+    pytest.param(_packaged_tree(lambda t: t.update(
+        barrier="hocbf", kappa1={"kind": "linear", "gamma": math.inf}), "braking_bicycle"),
+                 id="infinite-kappa1-gamma"),
+    pytest.param(_packaged_tree(lambda t: t.update(kappa={
+        "kind": "custom", "table": [[-1.0, -1.0], [0.0, 0.0], [1.0, math.inf]]})),
+                 id="infinite-table-entry"),
+    pytest.param(_packaged_tree(lambda t: t.update(width=math.inf), "weave_bicycle"),
+                 id="infinite-width"),
+    pytest.param(_packaged_tree(lambda t: t.update(wheelbase_rear=math.inf), "weave_bicycle"),
+                 id="infinite-rear-wheelbase"),
+    pytest.param(_packaged_tree(lambda t: t.update(wheelbase_front=math.inf), "weave_bicycle"),
+                 id="infinite-front-wheelbase"),
+    pytest.param(_packaged_tree(lambda t: t["path"][1].__setitem__(0, math.inf),
+                                "weave_bicycle"), id="infinite-waypoint"),
 ])
 def test_run_malformed_config_exit_two_no_partial_outputs(tmp_path, capsys, text):
     bad = tmp_path / "bad.yaml"
@@ -93,6 +109,17 @@ def test_run_malformed_config_exit_two_no_partial_outputs(tmp_path, capsys, text
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_infinite_perception_radius_and_open_bound_side_exit_zero(tmp_path):
+    # Unlike the infinite values above, these two mean "no limit" and run.
+    bad = tmp_path / "open.yaml"
+    bad.write_text(_packaged_tree(lambda t: t.update(
+        perception_radius=math.inf,
+        input_bounds={"lower": [-math.inf, -2.0], "upper": [3.0, 2.0]})))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(bad), "--out", str(out)]) == 0
+    assert json.loads((out / "braking_unicycle_summary.json").read_text())["collision_free"]
 
 
 def test_run_builds_each_summary_once(tmp_path, braking_yaml, monkeypatch):

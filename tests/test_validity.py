@@ -15,6 +15,7 @@ from conebarrier.validity import (
     PSI_TOL,
     REAR_AXLE,
     _attack_obstacle_velocity,
+    _kernels_c3bf_bicycle,
     _kernels_hocbf_nonzero_speed,
     _kernels_weighted_perp,
     validity_probe,
@@ -147,11 +148,31 @@ def test_hocbf_bicycle_slip_column_is_quadratic_in_speed():
                                        rtol=1e-9, atol=1e-9 * np.max(np.abs(lg)))
 
 
+def _c3bf_kernels(rng, model, motion):
+    return _kernels_c3bf_bicycle(rng, motion, 300)
+
+
+def _perp_kernels(barrier):
+    return lambda rng, model, motion: _kernels_weighted_perp(rng, model, motion, 300, barrier)
+
+
+def _nonzero_speed_kernels(rng, model, motion):
+    return _kernels_hocbf_nonzero_speed(rng, model, motion, 100)
+
+
 @pytest.mark.parametrize("motion", ["static", "moving"])
-def test_hocbf_nonzero_speed_kernels_are_kernels(motion):
-    states, centers, vels, axes = _kernels_hocbf_nonzero_speed(
-        np.random.default_rng(29), "bicycle", motion, 100)
+@pytest.mark.parametrize("barrier, model, construct", [
+    pytest.param("c3bf", "bicycle", _c3bf_kernels, id="c3bf-bicycle"),
+    pytest.param("ellipse", "bicycle", _perp_kernels("ellipse"), id="ellipse-bicycle-perp"),
+    pytest.param("hocbf", "bicycle", _perp_kernels("hocbf"), id="hocbf-bicycle-perp"),
+    pytest.param("hocbf", "unicycle", _perp_kernels("hocbf"), id="hocbf-unicycle-perp"),
+    pytest.param("hocbf", "bicycle", _nonzero_speed_kernels, id="hocbf-bicycle-nonzero-speed"),
+])
+def test_constructed_kernel_states_are_kernels(barrier, model, construct, motion):
+    states, centers, vels, axes, *radius = construct(np.random.default_rng(29), model, motion)
     assert states.shape[0] > 20
-    assert np.all((np.abs(states[:, 3]) >= 0.25) & (np.abs(states[:, 3]) <= 6.0))
-    _, _, lg = hocbf_terms(states, centers, vels, axes, KAPPA1, "bicycle", REAR_AXLE)
+    if construct is _nonzero_speed_kernels:
+        assert np.all((np.abs(states[:, 3]) >= 0.25) & (np.abs(states[:, 3]) <= 6.0))
+    _, _, lg = barrier_terms(barrier, model, states, centers, vels, axes,
+                             radius[0] if radius else None, rear_axle=REAR_AXLE, kappa1=KAPPA1)
     assert np.max(np.linalg.norm(lg, axis=-1)) <= 1e-9
