@@ -6,8 +6,9 @@ minimal correction that keeps the cone constraint satisfied is the exact
 closed-form solution of a quadratic program over the two inputs.
 
 Layout: ``models`` holds the acceleration-controlled vehicle families as
-control-affine dynamics on raw arrays, the RK4 integrator and the model /
-state / input name tables; ``barriers`` the cone barrier and the classical
+control-affine dynamics (the drift / actuation arrays and the closed-form
+field on floats), the RK4 integrator on floats and the model / state /
+input name tables; ``barriers`` the cone barrier and the classical
 ellipse / second-order candidates as broadcasting array cores, with the one
 protected-point kinematics, the one combined radius and the one (barrier,
 model) dispatch (these cores are the only barrier API); ``validity`` the

@@ -45,7 +45,8 @@ EPS_V = 1e-6
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,...i->...", a, b)
+    """Inner product over the last axis of (..., 2) arrays."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
 def _broadcast(*arrays) -> list[np.ndarray]:
@@ -164,17 +165,19 @@ def _kinematics(model: str, state: np.ndarray, body_offset: float = 0.0):
 
 
 def _cone_h(p_rel: np.ndarray, v_rel: np.ndarray, radius) -> tuple:
-    """Shared cone quantities: (h, s, v_norm, q) with s the tangent length.
+    """Shared cone quantities: (h, s, v_norm, q, pv) with s the tangent length.
 
     q = p_rel + v_rel * s / ||v_rel|| is the vector every Lie derivative of
-    the cone barrier contracts against.
+    the cone barrier contracts against, and pv = <p_rel, v_rel> is returned
+    for the cores' L_f h.
     """
     radius = np.asarray(radius, dtype=float)
     s = np.sqrt(_dot(p_rel, p_rel) - radius**2)
     v_norm = np.sqrt(_dot(v_rel, v_rel))
-    h = _dot(p_rel, v_rel) + v_norm * s
+    pv = _dot(p_rel, v_rel)
+    h = pv + v_norm * s
     q = p_rel + v_rel * (s / v_norm)[..., None]
-    return h, s, v_norm, q
+    return h, s, v_norm, q, pv
 
 
 def c3bf_unicycle_terms(state, center, velocity, radius, body_offset):
@@ -190,14 +193,14 @@ def c3bf_unicycle_terms(state, center, velocity, radius, body_offset):
     v_rel = np.asarray(velocity, dtype=float) - point_velocity
     v, omega = state[..., 3], state[..., 4]
     ct, st = heading[..., 0], heading[..., 1]
-    h, s, v_norm, q = _cone_h(p_rel, v_rel, radius)
+    h, s, v_norm, q, pv = _cone_h(p_rel, v_rel, radius)
     # Drift part of d/dt v_rel: rotation of the body-fixed lever and heading.
     drift_acc = np.stack(
         [v * omega * st + body_offset * omega**2 * ct,
          -v * omega * ct + body_offset * omega**2 * st],
         axis=-1,
     )
-    lf = v_norm**2 + _dot(q, drift_acc) + _dot(p_rel, v_rel) * v_norm / s
+    lf = v_norm**2 + _dot(q, drift_acc) + pv * v_norm / s
     lg_a = -(q[..., 0] * ct + q[..., 1] * st)
     lg_alpha = body_offset * (q[..., 0] * st - q[..., 1] * ct)
     return h, lf, np.stack([lg_a, lg_alpha], axis=-1)
@@ -217,8 +220,8 @@ def c3bf_bicycle_terms(state, center, velocity, radius, rear_axle):
     v_rel = np.asarray(velocity, dtype=float) - point_velocity
     v = state[..., 3]
     ct, st = heading[..., 0], heading[..., 1]
-    h, s, v_norm, q = _cone_h(p_rel, v_rel, radius)
-    lf = v_norm**2 + _dot(p_rel, v_rel) * v_norm / s
+    h, s, v_norm, q, pv = _cone_h(p_rel, v_rel, radius)
+    lf = v_norm**2 + pv * v_norm / s
     w_vec = np.stack([v * st, -v * ct], axis=-1)
     lg_a = -(q[..., 0] * ct + q[..., 1] * st)
     lg_beta = (
@@ -234,8 +237,8 @@ def c3bf_pointmass_terms(state, center, velocity, radius):
     point, point_velocity = reference_kinematics("pointmass", state)
     p_rel = np.asarray(center, dtype=float) - point
     v_rel = np.asarray(velocity, dtype=float) - point_velocity
-    h, s, v_norm, q = _cone_h(p_rel, v_rel, radius)
-    lf = v_norm**2 + _dot(p_rel, v_rel) * v_norm / s
+    h, s, v_norm, q, pv = _cone_h(p_rel, v_rel, radius)
+    lf = v_norm**2 + pv * v_norm / s
     return h, lf, -q
 
 

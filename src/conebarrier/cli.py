@@ -5,12 +5,16 @@ Subcommands:
 * ``conebarrier run``      — simulate scenario configs (default: the packaged
   suite) and emit per-scenario trace CSVs, event and summary JSON, and
   plot-ready JSON. Exit 0 only when no run records a collision; 1 when one
-  does; 2 on configuration errors (no partial outputs are written).
+  does; 2 on configuration errors (no partial outputs are written) and on a
+  run that blows up (a non-finite separation, filtered input or state),
+  which is reported on one stderr line; the files already written for
+  earlier scenarios of the batch stay.
 * ``conebarrier validity`` — print the barrier/model verdict matrix from the
   sampling probes, optionally writing it as JSON.
 * ``conebarrier audit``    — run the suite plus the invariance, recovery,
   slip-angle and QP-against-grid checks and report machine-readable
-  pass/fail lines; nonzero exit on any failure.
+  pass/fail lines; nonzero exit on any failure, 2 on configuration errors
+  and blown-up runs as for ``run``.
 
 The output directory resolves from --out, then the CONEBARRIER_OUT
 environment variable, then ./runs. Trace CSVs use '.' decimals, LF line
@@ -212,7 +216,11 @@ def cmd_run(args) -> int:
 
     any_collision = False
     for cfg in configs:
-        summary = _emit(run_scenario(cfg), out_dir, emit)
+        try:
+            summary = _emit(run_scenario(cfg), out_dir, emit)
+        except ArithmeticError as exc:
+            print(f"run error: {exc}", file=sys.stderr)
+            return 2
         collided = not summary["collision_free"]
         any_collision = any_collision or collided
         min_h = math.nan if summary["min_h"] is None else summary["min_h"]  # JSON null
@@ -398,6 +406,9 @@ def cmd_audit(args) -> int:
         checks = _audit_checks(args)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"run error: {exc}", file=sys.stderr)
         return 2
     for c in checks:
         print(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {c['detail']}")

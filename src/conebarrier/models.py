@@ -13,17 +13,21 @@ train actually receives:
       xdot = (v cos th - v beta sin th, v sin th + v beta cos th,
               (v / l_r) beta, a)
   The exact (non-affine) variant with sin/cos of beta is kept as
-  ``bicycle_dynamics_exact`` (on raw state and input arrays) so closed-loop
-  runs can be re-checked against it; the affine small-beta form is what the
-  filter and simulator use.
+  ``bicycle_dynamics_exact`` (a field on floats, like the models') so
+  closed-loop runs can be re-checked against it; the affine small-beta form
+  is what the filter and simulator use.
 
 * planar point mass
       state (px, py, vx, vy), input (ax, ay)
 
-Every model is an :class:`AffineDynamics` object (drift ``f`` plus
-actuation ``g``) over raw state and input arrays, called as ``dyn(x, u)`` by
-the integrator and the simulator. Headings are never wrapped; all formulas
-go through sin/cos, and unwrapped angles keep logged traces smooth.
+Every model is an :class:`AffineDynamics` object. ``drift`` (f) and
+``actuation`` (g) are its affine decomposition on raw state arrays, the
+reference the tests check against; calling it as ``dyn(x, u)`` evaluates the
+closed-form field on Python floats with ``math.cos``/``math.sin``, by the
+arithmetic of ``drift(x) + actuation(x) @ u``, so that ``integrate_step`` runs
+its four stages without per-call NumPy dispatch on 4- and 5-element arrays.
+Headings are never wrapped; all formulas go through sin/cos, and unwrapped
+angles keep logged traces smooth.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -61,7 +65,7 @@ class BicycleGeometry:
 
 
 class AffineDynamics(abc.ABC):
-    """Control-affine system xdot = f(x) + g(x) u on raw state arrays."""
+    """Control-affine system xdot = f(x) + g(x) u on raw states."""
 
     state_dim: int
     input_dim: int
@@ -74,8 +78,10 @@ class AffineDynamics(abc.ABC):
     def actuation(self, x: np.ndarray) -> np.ndarray:
         """Actuation matrix g(x), shape (state_dim, input_dim)."""
 
-    def __call__(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return self.drift(x) + self.actuation(x) @ np.asarray(u, dtype=float)
+    @abc.abstractmethod
+    def __call__(self, x: Sequence[float], u: Sequence[float]) -> tuple[float, ...]:
+        """Closed-form field f(x) + g(x) u as floats, by the arithmetic of
+        ``drift(x) + actuation(x) @ u``."""
 
 
 class UnicycleDynamics(AffineDynamics):
@@ -93,6 +99,10 @@ class UnicycleDynamics(AffineDynamics):
         g[3, 0] = 1.0
         g[4, 1] = 1.0
         return g
+
+    def __call__(self, x, u):
+        _, _, theta, v, omega = x
+        return (v * math.cos(theta), v * math.sin(theta), omega, u[0], u[1])
 
 
 class BicycleDynamics(AffineDynamics):
@@ -117,6 +127,12 @@ class BicycleDynamics(AffineDynamics):
             [1.0, 0.0],
         ])
 
+    def __call__(self, x, u):
+        _, _, theta, v = x
+        beta = u[1]
+        vc, vs = v * math.cos(theta), v * math.sin(theta)
+        return (vc - vs * beta, vs + vc * beta, (v / self.geometry.l_r) * beta, u[0])
+
 
 class PointMassDynamics(AffineDynamics):
     """Planar double integrator in block form."""
@@ -133,22 +149,27 @@ class PointMassDynamics(AffineDynamics):
         g[3, 1] = 1.0
         return g
 
+    def __call__(self, x, u):
+        return (x[2], x[3], u[0], u[1])
 
-def bicycle_dynamics_exact(x: np.ndarray, u: np.ndarray, geom: BicycleGeometry) -> np.ndarray:
+
+def bicycle_dynamics_exact(x: Sequence[float], u: Sequence[float],
+                           geom: BicycleGeometry) -> tuple[float, ...]:
     """State derivative of the exact bicycle model (no small-angle approximation).
 
-    Takes one raw state (x_p, y_p, theta, v) and input (a, beta). Not affine
-    in the input; used only to audit how far the small-beta model drifts
-    from the exact kinematics under a recorded input sequence.
+    Takes one raw state (x_p, y_p, theta, v) and input (a, beta) and returns
+    the field as floats, like the models' ``__call__``. Not affine in the
+    input; used only to audit how far the small-beta model drifts from the
+    exact kinematics under a recorded input sequence.
     """
     theta, v = x[2], x[3]
     a, beta = u[0], u[1]
-    return np.array([
+    return (
         v * math.cos(theta + beta),
         v * math.sin(theta + beta),
         (v / geom.l_r) * math.sin(beta),
         a,
-    ])
+    )
 
 
 def slip_from_steering(delta: float, geom: BicycleGeometry) -> float:
@@ -164,26 +185,46 @@ def slip_from_steering(delta: float, geom: BicycleGeometry) -> float:
 
 
 def integrate_step(
-    dynamics: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    dynamics: Callable[[Sequence[float], Sequence[float]], Sequence[float]],
     state: np.ndarray,
     u: np.ndarray,
     dt: float,
 ) -> np.ndarray:
     """One classical RK4 step with the input held constant over the step.
 
-    ``dynamics`` is any callable (x, u) -> xdot; AffineDynamics instances
-    qualify. Raises ArithmeticError when the update is non-finite, which
+    ``dynamics`` is any callable (x, u) -> xdot on sequences of floats;
+    AffineDynamics instances and ``bicycle_dynamics_exact`` qualify. The four
+    stages run on Python floats, in the operation order of the array form
+    x + (dt/6) (k1 + 2 k2 + 2 k3 + k4), and one float64 array is returned.
+    Raises ArithmeticError when a stage or the update is non-finite, which
     signals integration blow-up rather than silently propagating NaNs.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    x = np.asarray(state, dtype=float)
-    u = np.asarray(u, dtype=float)
-    k1 = dynamics(x, u)
-    k2 = dynamics(x + 0.5 * dt * k1, u)
-    k3 = dynamics(x + 0.5 * dt * k2, u)
-    k4 = dynamics(x + dt * k3, u)
-    out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
+    x = np.asarray(state, dtype=float).tolist()
+    u = np.asarray(u, dtype=float).tolist()
+    half = 0.5 * dt
+    k1 = _field(dynamics, x, u)
+    k2 = _field(dynamics, [xi + half * ki for xi, ki in zip(x, k1)], u)
+    k3 = _field(dynamics, [xi + half * ki for xi, ki in zip(x, k2)], u)
+    k4 = _field(dynamics, [xi + dt * ki for xi, ki in zip(x, k3)], u)
+    sixth = dt / 6.0
+    out = [xi + sixth * (a + 2.0 * b + 2.0 * c + d)
+           for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, out)):
         raise ArithmeticError("integration blow-up: non-finite state after RK4 step")
-    return out
+    return np.array(out)
+
+
+def _field(dynamics, x: list, u: list):
+    """dynamics(x, u) at one RK4 stage; an infinite stage is a blow-up.
+
+    ``math.cos``/``math.sin`` reject infinite arguments with ValueError; a
+    ValueError from a finite stage is the caller's and propagates.
+    """
+    try:
+        return dynamics(x, u)
+    except ValueError:
+        if all(map(math.isfinite, x)):
+            raise
+        raise ArithmeticError("integration blow-up: non-finite RK4 stage") from None

@@ -64,6 +64,11 @@ from .safety_filter import (
 )
 
 BARRIER_KINDS = ("c3bf", "ellipse", "hocbf", "none")
+MAX_STEPS = 1_000_000
+"""Most steps round(duration / dt) a scenario may ask for: 500 times the
+longest packaged run (2,000 steps). The engine preallocates its logs, about
+140 bytes per step with one obstacle, so a tiny dt must fail when the
+config is built rather than in the allocation or hours into the run."""
 
 
 class ConfigError(ValueError):
@@ -114,6 +119,10 @@ class ScenarioConfig:
         if not (math.isfinite(self.duration) and self.duration >= self.dt):
             raise ConfigError(f"duration must be finite and cover at least one step, "
                               f"got {self.duration}")
+        steps = self.duration / self.dt
+        if math.isinf(steps) or round(steps) > MAX_STEPS:
+            raise ConfigError(f"duration / dt asks for {steps:.3g} steps, more than "
+                              f"MAX_STEPS = {MAX_STEPS}")
         expected = len(STATE_NAMES[self.model])
         if len(self.initial_state) != expected:
             raise ConfigError(
@@ -257,7 +266,12 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
-    """Simulate one scenario deterministically and return its trace."""
+    """Simulate one scenario deterministically and return its trace.
+
+    Raises ArithmeticError, naming the scenario and the time, when a step
+    overflows or makes a NaN (separation, barrier rows, filtered input) or
+    the integrated state is non-finite: a blown-up run has no trace.
+    """
     n_steps = int(round(cfg.duration / cfg.dt))
     n_rec = n_steps + 1
     n_obs = len(cfg.obstacles)
@@ -302,63 +316,71 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
     last = n_rec - 1
     pinned = np.zeros(0, dtype=int)  # obstacles whose rows pinned the last QP answer
 
-    for k in range(n_rec):
-        tk = t[k]
-        for i in range(n_obs):
-            while schedules[i] and tk >= schedules[i][0][0] - 1e-12:
-                _, new_v = schedules[i].pop(0)
-                velocities[i] = np.asarray(new_v, dtype=float)
+    k = 0
+    try:
+        # Overflow or an invalid operation outside the masked barrier call means
+        # the run has blown up; it raises FloatingPointError, an ArithmeticError.
+        with np.errstate(over="raise", invalid="raise"):
+            for k in range(n_rec):
+                tk = t[k]
+                for i in range(n_obs):
+                    while schedules[i] and tk >= schedules[i][0][0] - 1e-12:
+                        _, new_v = schedules[i].pop(0)
+                        velocities[i] = np.asarray(new_v, dtype=float)
 
-        ref_pt, ref_vel = B.reference_kinematics(cfg.model, state, cfg.body_offset)
-        sep = _row_norms(centers - ref_pt)
-        in_range = sep <= cfg.perception_radius
-        colliding = sep <= radii
-        slow = _row_norms(velocities - ref_vel) <= B.EPS_V
-        degenerate_log[k] = ~colliding & slow & cone_domain
-        skip = (colliding | slow) & cone_domain
+                ref_pt, ref_vel = B.reference_kinematics(cfg.model, state, cfg.body_offset)
+                sep = _row_norms(centers - ref_pt)
+                in_range = sep <= cfg.perception_radius
+                colliding = sep <= radii
+                slow = _row_norms(velocities - ref_vel) <= B.EPS_V
+                degenerate_log[k] = ~colliding & slow & cone_domain
+                skip = (colliding | slow) & cone_domain
 
-        u_ref = controller(state)
-        # Obstacles outside the cone domain come out NaN or infinite; skip masks them.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h, lf, lg = B.barrier_terms(
-                barrier, cfg.model, state, centers, velocities, axes, radii,
-                body_offset=cfg.body_offset, rear_axle=cfg.wheelbase_rear, kappa1=kappa1)
-        h_log[k] = np.where(skip, np.nan, h)
-        row = in_range & ~skip & (not shadow_only)
-        row_obstacle = row.nonzero()[0]
-        rows = tuple(map(ConstraintRow, lg[row], (-lf[row] - cfg.kappa(h[row])).tolist()))
-        # The previous step's basis, as rows of this step, if all its obstacles kept a row.
-        hint = tuple(np.searchsorted(row_obstacle, pinned).tolist()) if row[pinned].all() else ()
-        result = solve_multi_constraint(QpProblem(u_ref=u_ref, rows=rows), hint)
-        pinned = row_obstacle[list(result.basis)]
-        infeasible_log[k] = result.status == "infeasible"
+                u_ref = controller(state)
+                # Obstacles outside the cone domain come out NaN or infinite; skip masks them.
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    h, lf, lg = B.barrier_terms(
+                        barrier, cfg.model, state, centers, velocities, axes, radii,
+                        body_offset=cfg.body_offset, rear_axle=cfg.wheelbase_rear, kappa1=kappa1)
+                h_log[k] = np.where(skip, np.nan, h)
+                row = in_range & ~skip & (not shadow_only)
+                row_obstacle = row.nonzero()[0]
+                rows = tuple(map(ConstraintRow, lg[row], (-lf[row] - cfg.kappa(h[row])).tolist()))
+                # The previous step's basis, as rows of this step, if all its obstacles kept a row.
+                hint = (tuple(np.searchsorted(row_obstacle, pinned).tolist())
+                        if row[pinned].all() else ())
+                result = solve_multi_constraint(QpProblem(u_ref=u_ref, rows=rows), hint)
+                pinned = row_obstacle[list(result.basis)]
+                infeasible_log[k] = result.status == "infeasible"
 
-        u_star = result.u_star
-        if bounds is not None:
-            clipped = np.clip(u_star, bounds[0], bounds[1])
-            saturated_log[k] = not np.array_equal(clipped, u_star)
-            u_star = clipped
+                u_star = result.u_star
+                if bounds is not None:
+                    clipped = np.clip(u_star, bounds[0], bounds[1])
+                    saturated_log[k] = not np.array_equal(clipped, u_star)
+                    u_star = clipped
 
-        psi_log[k, row_obstacle] = result.psi
-        qp_active_log[k, row_obstacle[list(result.active_set)]] = True
-        constrained_log[k] = row
+                psi_log[k, row_obstacle] = result.psi
+                qp_active_log[k, row_obstacle[list(result.active_set)]] = True
+                constrained_log[k] = row
 
-        states[k] = state
-        u_ref_log[k] = u_ref
-        u_star_log[k] = u_star
-        sep_log[k] = sep
-        in_range_log[k] = in_range
-        centers_log[k] = centers
-        velocities_log[k] = velocities
+                states[k] = state
+                u_ref_log[k] = u_ref
+                u_star_log[k] = u_star
+                sep_log[k] = sep
+                in_range_log[k] = in_range
+                centers_log[k] = centers
+                velocities_log[k] = velocities
 
-        if cfg.halt_on_collision and np.any(colliding):
-            halted = True
-            last = k
-            break
+                if cfg.halt_on_collision and np.any(colliding):
+                    halted = True
+                    last = k
+                    break
 
-        if k < n_rec - 1:
-            state = integrate_step(dyn, state, u_star, cfg.dt)
-            centers = centers + velocities * cfg.dt
+                if k < n_rec - 1:
+                    state = integrate_step(dyn, state, u_star, cfg.dt)
+                    centers = centers + velocities * cfg.dt
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"{cfg.name}: run blew up at t = {t[k]:g}: {exc}") from None
 
     sl = slice(0, last + 1)
     events = _step_events(t[sl], sep_log[sl], radii, in_range_log[sl], degenerate_log[sl],

@@ -15,10 +15,10 @@ fixed checklist over randomized admissible configurations:
   second-order candidates on the bicycle, search a grid of admissible
   obstacle velocities for one that makes hdot + kappa(h) negative inside
   the safe set. Success is an invalidity certificate.
-* kernel verification: at every constructed kernel state with h >= 0 the
-  inequality hdot + kappa(h) >= 0 must hold; for the cone barrier, kernel
-  states with h < 0 violating it show the guarantee holds on the safe set
-  only.
+* kernel verification: at every constructed kernel state with h >= 0 (to
+  within PSI_TOL) the inequality hdot + kappa(h) >= 0 must hold; for the
+  cone barrier, kernel states with h < -PSI_TOL violating it show the
+  guarantee holds on the safe set only.
 * conservativeness witness: states safe for the ellipse (h1 > 0) that the
   second-order candidate already excludes (h2 < 0).
 
@@ -249,8 +249,10 @@ def _kernel_psi(barrier, model, kernel_batch, tol: float = KERNEL_TOL):
     """Kernel count of a constructed batch and its least psi0 = L_f h + kappa(h).
 
     A state is a kernel state when ||L_g h|| <= tol. Returns the count and
-    the minima of psi0 over kernel states with h >= 0 and with h < 0 (None
-    when that slice is empty).
+    the minima of psi0 over the safe kernel slice, h >= -PSI_TOL, and the
+    unsafe one, h < -PSI_TOL (None when that slice is empty). The slices are
+    split with the attack's tolerance: on a cone-boundary construction h is
+    zero analytically and only its rounding (~1e-15) falls on either side.
     """
     states, centers, velocities, axes, *radius = kernel_batch
     h, lf, lg = barrier_terms(barrier, model, states, centers, velocities, axes,
@@ -262,7 +264,8 @@ def _kernel_psi(barrier, model, kernel_batch, tol: float = KERNEL_TOL):
     def least(where):
         return float(np.min(psi0[where])) if np.any(where) else None
 
-    return int(np.sum(kernel)), least(kernel & (h >= 0.0)), least(kernel & (h < 0.0))
+    return (int(np.sum(kernel)), least(kernel & (h >= -PSI_TOL)),
+            least(kernel & (h < -PSI_TOL)))
 
 
 def validity_probe(barrier: str, model: str, motion: str = "moving",

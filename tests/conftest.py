@@ -40,20 +40,27 @@ def grid_project(u_ref, rows, half_width=10.0, coarse=0.05, mid=0.005, fine=0.00
     (worth the cost only when the instance is known to be feasible).
     """
     u_ref = np.asarray(u_ref, dtype=float)
+    rows = [(np.asarray(lg, dtype=float), rhs) for lg, rhs in rows]
 
     def best_on(lo, hi, step):
+        # The lattice is the outer product of two tick vectors, so feasibility
+        # and distance are outer sums over blocks of 128 x ticks (a few MB
+        # each); no point array.
+        # Strict improvement across blocks keeps the first minimizer in the
+        # row-major point order.
         ticks_x = np.arange(lo[0], hi[0] + step / 2, step)
         ticks_y = np.arange(lo[1], hi[1] + step / 2, step)
-        uu, vv = np.meshgrid(ticks_x, ticks_y, indexing="ij")
-        pts = np.column_stack([uu.ravel(), vv.ravel()])
-        feas = np.ones(pts.shape[0], dtype=bool)
-        for lg, rhs in rows:
-            feas &= pts @ np.asarray(lg, dtype=float) >= rhs - 1e-9
-        if not np.any(feas):
-            return None
-        pts = pts[feas]
-        d2 = np.sum((pts - u_ref) ** 2, axis=1)
-        return pts[int(np.argmin(d2))]
+        dx2, dy2 = (ticks_x - u_ref[0]) ** 2, (ticks_y - u_ref[1]) ** 2
+        best, best_d2 = None, np.inf
+        for start in range(0, ticks_x.size, 128):
+            xs = ticks_x[start:start + 128]
+            d2 = np.add.outer(dx2[start:start + 128], dy2)
+            for lg, rhs in rows:
+                d2[np.add.outer(xs * lg[0], ticks_y * lg[1]) < rhs - 1e-9] = np.inf
+            i, j = divmod(int(np.argmin(d2)), ticks_y.size)
+            if d2[i, j] < best_d2:
+                best, best_d2 = np.array([xs[i], ticks_y[j]]), d2[i, j]
+        return best
 
     lo = np.array([-half_width, -half_width])
     hi = np.array([half_width, half_width])

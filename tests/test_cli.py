@@ -100,6 +100,7 @@ def _packaged_tree(edit, name="braking_unicycle"):
                  id="infinite-front-wheelbase"),
     pytest.param(_packaged_tree(lambda t: t["path"][1].__setitem__(0, math.inf),
                                 "weave_bicycle"), id="infinite-waypoint"),
+    pytest.param(_packaged_tree(lambda t: t.update(dt=1.0e-300)), id="step-count-over-cap"),
 ])
 def test_run_malformed_config_exit_two_no_partial_outputs(tmp_path, capsys, text):
     bad = tmp_path / "bad.yaml"
@@ -109,6 +110,21 @@ def test_run_malformed_config_exit_two_no_partial_outputs(tmp_path, capsys, text
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("gamma", [1.0e300, 1.0e308])
+def test_blow_up_exit_two_on_one_line(tmp_path, capsys, gamma):
+    # gamma 1e300 sends the state to ~1e298 in one step, so the next separation
+    # overflows; gamma 1e308 makes the first filtered input NaN.
+    bad = tmp_path / "blowup.yaml"
+    bad.write_text(_packaged_tree(lambda t: t["kappa"].update(gamma=gamma)))
+    for command in ("run", "audit"):
+        out = tmp_path / command
+        assert main([command, "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run error: braking_unicycle: run blew up at t = ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
 
 
 def test_run_infinite_perception_radius_and_open_bound_side_exit_zero(tmp_path):

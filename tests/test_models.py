@@ -1,6 +1,7 @@
 """Vehicle dynamics, slip mapping and RK4 integration."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -204,6 +205,52 @@ def test_integrate_step_rejects_bad_dt_and_blowup():
         integrate_step(exploding, np.zeros(4), np.zeros(2), 0.01)
 
 
+def test_integrate_step_infinite_stage_is_blow_up():
+    # The theta stage overflows to inf, which math.cos rejects with ValueError.
+    with pytest.raises(ArithmeticError):
+        integrate_step(UnicycleDynamics(), np.array([0.0, 0.0, 0.0, 1.0, 1.7e308]),
+                       np.zeros(2), 10.0)
+
+    def misshapen(x, u):
+        raise ValueError("field of the wrong model")
+
+    with pytest.raises(ValueError, match="wrong model"):
+        integrate_step(misshapen, np.zeros(4), np.zeros(2), 0.01)
+
+
+def _rk4_reference(field, x, u, dt):
+    """The array form of one RK4 step: the stages as NumPy arrays."""
+    k1 = field(x, u)
+    k2 = field(x + 0.5 * dt * k1, u)
+    k3 = field(x + 0.5 * dt * k2, u)
+    k4 = field(x + dt * k3, u)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+_GEOM = BicycleGeometry(1.2, 1.6)
+
+
+@pytest.mark.parametrize("dyn", [
+    UnicycleDynamics(), BicycleDynamics(_GEOM), PointMassDynamics(),
+    partial(bicycle_dynamics_exact, geom=_GEOM),
+], ids=["unicycle", "bicycle", "pointmass", "bicycle-exact"])
+def test_integrate_step_matches_array_reference(dyn):
+    if isinstance(dyn, partial):
+        field, dim = (lambda x, u: np.asarray(dyn(x, u))), 4
+    else:
+        field, dim = (lambda x, u: dyn.drift(x) + dyn.actuation(x) @ u), dyn.state_dim
+    rng = np.random.default_rng(23)
+    for _ in range(500):
+        x = rng.uniform(-5.0, 5.0, dim)
+        u = rng.uniform(-3.0, 3.0, 2)
+        dt = float(rng.uniform(1e-3, 0.2))
+        got = integrate_step(dyn, x, u, dt)
+        ref = _rk4_reference(field, x, u, dt)
+        assert got.dtype == np.float64 and got.shape == (dim,)
+        # Only math vs NumPy cos/sin may differ, across builds; 2 ulp allows it.
+        assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.abs(ref)))
+
+
 def test_exact_bicycle_reduces_to_affine_at_zero_slip():
     geom = BicycleGeometry(1.2, 1.6)
     s = np.array([0.3, -0.2, 0.7, 2.2])
@@ -218,6 +265,7 @@ def test_exact_bicycle_small_slip_gap_is_second_order():
     gaps = []
     for beta in (0.1, 0.05):
         u = np.array([0.0, beta])
-        gap = np.linalg.norm(bicycle_dynamics_exact(s, u, geom) - BicycleDynamics(geom)(s, u))
+        gap = np.linalg.norm(np.subtract(bicycle_dynamics_exact(s, u, geom),
+                                         BicycleDynamics(geom)(s, u)))
         gaps.append(gap)
     assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=0.3)

@@ -25,7 +25,8 @@ from conebarrier.scenarios import (
     scenario_to_dict,
     with_overrides,
 )
-from conebarrier.sim import BARRIER_KINDS, ConfigError, ObstacleConfig, ScenarioConfig
+from conebarrier.sim import (BARRIER_KINDS, MAX_STEPS, ConfigError, ObstacleConfig,
+                             ScenarioConfig)
 
 
 def test_packaged_suite_complete():
@@ -98,6 +99,16 @@ def test_with_overrides_validates():
     assert with_overrides(cfg, dt=0.005).dt == 0.005
     with pytest.raises(ConfigError):
         with_overrides(cfg, barrier="laser")
+
+
+def test_step_count_capped_when_built():
+    # Building a config allocates nothing, so the cap is checked on both sides.
+    cfg = load_packaged("braking_unicycle")
+    at_cap = with_overrides(cfg, dt=cfg.duration / MAX_STEPS)
+    assert round(at_cap.duration / at_cap.dt) == MAX_STEPS
+    for dt in (cfg.duration / (MAX_STEPS + 1), 1.0e-300, 5e-324):
+        with pytest.raises(ConfigError, match="MAX_STEPS"):
+            with_overrides(cfg, dt=dt)
 
 
 def test_unknown_packaged_name():
