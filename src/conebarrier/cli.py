@@ -9,12 +9,19 @@ Subcommands:
   run that blows up (a non-finite separation, filtered input or state),
   which is reported on one stderr line; the files already written for
   earlier scenarios of the batch stay.
-* ``conebarrier validity`` — print the barrier/model verdict matrix from the
-  sampling probes, optionally writing it as JSON.
+* ``conebarrier validity`` — print the barrier/model verdict matrix (or one
+  --barrier/--model row) from the sampling probes, optionally writing it as
+  JSON.
 * ``conebarrier audit``    — run the suite plus the invariance, recovery,
-  slip-angle and QP-against-grid checks and report machine-readable
-  pass/fail lines; nonzero exit on any failure, 2 on configuration errors
-  and blown-up runs as for ``run``.
+  slip-angle and QP checks and report machine-readable pass/fail lines; the
+  QP check judges the filter on 60 seeded instances against
+  ``safety_filter.grid_project``, the grid oracle the tests use. Nonzero
+  exit on any failure, 2 on configuration errors and blown-up runs as for
+  ``run``.
+
+Bad input (an unknown emit kind, a negative --seed, a barrier/model pair
+without a verdict) exits 2 with one ``config error:`` line on stderr before
+anything runs or is written.
 
 The output directory resolves from --out, then the CONEBARRIER_OUT
 environment variable, then ./runs. Trace CSVs use '.' decimals, LF line
@@ -37,7 +44,8 @@ import numpy as np
 
 from .barriers import combined_radius
 from .models import INPUT_NAMES, MODELS, STATE_NAMES
-from .safety_filter import ConstraintRow, QpProblem, solve_multi_constraint
+from .safety_filter import (GRID_FINE, ConstraintRow, QpProblem, grid_project,
+                            solve_multi_constraint)
 from .scenarios import (
     EXPECTED_BEHAVIORS,
     full_suite,
@@ -53,13 +61,11 @@ from .sim import (
     invariance_audit,
     run_scenario,
 )
-from .validity import BARRIERS, verdict_matrix, verdict_row
+from .validity import BARRIERS, MATRIX_ROWS, verdict_matrix, verdict_row
 
 EMIT_KINDS = ("trace-csv", "events-json", "summary-json", "plotdata")
 FLAG_EVENTS = ("collision", "degenerate_velocity", "infeasible", "saturation")
 """Event kinds flagged per step in the trace CSV."""
-ORACLE_GRID_STEP = 0.05
-"""Grid resolution (input units) of the audit's QP cross-check."""
 
 
 def trace_csv_rows(trace: ScenarioTrace):
@@ -200,19 +206,22 @@ def _load_batch(args) -> list:
     ]
 
 
+def _config_error(message) -> int:
+    print(f"config error: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_run(args) -> int:
-    try:
-        configs = _load_batch(args)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    out_dir = _resolve_out(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
     emit = set(args.emit.split(",")) if args.emit else set(EMIT_KINDS[:3])
     unknown = emit - set(EMIT_KINDS)
     if unknown:
-        print(f"config error: unknown emit kind(s) {sorted(unknown)}", file=sys.stderr)
-        return 2
+        return _config_error(f"unknown emit kind(s) {sorted(unknown)}")
+    try:
+        configs = _load_batch(args)
+    except (ConfigError, OSError) as exc:
+        return _config_error(exc)
+    out_dir = _resolve_out(args)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     any_collision = False
     for cfg in configs:
@@ -232,13 +241,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_validity(args) -> int:
+    cell = (args.barrier or "c3bf", args.model or "unicycle")
     if args.samples < 1000:
-        print("config error: --samples must be at least 1000", file=sys.stderr)
-        return 2
+        return _config_error("--samples must be at least 1000")
+    if args.seed < 0:
+        return _config_error("--seed must be nonnegative")
+    if cell not in MATRIX_ROWS:
+        return _config_error(f"the {cell[0]} barrier is not defined for the {cell[1]} model")
     out_dir = _resolve_out(args)
     if args.model or args.barrier:
-        rows = [verdict_row(args.barrier or "c3bf", args.model or "unicycle",
-                            samples=args.samples, seed=args.seed)]
+        rows = [verdict_row(*cell, samples=args.samples, seed=args.seed)]
     else:
         rows = verdict_matrix(samples=args.samples, seed=args.seed)
 
@@ -253,21 +265,6 @@ def cmd_validity(args) -> int:
         (out_dir / "validity.json").write_text(json.dumps(rows, indent=2))
         print(f"wrote {out_dir / 'validity.json'}")
     return 0
-
-
-def _grid_qp_reference(u_ref, rows, half_width=10.0, step=0.05):
-    """Coarse brute-force projection used by the audit's QP cross-check."""
-    ticks = np.arange(-half_width, half_width + step / 2, step)
-    uu, vv = np.meshgrid(ticks, ticks, indexing="ij")
-    pts = np.column_stack([uu.ravel(), vv.ravel()])
-    feas = np.ones(pts.shape[0], dtype=bool)
-    for lg, rhs in rows:
-        feas &= pts @ np.asarray(lg) >= rhs - 1e-9
-    if not np.any(feas):
-        return None
-    pts = pts[feas]
-    d2 = np.sum((pts - np.asarray(u_ref)) ** 2, axis=1)
-    return pts[int(np.argmin(d2))]
 
 
 def _audit_checks(args) -> list[dict]:
@@ -355,58 +352,56 @@ def _audit_checks(args) -> list[dict]:
         })
 
     rng = np.random.default_rng(args.seed)
-    step = ORACLE_GRID_STEP
-    # Certification per instance: u* feasible, at least as good as the best
-    # grid point, and tied to it through the projection inequality
-    # |u_g - u*|^2 <= f(u_g) - f(u*), which only the exact projection obeys.
-    worst_feas = 0.0
-    worst_gap = -np.inf
-    worst_proj = -np.inf
-    slack_worst = 0.0
-    evaluated = 0
+    # As acceptance criterion 3: u* feasible, active rows tight, no worse than the
+    # grid and within |u_g - u*|^2 <= f(u_g) - f(u*), which only the exact projection
+    # obeys; an infeasible verdict leaves no feasible grid point with |u|_inf <= 9.
+    worst_feas = worst_slack = 0.0
+    worst_gap = worst_proj = -np.inf
+    evaluated = refuted = 0
     for _ in range(60):
         u_ref = rng.uniform(-3, 3, 2)
         rows = []
         for _ in range(rng.integers(1, 4)):
             ang = rng.uniform(0, 2 * np.pi)
-            lg = np.array([np.cos(ang), np.sin(ang)])
-            rows.append((lg, float(rng.uniform(-2, 2))))
+            rows.append((np.array([np.cos(ang), np.sin(ang)]), float(rng.uniform(-2, 2))))
         result = solve_multi_constraint(QpProblem(
             u_ref=u_ref, rows=tuple(ConstraintRow(lg, rhs) for lg, rhs in rows)))
-        ref = _grid_qp_reference(u_ref, rows, step=step)
-        if ref is None or result.status == "infeasible":
+        ref = grid_project(u_ref, rows, deep=result.status != "infeasible")
+        if result.status == "infeasible":
+            refuted += ref is not None and float(np.max(np.abs(ref))) <= 9.0
             continue
-        if float(np.max(np.abs(result.u_star))) > 8.5:
+        for j, (lg, rhs) in enumerate(rows):
+            resid = float(lg @ result.u_star) - rhs
+            worst_feas = max(worst_feas, -resid)
+            if j in result.active_set:
+                worst_slack = max(worst_slack, abs(resid))
+        if ref is None or float(np.max(np.abs(result.u_star))) > 8.5:
             continue
         evaluated += 1
-        for lg, rhs in rows:
-            worst_feas = max(worst_feas, rhs - float(np.asarray(lg) @ result.u_star))
         f_star = float(np.sum((result.u_star - u_ref) ** 2))
         f_grid = float(np.sum((ref - u_ref) ** 2))
         worst_gap = max(worst_gap, f_star - f_grid)
         worst_proj = max(worst_proj,
                          float(np.sum((ref - result.u_star) ** 2)) - (f_grid - f_star))
-        for j, (lg, rhs) in enumerate(rows):
-            if j in result.active_set:
-                slack_worst = max(slack_worst, abs(float(np.asarray(lg) @ result.u_star - rhs)))
-    ok = (worst_feas <= 1e-9 and worst_gap <= 1e-9
-          and worst_proj <= 4 * step**2 and slack_worst <= 1e-9)
+    ok = (worst_feas <= 1e-9 and worst_slack <= 1e-9 and worst_gap <= 1e-9
+          and worst_proj <= 2 * (2 * GRID_FINE) ** 2 and not refuted)
     checks.append({
         "name": "qp_grid_oracle",
         "passed": ok and evaluated > 0,
         "detail": f"{evaluated} instances: max infeasibility={worst_feas:.2e}, "
                   f"objective vs grid={worst_gap:.2e}, projection residual={worst_proj:.2e}, "
-                  f"max active residual={slack_worst:.2e}",
+                  f"max active residual={worst_slack:.2e}, infeasible verdicts refuted={refuted}",
     })
     return checks
 
 
 def cmd_audit(args) -> int:
+    if args.seed < 0:
+        return _config_error("--seed must be nonnegative")
     try:
         checks = _audit_checks(args)
     except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(exc)
     except ArithmeticError as exc:
         print(f"run error: {exc}", file=sys.stderr)
         return 2
@@ -416,7 +411,7 @@ def cmd_audit(args) -> int:
     out_dir = _resolve_out(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"passed": passed, "checks": checks,
-               "grid_step": ORACLE_GRID_STEP, "seed": args.seed}
+               "grid_step": GRID_FINE, "seed": args.seed}
     (out_dir / "audit.json").write_text(json.dumps(payload, indent=2))
     print(f"wrote {out_dir / 'audit.json'}")
     return 0 if passed else 1

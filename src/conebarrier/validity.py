@@ -392,6 +392,8 @@ TABLE_ROWS = (
     ("c3bf", "unicycle"),
     ("c3bf", "bicycle"),
 )
+MATRIX_ROWS = TABLE_ROWS + (("c3bf", "pointmass"),)
+"""The comparison table's rows plus the point-mass cone extension."""
 
 
 def verdict_row(barrier: str, model: str, samples: int = 10000, seed: int = 0) -> dict:
@@ -412,4 +414,4 @@ def verdict_matrix(samples: int = 10000, seed: int = 0) -> list[dict]:
     and is flagged as such.
     """
     return [verdict_row(barrier, model, samples, seed)
-            for barrier, model in TABLE_ROWS + (("c3bf", "pointmass"),)]
+            for barrier, model in MATRIX_ROWS]

@@ -32,6 +32,7 @@ from conebarrier.models import (
 from conebarrier.safety_filter import (
     ConstraintRow,
     QpProblem,
+    grid_project,
     solve_multi_constraint,
     solve_single_constraint,
 )
@@ -43,8 +44,6 @@ from conebarrier.sim import (
     run_scenario,
 )
 from conebarrier.validity import verdict_matrix
-
-from conftest import grid_project
 
 BODY_OFFSET = 0.1
 REAR_AXLE = 1.6

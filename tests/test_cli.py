@@ -5,13 +5,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from conebarrier import sim
+from conebarrier import cli, sim
 from conebarrier.cli import main, parse_trace_csv, write_trace_csv
 from conebarrier.scenarios import load_packaged, save_scenario, scenario_to_dict
 from conebarrier.sim import run_scenario
@@ -168,9 +169,50 @@ def test_run_negative_wheelbase_exit_two_no_outputs(tmp_path):
 
 
 def test_run_bad_emit_kind_exit_two(tmp_path, braking_yaml):
-    rc = main(["run", "--config", str(braking_yaml), "--out", str(tmp_path / "o"),
+    out = tmp_path / "o"
+    rc = main(["run", "--config", str(braking_yaml), "--out", str(out),
                "--emit", "trace-csv,holograms"])
     assert rc == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["validity", "--seed", "-1"], id="validity-negative-seed"),
+    pytest.param(["audit", "--seed", "-1"], id="audit-negative-seed"),
+    pytest.param(["validity", "--model", "pointmass", "--barrier", "ellipse"],
+                 id="pointmass-ellipse"),
+    pytest.param(["validity", "--model", "pointmass", "--barrier", "hocbf"],
+                 id="pointmass-hocbf"),
+])
+def test_bad_cli_input_exit_two_before_any_run(tmp_path, capsys, monkeypatch, argv):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before rejecting the input")
+
+    for name in ("run_scenario", "verdict_row", "verdict_matrix"):
+        monkeypatch.setattr(cli, name, no_run)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("wrong", [
+    pytest.param(lambda res: replace(res, u_star=res.u_ref.copy()), id="u_ref-as-corrected"),
+    pytest.param(lambda res: replace(res, status="infeasible"), id="feasible-as-infeasible"),
+])
+def test_audit_qp_check_fails_a_wrong_solver(tmp_path, braking_yaml, monkeypatch, wrong):
+    solve = cli.solve_multi_constraint
+
+    def wrong_solver(qp, *basis):
+        res = solve(qp, *basis)
+        return wrong(res) if res.status == "corrected" else res
+
+    monkeypatch.setattr(cli, "solve_multi_constraint", wrong_solver)
+    out = tmp_path / "out"
+    assert main(["audit", "--config", str(braking_yaml), "--out", str(out)]) == 1
+    checks = json.loads((out / "audit.json").read_text())["checks"]
+    assert [c["passed"] for c in checks if c["name"] == "qp_grid_oracle"] == [False]
 
 
 def test_env_var_output_dir(tmp_path, braking_yaml, monkeypatch):

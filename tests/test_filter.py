@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conebarrier import safety_filter, sim
 from conebarrier.barriers import EPS_V, ClassK
@@ -15,14 +17,13 @@ from conebarrier.safety_filter import (
     PathTrackerGains,
     QpProblem,
     ReferenceController,
+    grid_project,
     reference_p_controller,
     reference_path_tracker,
     solve_multi_constraint,
     solve_single_constraint,
 )
 from conebarrier.sim import ObstacleConfig, ScenarioConfig, run_scenario
-
-from conftest import grid_project
 
 
 def test_p_controller_at_setpoint():
@@ -222,6 +223,38 @@ def test_multi_matches_grid_and_slackness():
         if res.status == "corrected":
             assert len(res.active_set) >= 1
     assert evaluated > 120
+
+
+def _solve(u_ref, rows):
+    return solve_multi_constraint(QpProblem(u_ref=u_ref,
+                                            rows=tuple(ConstraintRow(l, r) for l, r in rows)))
+
+
+@st.composite
+def _feasible_qps(draw):
+    """u_ref and unit rows drawn as in acceptance criterion 3, a row order and row scales."""
+    u_ref = np.array(draw(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))))
+    rows = [(np.array([math.cos(ang), math.sin(ang)]), rhs) for ang, rhs in draw(st.lists(
+        st.tuples(st.floats(0.0, 2 * math.pi, exclude_max=True), st.floats(-2.0, 2.0)),
+        min_size=1, max_size=4))]
+    assume(_solve(u_ref, rows).status != "infeasible")
+    order = draw(st.permutations(range(len(rows))))
+    scales = draw(st.lists(st.floats(1e-2, 1e2), min_size=len(rows), max_size=len(rows)))
+    return u_ref, rows, order, scales
+
+
+@settings(derandomize=True, deadline=None)
+@given(_feasible_qps())
+def test_qp_feasible_and_invariant_under_row_order_and_scale(instance):
+    u_ref, rows, order, scales = instance
+    res = _solve(u_ref, rows)
+    for lg, rhs in rows:
+        assert float(lg @ res.u_star) - rhs >= -1e-9
+    for variant in ([rows[k] for k in order],
+                    [(s * lg, s * rhs) for s, (lg, rhs) in zip(scales, rows)]):
+        other = _solve(u_ref, variant)
+        assert other.status == res.status
+        assert np.max(np.abs(other.u_star - res.u_star)) <= 1e-9
 
 
 def test_minimal_deviation_on_sampled_grid():
