@@ -75,6 +75,8 @@ class ClassK:
             raise ValueError(f"unknown class-K kind {self.kind!r}")
         if not 0 < self.gamma < np.inf:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if self.kind != "custom" and self.table is not None:
+            raise ValueError(f"class-K kind {self.kind!r} takes no table")
         if self.kind == "custom":
             if self.table is None or len(self.table) < 2:
                 raise ValueError("custom class-K needs a table of at least two points")

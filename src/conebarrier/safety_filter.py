@@ -26,6 +26,9 @@ minimizer if it is feasible with multipliers >= -1e-12 (KKT). Three rows:
 their tie point proves infeasibility and t* if the dual weights a_j x a_k
 (cyclic) share one sign and no row is violated more than the tie value,
 which exceeds 1e-9 (LP duality). A basis that fails goes to the cold pass.
+Stage two of an infeasible solve, warm or cold, starts from the tie triple:
+the rows tight at its answer lie near the tie point, so the projections onto
+the triple's rows and pairs, relaxed by t* + 1e-9, are tried before all rows.
 
 The QP carries no input bounds. A scenario's input bounds are applied by
 the closed-loop engine (``sim.run_scenario``), which clips the QP's answer
@@ -41,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,6 +53,9 @@ from .models import BicycleGeometry, slip_from_steering
 
 ACTIVE_TOL = 1e-9
 """A constraint counts as tight when |L_g h u - rhs| is below this."""
+
+ROUNDING = 4 * np.finfo(float).eps
+"""Relative rounding bound on a computed worst violation (of |b| + |A| |u|)."""
 
 PARALLEL_TOL = 64 * np.finfo(float).eps
 """Row normals parallel to within this relative bound count as parallel.
@@ -235,14 +242,15 @@ def _index_tuples(m: int, size: int) -> np.ndarray:
     return tuples
 
 
-def _projections(a_mat: np.ndarray, b_vec: np.ndarray, u_ref: np.ndarray) -> np.ndarray:
+def _projections(a_mat: np.ndarray, b_vec: np.ndarray, u_ref: np.ndarray,
+                 gram: np.ndarray) -> np.ndarray:
     """u_ref and its projections onto every row and every row pair's intersection.
 
     A projection onto a polygon in R^2 is pinned by at most two rows, so these
     points, kept with multipliers >= -1e-12 (NaN for zero rows and parallel
-    pairs), contain the minimizer of ||u - u_ref||^2 s.t. A u >= b.
+    pairs), contain the minimizer of ||u - u_ref||^2 s.t. A u >= b. ``gram``
+    is A A^T.
     """
-    gram = a_mat @ a_mat.T
     g = np.diag(gram)
     r = b_vec - a_mat @ u_ref
     lam = r / np.where(g > 0.0, g, np.nan)
@@ -260,8 +268,8 @@ def _projections(a_mat: np.ndarray, b_vec: np.ndarray, u_ref: np.ndarray) -> np.
 def _nearest_feasible(cand: np.ndarray, a_mat: np.ndarray, b_vec: np.ndarray,
                       u_ref: np.ndarray) -> Optional[np.ndarray]:
     """The candidate nearest u_ref with A u >= b - 1e-9, or None if there is none."""
-    cand = cand[np.all(cand @ a_mat.T >= b_vec - 1e-9, axis=1)]
-    return cand[np.argmin(np.sum((cand - u_ref) ** 2, axis=1))] if len(cand) else None
+    cand = cand[(cand @ a_mat.T >= b_vec - 1e-9).all(axis=1)]
+    return cand[((cand - u_ref) ** 2).sum(axis=1).argmin()] if len(cand) else None
 
 
 def _least_violation(a_mat: np.ndarray, b_vec: np.ndarray, u_ref: np.ndarray):
@@ -287,8 +295,8 @@ def _least_violation(a_mat: np.ndarray, b_vec: np.ndarray, u_ref: np.ndarray):
     dd = np.sum(d * d, axis=1)
     shift = (b_vec[pi] - b_vec[pj] - d @ u_ref)[dd > 0.0] / dd[dd > 0.0]
     cand = np.vstack([u_ref, u_ref + shift[:, None] * d[dd > 0.0], triples])
-    worst = np.max(b_vec[:, None] - a_mat @ cand.T, axis=0) + 4 * np.finfo(float).eps * np.max(
-        np.abs(b_vec)[:, None] + np.abs(a_mat) @ np.abs(cand).T, axis=0)
+    worst = (b_vec[:, None] - a_mat @ cand.T).max(axis=0) + ROUNDING * (
+        np.abs(b_vec)[:, None] + np.abs(a_mat) @ np.abs(cand).T).max(axis=0)
     best = int(np.argmin(worst))
     t = best - (len(cand) - len(triples))
     return worst[best], cand[best], (int(i[ok][t]), int(j[ok][t]), int(k[ok][t])) if t >= 0 else ()
@@ -301,7 +309,8 @@ def _tie_certificate(a_mat: np.ndarray, b_vec: np.ndarray, basis: tuple[int, ...
     The weights y_i = a_j x a_k (cyclic) give sum y_l a_l = 0: of one sign,
     they prove t <= t*.
     """
-    (a_i, a_j, a_k), (b_i, b_j, b_k) = a_mat[list(basis)].tolist(), b_vec[list(basis)].tolist()
+    (a_i, a_j, a_k), (b_i, b_j, b_k) = ([v[l] for l in basis]
+                                        for v in (a_mat.tolist(), b_vec.tolist()))
     p, q = [x - z for x, z in zip(a_i, a_k)], [y - z for y, z in zip(a_j, a_k)]
     det = p[0] * q[1] - p[1] * q[0]
     norm_i, norm_j, norm_k = (math.sqrt(x * x + y * y) for x, y in (a_i, a_j, a_k))
@@ -312,31 +321,31 @@ def _tie_certificate(a_mat: np.ndarray, b_vec: np.ndarray, basis: tuple[int, ...
     c_p, c_q = b_i - b_k, b_j - b_k
     u = np.array([c_p * q[1] - c_q * p[1], c_q * p[0] - c_p * q[0]]) / det
     viol = b_vec - a_mat @ u
-    tie = np.max(viol[list(basis)])
-    if not (tie > 1e-9 and tie >= np.max(viol)):
+    tie = max(viol[l] for l in basis)
+    if not (tie > 1e-9 and tie >= viol.max()):
         return None
-    bound = 4 * np.finfo(float).eps * np.max(np.abs(b_vec) + np.abs(a_mat) @ np.abs(u))
-    return tie + bound, u, basis
+    return tie + ROUNDING * (np.abs(b_vec) + np.abs(a_mat) @ np.abs(u)).max(), u, basis
 
 
-def _kkt_point(a_mat: np.ndarray, b_vec: np.ndarray, psi: np.ndarray, u_ref: np.ndarray,
-               basis: tuple[int, ...]) -> Optional[np.ndarray]:
-    """The projection of u_ref onto the one or two rows ``basis`` (the arithmetic
-    of ``_projections``) if KKT certifies it as the minimizer, else None."""
-    gram, r = a_mat @ a_mat.T, -psi  # r = b - A u_ref, bit for bit
-    i, j = basis[0], basis[-1]
-    det = gram[i, i] * gram[j, j] - gram[i, j] * gram[i, j]
-    if len(basis) == 1 and gram[i, i] > 0.0:
-        lam = [r[i] / gram[i, i]]
-    elif len(basis) == 2 and det > 0.0:
-        lam = [(gram[j, j] * r[i] - gram[i, j] * r[j]) / det,
-               (gram[i, i] * r[j] - gram[i, j] * r[i]) / det]
-    else:
-        return None
-    u = u_ref
-    for lam_l, row in zip(lam, basis):
-        u = u + lam_l * a_mat[row]
-    return u if min(lam) >= -1e-12 and np.all(a_mat @ u >= b_vec - 1e-9) else None
+def _kkt_points(gram: np.ndarray, a_mat: np.ndarray, r: np.ndarray, u_ref: np.ndarray,
+                faces: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """The projections of u_ref onto those faces (one row or a row pair) whose
+    multipliers are >= -1e-12, by ``_projections``' arithmetic bit for bit
+    given its Gram matrix and r = b - A u_ref. Such a point that meets
+    A u >= b - 1e-9 is the minimizer (KKT)."""
+    g, r, a, points = gram.tolist(), r.tolist(), a_mat.tolist(), []
+    for face in faces:
+        i, j = face[0], face[-1]
+        det = g[i][i] * g[j][j] - g[i][j] * g[i][j]  # zero rows and parallel pairs drop out
+        lam = ([r[i] / g[i][i]] if len(face) == 1 and g[i][i] > 0.0 else
+               [(g[j][j] * r[i] - g[i][j] * r[j]) / det, (g[i][i] * r[j] - g[i][j] * r[i]) / det]
+               if len(face) == 2 and det > 0.0 else [-math.inf])
+        if min(lam) >= -1e-12:
+            u = u_ref.tolist()
+            for lam_l, row in zip(lam, face):
+                u = [u[0] + lam_l * a[row][0], u[1] + lam_l * a[row][1]]
+            points.append(u)
+    return np.array(points).reshape(-1, 2)
 
 
 def solve_multi_constraint(qp: QpProblem, basis: tuple[int, ...] = ()) -> SafetyFilterResult:
@@ -347,22 +356,30 @@ def solve_multi_constraint(qp: QpProblem, basis: tuple[int, ...] = ()) -> Safety
     a_mat = np.array([row.lg_h for row in qp.rows]).reshape(len(qp.rows), len(u_ref))
     b_vec = np.array([row.rhs for row in qp.rows])
     psi = a_mat @ u_ref - b_vec
-    if np.all(psi >= 0.0):
+    if (psi >= 0.0).all():
         return SafetyFilterResult(u_star=u_ref.copy(), u_ref=u_ref, psi=psi,
                                   active_set=(), status="inactive")
-    u = _kkt_point(a_mat, b_vec, psi, u_ref, basis) if len(basis) in (1, 2) else None
+    gram = a_mat @ a_mat.T
+    # r = b - A u_ref is -psi bit for bit.
+    pinned = _kkt_points(gram, a_mat, -psi, u_ref, [basis]) if len(basis) in (1, 2) else ()
+    u = pinned[0] if len(pinned) and (a_mat @ pinned[0] >= b_vec - 1e-9).all() else None
     stage_one = _tie_certificate(a_mat, b_vec, basis) if len(basis) == 3 else None
     if u is None and stage_one is None:
-        u = _nearest_feasible(_projections(a_mat, b_vec, u_ref), a_mat, b_vec, u_ref)
+        u = _nearest_feasible(_projections(a_mat, b_vec, u_ref, gram), a_mat, b_vec, u_ref)
         stage_one = _least_violation(a_mat, b_vec, u_ref) if u is None else None
     if stage_one is not None:
-        # Stage two: project u_ref onto the rows relaxed by t* + 1e-9. The
-        # stage-one minimizer satisfies them, so it stays a candidate in case
-        # rounding on nearly parallel rows puts every projection outside them.
+        # Stage two: project u_ref onto the rows relaxed by t* + 1e-9, from the
+        # tie triple's faces, else from all rows. The stage-one minimizer meets
+        # them, so it stays a candidate in case rounding on nearly parallel rows
+        # puts every projection outside them.
         relaxed = b_vec - stage_one[0] - 1e-9
-        u = _nearest_feasible(np.vstack([_projections(a_mat, relaxed, u_ref), stage_one[1]]),
+        faces = [face for n in (1, 2) for face in combinations(sorted(stage_one[2]), n)]
+        u = _nearest_feasible(_kkt_points(gram, a_mat, relaxed - a_mat @ u_ref, u_ref, faces),
                               a_mat, relaxed, u_ref)
-    active = tuple(np.flatnonzero(np.abs(a_mat @ u - b_vec) <= ACTIVE_TOL).tolist())
+        if u is None:
+            cand = np.vstack([_projections(a_mat, relaxed, u_ref, gram), stage_one[1]])
+            u = _nearest_feasible(cand, a_mat, relaxed, u_ref)
+    active = tuple((np.abs(a_mat @ u - b_vec) <= ACTIVE_TOL).nonzero()[0].tolist())
     return SafetyFilterResult(u_star=u, u_ref=u_ref, psi=psi, active_set=active,
                               status="corrected" if stage_one is None else "infeasible",
                               basis=active if stage_one is None else stage_one[2])

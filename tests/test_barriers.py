@@ -372,3 +372,6 @@ def test_classk_validation():
         ClassK("custom", 1.0, ((0.0, 0.0), (1.0, -1.0)))
     with pytest.raises(ValueError):
         ClassK("custom", 1.0, ((-1.0, -1.0), (1.0, 3.0)))  # misses (0, 0)
+    for kind in ("linear", "cubic"):
+        with pytest.raises(ValueError, match="takes no table"):
+            ClassK(kind, 1.0, ((0.0, 0.0), (1.0, 1.0)))

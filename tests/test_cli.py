@@ -93,6 +93,9 @@ def _packaged_tree(edit, name="braking_unicycle"):
     pytest.param(_packaged_tree(lambda t: t.update(kappa={
         "kind": "custom", "table": [[-1.0, -1.0], [0.0, 0.0], [1.0, math.inf]]})),
                  id="infinite-table-entry"),
+    pytest.param(_packaged_tree(lambda t: t.update(kappa={
+        "kind": "linear", "gamma": 1.0, "table": [[0.0, 0.0], [1.0, 1.0]]})),
+                 id="table-on-linear-kappa"),
     pytest.param(_packaged_tree(lambda t: t.update(width=math.inf), "weave_bicycle"),
                  id="infinite-width"),
     pytest.param(_packaged_tree(lambda t: t.update(wheelbase_rear=math.inf), "weave_bicycle"),

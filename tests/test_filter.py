@@ -11,6 +11,7 @@ from conebarrier import safety_filter, sim
 from conebarrier.barriers import EPS_V, ClassK
 from conebarrier.models import BicycleGeometry
 from conebarrier.safety_filter import (
+    ACTIVE_TOL,
     ConstraintRow,
     DegenerateRowError,
     EmptyPathError,
@@ -225,18 +226,24 @@ def test_multi_matches_grid_and_slackness():
     assert evaluated > 120
 
 
-def _solve(u_ref, rows):
-    return solve_multi_constraint(QpProblem(u_ref=u_ref,
-                                            rows=tuple(ConstraintRow(l, r) for l, r in rows)))
+def _solve(u_ref, rows, basis=()):
+    qp = QpProblem(u_ref=u_ref, rows=tuple(ConstraintRow(l, r) for l, r in rows))
+    return solve_multi_constraint(qp, basis)
+
+
+@st.composite
+def _criterion_3_qps(draw):
+    """u_ref and one to four unit rows drawn as in acceptance criterion 3."""
+    u_ref = np.array(draw(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))))
+    return u_ref, [(np.array([math.cos(ang), math.sin(ang)]), rhs) for ang, rhs in draw(st.lists(
+        st.tuples(st.floats(0.0, 2 * math.pi, exclude_max=True), st.floats(-2.0, 2.0)),
+        min_size=1, max_size=4))]
 
 
 @st.composite
 def _feasible_qps(draw):
-    """u_ref and unit rows drawn as in acceptance criterion 3, a row order and row scales."""
-    u_ref = np.array(draw(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))))
-    rows = [(np.array([math.cos(ang), math.sin(ang)]), rhs) for ang, rhs in draw(st.lists(
-        st.tuples(st.floats(0.0, 2 * math.pi, exclude_max=True), st.floats(-2.0, 2.0)),
-        min_size=1, max_size=4))]
+    """A feasible criterion-3 instance, a row order and row scales."""
+    u_ref, rows = draw(_criterion_3_qps())
     assume(_solve(u_ref, rows).status != "infeasible")
     order = draw(st.permutations(range(len(rows))))
     scales = draw(st.lists(st.floats(1e-2, 1e2), min_size=len(rows), max_size=len(rows)))
@@ -255,6 +262,34 @@ def test_qp_feasible_and_invariant_under_row_order_and_scale(instance):
         other = _solve(u_ref, variant)
         assert other.status == res.status
         assert np.max(np.abs(other.u_star - res.u_star)) <= 1e-9
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_criterion_3_qps())
+def test_qp_kkt_conditions_and_least_violation_cold_and_warm(instance):
+    # Corrected: u* - u_ref = sum of lambda_i a_i over the active set with
+    # lambda_i >= 0 (nnls residual), every row holds to 1e-9, active rows are
+    # tight and the others slack (complementary slackness). Infeasible: the
+    # worst violation is linprog's t*. Both cold and warm from the cold basis.
+    nnls = pytest.importorskip("scipy.optimize").nnls
+    u_ref, rows = instance
+    a_mat, b_vec = np.array([l for l, _ in rows]), np.array([r for _, r in rows])
+    cold = _solve(u_ref, rows)
+    for basis in ((), cold.basis):
+        res = _solve(u_ref, rows, basis)
+        assert res.status == cold.status
+        if res.status == "infeasible":
+            _least_violation_vs_linprog(u_ref, rows, basis)
+            continue
+        slack = a_mat @ res.u_star - b_vec
+        assert slack.min() >= -1e-9
+        if res.status == "inactive":
+            assert np.array_equal(res.u_star, u_ref) and not res.active_set
+            continue
+        assert res.active_set == tuple(np.flatnonzero(np.abs(slack) <= ACTIVE_TOL))
+        assert res.active_set
+        _, resid = nnls(a_mat[list(res.active_set)].T, res.u_star - u_ref)
+        assert resid <= 1e-9 * max(1.0, float(np.linalg.norm(res.u_star - u_ref)))
 
 
 def test_minimal_deviation_on_sampled_grid():
@@ -502,6 +537,46 @@ def test_warm_start_triple_certificate_matches_linprog(monkeypatch):
         tried += 1
         certified += not enumerations
     assert certified >= 290
+
+
+def test_certified_infeasible_step_skips_enumeration(monkeypatch):
+    # Infeasible QPs whose stage-one minimizer is a triple tie point, from
+    # crowd runs and unit rows, re-solved warm from that triple: neither stage
+    # enumerates rows, and u* is bit for bit the full enumeration's stage two
+    # for the same t*. The certificate's t* can differ from the cold pass's in
+    # the last bit (another matmul shape), so the cold u* is matched to 1e-12.
+    rng = np.random.default_rng(20)
+    cases = [qp for qp, _ in _crowd_qps(1) + _crowd_qps(2)]
+    cases += [QpProblem(u_ref=rng.uniform(-3, 3, 2), rows=tuple(
+        ConstraintRow(l, r) for l, r in _unit_rows(rng, rng.integers(3, 13), 0.0)))
+              for _ in range(600)]
+    originals = {name: getattr(safety_filter, name)
+                 for name in ("_projections", "_least_violation")}
+    enumerations = []
+    for name, f in originals.items():
+        monkeypatch.setattr(safety_filter, name,
+                            lambda *args, f=f: enumerations.append(1) or f(*args))
+    solved = []
+    for qp in cases:
+        cold = solve_multi_constraint(qp)
+        if cold.status == "infeasible" and len(cold.basis) == 3:
+            enumerations.clear()
+            solved.append((qp, cold, solve_multi_constraint(qp, cold.basis), not enumerations))
+    assert len(solved) >= 300
+    assert sum(skipped for *_, skipped in solved) >= 0.95 * len(solved)
+    for qp, cold, warm, _ in solved:
+        a_mat = np.array([row.lg_h for row in qp.rows])
+        b_vec = np.array([row.rhs for row in qp.rows])
+        t_star, tie_point, _ = (safety_filter._tie_certificate(a_mat, b_vec, cold.basis)
+                                or originals["_least_violation"](a_mat, b_vec, qp.u_ref))
+        relaxed = b_vec - t_star - 1e-9
+        full = np.vstack([originals["_projections"](a_mat, relaxed, qp.u_ref, a_mat @ a_mat.T),
+                          tie_point])
+        assert np.array_equal(warm.u_star, safety_filter._nearest_feasible(full, a_mat, relaxed,
+                                                                           qp.u_ref))
+        assert (warm.status, warm.active_set, warm.basis) == (cold.status, cold.active_set,
+                                                              cold.basis)
+        assert np.max(np.abs(warm.u_star - cold.u_star)) <= 1e-12
 
 
 def _one_filter_step(obstacles, body_offset=0.1):
