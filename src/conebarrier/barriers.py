@@ -28,8 +28,9 @@ broadcast their array inputs over the common leading shape (one state
 against an (m, 2) grid of obstacle velocities returns m triples) and
 perform no domain checking: callers gate the cone's admissible domain
 (||p_rel|| > r, ||v_rel|| > EPS_V) themselves, as ``sim.run_scenario``
-does. ``reference_kinematics`` is the one place the protected point and its
-velocity are computed per model, ``combined_radius`` the one r, and
+does. ``BARRIER_MODELS`` is the one source of the defined (barrier, model)
+pairs, ``reference_kinematics`` the one kinematics function (protected
+point, its velocity and the heading), ``combined_radius`` the one r, and
 ``barrier_terms`` the one (barrier, model) dispatch to the cores.
 """
 
@@ -40,8 +41,15 @@ from typing import Optional
 
 import numpy as np
 
+from .models import MODELS
+
 EPS_V = 1e-6
 """Relative-speed floor below which the cone direction is undefined."""
+
+BARRIER_MODELS = {"c3bf": MODELS, "ellipse": ("unicycle", "bicycle"),
+                  "hocbf": ("unicycle", "bicycle")}
+"""The models each barrier kind is defined on; the ellipse cores read a
+heading and a speed, which the point-mass state does not carry."""
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -137,22 +145,16 @@ def combined_radius(semi_axes, width):
 
 
 def reference_kinematics(model: str, state, body_offset: float = 0.0):
-    """Protected point and its velocity for states (..., n) -> two (..., 2) arrays.
+    """Protected point, its velocity and the unit heading of states (..., n).
 
-    The cone is anchored at this point: for the unicycle the body center
-    body_offset ahead of the axle (its velocity picks up the lever term
-    body_offset * omega across the heading), for the bicycle and the point
-    mass the position the state carries (returned as a view of the state).
+    Returns two (..., 2) arrays and the (..., 2) heading (None for the point
+    mass). The cone is anchored at this point: for the unicycle the body
+    center body_offset ahead of the axle (its velocity picks up the lever
+    term body_offset * omega across the heading), for the bicycle and the
+    point mass the position the state carries (returned as a view of the
+    state). The cone cores reuse the heading, so cos/sin run once per state.
     """
-    point, velocity, _ = _kinematics(model, np.asarray(state, dtype=float), body_offset)
-    return point, velocity
-
-
-def _kinematics(model: str, state: np.ndarray, body_offset: float = 0.0):
-    """reference_kinematics plus the unit heading (None for the point mass).
-
-    The cone cores reuse the heading, so cos/sin run once per state.
-    """
+    state = np.asarray(state, dtype=float)
     if model == "pointmass":
         return state[..., 0:2], state[..., 2:4], None
     theta = state[..., 2:3]
@@ -190,7 +192,7 @@ def c3bf_unicycle_terms(state, center, velocity, radius, body_offset):
     are what give the angular input its column in L_g h.
     """
     state = np.asarray(state, dtype=float)
-    point, point_velocity, heading = _kinematics("unicycle", state, body_offset)
+    point, point_velocity, heading = reference_kinematics("unicycle", state, body_offset)
     p_rel = np.asarray(center, dtype=float) - point
     v_rel = np.asarray(velocity, dtype=float) - point_velocity
     v, omega = state[..., 3], state[..., 4]
@@ -217,7 +219,7 @@ def c3bf_bicycle_terms(state, center, velocity, radius, rear_axle):
     land in the beta column of L_g h.
     """
     state = np.asarray(state, dtype=float)
-    point, point_velocity, heading = _kinematics("bicycle", state)
+    point, point_velocity, heading = reference_kinematics("bicycle", state)
     p_rel = np.asarray(center, dtype=float) - point
     v_rel = np.asarray(velocity, dtype=float) - point_velocity
     v = state[..., 3]
@@ -236,7 +238,7 @@ def c3bf_bicycle_terms(state, center, velocity, radius, rear_axle):
 
 def c3bf_pointmass_terms(state, center, velocity, radius):
     """Cone barrier terms for the point mass; state (...,4) = (px,py,vx,vy)."""
-    point, point_velocity = reference_kinematics("pointmass", state)
+    point, point_velocity, _ = reference_kinematics("pointmass", state)
     p_rel = np.asarray(center, dtype=float) - point
     v_rel = np.asarray(velocity, dtype=float) - point_velocity
     h, s, v_norm, q, pv = _cone_h(p_rel, v_rel, radius)
@@ -327,9 +329,12 @@ def barrier_terms(barrier: str, model: str, state, center, velocity, axes, radiu
     The one (barrier, model) dispatch to the array cores; it broadcasts
     exactly as they do. The cone uses radius (and body_offset on the
     unicycle, rear_axle on the bicycle), the ellipse candidates use axes,
-    and the second-order one also kappa1. The cores are looked up by name
-    on every call, so a wrapper installed on this module sees each one.
+    and the second-order one also kappa1. A pair outside ``BARRIER_MODELS``
+    raises ValueError. The cores are looked up by name on every call, so a
+    wrapper installed on this module sees each one.
     """
+    if model not in BARRIER_MODELS.get(barrier, ()):
+        raise ValueError(f"the {barrier} barrier is not defined for the {model} model")
     if barrier == "c3bf":
         if model == "unicycle":
             return c3bf_unicycle_terms(state, center, velocity, radius, body_offset)
@@ -338,7 +343,4 @@ def barrier_terms(barrier: str, model: str, state, center, velocity, axes, radiu
         return c3bf_pointmass_terms(state, center, velocity, radius)
     if barrier == "ellipse":
         return ellipse_terms(state, center, velocity, axes, model)
-    if barrier != "hocbf":
-        raise ValueError(f"unknown barrier {barrier!r}")
-    return hocbf_terms(state, center, velocity, axes, kappa1, model,
-                       rear_axle if model == "bicycle" else None)
+    return hocbf_terms(state, center, velocity, axes, kappa1, model, rear_axle)

@@ -19,9 +19,10 @@ Subcommands:
   exit on any failure, 2 on configuration errors and blown-up runs as for
   ``run``.
 
-Bad input (an unknown emit kind, a negative --seed, a barrier/model pair
-without a verdict) exits 2 with one ``config error:`` line on stderr before
-anything runs or is written.
+Bad input (an unknown emit kind, a negative --seed, a barrier not defined
+for the model, whether a validity cell or a ``run`` or ``audit`` scenario
+after its --barrier override) exits 2 with one ``config error:`` line on
+stderr before anything runs or is written.
 
 The output directory resolves from --out, then the CONEBARRIER_OUT
 environment variable, then ./runs. Trace CSVs use '.' decimals, LF line
@@ -53,6 +54,7 @@ from .scenarios import (
     with_overrides,
 )
 from .sim import (
+    BARRIER_KINDS,
     BETA_LIMIT,
     ConfigError,
     ScenarioTrace,
@@ -434,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--dt", type=float, default=None, help="timestep override (s)")
     run_p.add_argument("--duration", type=float, default=None, help="duration override (s)")
     run_p.add_argument("--barrier", default=None,
-                       help="barrier override: c3bf|ellipse|hocbf|none")
+                       help="barrier override: " + "|".join(BARRIER_KINDS))
     run_p.set_defaults(func=cmd_run)
 
     val_p = sub.add_parser("validity", help="barrier/model verdict matrix")

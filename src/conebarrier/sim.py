@@ -2,19 +2,20 @@
 
 A scenario fixes one vehicle, a list of moving elliptical obstacles with
 piecewise-constant velocities, a reference controller and a barrier kind.
-Each step the engine takes the protected point and its velocity from
-``barriers.reference_kinematics`` once, makes one ``barriers.barrier_terms``
-call over all obstacles, masks out those outside the cone's domain (inside
-the combined radius, or relative speed at most ``EPS_V``) or the perception
-radius, builds one constraint row per remaining obstacle, solves the filter
-QP, clips the result to the configured input bounds (the QP itself is
-unbounded), integrates one RK4 step with the filtered input held constant,
-and logs states, both inputs, per-obstacle barrier values, switching scalars
-and separations, and per-step flags. The events (perception entry,
-degenerate relative velocity, QP infeasibility, collision, saturation) are
-the rising edges of those logs, derived after the loop. An obstacle inside
-its combined radius has no cone and builds no row; the collision event
-records it.
+The obstacle tracks (centers and velocities at every step) are built before
+the loop. Each step the engine takes the protected point and its velocity
+from ``barriers.reference_kinematics`` once, makes one
+``barriers.barrier_terms`` call over all obstacles, masks out those outside
+the cone's domain (inside the combined radius, or relative speed at most
+``EPS_V``) or the perception radius, builds one constraint row per remaining
+obstacle, solves the filter QP, clips the result to the configured input
+bounds (the QP itself is unbounded), integrates one RK4 step with the
+filtered input held constant, and logs states, both inputs, per-obstacle
+barrier values, switching scalars and separations, and per-step flags. The
+events (perception entry, degenerate relative velocity, QP infeasibility,
+collision, saturation) are the rising edges of those logs, derived after the
+loop. An obstacle inside its combined radius has no cone and builds no row;
+the collision event records it.
 
 A ``ScenarioConfig`` validates itself and its obstacles when built, so an
 invalid scenario cannot exist and ``dataclasses.replace`` checks again. Its
@@ -63,7 +64,7 @@ from .safety_filter import (
     solve_multi_constraint,
 )
 
-BARRIER_KINDS = ("c3bf", "ellipse", "hocbf", "none")
+BARRIER_KINDS = (*B.BARRIER_MODELS, "none")
 MAX_STEPS = 1_000_000
 """Most steps round(duration / dt) a scenario may ask for: 500 times the
 longest packaged run (2,000 steps). The engine preallocates its logs, about
@@ -112,8 +113,9 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
-        if self.barrier not in BARRIER_KINDS:
-            raise ConfigError(f"unknown barrier {self.barrier!r}")
+        if self.barrier != "none" and self.model not in B.BARRIER_MODELS.get(self.barrier, ()):
+            raise ConfigError(f"{self.name}: the {self.barrier} barrier is not defined "
+                              f"for the {self.model} model")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if not (math.isfinite(self.duration) and self.duration >= self.dt):
@@ -289,11 +291,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
     kappa1 = cfg.kappa1 or cfg.kappa
 
     state = np.array(cfg.initial_state, dtype=float)
-    centers = np.array([o.center for o in cfg.obstacles], dtype=float).reshape(n_obs, 2)
-    velocities = np.array([o.velocity for o in cfg.obstacles], dtype=float).reshape(n_obs, 2)
     axes = np.array([o.semi_axes for o in cfg.obstacles], dtype=float).reshape(n_obs, 2)
     radii = B.combined_radius(axes, cfg.width)
-    schedules = [list(o.velocity_schedule) for o in cfg.obstacles]
     bounds = None if cfg.input_bounds is None else np.asarray(cfg.input_bounds, dtype=float)
 
     t = np.arange(n_rec) * cfg.dt
@@ -309,8 +308,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
     degenerate_log = np.zeros((n_rec, n_obs), dtype=bool)
     infeasible_log = np.zeros(n_rec, dtype=bool)
     saturated_log = np.zeros(n_rec, dtype=bool)
-    centers_log = np.zeros((n_rec, n_obs, 2))
-    velocities_log = np.zeros((n_rec, n_obs, 2))
 
     halted = False
     last = n_rec - 1
@@ -321,18 +318,21 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
         # Overflow or an invalid operation outside the masked barrier call means
         # the run has blown up; it raises FloatingPointError, an ArithmeticError.
         with np.errstate(over="raise", invalid="raise"):
+            # Obstacle tracks; an accumulate adds in order, so c_{k+1} = c_k + v_k dt bit for bit.
+            velocities = np.empty((n_rec, n_obs, 2))
+            for i, o in enumerate(cfg.obstacles):
+                velocities[:, i] = o.velocity
+                for t_change, v in o.velocity_schedule:
+                    velocities[np.searchsorted(t, t_change - 1e-12):, i] = v
+            centers = np.cumsum(np.concatenate(
+                [np.array([o.center for o in cfg.obstacles], dtype=float).reshape(1, n_obs, 2),
+                 velocities[:-1] * cfg.dt]), axis=0)
             for k in range(n_rec):
-                tk = t[k]
-                for i in range(n_obs):
-                    while schedules[i] and tk >= schedules[i][0][0] - 1e-12:
-                        _, new_v = schedules[i].pop(0)
-                        velocities[i] = np.asarray(new_v, dtype=float)
-
-                ref_pt, ref_vel = B.reference_kinematics(cfg.model, state, cfg.body_offset)
-                sep = _row_norms(centers - ref_pt)
+                ref_pt, ref_vel, _ = B.reference_kinematics(cfg.model, state, cfg.body_offset)
+                sep = _row_norms(centers[k] - ref_pt)
                 in_range = sep <= cfg.perception_radius
                 colliding = sep <= radii
-                slow = _row_norms(velocities - ref_vel) <= B.EPS_V
+                slow = _row_norms(velocities[k] - ref_vel) <= B.EPS_V
                 degenerate_log[k] = ~colliding & slow & cone_domain
                 skip = (colliding | slow) & cone_domain
 
@@ -340,7 +340,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
                 # Obstacles outside the cone domain come out NaN or infinite; skip masks them.
                 with np.errstate(divide="ignore", invalid="ignore"):
                     h, lf, lg = B.barrier_terms(
-                        barrier, cfg.model, state, centers, velocities, axes, radii,
+                        barrier, cfg.model, state, centers[k], velocities[k], axes, radii,
                         body_offset=cfg.body_offset, rear_axle=cfg.wheelbase_rear, kappa1=kappa1)
                 h_log[k] = np.where(skip, np.nan, h)
                 row = in_range & ~skip & (not shadow_only)
@@ -368,8 +368,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
                 u_star_log[k] = u_star
                 sep_log[k] = sep
                 in_range_log[k] = in_range
-                centers_log[k] = centers
-                velocities_log[k] = velocities
 
                 if cfg.halt_on_collision and np.any(colliding):
                     halted = True
@@ -378,7 +376,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
 
                 if k < n_rec - 1:
                     state = integrate_step(dyn, state, u_star, cfg.dt)
-                    centers = centers + velocities * cfg.dt
     except ArithmeticError as exc:
         raise ArithmeticError(f"{cfg.name}: run blew up at t = {t[k]:g}: {exc}") from None
 
@@ -390,7 +387,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
         t=t[sl], states=states[sl], u_ref=u_ref_log[sl], u_star=u_star_log[sl],
         h=h_log[sl], psi=psi_log[sl], sep=sep_log[sl], in_range=in_range_log[sl],
         constrained=constrained_log[sl], qp_active=qp_active_log[sl],
-        obstacle_centers=centers_log[sl], obstacle_velocities=velocities_log[sl],
+        obstacle_centers=centers[sl], obstacle_velocities=velocities[sl],
         events=events, halted=halted,
     )
 

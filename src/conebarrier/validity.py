@@ -47,13 +47,13 @@ from typing import Optional
 
 import numpy as np
 
-from .barriers import (ClassK, _cone_h, barrier_terms, combined_radius, ellipse_terms,
-                       hocbf_terms, reference_kinematics)
+from .barriers import (BARRIER_MODELS, ClassK, _cone_h, barrier_terms, combined_radius,
+                       ellipse_terms, hocbf_terms, reference_kinematics)
 # Unused here, but bench/tracing.py wraps every *_terms name in this module.
 from .barriers import c3bf_bicycle_terms, c3bf_pointmass_terms, c3bf_unicycle_terms  # noqa: F401
-from .models import INPUT_NAMES, MODELS
+from .models import INPUT_NAMES
 
-BARRIERS = ("c3bf", "ellipse", "hocbf")
+BARRIERS = tuple(BARRIER_MODELS)
 OBSTACLE_SPEED_MAX = 5.0
 KERNEL_TOL = 1e-9
 PSI_TOL = 1e-6
@@ -271,22 +271,18 @@ def _kernel_psi(barrier, model, kernel_batch, tol: float = KERNEL_TOL):
 def validity_probe(barrier: str, model: str, motion: str = "moving",
                    samples: int = 10000, seed: int = 0) -> ValidityReport:
     """Run the classification checklist for one barrier/model/motion cell."""
-    if barrier not in BARRIERS:
-        raise ValueError(f"unknown barrier {barrier!r}")
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}")
+    if model not in BARRIER_MODELS.get(barrier, ()):
+        raise ValueError(f"the {barrier} barrier is not defined for the {model} model")
     if motion not in ("static", "moving"):
         raise ValueError(f"motion must be 'static' or 'moving', got {motion!r}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if barrier in ("ellipse", "hocbf") and model == "pointmass":
-        raise ValueError(f"{barrier} barrier is not defined for the point mass here")
 
     rng = np.random.default_rng(seed)
     checks: list[str] = []
 
     states = _sample_states(rng, model, samples)
-    points, point_velocities = reference_kinematics(model, states, BODY_OFFSET)
+    points, point_velocities, _ = reference_kinematics(model, states, BODY_OFFSET)
     centers, velocities, axes, radii = _sample_obstacles(rng, points, motion)
     if barrier == "c3bf":
         # Keep admissible relative velocities only.

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conebarrier.barriers import (
+    BARRIER_MODELS,
     ClassK,
     barrier_terms,
     c3bf_bicycle_terms,
@@ -17,6 +18,7 @@ from conebarrier.barriers import (
     reference_kinematics,
 )
 from conebarrier.models import BicycleDynamics, BicycleGeometry, UnicycleDynamics
+from conebarrier.validity import MATRIX_ROWS
 
 from conftest import directional_fd
 
@@ -287,7 +289,7 @@ def test_baseline_gradients_match_finite_differences(barrier, model):
 def test_terms_broadcast_one_state_over_velocity_grid(barrier, model):
     rng = np.random.default_rng(41)
     state, center, _, r = _admissible_cone_sample(rng, model)
-    _, point_vel = reference_kinematics(model, state, 0.1)
+    _, point_vel, _ = reference_kinematics(model, state, 0.1)
     angles = rng.uniform(0.0, 2.0 * math.pi, 32)
     grid = point_vel + rng.uniform(0.5, 3.0, (32, 1)) * np.column_stack(
         [np.cos(angles), np.sin(angles)])
@@ -337,6 +339,16 @@ def test_hocbf_moving_bicycle_admits_invalidating_velocity():
     assert np.linalg.norm(lg) <= 1e-9
     assert h >= 0
     assert lf + kappa(h) < -1e-3
+
+
+def test_table_is_the_one_source_of_defined_pairs():
+    # The verdict matrix has a row for every defined pair and for no other.
+    assert set(MATRIX_ROWS) == {(b, m) for b, models in BARRIER_MODELS.items() for m in models}
+    state, center, cdot, r = _admissible_cone_sample(np.random.default_rng(5), "unicycle")
+    for barrier, model in [("c3bf", "truck"), ("ellipse", "pointmass"),
+                           ("hocbf", "pointmass"), ("parabola", "unicycle")]:
+        with pytest.raises(ValueError, match="not defined"):
+            barrier_terms(barrier, model, state, center, cdot, np.ones(2), r)
 
 
 @pytest.mark.parametrize("kind,gamma,table", [

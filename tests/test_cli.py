@@ -105,6 +105,8 @@ def _packaged_tree(edit, name="braking_unicycle"):
     pytest.param(_packaged_tree(lambda t: t["path"][1].__setitem__(0, math.inf),
                                 "weave_bicycle"), id="infinite-waypoint"),
     pytest.param(_packaged_tree(lambda t: t.update(dt=1.0e-300)), id="step-count-over-cap"),
+    pytest.param(_packaged_tree(lambda t: t.update(barrier="hocbf"), "swerve_pointmass"),
+                 id="pointmass-hocbf"),
 ])
 def test_run_malformed_config_exit_two_no_partial_outputs(tmp_path, capsys, text):
     bad = tmp_path / "bad.yaml"
@@ -186,6 +188,9 @@ def test_run_bad_emit_kind_exit_two(tmp_path, braking_yaml):
                  id="pointmass-ellipse"),
     pytest.param(["validity", "--model", "pointmass", "--barrier", "hocbf"],
                  id="pointmass-hocbf"),
+    pytest.param(["run", "--barrier", "ellipse"], id="run-suite-ellipse"),
+    pytest.param(["run", "--barrier", "hocbf"], id="run-suite-hocbf"),
+    pytest.param(["audit", "--barrier", "ellipse"], id="audit-suite-ellipse"),
 ])
 def test_bad_cli_input_exit_two_before_any_run(tmp_path, capsys, monkeypatch, argv):
     def no_run(*args, **kwargs):

@@ -9,7 +9,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conebarrier.barriers import ClassK
+from conebarrier.barriers import BARRIER_MODELS, ClassK
 from conebarrier.models import MODELS, STATE_NAMES
 from conebarrier.safety_filter import PathTrackerGains, ReferenceController
 from conebarrier.scenarios import (
@@ -25,8 +25,7 @@ from conebarrier.scenarios import (
     scenario_to_dict,
     with_overrides,
 )
-from conebarrier.sim import (BARRIER_KINDS, MAX_STEPS, ConfigError, ObstacleConfig,
-                             ScenarioConfig)
+from conebarrier.sim import MAX_STEPS, ConfigError, ObstacleConfig, ScenarioConfig
 
 
 def test_packaged_suite_complete():
@@ -182,7 +181,8 @@ def _scenarios(draw):
         obstacles=tuple(draw(st.lists(_obstacles(), max_size=3))),
         controller=ReferenceController(k_speed=draw(_POSITIVE), k_damp=draw(_POSITIVE),
                                        v_des=draw(_FINITE), heading_des=draw(_FINITE)),
-        barrier=draw(st.sampled_from(BARRIER_KINDS)),
+        barrier=draw(st.sampled_from(
+            [b for b, models in BARRIER_MODELS.items() if model in models] + ["none"])),
         kappa=draw(_classks()),
         body_offset=draw(_FINITE),
         width=draw(st.floats(0.0, 10.0)),

@@ -96,6 +96,28 @@ def test_velocity_schedule_steps_at_configured_time():
                                   np.tile([1.0, 0.0], (before.sum(), 1)))
     np.testing.assert_array_equal(trace.obstacle_velocities[after, 0],
                                   np.tile([-2.0, 0.5], (after.sum(), 1)))
+    # Changes at t = 0, 1e-13 below a step, between two steps, twice at one time and
+    # after the run; the last ones send the obstacle into the unfiltered vehicle.
+    edges = ObstacleConfig(center=(6.0, 0.0), velocity=(1.0, 0.0), semi_axes=(0.5, 0.5),
+                           velocity_schedule=((0.0, (-1.0, 0.0)), (0.5 - 1e-13, (-2.0, 0.5)),
+                                              (0.755, (-1.0, -0.3)), (1.2, (3.0, 0.0)),
+                                              (1.2, (-4.0, 0.2)), (5.0, (9.0, 9.0))))
+    traces = [trace]
+    for halt in (False, True):
+        traces.append(run_scenario(replace(cfg, barrier="none", obstacles=(edges,),
+                                           halt_on_collision=halt)))
+        assert traces[-1].halted == halt
+    for trace in traces:
+        # Step-by-step reference: the changes due at t_k, then c_{k+1} = c_k + v_k dt.
+        obstacle = trace.config.obstacles[0]
+        pending = list(obstacle.velocity_schedule)
+        center, velocity = np.array(obstacle.center), np.array(obstacle.velocity)
+        for k, tk in enumerate(trace.t):
+            while pending and tk >= pending[0][0] - 1e-12:
+                velocity = np.array(pending.pop(0)[1], dtype=float)
+            assert np.array_equal(trace.obstacle_velocities[k, 0], velocity)
+            assert np.array_equal(trace.obstacle_centers[k, 0], center)
+            center = center + velocity * cfg.dt
 
 
 def test_records_uniformly_spaced():
