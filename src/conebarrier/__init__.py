@@ -16,10 +16,11 @@ sampling probes behind the candidate comparison matrix; ``safety_filter``
 the reference controllers and the QP filter, solved exactly by enumerating
 the rows and row pairs that can pin the two-input optimum, with an exact
 least-violation answer for conflicting rows (numpy only, no LP solver);
-``sim`` the closed-loop engine (one barrier call over all obstacles per
-step, masks for perception and the cone domain, rows, QP, input clipping,
-RK4, events derived from the per-step logs) with audits; ``scenarios`` the
-packaged YAML suite; and ``cli`` the command-line tool.
+``sim`` the closed-loop engine (one kinematics pass feeding one barrier
+call over all obstacles per step, masks for perception and the cone
+domain, rows, QP, input clipping, RK4, events derived from the per-step
+logs) with audits; ``scenarios`` the packaged YAML suite; and ``cli`` the
+command-line tool.
 """
 
 from .barriers import EPS_V, ClassK

@@ -32,6 +32,11 @@ does. ``BARRIER_MODELS`` is the one source of the defined (barrier, model)
 pairs, ``reference_kinematics`` the one kinematics function (protected
 point, its velocity and the heading), ``combined_radius`` the one r, and
 ``barrier_terms`` the one (barrier, model) dispatch to the cores.
+
+The cone cores take p_rel, v_rel and the heading next to the state.
+``barrier_terms`` forms them from the ``reference_kinematics`` triple its
+caller passes, so the engine's one kinematics call per step feeds both its
+masks and the cone.
 """
 
 from __future__ import annotations
@@ -53,8 +58,9 @@ heading and a speed, which the point-mass state does not carry."""
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Inner product over the last axis of (..., 2) arrays."""
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+    """Inner product a_0 b_0 + a_1 b_1 over the last axis of (..., 2) arrays."""
+    ab = a * b
+    return ab[..., 0] + ab[..., 1]
 
 
 def _broadcast(*arrays) -> list[np.ndarray]:
@@ -88,8 +94,7 @@ class ClassK:
         if self.kind == "custom":
             if self.table is None or len(self.table) < 2:
                 raise ValueError("custom class-K needs a table of at least two points")
-            xs = np.array([p[0] for p in self.table], dtype=float)
-            ys = np.array([p[1] for p in self.table], dtype=float)
+            xs, ys = self._table_arrays()
             if not np.isfinite([xs, ys]).all():
                 raise ValueError("custom class-K table entries must be finite")
             if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) <= 0):
@@ -135,8 +140,8 @@ class ClassK:
 # Array cores. All accept stacked/broadcast inputs and return (h, lf, lg).
 # ---------------------------------------------------------------------------
 
-_PERP = np.array([-1.0, 1.0])
-"""Multiplies a reversed (cos, sin) heading into its left normal (-sin, cos)."""
+_RIGHT = np.array([1.0, -1.0])
+"""Multiplies a reversed (cos, sin) heading into its right normal (sin, -cos)."""
 
 
 def combined_radius(semi_axes, width):
@@ -165,7 +170,7 @@ def reference_kinematics(model: str, state, body_offset: float = 0.0):
         raise ValueError(f"unknown model {model!r}")
     lever = body_offset * state[..., 4:5]
     return (state[..., 0:2] + body_offset * heading,
-            state[..., 3:4] * heading + lever * (heading[..., ::-1] * _PERP), heading)
+            state[..., 3:4] * heading - lever * (heading[..., ::-1] * _RIGHT), heading)
 
 
 def _cone_h(p_rel: np.ndarray, v_rel: np.ndarray, radius) -> tuple:
@@ -173,10 +178,10 @@ def _cone_h(p_rel: np.ndarray, v_rel: np.ndarray, radius) -> tuple:
 
     q = p_rel + v_rel * s / ||v_rel|| is the vector every Lie derivative of
     the cone barrier contracts against, and pv = <p_rel, v_rel> is returned
-    for the cores' L_f h.
+    for the cores' L_f h. Squares are products (NumPy squares a 0-d scalar
+    by pow()), so a (2,) obstacle gets the bits of its row in an (n, 2) batch.
     """
-    radius = np.asarray(radius, dtype=float)
-    s = np.sqrt(_dot(p_rel, p_rel) - radius**2)
+    s = np.sqrt(_dot(p_rel, p_rel) - radius * radius)
     v_norm = np.sqrt(_dot(v_rel, v_rel))
     pv = _dot(p_rel, v_rel)
     h = pv + v_norm * s
@@ -184,65 +189,50 @@ def _cone_h(p_rel: np.ndarray, v_rel: np.ndarray, radius) -> tuple:
     return h, s, v_norm, q, pv
 
 
-def c3bf_unicycle_terms(state, center, velocity, radius, body_offset):
+def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (..., 2) array of a and b, of a's full broadcast shape, without np.stack."""
+    out = np.empty(np.shape(a) + (2,))
+    out[..., 0] = a
+    out[..., 1] = b
+    return out
+
+
+def c3bf_unicycle_terms(state, p_rel, v_rel, heading, radius, body_offset):
     """Cone barrier terms for the unicycle; state (...,5) -> (h, lf, lg(...,2)).
 
     The vehicle reference point sits body_offset ahead of the axle along the
     heading, so p_rel and v_rel both carry lever terms in omega; those terms
     are what give the angular input its column in L_g h.
     """
-    state = np.asarray(state, dtype=float)
-    point, point_velocity, heading = reference_kinematics("unicycle", state, body_offset)
-    p_rel = np.asarray(center, dtype=float) - point
-    v_rel = np.asarray(velocity, dtype=float) - point_velocity
     v, omega = state[..., 3], state[..., 4]
-    ct, st = heading[..., 0], heading[..., 1]
+    right = heading[..., ::-1] * _RIGHT
     h, s, v_norm, q, pv = _cone_h(p_rel, v_rel, radius)
     # Drift part of d/dt v_rel: rotation of the body-fixed lever and heading.
-    drift_acc = np.stack(
-        [v * omega * st + body_offset * omega**2 * ct,
-         -v * omega * ct + body_offset * omega**2 * st],
-        axis=-1,
-    )
-    lf = v_norm**2 + _dot(q, drift_acc) + pv * v_norm / s
-    lg_a = -(q[..., 0] * ct + q[..., 1] * st)
-    lg_alpha = body_offset * (q[..., 0] * st - q[..., 1] * ct)
-    return h, lf, np.stack([lg_a, lg_alpha], axis=-1)
+    drift = (v * omega)[..., None] * right + (body_offset * omega**2)[..., None] * heading
+    lf = v_norm * v_norm + _dot(q, drift) + pv * v_norm / s
+    return h, lf, _pair(-_dot(q, heading), body_offset * _dot(q, right))
 
 
-def c3bf_bicycle_terms(state, center, velocity, radius, rear_axle):
+def c3bf_bicycle_terms(state, p_rel, v_rel, heading, radius, rear_axle):
     """Cone barrier terms for the small-slip bicycle; state (...,4).
 
     v_rel here uses the along-body velocity v*(cos th, sin th), not the true
-    CoM velocity; the slip angle corrects d/dt p_rel by beta*(v sin th,
-    -v cos th) and turns the heading at rate (v / l_r) beta, both of which
-    land in the beta column of L_g h.
+    CoM velocity; the slip angle corrects d/dt p_rel by beta*w with
+    w = (v sin th, -v cos th) and turns the heading at rate (v / l_r) beta,
+    both of which land in the beta column of L_g h.
     """
-    state = np.asarray(state, dtype=float)
-    point, point_velocity, heading = reference_kinematics("bicycle", state)
-    p_rel = np.asarray(center, dtype=float) - point
-    v_rel = np.asarray(velocity, dtype=float) - point_velocity
     v = state[..., 3]
-    ct, st = heading[..., 0], heading[..., 1]
     h, s, v_norm, q, pv = _cone_h(p_rel, v_rel, radius)
-    lf = v_norm**2 + pv * v_norm / s
-    w_vec = np.stack([v * st, -v * ct], axis=-1)
-    lg_a = -(q[..., 0] * ct + q[..., 1] * st)
-    lg_beta = (
-        _dot(w_vec, v_rel)
-        + _dot(p_rel, w_vec) * v_norm / s
-        + (v / rear_axle) * _dot(q, w_vec)
-    )
-    return h, lf, np.stack([lg_a, lg_beta], axis=-1)
+    lf = v_norm * v_norm + pv * v_norm / s
+    w = v[..., None] * (heading[..., ::-1] * _RIGHT)
+    lg_beta = _dot(w, v_rel) + _dot(p_rel, w) * v_norm / s + (v / rear_axle) * _dot(q, w)
+    return h, lf, _pair(-_dot(q, heading), lg_beta)
 
 
-def c3bf_pointmass_terms(state, center, velocity, radius):
-    """Cone barrier terms for the point mass; state (...,4) = (px,py,vx,vy)."""
-    point, point_velocity, _ = reference_kinematics("pointmass", state)
-    p_rel = np.asarray(center, dtype=float) - point
-    v_rel = np.asarray(velocity, dtype=float) - point_velocity
+def c3bf_pointmass_terms(state, p_rel, v_rel, radius):
+    """Cone barrier terms for the point mass; state (...,4) enters through p_rel, v_rel."""
     h, s, v_norm, q, pv = _cone_h(p_rel, v_rel, radius)
-    lf = v_norm**2 + pv * v_norm / s
+    lf = v_norm * v_norm + pv * v_norm / s
     return h, lf, -q
 
 
@@ -321,26 +311,30 @@ def hocbf_terms(state, center, velocity, axes, kappa1: ClassK, model: str,
     return h2, lf, lg
 
 
-def barrier_terms(barrier: str, model: str, state, center, velocity, axes, radius,
+def barrier_terms(barrier: str, model: str, state, kinematics, center, velocity, axes, radius,
                   body_offset: float = 0.0, rear_axle: Optional[float] = None,
                   kappa1: Optional[ClassK] = None):
     """(h, L_f h, L_g h) of one barrier kind on one vehicle model.
 
     The one (barrier, model) dispatch to the array cores; it broadcasts
-    exactly as they do. The cone uses radius (and body_offset on the
-    unicycle, rear_axle on the bicycle), the ellipse candidates use axes,
-    and the second-order one also kappa1. A pair outside ``BARRIER_MODELS``
-    raises ValueError. The cores are looked up by name on every call, so a
-    wrapper installed on this module sees each one.
+    exactly as they do. ``kinematics`` is ``reference_kinematics(model,
+    state, body_offset)``; the cone takes center and velocity relative to
+    its point and velocity, its heading, and radius (and body_offset,
+    rear_axle), the ellipse candidates center, velocity, axes and kappa1.
+    A pair outside ``BARRIER_MODELS`` raises ValueError. The cores are looked
+    up by name on every call, so a wrapper installed on this module sees
+    each one.
     """
     if model not in BARRIER_MODELS.get(barrier, ()):
         raise ValueError(f"the {barrier} barrier is not defined for the {model} model")
     if barrier == "c3bf":
+        point, point_velocity, heading = kinematics
+        p_rel, v_rel = center - point, velocity - point_velocity
         if model == "unicycle":
-            return c3bf_unicycle_terms(state, center, velocity, radius, body_offset)
+            return c3bf_unicycle_terms(state, p_rel, v_rel, heading, radius, body_offset)
         if model == "bicycle":
-            return c3bf_bicycle_terms(state, center, velocity, radius, rear_axle)
-        return c3bf_pointmass_terms(state, center, velocity, radius)
+            return c3bf_bicycle_terms(state, p_rel, v_rel, heading, radius, rear_axle)
+        return c3bf_pointmass_terms(state, p_rel, v_rel, radius)
     if barrier == "ellipse":
         return ellipse_terms(state, center, velocity, axes, model)
     return hocbf_terms(state, center, velocity, axes, kappa1, model, rear_axle)

@@ -3,24 +3,23 @@
 A scenario fixes one vehicle, a list of moving elliptical obstacles with
 piecewise-constant velocities, a reference controller and a barrier kind.
 The obstacle tracks (centers and velocities at every step) are built before
-the loop. Each step the engine takes the protected point and its velocity
-from ``barriers.reference_kinematics`` once, makes one
-``barriers.barrier_terms`` call over all obstacles, masks out those outside
-the cone's domain (inside the combined radius, or relative speed at most
-``EPS_V``) or the perception radius, builds one constraint row per remaining
-obstacle, solves the filter QP, clips the result to the configured input
-bounds (the QP itself is unbounded), integrates one RK4 step with the
-filtered input held constant, and logs states, both inputs, per-obstacle
-barrier values, switching scalars and separations, and per-step flags. The
-events (perception entry, degenerate relative velocity, QP infeasibility,
-collision, saturation) are the rising edges of those logs, derived after the
-loop. An obstacle inside its combined radius has no cone and builds no row;
-the collision event records it.
+the loop. Each step one ``barriers.reference_kinematics`` call feeds both
+the masks of obstacles outside the cone's domain (inside the combined
+radius, or relative speed at most ``EPS_V``) or the perception radius and
+one ``barriers.barrier_terms`` call over all obstacles. The engine builds one
+constraint row per remaining obstacle, solves the filter QP, clips the
+result to the configured input bounds (the QP itself is unbounded),
+integrates one RK4 step with the filtered input held constant, and logs
+states, both inputs, per-obstacle barrier values, switching scalars and
+separations, and per-step flags. The events (perception entry, degenerate
+relative velocity, QP infeasibility, collision, saturation) are the rising
+edges of those logs, derived after the loop. An obstacle inside its combined
+radius has no cone and builds no row; the collision event records it.
 
 A ``ScenarioConfig`` validates itself and its obstacles when built, so an
-invalid scenario cannot exist and ``dataclasses.replace`` checks again. Its
-field names are the YAML keys of ``scenarios`` and its defaults are the
-only ones.
+invalid scenario cannot exist and ``dataclasses.replace`` checks again; each
+ConfigError it raises starts with the scenario's name. Its field names are
+the YAML keys of ``scenarios`` and its defaults are the only ones.
 
 Collisions (separation at or below the combined radius) are recorded and
 the run continues by default so traces stay analyzable; ``halt_on_collision``
@@ -111,11 +110,17 @@ class ScenarioConfig:
     input_bounds: Optional[tuple[tuple[float, ...], tuple[float, ...]]] = None
 
     def __post_init__(self) -> None:
+        try:
+            self._check()
+        except ConfigError as exc:
+            raise ConfigError(f"{self.name}: {exc}") from None
+
+    def _check(self) -> None:
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.barrier != "none" and self.model not in B.BARRIER_MODELS.get(self.barrier, ()):
-            raise ConfigError(f"{self.name}: the {self.barrier} barrier is not defined "
-                              f"for the {self.model} model")
+            raise ConfigError(f"the {self.barrier} barrier is not defined for the "
+                              f"{self.model} model")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if not (math.isfinite(self.duration) and self.duration >= self.dt):
@@ -262,11 +267,6 @@ def _make_controller(cfg: ScenarioConfig):
     return lambda state: reference_p_controller(cfg.model, state, cfg.controller)
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(v, axis=1) by the same arithmetic, without its per-call checks."""
-    return np.sqrt((v * v).sum(axis=1))
-
-
 def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
     """Simulate one scenario deterministically and return its trace.
 
@@ -286,8 +286,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
         dyn = PointMassDynamics()
     controller = _make_controller(cfg)
     shadow_only = cfg.barrier == "none"
-    cone_domain = cfg.barrier == "c3bf" or shadow_only
     barrier = "c3bf" if shadow_only else cfg.barrier
+    cone_domain = np.full(n_obs, barrier == "c3bf")  # also gates shadow runs
+    enforced = np.full(n_obs, not shadow_only)  # shadow runs build no rows
     kappa1 = cfg.kappa1 or cfg.kappa
 
     state = np.array(cfg.initial_state, dtype=float)
@@ -311,7 +312,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
 
     halted = False
     last = n_rec - 1
-    pinned = np.zeros(0, dtype=int)  # obstacles whose rows pinned the last QP answer
+    pinned = []  # obstacles whose rows pinned the last QP answer
 
     k = 0
     try:
@@ -328,29 +329,32 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
                 [np.array([o.center for o in cfg.obstacles], dtype=float).reshape(1, n_obs, 2),
                  velocities[:-1] * cfg.dt]), axis=0)
             for k in range(n_rec):
-                ref_pt, ref_vel, _ = B.reference_kinematics(cfg.model, state, cfg.body_offset)
-                sep = _row_norms(centers[k] - ref_pt)
-                in_range = sep <= cfg.perception_radius
+                kinematics = B.reference_kinematics(cfg.model, state, cfg.body_offset)
+                ref_pt, ref_vel, _ = kinematics
+                p_rel, v_rel = centers[k] - ref_pt, velocities[k] - ref_vel
+                sep = sep_log[k] = np.sqrt(B._dot(p_rel, p_rel))
+                in_range = in_range_log[k] = sep <= cfg.perception_radius
                 colliding = sep <= radii
-                slow = _row_norms(velocities[k] - ref_vel) <= B.EPS_V
+                slow = np.sqrt(B._dot(v_rel, v_rel)) <= B.EPS_V
                 degenerate_log[k] = ~colliding & slow & cone_domain
                 skip = (colliding | slow) & cone_domain
 
-                u_ref = controller(state)
+                u_ref = u_ref_log[k] = controller(state)
                 # Obstacles outside the cone domain come out NaN or infinite; skip masks them.
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    h, lf, lg = B.barrier_terms(
-                        barrier, cfg.model, state, centers[k], velocities[k], axes, radii,
-                        body_offset=cfg.body_offset, rear_axle=cfg.wheelbase_rear, kappa1=kappa1)
+                    h, lf, lg = B.barrier_terms(barrier, cfg.model, state, kinematics,
+                                                centers[k], velocities[k], axes, radii,
+                                                body_offset=cfg.body_offset,
+                                                rear_axle=cfg.wheelbase_rear, kappa1=kappa1)
                 h_log[k] = np.where(skip, np.nan, h)
-                row = in_range & ~skip & (not shadow_only)
-                row_obstacle = row.nonzero()[0]
+                row = constrained_log[k] = in_range & ~skip & enforced
+                row_obstacle = row.nonzero()[0].tolist()
                 rows = tuple(map(ConstraintRow, lg[row], (-lf[row] - cfg.kappa(h[row])).tolist()))
                 # The previous step's basis, as rows of this step, if all its obstacles kept a row.
-                hint = (tuple(np.searchsorted(row_obstacle, pinned).tolist())
-                        if row[pinned].all() else ())
+                hint = (tuple(map(row_obstacle.index, pinned))
+                        if set(pinned) <= set(row_obstacle) else ())
                 result = solve_multi_constraint(QpProblem(u_ref=u_ref, rows=rows), hint)
-                pinned = row_obstacle[list(result.basis)]
+                pinned = [row_obstacle[j] for j in result.basis]
                 infeasible_log[k] = result.status == "infeasible"
 
                 u_star = result.u_star
@@ -359,15 +363,12 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
                     saturated_log[k] = not np.array_equal(clipped, u_star)
                     u_star = clipped
 
-                psi_log[k, row_obstacle] = result.psi
-                qp_active_log[k, row_obstacle[list(result.active_set)]] = True
-                constrained_log[k] = row
+                psi_log[k][row] = result.psi
+                for j in result.active_set:
+                    qp_active_log[k, row_obstacle[j]] = True
 
                 states[k] = state
-                u_ref_log[k] = u_ref
                 u_star_log[k] = u_star
-                sep_log[k] = sep
-                in_range_log[k] = in_range
 
                 if cfg.halt_on_collision and np.any(colliding):
                     halted = True

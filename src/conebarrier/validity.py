@@ -233,10 +233,12 @@ def _attack_obstacle_velocity(barrier, model, kernel_batch):
     magnitudes = np.concatenate([np.linspace(0.05, 1.0, 8), np.linspace(1.5, OBSTACLE_SPEED_MAX, 8)])
     directions = _directions(np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False))
     grid = (magnitudes[None, :, None] * directions[:, None, :]).reshape(-1, 2)
+    kinematics = reference_kinematics(model, states)
     worst = None
     for i in range(min(states.shape[0], 200)):
-        h, lf, lg = barrier_terms(barrier, model, states[i], centers[i], grid, axes[i], None,
-                                  rear_axle=REAR_AXLE, kappa1=KAPPA1)
+        h, lf, lg = barrier_terms(barrier, model, states[i], [a[i] for a in kinematics],
+                                  centers[i], grid, axes[i], None, rear_axle=REAR_AXLE,
+                                  kappa1=KAPPA1)
         kept = (np.linalg.norm(lg, axis=-1) <= KERNEL_TOL) & (h >= 0.0)
         psi = np.where(kept, lf + KAPPA(h), np.inf)
         j = int(np.argmin(psi))
@@ -255,8 +257,8 @@ def _kernel_psi(barrier, model, kernel_batch, tol: float = KERNEL_TOL):
     zero analytically and only its rounding (~1e-15) falls on either side.
     """
     states, centers, velocities, axes, *radius = kernel_batch
-    h, lf, lg = barrier_terms(barrier, model, states, centers, velocities, axes,
-                              radius[0] if radius else None,
+    h, lf, lg = barrier_terms(barrier, model, states, reference_kinematics(model, states),
+                              centers, velocities, axes, radius[0] if radius else None,
                               rear_axle=REAR_AXLE, kappa1=KAPPA1)
     kernel = np.linalg.norm(lg, axis=-1) <= tol
     psi0 = lf + np.asarray(KAPPA(h))
@@ -282,16 +284,18 @@ def validity_probe(barrier: str, model: str, motion: str = "moving",
     checks: list[str] = []
 
     states = _sample_states(rng, model, samples)
-    points, point_velocities, _ = reference_kinematics(model, states, BODY_OFFSET)
+    points, point_velocities, _ = kinematics = reference_kinematics(model, states, BODY_OFFSET)
     centers, velocities, axes, radii = _sample_obstacles(rng, points, motion)
     if barrier == "c3bf":
         # Keep admissible relative velocities only.
         ok = np.linalg.norm(velocities - point_velocities, axis=1) > 1e-3
         states, centers, velocities = states[ok], centers[ok], velocities[ok]
         axes, radii = axes[ok], radii[ok]
+        kinematics = [None if a is None else a[ok] for a in kinematics]
 
-    h, lf, lg = barrier_terms(barrier, model, states, centers, velocities, axes, radii,
-                              body_offset=BODY_OFFSET, rear_axle=REAR_AXLE, kappa1=KAPPA1)
+    h, lf, lg = barrier_terms(barrier, model, states, kinematics, centers, velocities, axes,
+                              radii, body_offset=BODY_OFFSET, rear_axle=REAR_AXLE,
+                              kappa1=KAPPA1)
     norms = np.linalg.norm(lg, axis=-1)
     channel_max = tuple(float(np.max(np.abs(lg[..., j]))) for j in range(lg.shape[-1]))
     scale = max(1.0, float(np.max(norms))) if norms.size else 1.0

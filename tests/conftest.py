@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conebarrier.barriers import barrier_terms, reference_kinematics
 from conebarrier.scenarios import full_suite
 from conebarrier.sim import run_scenario
 
@@ -27,3 +28,17 @@ def directional_fd(h_of, x, direction, delta=1e-6):
     hp = h_of(x + delta * unit)
     hm = h_of(x - delta * unit)
     return (hp - hm) / (2.0 * delta) * nrm
+
+
+def terms(barrier, model, state, center, velocity, axes=None, radius=None, body_offset=0.0,
+          rear_axle=None, kappa1=None):
+    """``barrier_terms`` with the state's kinematics computed here, as the engine does."""
+    state = np.asarray(state, dtype=float)
+    kinematics = reference_kinematics(model, state, body_offset)
+    return barrier_terms(barrier, model, state, kinematics, center, velocity, axes, radius,
+                         body_offset=body_offset, rear_axle=rear_axle, kappa1=kappa1)
+
+
+def cone(model, state, center, velocity, radius, body_offset=0.0, rear_axle=None):
+    """The cone barrier's terms through ``terms``."""
+    return terms("c3bf", model, state, center, velocity, None, radius, body_offset, rear_axle)

@@ -15,13 +15,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conebarrier.barriers import (
-    ClassK,
-    barrier_terms,
-    c3bf_bicycle_terms,
-    c3bf_pointmass_terms,
-    c3bf_unicycle_terms,
-)
+from conebarrier.barriers import ClassK
 from conebarrier.cli import main as cli_main
 from conebarrier.models import (
     BicycleDynamics,
@@ -44,6 +38,8 @@ from conebarrier.sim import (
     run_scenario,
 )
 from conebarrier.validity import verdict_matrix
+
+from conftest import cone, terms
 
 BODY_OFFSET = 0.1
 REAR_AXLE = 1.6
@@ -117,10 +113,10 @@ def test_criterion_1_gradient_suite():
         rng = np.random.default_rng(zlib.crc32(f"{barrier}/{model}".encode()))
         states, centers, cdot, axes, radii = _sample_batch(
             rng, model, n, cone=barrier == "c3bf")
-        terms = partial(barrier_terms, barrier, model, body_offset=BODY_OFFSET,
-                        rear_axle=REAR_AXLE, kappa1=ClassK("linear", 1.0))
+        pair_terms = partial(terms, barrier, model, body_offset=BODY_OFFSET,
+                             rear_axle=REAR_AXLE, kappa1=ClassK("linear", 1.0))
         dyn = _dynamics_for(model)
-        h, lf, lg = terms(states, centers, cdot, axes, radii)
+        h, lf, lg = pair_terms(states, centers, cdot, axes, radii)
 
         # Drift direction in the extended (state, obstacle-center) space.
         drift = np.stack([dyn.drift(s) for s in states])
@@ -129,8 +125,8 @@ def test_criterion_1_gradient_suite():
         unit = dir_full / nrm[:, None]
         delta = 1e-6
         sd, cd_ = unit[:, :-2], unit[:, -2:]
-        hp = terms(states + delta * sd, centers + delta * cd_, cdot, axes, radii)[0]
-        hm = terms(states - delta * sd, centers - delta * cd_, cdot, axes, radii)[0]
+        hp = pair_terms(states + delta * sd, centers + delta * cd_, cdot, axes, radii)[0]
+        hm = pair_terms(states - delta * sd, centers - delta * cd_, cdot, axes, radii)[0]
         fd_lf = (hp - hm) / (2 * delta) * nrm
         worst = float(np.max(np.abs(fd_lf - lf) / np.maximum(1.0, np.abs(lf))))
 
@@ -138,8 +134,8 @@ def test_criterion_1_gradient_suite():
             cols = np.stack([dyn.actuation(s)[:, j] for s in states])
             cn = np.maximum(np.linalg.norm(cols, axis=1), 1e-12)
             ucols = cols / cn[:, None]
-            hp = terms(states + delta * ucols, centers, cdot, axes, radii)[0]
-            hm = terms(states - delta * ucols, centers, cdot, axes, radii)[0]
+            hp = pair_terms(states + delta * ucols, centers, cdot, axes, radii)[0]
+            hm = pair_terms(states - delta * ucols, centers, cdot, axes, radii)[0]
             fd = (hp - hm) / (2 * delta) * cn
             zero_col = np.all(cols == 0.0, axis=1)
             fd = np.where(zero_col, 0.0, fd)
@@ -171,7 +167,7 @@ def test_criterion_2_cone_sign_oracle():
     v = speed[:, None] * np.column_stack([np.cos(vang), np.sin(vang)])
 
     states = np.column_stack([np.zeros((n, 2)), -v])
-    h, _, _ = c3bf_pointmass_terms(states, p, np.zeros((n, 2)), radii)
+    h, _, _ = cone("pointmass", states, p, np.zeros((n, 2)), radii)
 
     # Independent wedge test: angle between v and the axis toward the origin
     # versus the half angle asin(r/|p|), via cross/dot products only.
@@ -273,8 +269,7 @@ def test_criterion_4_theorem_one_probe():
     pv = np.column_stack([states[:, 3] * ct - BODY_OFFSET * states[:, 4] * st,
                           states[:, 3] * st + BODY_OFFSET * states[:, 4] * ct])
     ok = np.linalg.norm(cdot - pv, axis=1) > 1e-6
-    _, _, lg = c3bf_unicycle_terms(states[ok], centers[ok], cdot[ok], radii[ok],
-                                   BODY_OFFSET)
+    _, _, lg = cone("unicycle", states[ok], centers[ok], cdot[ok], radii[ok], BODY_OFFSET)
     min_norm = float(np.min(np.linalg.norm(lg, axis=1)))
     assert min_norm > 0.0
     _report("criterion 4 (unicycle row never vanishes)",
@@ -314,7 +309,7 @@ def test_criterion_5_theorem_two_probe():
             phi = math.acos(max(-1.0, min(1.0, -REAR_AXLE / dist)))
             theta = ang + phi * (1 if rng.random() < 0.5 else -1)
             state = np.array([0.0, 0.0, theta, -rng.uniform(0.3, 4.0)])
-        h, lf, lg = c3bf_bicycle_terms(state, p, cdot, r, REAR_AXLE)
+        h, lf, lg = cone("bicycle", state, p, cdot, r, rear_axle=REAR_AXLE)
         assert float(np.linalg.norm(lg)) <= 1e-9
         if h >= 0:
             psi0 = float(lf) + float(kappa(h))

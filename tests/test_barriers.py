@@ -9,9 +9,6 @@ from conebarrier.barriers import (
     BARRIER_MODELS,
     ClassK,
     barrier_terms,
-    c3bf_bicycle_terms,
-    c3bf_pointmass_terms,
-    c3bf_unicycle_terms,
     combined_radius,
     ellipse_terms,
     hocbf_terms,
@@ -20,7 +17,7 @@ from conebarrier.barriers import (
 from conebarrier.models import BicycleDynamics, BicycleGeometry, UnicycleDynamics
 from conebarrier.validity import MATRIX_ROWS
 
-from conftest import directional_fd
+from conftest import cone, directional_fd, terms
 
 
 def rotate(vec, angle):
@@ -49,14 +46,14 @@ def wedge_contains(p_rel, v_rel, r):
 
 
 def test_h_value_head_on_static():
-    h, _, _ = c3bf_unicycle_terms(np.array([0, 0, 0, 1, 0]), (5, 0), (0, 0), 1.0, 0.0)
+    h, _, _ = cone("unicycle", np.array([0, 0, 0, 1, 0]), (5, 0), (0, 0), 1.0, 0.0)
     # p_rel=(5,0), v_rel=(-1,0): h = -5 + 5 * sqrt(24)/5 = -5 + 2 sqrt(6)
     assert h == pytest.approx(-5 + 2 * math.sqrt(6), abs=1e-14)
     assert h == pytest.approx(-0.10102051443364424, abs=1e-15)
 
 
 def test_h_value_fleeing_obstacle():
-    h, _, _ = c3bf_unicycle_terms(np.array([0, 0, 0, 1, 0]), (5, 0), (2, 0), 1.0, 0.0)
+    h, _, _ = cone("unicycle", np.array([0, 0, 0, 1, 0]), (5, 0), (2, 0), 1.0, 0.0)
     assert h == pytest.approx(5 + 2 * math.sqrt(6), abs=1e-14)
     assert h > 0
 
@@ -78,7 +75,7 @@ def test_unicycle_lever_arm_keeps_row_nonzero():
     v_rel = vels - np.column_stack([states[:, 3] * ct - l * states[:, 4] * st,
                                     states[:, 3] * st + l * states[:, 4] * ct])
     ok = np.linalg.norm(v_rel, axis=1) > 1e-3
-    _, _, lg = c3bf_unicycle_terms(states[ok], centers[ok], vels[ok], radii[ok], l)
+    _, _, lg = cone("unicycle", states[ok], centers[ok], vels[ok], radii[ok], l)
     assert float(np.min(np.linalg.norm(lg, axis=1))) > 0.0
 
 
@@ -90,8 +87,8 @@ def test_cone_sign_matches_geometric_wedge():
         dist = r + rng.uniform(0.05, 10.0)
         p = dist * rotate(np.array([1.0, 0.0]), rng.uniform(0, 2 * math.pi))
         v = rng.uniform(0.05, 5.0) * rotate(np.array([1.0, 0.0]), rng.uniform(0, 2 * math.pi))
-        h, _, _ = c3bf_pointmass_terms(
-            np.array([0.0, 0.0, -v[0], -v[1]]), p, np.zeros(2), r)
+        h, _, _ = cone(
+            "pointmass", np.array([0.0, 0.0, -v[0], -v[1]]), p, np.zeros(2), r)
         if abs(h) < 1e-9:
             continue
         if (h < 0) != wedge_contains(p, v, r):
@@ -107,22 +104,24 @@ def test_cone_boundary_h_is_zero():
     v_dir = rotate(-p / np.linalg.norm(p), phi)
     v = 2.7 * v_dir
     state = np.array([0.0, 0.0, 0.0, 0.0])  # bicycle at rest
-    h, _, _ = c3bf_bicycle_terms(state, p, v, r, 1.6)
+    h, _, _ = cone("bicycle", state, p, v, r, rear_axle=1.6)
     assert abs(h) < 1e-12 * np.linalg.norm(p) * np.linalg.norm(v)
 
 
 def test_bicycle_sign_matches_geometry_dead_ahead():
     rear_axle = 1.0
-    inside, _, _ = c3bf_bicycle_terms(np.array([0, 0, 0.0, 2.0]), (6, 0), (0, 0), 1.0, rear_axle)
+    inside, _, _ = cone("bicycle", np.array([0, 0, 0.0, 2.0]), (6, 0), (0, 0), 1.0,
+                        rear_axle=rear_axle)
     assert inside < 0  # driving straight at it
-    outside, _, _ = c3bf_bicycle_terms(np.array([0, 0, 0.6, 2.0]), (6, 0), (0, 0), 1.0, rear_axle)
+    outside, _, _ = cone("bicycle", np.array([0, 0, 0.6, 2.0]), (6, 0), (0, 0), 1.0,
+                         rear_axle=rear_axle)
     assert outside > 0  # heading well off the cone
 
 
 def test_pointmass_head_on_collinear_algebra():
     # Width 0.4 and semi-axes (1.2, 0.8) give the combined radius 1.4.
     radius = combined_radius((1.2, 0.8), 0.4)
-    h, _, _ = c3bf_pointmass_terms(np.array([0, 0, 3, 0]), (7, 0), (0, 0), radius)
+    h, _, _ = cone("pointmass", np.array([0, 0, 3, 0]), (7, 0), (0, 0), radius)
     r = 1.2 + 0.2
     assert radius == r
     p_norm, v_norm = 7.0, 3.0
@@ -132,7 +131,7 @@ def test_pointmass_head_on_collinear_algebra():
 
 
 def test_pointmass_perpendicular_flyby_safe():
-    h, _, _ = c3bf_pointmass_terms(np.array([0, 0, 0, 3]), (8, 0), (0, 0), 0.5)
+    h, _, _ = cone("pointmass", np.array([0, 0, 0, 3]), (8, 0), (0, 0), 0.5)
     # Independent evaluation of the formula.
     p, v = np.array([8.0, 0.0]), np.array([0.0, -3.0])
     expected = p @ v + np.linalg.norm(v) * math.sqrt(p @ p - 0.25)
@@ -147,7 +146,7 @@ def test_pointmass_row_is_minus_q_and_never_zero():
         p = (r + rng.uniform(0.05, 8.0)) * rotate(np.array([1, 0.0]), rng.uniform(0, 7))
         v = rng.uniform(0.05, 4.0) * rotate(np.array([1, 0.0]), rng.uniform(0, 7))
         state = np.array([0.0, 0.0, -v[0], -v[1]])
-        _, _, lg = c3bf_pointmass_terms(state, p, np.zeros(2), r)
+        _, _, lg = cone("pointmass", state, p, np.zeros(2), r)
         s_len = math.sqrt(p @ p - r * r)
         q = p + v * (s_len / np.linalg.norm(v))
         np.testing.assert_allclose(lg, -q, rtol=1e-12)
@@ -161,9 +160,9 @@ def test_scale_covariance():
         p = (r + rng.uniform(0.1, 6.0)) * rotate(np.array([1, 0.0]), rng.uniform(0, 7))
         v = rng.uniform(0.1, 4.0) * rotate(np.array([1, 0.0]), rng.uniform(0, 7))
         lam = rng.uniform(0.2, 5.0)
-        h1, _, _ = c3bf_pointmass_terms(np.array([0, 0, -v[0], -v[1]]), p, np.zeros(2), r)
-        h2, _, _ = c3bf_pointmass_terms(
-            np.array([0, 0, -lam * v[0], -lam * v[1]]), lam * p, np.zeros(2), lam * r)
+        h1, _, _ = cone("pointmass", np.array([0, 0, -v[0], -v[1]]), p, np.zeros(2), r)
+        h2, _, _ = cone(
+            "pointmass", np.array([0, 0, -lam * v[0], -lam * v[1]]), lam * p, np.zeros(2), lam * r)
         assert h2 == pytest.approx(lam**2 * h1, rel=1e-12)
         assert np.sign(h1) == np.sign(h2)
 
@@ -219,17 +218,14 @@ def _admissible_cone_sample(rng, model, l=0.1, rear=1.6):
 @pytest.mark.parametrize("model", ["unicycle", "bicycle", "pointmass"])
 def test_c3bf_gradients_match_finite_differences(model):
     rng = np.random.default_rng(21)
-    l, rear = 0.1, 1.6
     if model == "unicycle":
         dyn = UnicycleDynamics()
-        terms = lambda s, c, cd, r: c3bf_unicycle_terms(s, c, cd, r, l)
     elif model == "bicycle":
-        dyn = BicycleDynamics(BicycleGeometry(1.2, rear))
-        terms = lambda s, c, cd, r: c3bf_bicycle_terms(s, c, cd, r, rear)
+        dyn = BicycleDynamics(BicycleGeometry(1.2, 1.6))
     else:
         from conebarrier.models import PointMassDynamics
         dyn = PointMassDynamics()
-        terms = lambda s, c, cd, r: c3bf_pointmass_terms(s, c, cd, r)
+    terms = lambda s, c, cd, r: cone(model, s, c, cd, r, body_offset=0.1, rear_axle=1.6)
 
     worst = 0.0
     for _ in range(300):
@@ -295,12 +291,56 @@ def test_terms_broadcast_one_state_over_velocity_grid(barrier, model):
         [np.cos(angles), np.sin(angles)])
     axes = np.array([0.9, 0.6])
     kw = dict(body_offset=0.1, rear_axle=1.6, kappa1=ClassK("cubic", 0.5))
-    h, lf, lg = barrier_terms(barrier, model, state, center, grid, axes, r, **kw)
+    h, lf, lg = terms(barrier, model, state, center, grid, axes, r, **kw)
     assert (h.shape, lf.shape, lg.shape) == ((32,), (32,), (32, 2))
     for j, cdot in enumerate(grid):
-        hj, lfj, lgj = barrier_terms(barrier, model, state, center, cdot, axes, r, **kw)
+        hj, lfj, lgj = terms(barrier, model, state, center, cdot, axes, r, **kw)
         np.testing.assert_allclose([h[j], lf[j], *lg[j]], [hj, lfj, *lgj],
                                    rtol=1e-12, atol=1e-12)
+
+
+# (p_rel, v_rel) at radius 0.5 where squaring the (2,) call's 0-d ||v_rel||
+# with NumPy's scalar pow() would round L_f h apart from the batched square.
+POW_WITNESSES = np.array([[-5.76, -4.05, -2.74, -1.46], [5.58, -4.45, -1.54, -0.6],
+                          [4.15, -0.75, -0.63, -2.95], [-2.63, -4.69, 0.6, 1.54]])
+
+
+@pytest.mark.parametrize("model", ["unicycle", "bicycle", "pointmass"])
+def test_cone_terms_broadcast_bit_for_bit(model):
+    # One state against an (n, 2) obstacle batch, as the engine calls it, and
+    # one obstacle against an (n, 2) velocity grid, as the attack calls it,
+    # give the bits of n one-obstacle (2,) calls.
+    def check(state, body_offset, centers, cdots, radii):
+        kinematics = reference_kinematics(model, state, body_offset)
+
+        def call(center, cdot, r):
+            return barrier_terms("c3bf", model, state, kinematics, center, cdot, None, r,
+                                 body_offset=body_offset, rear_axle=1.6)
+
+        n = len(radii)
+        obstacle_batch = (call(centers, cdots, radii),
+                          [call(centers[j], cdots[j], radii[j]) for j in range(n)])
+        velocity_grid = (call(centers[0], cdots, radii[0]),
+                         [call(centers[0], cdots[j], radii[0]) for j in range(n)])
+        for batched, singles in (obstacle_batch, velocity_grid):
+            for got, want in zip(batched, zip(*singles)):
+                assert got.shape == np.shape(want) and got.tobytes() == np.array(want).tobytes()
+
+    # At rest at the origin with no body offset, p_rel and v_rel are exactly
+    # the witnesses' centers and velocities.
+    rest = np.zeros(5 if model == "unicycle" else 4)
+    check(rest, 0.0, POW_WITNESSES[:, :2], POW_WITNESSES[:, 2:], np.full(4, 0.5))
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        state = _admissible_cone_sample(rng, model)[0]
+        point, point_vel, _ = reference_kinematics(model, state, 0.1)
+        radii = rng.uniform(0.4, 2.0, 16)
+        angles = rng.uniform(0.0, 2.0 * math.pi, (2, 16))
+        centers = point + (radii + rng.uniform(0.2, 9.0, 16))[:, None] * np.column_stack(
+            [np.cos(angles[0]), np.sin(angles[0])])
+        cdots = point_vel + rng.uniform(0.5, 3.0, (16, 1)) * np.column_stack(
+            [np.cos(angles[1]), np.sin(angles[1])])
+        check(state, 0.1, centers, cdots, radii)
 
 
 def test_bicycle_kernel_states_satisfy_inequality():
@@ -318,7 +358,7 @@ def test_bicycle_kernel_states_satisfy_inequality():
         q = p + cdot * (s_len / np.linalg.norm(cdot))
         theta = math.atan2(q[1], q[0]) + math.pi / 2
         state = np.array([0.0, 0.0, theta, 0.0])
-        h, lf, lg = c3bf_bicycle_terms(state, p, cdot, r, 1.6)
+        h, lf, lg = cone("bicycle", state, p, cdot, r, rear_axle=1.6)
         assert np.linalg.norm(lg) <= 1e-9
         if h >= 0:
             checked += 1
@@ -348,7 +388,8 @@ def test_table_is_the_one_source_of_defined_pairs():
     for barrier, model in [("c3bf", "truck"), ("ellipse", "pointmass"),
                            ("hocbf", "pointmass"), ("parabola", "unicycle")]:
         with pytest.raises(ValueError, match="not defined"):
-            barrier_terms(barrier, model, state, center, cdot, np.ones(2), r)
+            barrier_terms(barrier, model, state, (center, cdot, None), center, cdot,
+                          np.ones(2), r)
 
 
 @pytest.mark.parametrize("kind,gamma,table", [

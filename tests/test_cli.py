@@ -14,7 +14,7 @@ import yaml
 
 from conebarrier import cli, sim
 from conebarrier.cli import main, parse_trace_csv, write_trace_csv
-from conebarrier.scenarios import load_packaged, save_scenario, scenario_to_dict
+from conebarrier.scenarios import SUITE_NAMES, load_packaged, save_scenario, scenario_to_dict
 from conebarrier.sim import run_scenario
 
 
@@ -221,6 +221,14 @@ def test_audit_qp_check_fails_a_wrong_solver(tmp_path, braking_yaml, monkeypatch
     assert main(["audit", "--config", str(braking_yaml), "--out", str(out)]) == 1
     checks = json.loads((out / "audit.json").read_text())["checks"]
     assert [c["passed"] for c in checks if c["name"] == "qp_grid_oracle"] == [False]
+
+
+def test_override_breaking_a_packaged_scenario_names_it(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--dt", "1e-300", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {SUITE_NAMES[0]}: duration / dt asks for 1e+301 steps")
+    assert err.count("\n") == 1 and not out.exists()
 
 
 def test_env_var_output_dir(tmp_path, braking_yaml, monkeypatch):

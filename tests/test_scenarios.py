@@ -100,6 +100,21 @@ def test_with_overrides_validates():
         with_overrides(cfg, barrier="laser")
 
 
+@pytest.mark.parametrize("change", [
+    dict(dt=1.0e-300), dict(barrier="laser"), dict(model="truck"), dict(width=-1.0),
+    dict(initial_state=(0.0,)),
+    dict(barrier="ellipse", model="pointmass", initial_state=(0.0, 0.0, 1.0, 0.0)),
+    dict(obstacles=(ObstacleConfig(center=(1.0, 1.0), semi_axes=(0.0, 1.0)),)),
+])
+def test_config_errors_name_the_scenario(change):
+    # Overrides and replace() break packaged scenarios with no file to name.
+    cfg = load_packaged("weave_bicycle")
+    with pytest.raises(ConfigError) as err:
+        replace(cfg, **change)
+    message = str(err.value)
+    assert message.startswith("weave_bicycle: ") and message.count("weave_bicycle") == 1
+
+
 def test_step_count_capped_when_built():
     # Building a config allocates nothing, so the cap is checked on both sides.
     cfg = load_packaged("braking_unicycle")

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conebarrier import barriers
 from conebarrier.barriers import ClassK
 from conebarrier.models import UnicycleDynamics, integrate_step
 from conebarrier.safety_filter import ReferenceController
@@ -193,6 +194,36 @@ def test_out_of_range_obstacle_leaves_run_unchanged():
     assert more.events == base.events
 
 
+def _corridor_cfg(model):
+    """A crowd-style encounter: 16 moving discs in 8 jittered columns of 2."""
+    rng = np.random.default_rng(7)
+    obstacles = tuple(
+        ObstacleConfig(center=(4.0 + 2.5 * column + rng.uniform(-0.6, 0.6),
+                               side * 2.0 + rng.uniform(-0.6, 0.6)),
+                       velocity=tuple(rng.uniform(-1.0, 1.0, 2)),
+                       semi_axes=(radius := rng.uniform(0.3, 0.6), radius))
+        for column in range(8) for side in (-1.0, 1.0))
+    initial = (0.0, 0.0, 0.0, 2.0, 0.0)[:5 if model == "unicycle" else 4]
+    return ScenarioConfig(name=f"corridor_{model}", model=model, initial_state=initial,
+                          obstacles=obstacles, controller=ReferenceController(v_des=2.0),
+                          duration=1.5)
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param(replace(load_packaged("braking_unicycle"), duration=2.0), id="packaged-1"),
+    pytest.param(_corridor_cfg("unicycle"), id="corridor-unicycle-16"),
+    pytest.param(_corridor_cfg("bicycle"), id="corridor-bicycle-16"),
+])
+def test_one_kinematics_call_per_step(cfg, monkeypatch):
+    calls = []
+    kinematics = barriers.reference_kinematics
+    monkeypatch.setattr(barriers, "reference_kinematics",
+                        lambda *args: calls.append(1) or kinematics(*args))
+    trace = run_scenario(cfg)
+    assert len(calls) == len(trace.t) == round(cfg.duration / cfg.dt) + 1
+    assert trace.constrained.sum(axis=1).max() >= min(8, len(cfg.obstacles))
+
+
 def test_classifier_labels_on_suite(suite_traces):
     for name, want in EXPECTED_BEHAVIORS.items():
         assert classify_behavior(suite_traces[name]) == want, name
@@ -262,14 +293,14 @@ def test_config_validation_errors():
         _simple_cfg(initial_state=(0.0, 0.0, 0.0))
     with pytest.raises(ConfigError):
         _simple_cfg(model="hovercraft")
-    with pytest.raises(ConfigError, match=r"^obstacles\[0\]: .*semi-axes"):
+    with pytest.raises(ConfigError, match=r"^probe: obstacles\[0\]: .*semi-axes"):
         _simple_cfg(obstacles=(ObstacleConfig(center=(1, 1), semi_axes=(0.0, 1.0)),))
-    with pytest.raises(ConfigError, match=r"^obstacles\[0\]: .*sorted"):
+    with pytest.raises(ConfigError, match=r"^probe: obstacles\[0\]: .*sorted"):
         _simple_cfg(obstacles=(ObstacleConfig(
             center=(1, 1), semi_axes=(1.0, 1.0),
             velocity_schedule=((2.0, (0.0, 0.0)), (1.0, (1.0, 0.0)))),))
     for bad_time in (math.nan, math.inf):
-        with pytest.raises(ConfigError, match=r"^obstacles\[1\]: .*times must be finite"):
+        with pytest.raises(ConfigError, match=r"^probe: obstacles\[1\]: .*times must be finite"):
             _simple_cfg(obstacles=(
                 ObstacleConfig(center=(1, 1)),
                 ObstacleConfig(center=(1, 1), velocity_schedule=((bad_time, (1.0, 0.0)),)),

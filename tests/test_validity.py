@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conebarrier.barriers import ClassK, barrier_terms, hocbf_terms
+from conebarrier.barriers import ClassK, hocbf_terms
 from conebarrier.validity import (
     KAPPA,
     KAPPA1,
@@ -22,6 +22,8 @@ from conebarrier.validity import (
     verdict_matrix,
 )
 
+from conftest import terms
+
 
 def _attack_by_loops(barrier, model, kernel_batch):
     """Reference attack: one barrier call per kernel state and grid velocity."""
@@ -35,8 +37,8 @@ def _attack_by_loops(barrier, model, kernel_batch):
         for direction in directions:
             for mag in magnitudes:
                 cdot = mag * direction
-                h, lf, lg = barrier_terms(barrier, model, states[i], centers[i], cdot,
-                                          axes[i], None, rear_axle=REAR_AXLE, kappa1=KAPPA1)
+                h, lf, lg = terms(barrier, model, states[i], centers[i], cdot,
+                                  axes[i], None, rear_axle=REAR_AXLE, kappa1=KAPPA1)
                 if float(np.linalg.norm(lg)) > KERNEL_TOL or float(h) < 0.0:
                     continue
                 psi = float(lf) + float(KAPPA(h))
@@ -173,6 +175,6 @@ def test_constructed_kernel_states_are_kernels(barrier, model, construct, motion
     assert states.shape[0] > 20
     if construct is _nonzero_speed_kernels:
         assert np.all((np.abs(states[:, 3]) >= 0.25) & (np.abs(states[:, 3]) <= 6.0))
-    _, _, lg = barrier_terms(barrier, model, states, centers, vels, axes,
-                             radius[0] if radius else None, rear_axle=REAR_AXLE, kappa1=KAPPA1)
+    _, _, lg = terms(barrier, model, states, centers, vels, axes,
+                     radius[0] if radius else None, rear_axle=REAR_AXLE, kappa1=KAPPA1)
     assert np.max(np.linalg.norm(lg, axis=-1)) <= 1e-9
