@@ -35,9 +35,9 @@ from .models import (
     slip_from_steering,
 )
 from .safety_filter import (
-    ConstraintRow,
     DegenerateRowError,
     EmptyPathError,
+    NonFiniteRowError,
     PathTrackerGains,
     QpProblem,
     ReferenceController,
@@ -66,8 +66,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineDynamics", "BetaReport", "BicycleDynamics", "BicycleGeometry", "ClassK",
-    "ConfigError", "ConstraintRow", "DegenerateRowError", "EPS_V", "EmptyPathError",
-    "InvarianceReport", "ObstacleConfig", "PathTrackerGains", "PointMassDynamics",
+    "ConfigError", "DegenerateRowError", "EPS_V", "EmptyPathError", "InvarianceReport",
+    "NonFiniteRowError", "ObstacleConfig", "PathTrackerGains", "PointMassDynamics",
     "QpProblem", "ReferenceController", "SafetyFilterResult", "ScenarioConfig",
     "ScenarioTrace", "SimEvent", "UnicycleDynamics", "ValidityReport",
     "beta_smallness_audit", "bicycle_dynamics_exact", "classify_behavior",

@@ -6,9 +6,9 @@ Subcommands:
   suite) and emit per-scenario trace CSVs, event and summary JSON, and
   plot-ready JSON. Exit 0 only when no run records a collision; 1 when one
   does; 2 on configuration errors (no partial outputs are written) and on a
-  run that blows up (a non-finite separation, filtered input or state),
-  which is reported on one stderr line; the files already written for
-  earlier scenarios of the batch stay.
+  run that blows up (a non-finite separation, barrier row, filtered input
+  or state), which is reported on one stderr line; the files already
+  written for earlier scenarios of the batch stay.
 * ``conebarrier validity`` — print the barrier/model verdict matrix (or one
   --barrier/--model row) from the sampling probes, optionally writing it as
   JSON.
@@ -45,8 +45,7 @@ import numpy as np
 
 from .barriers import combined_radius
 from .models import INPUT_NAMES, MODELS, STATE_NAMES
-from .safety_filter import (GRID_FINE, ConstraintRow, QpProblem, grid_project,
-                            solve_multi_constraint)
+from .safety_filter import GRID_FINE, QpProblem, grid_project, solve_multi_constraint
 from .scenarios import (
     EXPECTED_BEHAVIORS,
     full_suite,
@@ -366,8 +365,7 @@ def _audit_checks(args) -> list[dict]:
         for _ in range(rng.integers(1, 4)):
             ang = rng.uniform(0, 2 * np.pi)
             rows.append((np.array([np.cos(ang), np.sin(ang)]), float(rng.uniform(-2, 2))))
-        result = solve_multi_constraint(QpProblem(
-            u_ref=u_ref, rows=tuple(ConstraintRow(lg, rhs) for lg, rhs in rows)))
+        result = solve_multi_constraint(QpProblem(u_ref, *map(np.array, zip(*rows))))
         ref = grid_project(u_ref, rows, deep=result.status != "infeasible")
         if result.status == "infeasible":
             refuted += ref is not None and float(np.max(np.abs(ref))) <= 9.0

@@ -30,6 +30,12 @@ Stage two of an infeasible solve, warm or cold, starts from the tie triple:
 the rows tight at its answer lie near the tie point, so the projections onto
 the triple's rows and pairs, relaxed by t* + 1e-9, are tried before all rows.
 
+A ``QpProblem(u_ref, a, b)`` holds the rows a u >= b as the arrays a (m, 2)
+and b (m,) that the engine slices from its barrier call. Its one finiteness
+test, ``_check_finite``, which both solvers pass, raises an error that is also
+an ArithmeticError, so the engine reports a NaN row as a blown-up run. The
+``rows`` view of ``ConstraintRow`` pairs remains only for ``bench/tracing.py``.
+
 The QP carries no input bounds. A scenario's input bounds are applied by
 the closed-loop engine (``sim.run_scenario``), which clips the QP's answer
 and logs a ``saturation`` event when the clip changes it.
@@ -45,7 +51,7 @@ import math
 from dataclasses import astuple, dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -68,6 +74,10 @@ this close to parallel is rounding noise at |u| ~ |b| / (|a| PARALLEL_TOL).
 
 class DegenerateRowError(ValueError):
     """Constraint row with L_g h = 0: the input cannot influence hdot."""
+
+
+class NonFiniteRowError(ValueError, ArithmeticError):
+    """Constraint row with a NaN or infinite entry: the run that built it has blown up."""
 
 
 class EmptyPathError(ValueError):
@@ -165,30 +175,24 @@ def reference_path_tracker(state: np.ndarray, path: Sequence, geom: BicycleGeome
     return np.array([a_ref, beta_ref])
 
 
-@dataclass(frozen=True)
-class ConstraintRow:
-    """One half-plane L_g h u >= rhs with rhs = -L_f h - kappa(h)."""
+class ConstraintRow(NamedTuple):
+    """One row L_g h u >= rhs, rhs = -L_f h - kappa(h), as ``QpProblem.rows`` shows it."""
 
     lg_h: np.ndarray
     rhs: float
 
-    def __post_init__(self) -> None:
-        lg = np.asarray(self.lg_h, dtype=float)
-        object.__setattr__(self, "lg_h", lg)
-        if not (math.isfinite(self.rhs) and all(map(math.isfinite, lg.ravel().tolist()))):
-            raise ValueError("constraint row must be finite")
 
-
-@dataclass(frozen=True)
-class QpProblem:
-    """Reference input plus the stacked constraint rows (possibly none)."""
+class QpProblem(NamedTuple):
+    """Reference input u_ref (2,) and the rows a u >= b: a (m, 2) and b (m,), m >= 0."""
 
     u_ref: np.ndarray
-    rows: tuple[ConstraintRow, ...] = ()
+    a: np.ndarray
+    b: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "u_ref", np.asarray(self.u_ref, dtype=float))
-        object.__setattr__(self, "rows", tuple(self.rows))
+    @property
+    def rows(self) -> tuple[ConstraintRow, ...]:
+        """The rows one by one, read only: ``bench/tracing.py`` reads them so."""
+        return tuple(map(ConstraintRow, self.a, self.b))
 
 
 @dataclass(frozen=True)
@@ -215,21 +219,28 @@ class SafetyFilterResult:
         return self.u_star - self.u_ref
 
 
+def _check_finite(a_mat: np.ndarray, b_vec: np.ndarray) -> None:
+    """The one finiteness test of a solve; both solvers pass through it once per QP."""
+    if not all(map(math.isfinite, [*a_mat.ravel().tolist(), *b_vec.tolist()])):
+        raise NonFiniteRowError("constraint rows must be finite")
+
+
 def solve_single_constraint(qp: QpProblem) -> SafetyFilterResult:
     """Closed-form solve of the one-row QP over an unbounded input set."""
-    if len(qp.rows) != 1:
-        raise ValueError(f"expected exactly one constraint row, got {len(qp.rows)}")
-    row = qp.rows[0]
-    lg = row.lg_h
+    u_ref, a_mat, b_vec = qp
+    if len(b_vec) != 1:
+        raise ValueError(f"expected exactly one constraint row, got {len(b_vec)}")
+    _check_finite(a_mat, b_vec)
+    lg = a_mat[0]
     lg_sq = float(lg @ lg)
     if lg_sq == 0.0:
         raise DegenerateRowError("L_g h = 0: constraint row cannot be enforced")
-    psi = float(lg @ qp.u_ref - row.rhs)
+    psi = float(lg @ u_ref - b_vec[0])
     if psi >= 0.0:
-        return SafetyFilterResult(u_star=qp.u_ref.copy(), u_ref=qp.u_ref,
+        return SafetyFilterResult(u_star=u_ref.copy(), u_ref=u_ref,
                                   psi=np.array([psi]), active_set=(), status="inactive")
-    u_star = qp.u_ref - lg * (psi / lg_sq)
-    return SafetyFilterResult(u_star=u_star, u_ref=qp.u_ref, psi=np.array([psi]),
+    u_star = u_ref - lg * (psi / lg_sq)
+    return SafetyFilterResult(u_star=u_star, u_ref=u_ref, psi=np.array([psi]),
                               active_set=(0,), status="corrected", basis=(0,))
 
 
@@ -350,11 +361,10 @@ def _kkt_points(gram: np.ndarray, a_mat: np.ndarray, r: np.ndarray, u_ref: np.nd
 
 def solve_multi_constraint(qp: QpProblem, basis: tuple[int, ...] = ()) -> SafetyFilterResult:
     """Exact multi-row QP solve, warm from ``basis``; least violation when the rows conflict."""
-    u_ref = qp.u_ref
-    if len(qp.rows) == 1 and float(qp.rows[0].lg_h @ qp.rows[0].lg_h) > 0.0:
+    u_ref, a_mat, b_vec = qp
+    if len(b_vec) == 1 and float(a_mat[0] @ a_mat[0]) > 0.0:
         return solve_single_constraint(qp)
-    a_mat = np.array([row.lg_h for row in qp.rows]).reshape(len(qp.rows), len(u_ref))
-    b_vec = np.array([row.rhs for row in qp.rows])
+    _check_finite(a_mat, b_vec)
     psi = a_mat @ u_ref - b_vec
     if (psi >= 0.0).all():
         return SafetyFilterResult(u_star=u_ref.copy(), u_ref=u_ref, psi=psi,

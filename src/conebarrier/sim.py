@@ -6,15 +6,16 @@ The obstacle tracks (centers and velocities at every step) are built before
 the loop. Each step one ``barriers.reference_kinematics`` call feeds both
 the masks of obstacles outside the cone's domain (inside the combined
 radius, or relative speed at most ``EPS_V``) or the perception radius and
-one ``barriers.barrier_terms`` call over all obstacles. The engine builds one
-constraint row per remaining obstacle, solves the filter QP, clips the
-result to the configured input bounds (the QP itself is unbounded),
-integrates one RK4 step with the filtered input held constant, and logs
-states, both inputs, per-obstacle barrier values, switching scalars and
-separations, and per-step flags. The events (perception entry, degenerate
-relative velocity, QP infeasibility, collision, saturation) are the rising
-edges of those logs, derived after the loop. An obstacle inside its combined
-radius has no cone and builds no row; the collision event records it.
+one ``barriers.barrier_terms`` call over all obstacles. The filter QP takes
+the remaining obstacles' rows as that call's arrays ``L_g h`` (m, 2) and
+``-L_f h - kappa(h)`` (m,); the engine clips its answer to the configured
+input bounds (the QP itself is unbounded), integrates one RK4 step with the
+filtered input held constant, and logs states, both inputs, per-obstacle
+barrier values, switching scalars and separations, and per-step flags. The
+events (perception entry, degenerate relative velocity, QP infeasibility,
+collision, saturation) are the rising edges of those logs, derived after
+the loop. An obstacle inside its combined radius has no cone and builds no
+row; the collision event records it.
 
 A ``ScenarioConfig`` validates itself and its obstacles when built, so an
 invalid scenario cannot exist and ``dataclasses.replace`` checks again; each
@@ -54,7 +55,6 @@ from .models import (
     integrate_step,
 )
 from .safety_filter import (
-    ConstraintRow,
     PathTrackerGains,
     QpProblem,
     ReferenceController,
@@ -349,11 +349,11 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
                 h_log[k] = np.where(skip, np.nan, h)
                 row = constrained_log[k] = in_range & ~skip & enforced
                 row_obstacle = row.nonzero()[0].tolist()
-                rows = tuple(map(ConstraintRow, lg[row], (-lf[row] - cfg.kappa(h[row])).tolist()))
                 # The previous step's basis, as rows of this step, if all its obstacles kept a row.
                 hint = (tuple(map(row_obstacle.index, pinned))
                         if set(pinned) <= set(row_obstacle) else ())
-                result = solve_multi_constraint(QpProblem(u_ref=u_ref, rows=rows), hint)
+                qp = QpProblem(u_ref, lg[row], -lf[row] - cfg.kappa(h[row]))
+                result = solve_multi_constraint(qp, hint)
                 pinned = [row_obstacle[j] for j in result.basis]
                 infeasible_log[k] = result.status == "infeasible"
 

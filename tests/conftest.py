@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conebarrier.barriers import barrier_terms, reference_kinematics
+from conebarrier.safety_filter import QpProblem
 from conebarrier.scenarios import full_suite
 from conebarrier.sim import run_scenario
 
@@ -42,3 +43,10 @@ def terms(barrier, model, state, center, velocity, axes=None, radius=None, body_
 def cone(model, state, center, velocity, radius, body_offset=0.0, rear_axle=None):
     """The cone barrier's terms through ``terms``."""
     return terms("c3bf", model, state, center, velocity, None, radius, body_offset, rear_axle)
+
+
+def qp_of(u_ref, rows):
+    """The ``QpProblem`` of u_ref and (lg_h, rhs) pairs, stacked into the row arrays a and b."""
+    return QpProblem(np.asarray(u_ref, dtype=float),
+                     np.array([lg for lg, _ in rows], dtype=float).reshape(len(rows), 2),
+                     np.array([rhs for _, rhs in rows], dtype=float))

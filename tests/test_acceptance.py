@@ -24,8 +24,6 @@ from conebarrier.models import (
     UnicycleDynamics,
 )
 from conebarrier.safety_filter import (
-    ConstraintRow,
-    QpProblem,
     grid_project,
     solve_multi_constraint,
     solve_single_constraint,
@@ -39,7 +37,7 @@ from conebarrier.sim import (
 )
 from conebarrier.validity import verdict_matrix
 
-from conftest import cone, terms
+from conftest import cone, qp_of, terms
 
 BODY_OFFSET = 0.1
 REAR_AXLE = 1.6
@@ -209,7 +207,7 @@ def test_criterion_3_qp_optimality():
             ang = rng.uniform(0, 2 * math.pi)
             rows.append((np.array([math.cos(ang), math.sin(ang)]),
                          float(rng.uniform(-2, 2))))
-        qp = QpProblem(u_ref=u_ref, rows=tuple(ConstraintRow(l, r) for l, r in rows))
+        qp = qp_of(u_ref, rows)
         res = solve_multi_constraint(qp)
         if len(rows) == 1:
             single = solve_single_constraint(qp)

@@ -133,6 +133,25 @@ def test_blow_up_exit_two_on_one_line(tmp_path, capsys, gamma):
         assert not out.exists() or not any(out.iterdir())
 
 
+def test_nan_barrier_row_exit_two_on_one_line(tmp_path, capsys, braking_yaml, monkeypatch):
+    # A NaN L_f h reaches the QP's finiteness test, which the engine reports
+    # as a blown-up run rather than a traceback.
+    barrier_terms = sim.B.barrier_terms
+
+    def nan_lf(*args, **kwargs):
+        h, lf, lg = barrier_terms(*args, **kwargs)
+        return h, np.full_like(lf, np.nan), lg
+
+    monkeypatch.setattr(sim.B, "barrier_terms", nan_lf)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(braking_yaml), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run error: braking_unicycle: run blew up at t = ")
+    assert err.endswith(": constraint rows must be finite\n")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_run_infinite_perception_radius_and_open_bound_side_exit_zero(tmp_path):
     # Unlike the infinite values above, these two mean "no limit" and run.
     bad = tmp_path / "open.yaml"

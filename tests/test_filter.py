@@ -12,7 +12,6 @@ from conebarrier.barriers import EPS_V, ClassK
 from conebarrier.models import BicycleGeometry
 from conebarrier.safety_filter import (
     ACTIVE_TOL,
-    ConstraintRow,
     DegenerateRowError,
     EmptyPathError,
     PathTrackerGains,
@@ -25,6 +24,8 @@ from conebarrier.safety_filter import (
     solve_single_constraint,
 )
 from conebarrier.sim import ObstacleConfig, ScenarioConfig, run_scenario
+
+from conftest import qp_of
 
 
 def test_p_controller_at_setpoint():
@@ -102,18 +103,22 @@ def test_path_tracker_converges_from_offset():
 @pytest.mark.parametrize("where", ["lg_h[0]", "lg_h[1]", "rhs"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_constraint_row_rejects_non_finite(where, bad):
+    # Both solvers reject a row with a bad entry through the QP's finiteness
+    # test: the row alone, and behind a good row on the multi-row path.
     lg, rhs = [0.5, -1.0], 0.3
     if where == "rhs":
         rhs = bad
     else:
         lg[int(where[-2])] = bad
-    with pytest.raises(ValueError, match="finite"):
-        ConstraintRow(np.array(lg), rhs)
+    for solve, rows in ((solve_single_constraint, [(lg, rhs)]),
+                        (solve_multi_constraint, [(lg, rhs)]),
+                        (solve_multi_constraint, [([1.0, 0.0], 0.0), (lg, rhs)])):
+        with pytest.raises(ValueError, match="finite"):
+            solve(qp_of([1.0, 2.0], rows))
 
 
 def test_single_constraint_inactive_branch():
-    qp = QpProblem(u_ref=np.array([1.0, 2.0]),
-                   rows=(ConstraintRow(np.array([1.0, 0.0]), 0.7),))
+    qp = qp_of([1.0, 2.0], [([1.0, 0.0], 0.7)])
     res = solve_single_constraint(qp)
     assert res.status == "inactive"
     assert res.psi[0] == pytest.approx(0.3)
@@ -122,8 +127,7 @@ def test_single_constraint_inactive_branch():
 
 
 def test_single_constraint_tie_at_zero_is_inactive():
-    qp = QpProblem(u_ref=np.array([1.0, 0.0]),
-                   rows=(ConstraintRow(np.array([1.0, 0.0]), 1.0),))
+    qp = qp_of([1.0, 0.0], [([1.0, 0.0], 1.0)])
     res = solve_single_constraint(qp)
     assert res.status == "inactive"
     assert res.active_set == ()
@@ -131,7 +135,7 @@ def test_single_constraint_tie_at_zero_is_inactive():
 
 def test_single_constraint_formula_substitution():
     # lg=(1,0), psi=-2, u_ref=(0,0): u_safe = (2, 0), constraint exactly tight.
-    qp = QpProblem(u_ref=np.zeros(2), rows=(ConstraintRow(np.array([1.0, 0.0]), 2.0),))
+    qp = qp_of(np.zeros(2), [([1.0, 0.0], 2.0)])
     res = solve_single_constraint(qp)
     assert res.psi[0] == pytest.approx(-2.0)
     np.testing.assert_allclose(res.u_safe, [2.0, 0.0], atol=0)
@@ -141,7 +145,7 @@ def test_single_constraint_formula_substitution():
 
 
 def test_single_constraint_degenerate_row():
-    qp = QpProblem(u_ref=np.zeros(2), rows=(ConstraintRow(np.zeros(2), 1.0),))
+    qp = qp_of(np.zeros(2), [(np.zeros(2), 1.0)])
     with pytest.raises(DegenerateRowError):
         solve_single_constraint(qp)
 
@@ -153,7 +157,7 @@ def test_single_constraint_matches_grid():
         lg = np.array([math.cos(ang), math.sin(ang)])
         rhs = float(rng.uniform(-2, 2))
         u_ref = rng.uniform(-3, 3, 2)
-        res = solve_single_constraint(QpProblem(u_ref=u_ref, rows=(ConstraintRow(lg, rhs),)))
+        res = solve_single_constraint(qp_of(u_ref, [(lg, rhs)]))
         ref = grid_project(u_ref, [(lg, rhs)])
         f_star = float(np.sum((res.u_star - u_ref) ** 2))
         f_grid = float(np.sum((ref - u_ref) ** 2))
@@ -165,7 +169,7 @@ def test_single_constraint_matches_grid():
 
 def test_multi_no_rows_passthrough():
     u_ref = np.array([0.4, -0.7])
-    res = solve_multi_constraint(QpProblem(u_ref=u_ref))
+    res = solve_multi_constraint(QpProblem(u_ref, np.empty((0, 2)), np.empty(0)))
     assert res.status == "inactive"
     np.testing.assert_array_equal(res.u_star, u_ref)
     assert res.psi.shape == (0,)
@@ -177,8 +181,7 @@ def test_multi_single_row_bit_identical_to_single():
         lg = rng.uniform(-1, 1, 2)
         if np.linalg.norm(lg) < 1e-3:
             continue
-        qp = QpProblem(u_ref=rng.uniform(-3, 3, 2),
-                       rows=(ConstraintRow(lg, float(rng.uniform(-2, 2))),))
+        qp = qp_of(rng.uniform(-3, 3, 2), [(lg, float(rng.uniform(-2, 2)))])
         a = solve_single_constraint(qp)
         b = solve_multi_constraint(qp)
         assert np.array_equal(a.u_star, b.u_star)
@@ -196,8 +199,7 @@ def test_multi_matches_grid_and_slackness():
             ang = rng.uniform(0, 2 * math.pi)
             rows.append((np.array([math.cos(ang), math.sin(ang)]),
                          float(rng.uniform(-2, 2))))
-        qp = QpProblem(u_ref=u_ref, rows=tuple(ConstraintRow(l, r) for l, r in rows))
-        res = solve_multi_constraint(qp)
+        res = solve_multi_constraint(qp_of(u_ref, rows))
         ref = grid_project(u_ref, rows, deep=res.status != "infeasible")
         if res.status == "infeasible":
             assert ref is None or np.max(np.abs(ref)) > 9.0
@@ -227,8 +229,7 @@ def test_multi_matches_grid_and_slackness():
 
 
 def _solve(u_ref, rows, basis=()):
-    qp = QpProblem(u_ref=u_ref, rows=tuple(ConstraintRow(l, r) for l, r in rows))
-    return solve_multi_constraint(qp, basis)
+    return solve_multi_constraint(qp_of(u_ref, rows), basis)
 
 
 @st.composite
@@ -296,8 +297,7 @@ def test_minimal_deviation_on_sampled_grid():
     rng = np.random.default_rng(8)
     u_ref = np.array([1.0, -2.0])
     rows = [(np.array([0.8, 0.6]), 1.0), (np.array([-0.5, 0.8]), 0.2)]
-    qp = QpProblem(u_ref=u_ref, rows=tuple(ConstraintRow(l, r) for l, r in rows))
-    res = solve_multi_constraint(qp)
+    res = solve_multi_constraint(qp_of(u_ref, rows))
     d_star = np.linalg.norm(res.u_star - u_ref)
     for _ in range(5000):
         u = rng.uniform(-6, 6, 2)
@@ -311,8 +311,7 @@ def test_switching_continuity_as_psi_crosses_zero():
     base = float(lg @ u_ref)
     norms = []
     for eps in np.linspace(-0.01, 0.01, 41):
-        qp = QpProblem(u_ref=u_ref, rows=(ConstraintRow(lg, base + eps),))
-        res = solve_single_constraint(qp)
+        res = solve_single_constraint(qp_of(u_ref, [(lg, base + eps)]))
         norms.append(np.linalg.norm(res.u_safe))
     norms = np.array(norms)
     # |u_safe| = max(psi, 0)/|lg|: linear in the violation with no jump.
@@ -322,8 +321,8 @@ def test_switching_continuity_as_psi_crosses_zero():
 
 def test_infeasible_conflicting_rows_least_violating():
     lg = np.array([1.0, 0.0])
-    rows = (ConstraintRow(lg, 1.0), ConstraintRow(-lg, 1.0))  # u0 >= 1 and u0 <= -1
-    res = solve_multi_constraint(QpProblem(u_ref=np.zeros(2), rows=rows))
+    rows = [(lg, 1.0), (-lg, 1.0)]  # u0 >= 1 and u0 <= -1
+    res = solve_multi_constraint(qp_of(np.zeros(2), rows))
     assert res.status == "infeasible"
     # Least worst violation is attained midway: u0 = 0 violates both by 1.
     viol = max(1.0 - res.u_star[0], 1.0 + res.u_star[0])
@@ -331,11 +330,9 @@ def test_infeasible_conflicting_rows_least_violating():
 
 
 def test_multi_degenerate_zero_row_infeasible_not_raising():
-    rows = (ConstraintRow(np.zeros(2), 1.0),)
-    res = solve_multi_constraint(QpProblem(u_ref=np.zeros(2), rows=rows))
+    res = solve_multi_constraint(qp_of(np.zeros(2), [(np.zeros(2), 1.0)]))
     assert res.status == "infeasible"
-    rows_ok = (ConstraintRow(np.zeros(2), -1.0),)
-    res2 = solve_multi_constraint(QpProblem(u_ref=np.zeros(2), rows=rows_ok))
+    res2 = solve_multi_constraint(qp_of(np.zeros(2), [(np.zeros(2), -1.0)]))
     assert res2.status == "inactive"
 
 
@@ -346,9 +343,7 @@ def _least_violation_vs_linprog(u_ref, rows, basis=()):
     feasibility tolerance, so the worst violation lies in [t*, t* + 2e-9].
     """
     linprog = pytest.importorskip("scipy.optimize").linprog
-    res = solve_multi_constraint(QpProblem(u_ref=u_ref,
-                                           rows=tuple(ConstraintRow(l, r) for l, r in rows)),
-                                 basis)
+    res = solve_multi_constraint(qp_of(u_ref, rows), basis)
     assert res.status == "infeasible"
     a_mat = np.array([l for l, _ in rows])
     b_vec = np.array([r for _, r in rows])
@@ -368,8 +363,7 @@ def test_least_violation_matches_linprog_random():
         rows = [(np.array([math.cos(a), math.sin(a)]), float(rng.uniform(0, 2)))
                 for a in rng.uniform(0, 2 * math.pi, rng.integers(3, 13))]
         u_ref = rng.uniform(-3, 3, 2)
-        res = solve_multi_constraint(QpProblem(u_ref=u_ref,
-                                               rows=tuple(ConstraintRow(l, r) for l, r in rows)))
+        res = solve_multi_constraint(qp_of(u_ref, rows))
         if res.status == "infeasible":
             _least_violation_vs_linprog(u_ref, rows)
             checked += 1
@@ -445,8 +439,7 @@ def test_least_violation_rows_parallel_up_to_rounding_stay_near():
                                                np.sin(theta + k * np.pi)])
         u_ref = rng.uniform(-3, 3, 2)
         rows = list(zip(lgs, rhs))
-        res = solve_multi_constraint(QpProblem(u_ref=u_ref,
-                                               rows=tuple(ConstraintRow(l, r) for l, r in rows)))
+        res = solve_multi_constraint(qp_of(u_ref, rows))
         largest = max(largest, float(np.max(np.abs(res.u_star))))
         if res.status == "infeasible":
             _least_violation_vs_linprog(u_ref, rows)
@@ -476,7 +469,20 @@ def _crowd_qps(seed):
         mp.setattr(sim, "solve_multi_constraint",
                    lambda qp, basis: calls.append((qp, basis)) or solve(qp, basis))
         run_scenario(cfg)
-    return [(qp, basis) for qp, basis in calls if len(qp.rows) >= 2]
+    return [(qp, basis) for qp, basis in calls if len(qp.b) >= 2]
+
+
+def test_rows_view_shows_the_engine_row_arrays():
+    # The benchmark tracer reads qp.u_ref and qp.rows row by row (lg_h, rhs);
+    # on engine-built QPs the view must show the row arrays bit for bit.
+    qps = [qp for qp, _ in _crowd_qps(1)]
+    assert qps
+    for qp in qps:
+        assert len(qp.rows) == len(qp.a) == len(qp.b) >= 2
+        for row, lg, rhs in zip(qp.rows, qp.a, qp.b):
+            assert row.lg_h.tobytes() == lg.tobytes()
+            assert np.float64(row.rhs).tobytes() == rhs.tobytes()
+        assert qp.u_ref.shape == (2,)
 
 
 def test_warm_start_matches_cold_solve(monkeypatch):
@@ -492,15 +498,14 @@ def test_warm_start_matches_cold_solve(monkeypatch):
     cases = []
     for n in range(1500):
         rows = _unit_rows(rng, rng.integers(2, 13), -2.0 if n % 2 else 0.0)
-        cases.append((QpProblem(u_ref=rng.uniform(-3, 3, 2),
-                                rows=tuple(ConstraintRow(l, r) for l, r in rows)), ()))
+        cases.append((qp_of(rng.uniform(-3, 3, 2), rows), ()))
     cases += _crowd_qps(1) + _crowd_qps(2)
     assert len(cases) >= 2000
     statuses = []
     for qp, hint in cases:
         cold = solve_multi_constraint(qp)
         statuses.append(cold.status)
-        m = len(qp.rows)
+        m = len(qp.b)
         guess = tuple(sorted(rng.choice(m, min(m, rng.integers(1, 4)), replace=False).tolist()))
         for basis in {cold.basis, guess, hint}:
             enumerations.clear()
@@ -528,8 +533,7 @@ def test_warm_start_triple_certificate_matches_linprog(monkeypatch):
     while tried < 300:
         rows = _unit_rows(rng, rng.integers(3, 13), 0.0)
         u_ref = rng.uniform(-3, 3, 2)
-        cold = solve_multi_constraint(QpProblem(u_ref=u_ref,
-                                                rows=tuple(ConstraintRow(l, r) for l, r in rows)))
+        cold = solve_multi_constraint(qp_of(u_ref, rows))
         if cold.status != "infeasible" or len(cold.basis) != 3:
             continue
         enumerations.clear()
@@ -547,8 +551,7 @@ def test_certified_infeasible_step_skips_enumeration(monkeypatch):
     # the last bit (another matmul shape), so the cold u* is matched to 1e-12.
     rng = np.random.default_rng(20)
     cases = [qp for qp, _ in _crowd_qps(1) + _crowd_qps(2)]
-    cases += [QpProblem(u_ref=rng.uniform(-3, 3, 2), rows=tuple(
-        ConstraintRow(l, r) for l, r in _unit_rows(rng, rng.integers(3, 13), 0.0)))
+    cases += [qp_of(rng.uniform(-3, 3, 2), _unit_rows(rng, rng.integers(3, 13), 0.0))
               for _ in range(600)]
     originals = {name: getattr(safety_filter, name)
                  for name in ("_projections", "_least_violation")}
@@ -565,8 +568,7 @@ def test_certified_infeasible_step_skips_enumeration(monkeypatch):
     assert len(solved) >= 300
     assert sum(skipped for *_, skipped in solved) >= 0.95 * len(solved)
     for qp, cold, warm, _ in solved:
-        a_mat = np.array([row.lg_h for row in qp.rows])
-        b_vec = np.array([row.rhs for row in qp.rows])
+        a_mat, b_vec = qp.a, qp.b
         t_star, tie_point, _ = (safety_filter._tie_certificate(a_mat, b_vec, cold.basis)
                                 or originals["_least_violation"](a_mat, b_vec, qp.u_ref))
         relaxed = b_vec - t_star - 1e-9
