@@ -13,9 +13,9 @@ ellipse / second-order candidates as broadcasting array cores, with the one
 protected-point kinematics, the one combined radius and the one (barrier,
 model) dispatch (these cores are the only barrier API); ``validity`` the
 sampling probes behind the candidate comparison matrix; ``safety_filter``
-the reference controllers and the QP filter, solved exactly by enumerating
-the rows and row pairs that can pin the two-input optimum, with an exact
-least-violation answer for conflicting rows (numpy only, no LP solver);
+the reference controllers and the QP filter, solved in one incremental pass
+over the rows, with a least-violation answer for conflicting rows (no LP
+solver);
 ``sim`` the closed-loop engine (one kinematics pass feeding one barrier
 call over all obstacles per step, masks for perception and the cone
 domain, rows, QP, input clipping, RK4, events derived from the per-step

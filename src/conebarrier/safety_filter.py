@@ -10,31 +10,39 @@ input set the minimizer is closed form and switches on the sign of
     psi = hdot(x, u_ref) + kappa(h):
 
 psi >= 0 leaves the reference untouched, psi < 0 projects it onto the
-constraint plane. Several rows are solved exactly in one array pass: a
-projection in R^2 is pinned by at most two rows, so the minimizer is the
-nearest feasible point among the projections onto every row and row pair.
+constraint plane; ``solve_single_constraint`` keeps this closed form as the
+tests' reference.
 
-Conflicting rows (possible with several cones, never with one) make the QP
-infeasible; the filter then returns the input minimizing the worst
-constraint violation, found exactly among the points where rows tie (no LP
-solver), with the deviation from u_ref as tie-break, and says so in the
-result status.
+``solve_multi_constraint(qp, basis)`` solves any number of rows in one
+incremental pass on Python floats, as an LP-type problem of dimension two
+(Seidel 1991; RVO2's ``linearProgram2``). Rows are taken in order, the
+previous ``basis`` first; a row violated at the current u (at all at u_ref,
+by more than 1e-9 once u has moved) moves u to u_ref's projection onto its
+line, clamped to the interval there that the earlier rows allow. One row is
+the closed form bit for bit: psi = A u_ref - b comes from numpy, as it is
+logged, and so does the first moving row's squared norm (Python's
+x*x + y*y differs from BLAS in the last bit on 1,080 of the packaged
+suite's 12,727 rows). Normals parallel to within PARALLEL_TOL count as
+parallel, and clamp bounds crossing by at most 1e-9 of violation are a point.
 
-Warm start: ``solve_multi_constraint(qp, basis)`` first tries the rows that
-pinned the previous step's answer. One or two rows: their projection is the
-minimizer if it is feasible with multipliers >= -1e-12 (KKT). Three rows:
-their tie point proves infeasibility and t* if the dual weights a_j x a_k
-(cyclic) share one sign and no row is violated more than the tie value,
-which exceeds 1e-9 (LP duality). A basis that fails goes to the cold pass.
-Stage two of an infeasible solve, warm or cold, starts from the tie triple:
-the rows tight at its answer lie near the tie point, so the projections onto
-the triple's rows and pairs, relaxed by t* + 1e-9, are tried before all rows.
+Conflicting rows (possible with several cones, never with one) empty an
+interval; by Helly's theorem in R^2 the conflict S is a zero row, an
+anti-parallel pair or a row triple. t(S), S's least worst violation plus a
+ROUNDING bound, is at most that of all rows, t*. The pass reruns on the rows
+relaxed by t(S) + 1e-9, S first: if they are feasible its answer is the
+least-violating fallback (status 'infeasible'), else the new conflict raises
+the level. A warm 3-row basis with t(S) > 1e-9 starts at its level. A last
+loop over the rows finds the active set and checks the answer against the
+relaxed rows; where rounding puts it outside (or leaves no point), the one
+of it, S's minimizer and u_ref that violates the rows least answers.
 
 A ``QpProblem(u_ref, a, b)`` holds the rows a u >= b as the arrays a (m, 2)
-and b (m,) that the engine slices from its barrier call. Its one finiteness
-test, ``_check_finite``, which both solvers pass, raises an error that is also
-an ArithmeticError, so the engine reports a NaN row as a blown-up run. The
-``rows`` view of ``ConstraintRow`` pairs remains only for ``bench/tracing.py``.
+and b (m,) that the engine slices from its barrier call. A non-finite row
+entry makes psi non-finite (or raises in the engine's errstate); then
+``_check_finite`` raises an error that is also an ArithmeticError, so the
+engine reports a NaN row as a blown-up run.
+The ``rows`` view of ``ConstraintRow`` pairs remains only for
+``bench/tracing.py``.
 
 The QP carries no input bounds. A scenario's input bounds are applied by
 the closed-loop engine (``sim.run_scenario``), which clips the QP's answer
@@ -42,15 +50,13 @@ and logs a ``saturation`` event when the clip changes it.
 
 ``grid_project`` is the brute-force projection the solver is judged by,
 both by ``conebarrier audit`` and by the tests: a lattice scan refined to
-GRID_FINE, independent of the row enumeration above.
+GRID_FINE, independent of the pass above.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from functools import lru_cache
-from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -202,9 +208,10 @@ class SafetyFilterResult:
     status 'inactive' means u_safe = 0 (every psi was nonnegative),
     'corrected' means all constraints hold at u_star with at least one
     exactly tight, 'infeasible' means no input satisfied every row and
-    u_star is the least-violating fallback. ``basis`` is the active set
-    of a corrected solve, the tie triple of an infeasible one whose
-    stage-one minimizer is a triple tie point, and () otherwise.
+    u_star is the least-violating fallback. ``basis`` is the order hint for
+    the next solve: the active set of a corrected solve, the conflict S of
+    an infeasible one (a row triple, an anti-parallel pair or a zero row),
+    and () for an inactive one.
     """
 
     u_star: np.ndarray
@@ -220,7 +227,7 @@ class SafetyFilterResult:
 
 
 def _check_finite(a_mat: np.ndarray, b_vec: np.ndarray) -> None:
-    """The one finiteness test of a solve; both solvers pass through it once per QP."""
+    """The finiteness test of a QP's rows."""
     if not all(map(math.isfinite, [*a_mat.ravel().tolist(), *b_vec.tolist()])):
         raise NonFiniteRowError("constraint rows must be finite")
 
@@ -244,155 +251,147 @@ def solve_single_constraint(qp: QpProblem) -> SafetyFilterResult:
                               active_set=(0,), status="corrected", basis=(0,))
 
 
-@lru_cache(maxsize=64)
-def _index_tuples(m: int, size: int) -> np.ndarray:
-    """Every increasing ``size``-tuple of indices below m, as the columns of a read-only array."""
-    idx = np.indices((m,) * size).reshape(size, -1)
-    tuples = idx[:, np.all(idx[:-1] < idx[1:], axis=0)]
-    tuples.flags.writeable = False
-    return tuples
+def _pass(u_ref, a, rhs, slack, a_mat, order):
+    """One incremental pass over the rows a u >= rhs in ``order``: (u, ()) or (None, S).
 
-
-def _projections(a_mat: np.ndarray, b_vec: np.ndarray, u_ref: np.ndarray,
-                 gram: np.ndarray) -> np.ndarray:
-    """u_ref and its projections onto every row and every row pair's intersection.
-
-    A projection onto a polygon in R^2 is pinned by at most two rows, so these
-    points, kept with multipliers >= -1e-12 (NaN for zero rows and parallel
-    pairs), contain the minimizer of ||u - u_ref||^2 s.t. A u >= b. ``gram``
-    is A A^T.
+    ``slack`` is A u_ref - rhs. Row i, violated at u (at all at u_ref, by
+    more than 1e-9 once u has moved), moves u to u_ref's projection onto its
+    line, clamped to the interval of that line which the earlier rows allow.
+    S is a conflict: a zero row, an anti-parallel pair, or the row and the
+    two earlier rows that emptied its interval.
     """
-    g = np.diag(gram)
-    r = b_vec - a_mat @ u_ref
-    lam = r / np.where(g > 0.0, g, np.nan)
-    one = lam >= -1e-12
-    i, j = _index_tuples(len(b_vec), 2)
-    det = g[i] * g[j] - gram[i, j] ** 2  # Cramer's rule on the 2x2 Gram matrix
-    det = np.where(det > 0.0, det, np.nan)
-    lam_i = (g[j] * r[i] - gram[i, j] * r[j]) / det
-    lam_j = (g[i] * r[j] - gram[i, j] * r[i]) / det
-    ok = (lam_i >= -1e-12) & (lam_j >= -1e-12)
-    return np.vstack([u_ref, u_ref + lam[one, None] * a_mat[one],
-                      u_ref + lam_i[ok, None] * a_mat[i[ok]] + lam_j[ok, None] * a_mat[j[ok]]])
+    ux, uy = u_ref
+    x, y, moved, seen = ux, uy, False, []
+    for i in order:
+        ax, ay = a[i]
+        if rhs[i] - (ax * x + ay * y) <= 1e-9 if moved else slack[i] >= 0.0:
+            seen.append(i)
+            continue
+        # The first move squares its row as the closed form does: one row gets its bits.
+        n2 = ax * ax + ay * ay if moved else float((row := a_mat[i]) @ row)
+        if n2 == 0.0:
+            if slack[i] < -1e-9:
+                return None, (i,)
+            seen.append(i)
+            continue
+        q = slack[i] / n2
+        px, py = ux - ax * q, uy - ay * q
+        lo, hi = (-math.inf, 0.0, None), (math.inf, 0.0, None)  # (bound, den, row)
+        for j in seen:
+            bx, by = a[j]
+            den = ax * by - ay * bx  # a_j along the line's direction (-ay, ax)
+            dot = ax * bx + ay * by
+            num = rhs[j] - (bx * px + by * py)
+            if abs(den) <= PARALLEL_TOL * abs(dot):
+                if num > 1e-9 and dot < 0.0:
+                    return None, (i, j) if i < j else (j, i)
+                continue
+            s = num / den
+            if den > 0.0:
+                if s > lo[0]:
+                    lo = s, den, j
+            elif s < hi[0]:
+                hi = s, -den, j
+        if lo[0] <= hi[0]:
+            s = lo[0] if lo[0] > 0.0 else hi[0] if hi[0] < 0.0 else 0.0
+        elif (lo[0] - hi[0]) * min(lo[1], hi[1]) > 1e-9:
+            return None, tuple(sorted((i, lo[2], hi[2])))
+        else:  # bounds that cross by 1e-9 of violation or less: a point, up to rounding
+            s = lo[0] if lo[1] >= hi[1] else hi[0]
+        x, y = (px, py) if s == 0.0 else (px - s * ay, py + s * ax)
+        moved = True
+        seen.append(i)
+    return (x, y), ()
 
 
-def _nearest_feasible(cand: np.ndarray, a_mat: np.ndarray, b_vec: np.ndarray,
-                      u_ref: np.ndarray) -> Optional[np.ndarray]:
-    """The candidate nearest u_ref with A u >= b - 1e-9, or None if there is none."""
-    cand = cand[(cand @ a_mat.T >= b_vec - 1e-9).all(axis=1)]
-    return cand[((cand - u_ref) ** 2).sum(axis=1).argmin()] if len(cand) else None
+def _least_violation(a, b, rows, u_ref):
+    """(t, u) for a conflict ``rows``: t is the least worst violation
+    min_u max_l (b_l - a_l u) over the rows plus its rounding bound, u a point
+    attaining it. None if the rows are a pair that is not anti-parallel, or a
+    triple that neither ties at a point nor holds an anti-parallel pair.
 
-
-def _least_violation(a_mat: np.ndarray, b_vec: np.ndarray, u_ref: np.ndarray):
-    """Stage one of the fallback: (t*, a minimizer, its tie triple or ()).
-
-    t* = min_u max_i (b_i - a_i u) is attained where three rows tie, or
-    where two tie if all row normals are parallel (anywhere if all rows are
-    zero), so u_ref and the pair and triple tie points (pairs: the one
-    nearest u_ref) are complete candidates. Normals parallel within
-    PARALLEL_TOL count as parallel, and each worst violation carries its
-    rounding bound, so far tie points cannot undercut t*.
+    A zero row violates by b_l everywhere; u is u_ref. An anti-parallel pair
+    ties on a line; u is u_ref's projection onto it. A triple ties at one
+    point if the dual weights y_l = a_m x a_n (cyclic) share one sign, so that
+    sum y_l a_l = 0; else its value is its best anti-parallel pair's.
     """
-    norms = np.sqrt(np.sum(a_mat * a_mat, axis=1))
-    i, j, k = _index_tuples(len(b_vec), 3)
-    p, q = a_mat[i] - a_mat[k], a_mat[j] - a_mat[k]
-    c_p, c_q = b_vec[i] - b_vec[k], b_vec[j] - b_vec[k]
-    det = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
-    ok = np.abs(det) > PARALLEL_TOL * (norms[i] + norms[k]) * (norms[j] + norms[k])
-    triples = np.column_stack([c_p[ok] * q[ok, 1] - c_q[ok] * p[ok, 1],
-                               c_q[ok] * p[ok, 0] - c_p[ok] * q[ok, 0]]) / det[ok, None]
-    pi, pj = _index_tuples(len(b_vec), 2)
-    d = a_mat[pi] - a_mat[pj]
-    dd = np.sum(d * d, axis=1)
-    shift = (b_vec[pi] - b_vec[pj] - d @ u_ref)[dd > 0.0] / dd[dd > 0.0]
-    cand = np.vstack([u_ref, u_ref + shift[:, None] * d[dd > 0.0], triples])
-    worst = (b_vec[:, None] - a_mat @ cand.T).max(axis=0) + ROUNDING * (
-        np.abs(b_vec)[:, None] + np.abs(a_mat) @ np.abs(cand).T).max(axis=0)
-    best = int(np.argmin(worst))
-    t = best - (len(cand) - len(triples))
-    return worst[best], cand[best], (int(i[ok][t]), int(j[ok][t]), int(k[ok][t])) if t >= 0 else ()
+    if len(rows) == 1:  # a zero row, the pass's only one-row conflict
+        u = u_ref
+    elif len(rows) == 2:
+        i, j = rows
+        (ix, iy), (jx, jy) = a[i], a[j]
+        dot = ix * jx + iy * jy  # anti-parallel: as the pass tests it
+        if not (dot < 0.0 and abs(ix * jy - iy * jx) <= -PARALLEL_TOL * dot):
+            return None
+        dx, dy = ix - jx, iy - jy
+        shift = (b[i] - b[j] - (dx * u_ref[0] + dy * u_ref[1])) / (dx * dx + dy * dy)
+        u = (u_ref[0] + shift * dx, u_ref[1] + shift * dy)
+    else:
+        i, j, k = rows
+        (ix, iy), (jx, jy), (kx, ky) = a[i], a[j], a[k]
+        px, py, qx, qy = ix - kx, iy - ky, jx - kx, jy - ky
+        det = px * qy - py * qx
+        weights = (jx * ky - jy * kx, kx * iy - ky * ix, ix * jy - iy * jx)
+        if not (abs(det) > PARALLEL_TOL * (math.hypot(ix, iy) + math.hypot(kx, ky))
+                * (math.hypot(jx, jy) + math.hypot(kx, ky))
+                and (min(weights) > 0.0 or max(weights) < 0.0)):
+            pairs = [lv for pair in ((i, j), (i, k), (j, k))
+                     if (lv := _least_violation(a, b, pair, u_ref)) is not None]
+            return min(pairs, key=lambda lv: lv[0], default=None)
+        c_p, c_q = b[i] - b[k], b[j] - b[k]
+        u = ((c_p * qy - c_q * py) / det, (c_q * px - c_p * qx) / det)
+    return _worst(a, b, rows, u), u
 
 
-def _tie_certificate(a_mat: np.ndarray, b_vec: np.ndarray, basis: tuple[int, ...]):
-    """Stage one from the row triple ``basis`` if LP duality certifies it, else None.
-
-    u and t solve a_l u + t = b_l on the triple, as in ``_least_violation``.
-    The weights y_i = a_j x a_k (cyclic) give sum y_l a_l = 0: of one sign,
-    they prove t <= t*.
-    """
-    (a_i, a_j, a_k), (b_i, b_j, b_k) = ([v[l] for l in basis]
-                                        for v in (a_mat.tolist(), b_vec.tolist()))
-    p, q = [x - z for x, z in zip(a_i, a_k)], [y - z for y, z in zip(a_j, a_k)]
-    det = p[0] * q[1] - p[1] * q[0]
-    norm_i, norm_j, norm_k = (math.sqrt(x * x + y * y) for x, y in (a_i, a_j, a_k))
-    weights = [x[0] * y[1] - x[1] * y[0] for x, y in ((a_j, a_k), (a_k, a_i), (a_i, a_j))]
-    if not (abs(det) > PARALLEL_TOL * (norm_i + norm_k) * (norm_j + norm_k)
-            and (min(weights) > 0.0 or max(weights) < 0.0)):
-        return None
-    c_p, c_q = b_i - b_k, b_j - b_k
-    u = np.array([c_p * q[1] - c_q * p[1], c_q * p[0] - c_p * q[0]]) / det
-    viol = b_vec - a_mat @ u
-    tie = max(viol[l] for l in basis)
-    if not (tie > 1e-9 and tie >= viol.max()):
-        return None
-    return tie + ROUNDING * (np.abs(b_vec) + np.abs(a_mat) @ np.abs(u)).max(), u, basis
-
-
-def _kkt_points(gram: np.ndarray, a_mat: np.ndarray, r: np.ndarray, u_ref: np.ndarray,
-                faces: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """The projections of u_ref onto those faces (one row or a row pair) whose
-    multipliers are >= -1e-12, by ``_projections``' arithmetic bit for bit
-    given its Gram matrix and r = b - A u_ref. Such a point that meets
-    A u >= b - 1e-9 is the minimizer (KKT)."""
-    g, r, a, points = gram.tolist(), r.tolist(), a_mat.tolist(), []
-    for face in faces:
-        i, j = face[0], face[-1]
-        det = g[i][i] * g[j][j] - g[i][j] * g[i][j]  # zero rows and parallel pairs drop out
-        lam = ([r[i] / g[i][i]] if len(face) == 1 and g[i][i] > 0.0 else
-               [(g[j][j] * r[i] - g[i][j] * r[j]) / det, (g[i][i] * r[j] - g[i][j] * r[i]) / det]
-               if len(face) == 2 and det > 0.0 else [-math.inf])
-        if min(lam) >= -1e-12:
-            u = u_ref.tolist()
-            for lam_l, row in zip(lam, face):
-                u = [u[0] + lam_l * a[row][0], u[1] + lam_l * a[row][1]]
-            points.append(u)
-    return np.array(points).reshape(-1, 2)
+def _worst(a, b, rows, u) -> float:
+    """The worst violation max_l (b_l - a_l u) over ``rows``, each with its rounding bound."""
+    x, y = u
+    return max(b[l] - (a[l][0] * x + a[l][1] * y)
+               + ROUNDING * (abs(b[l]) + abs(a[l][0] * x) + abs(a[l][1] * y)) for l in rows)
 
 
 def solve_multi_constraint(qp: QpProblem, basis: tuple[int, ...] = ()) -> SafetyFilterResult:
-    """Exact multi-row QP solve, warm from ``basis``; least violation when the rows conflict."""
+    """The QP in one incremental pass, ``basis`` first; least violation when the rows conflict."""
     u_ref, a_mat, b_vec = qp
-    if len(b_vec) == 1 and float(a_mat[0] @ a_mat[0]) > 0.0:
-        return solve_single_constraint(qp)
-    _check_finite(a_mat, b_vec)
-    psi = a_mat @ u_ref - b_vec
-    if (psi >= 0.0).all():
+    try:
+        psi = a_mat @ u_ref - b_vec
+    except FloatingPointError:  # inf * 0 or inf - inf, where the caller's errstate raises
+        _check_finite(a_mat, b_vec)
+        raise
+    slack = psi.tolist()
+    if not math.isfinite(sum(slack)):  # as it is whenever a row entry is not finite
+        _check_finite(a_mat, b_vec)
+    if min(slack, default=0.0) >= 0.0:
         return SafetyFilterResult(u_star=u_ref.copy(), u_ref=u_ref, psi=psi,
                                   active_set=(), status="inactive")
-    gram = a_mat @ a_mat.T
-    # r = b - A u_ref is -psi bit for bit.
-    pinned = _kkt_points(gram, a_mat, -psi, u_ref, [basis]) if len(basis) in (1, 2) else ()
-    u = pinned[0] if len(pinned) and (a_mat @ pinned[0] >= b_vec - 1e-9).all() else None
-    stage_one = _tie_certificate(a_mat, b_vec, basis) if len(basis) == 3 else None
-    if u is None and stage_one is None:
-        u = _nearest_feasible(_projections(a_mat, b_vec, u_ref, gram), a_mat, b_vec, u_ref)
-        stage_one = _least_violation(a_mat, b_vec, u_ref) if u is None else None
-    if stage_one is not None:
-        # Stage two: project u_ref onto the rows relaxed by t* + 1e-9, from the
-        # tie triple's faces, else from all rows. The stage-one minimizer meets
-        # them, so it stays a candidate in case rounding on nearly parallel rows
-        # puts every projection outside them.
-        relaxed = b_vec - stage_one[0] - 1e-9
-        faces = [face for n in (1, 2) for face in combinations(sorted(stage_one[2]), n)]
-        u = _nearest_feasible(_kkt_points(gram, a_mat, relaxed - a_mat @ u_ref, u_ref, faces),
-                              a_mat, relaxed, u_ref)
-        if u is None:
-            cand = np.vstack([_projections(a_mat, relaxed, u_ref, gram), stage_one[1]])
-            u = _nearest_feasible(cand, a_mat, relaxed, u_ref)
-    active = tuple((np.abs(a_mat @ u - b_vec) <= ACTIVE_TOL).nonzero()[0].tolist())
-    return SafetyFilterResult(u_star=u, u_ref=u_ref, psi=psi, active_set=active,
-                              status="corrected" if stage_one is None else "infeasible",
-                              basis=active if stage_one is None else stage_one[2])
+    start, a, b = u_ref.tolist(), a_mat.tolist(), b_vec.tolist()
+    level, conflict, rhs, relaxed = None, basis, b, slack
+    if len(basis) == 3 and (warm := _least_violation(a, b, basis, start)) and warm[0] > 1e-9:
+        level, stage_one = warm
+    while True:
+        order = ([*conflict, *[i for i in range(len(b)) if i not in conflict]] if conflict
+                 else range(len(b)))
+        if level is not None:
+            relax = level + 1e-9
+            rhs, relaxed = [x - relax for x in b], [x + relax for x in slack]
+        u, found = _pass(start, a, rhs, relaxed, a_mat, order)
+        if not found:
+            break
+        t, point = _least_violation(a, b, found, start) or (0.0, start)
+        if level is not None and t <= level:
+            break  # a conflict that does not raise the level is rounding
+        level, stage_one, conflict = t, point, found
+    resid = u and [ax * u[0] + ay * u[1] - bi for (ax, ay), bi in zip(a, b)]
+    if level is not None and (not resid or min(resid) < -relax - 1e-9):
+        # Rounding left stage two no point, or put it outside the relaxed rows:
+        # the candidate that violates the rows least, rounding bounds counted, answers.
+        u = min([*([u] if u else []), stage_one, start],
+                key=lambda p: _worst(a, b, range(len(b)), p))
+        resid = [ax * u[0] + ay * u[1] - bi for (ax, ay), bi in zip(a, b)]
+    active = tuple([i for i, r in enumerate(resid) if abs(r) <= ACTIVE_TOL])
+    return SafetyFilterResult(u_star=np.array(u), u_ref=u_ref, psi=psi, active_set=active,
+                              status="corrected" if level is None else "infeasible",
+                              basis=active if level is None else conflict)
 
 
 GRID_HALF_WIDTH, GRID_COARSE, GRID_MID, GRID_FINE = 10.0, 0.05, 0.005, 0.001

@@ -135,21 +135,27 @@ def test_blow_up_exit_two_on_one_line(tmp_path, capsys, gamma):
 
 def test_nan_barrier_row_exit_two_on_one_line(tmp_path, capsys, braking_yaml, monkeypatch):
     # A NaN L_f h reaches the QP's finiteness test, which the engine reports
-    # as a blown-up run rather than a traceback.
+    # as a blown-up run rather than a traceback; so does an infinite L_g h,
+    # where inf * 0 in the QP would raise under the engine's errstate first.
     barrier_terms = sim.B.barrier_terms
 
     def nan_lf(*args, **kwargs):
         h, lf, lg = barrier_terms(*args, **kwargs)
         return h, np.full_like(lf, np.nan), lg
 
-    monkeypatch.setattr(sim.B, "barrier_terms", nan_lf)
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(braking_yaml), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("run error: braking_unicycle: run blew up at t = ")
-    assert err.endswith(": constraint rows must be finite\n")
-    assert err.count("\n") == 1 and "Traceback" not in err
-    assert not out.exists() or not any(out.iterdir())
+    def inf_lg(*args, **kwargs):
+        h, lf, lg = barrier_terms(*args, **kwargs)
+        return h, lf, np.full_like(lg, np.inf)
+
+    for corrupt in (nan_lf, inf_lg):
+        monkeypatch.setattr(sim.B, "barrier_terms", corrupt)
+        out = tmp_path / corrupt.__name__
+        assert main(["run", "--config", str(braking_yaml), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run error: braking_unicycle: run blew up at t = ")
+        assert err.endswith(": constraint rows must be finite\n")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
 
 
 def test_run_infinite_perception_radius_and_open_bound_side_exit_zero(tmp_path):
@@ -272,16 +278,14 @@ def test_trace_csv_roundtrip_exact(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     cols = parse_trace_csv(path)
-    assert np.array_equal(cols["t"], trace.t)
-    assert np.array_equal(cols["state_x_p"], trace.states[:, 0])
-    assert np.array_equal(cols["state_v"], trace.states[:, 3])
-    assert np.array_equal(cols["u_star_a"], trace.u_star[:, 0])
-    assert np.array_equal(cols["u_ref_alpha"], trace.u_ref[:, 1])
-    assert np.array_equal(cols["h_0"], trace.h[:, 0], equal_nan=True)
-    assert np.array_equal(cols["psi_0"], trace.psi[:, 0], equal_nan=True)
-    assert np.array_equal(cols["sep_0"], trace.sep[:, 0])
-    assert np.array_equal(cols["obs0_cx"], trace.obstacle_centers[:, 0, 0])
-    assert np.array_equal(cols["in_range_0"].astype(bool), trace.in_range[:, 0])
+    # Bytes, not values: np.array_equal would let a -0.0 pass for +0.0.
+    for column, logged in (("t", trace.t), ("state_x_p", trace.states[:, 0]),
+                           ("state_v", trace.states[:, 3]), ("u_star_a", trace.u_star[:, 0]),
+                           ("u_ref_alpha", trace.u_ref[:, 1]), ("h_0", trace.h[:, 0]),
+                           ("psi_0", trace.psi[:, 0]), ("sep_0", trace.sep[:, 0]),
+                           ("obs0_cx", trace.obstacle_centers[:, 0, 0])):
+        assert cols[column].tobytes() == logged.tobytes(), column
+    assert cols["in_range_0"].astype(bool).tobytes() == trace.in_range[:, 0].tobytes()
 
 
 def test_trace_csv_format_contract(tmp_path):

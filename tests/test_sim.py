@@ -45,9 +45,10 @@ def test_determinism_bit_identical():
     cfg = load_packaged("turning_unicycle")
     a = run_scenario(cfg)
     b = run_scenario(cfg)
-    assert np.array_equal(a.states, b.states)
-    assert np.array_equal(a.u_star, b.u_star)
-    assert np.array_equal(a.h, b.h, equal_nan=True)
+    # Bytes, not values: np.array_equal would let a -0.0 pass for +0.0.
+    assert a.states.tobytes() == b.states.tobytes()
+    assert a.u_star.tobytes() == b.u_star.tobytes()
+    assert a.h.tobytes() == b.h.tobytes()
     assert a.events == b.events
 
 
@@ -186,11 +187,11 @@ def test_out_of_range_obstacle_leaves_run_unchanged():
     base = run_scenario(cfg)
     more = run_scenario(replace(cfg, obstacles=cfg.obstacles + (far,)))
     assert not more.in_range[:, 1].any()
-    assert np.array_equal(more.states, base.states)
-    assert np.array_equal(more.u_star, base.u_star)
-    assert np.array_equal(more.h[:, 0], base.h[:, 0], equal_nan=True)
-    assert np.array_equal(more.psi[:, 0], base.psi[:, 0], equal_nan=True)
-    assert np.array_equal(more.qp_active[:, 0], base.qp_active[:, 0])
+    assert more.states.tobytes() == base.states.tobytes()
+    assert more.u_star.tobytes() == base.u_star.tobytes()
+    assert more.h[:, 0].tobytes() == base.h[:, 0].tobytes()
+    assert more.psi[:, 0].tobytes() == base.psi[:, 0].tobytes()
+    assert more.qp_active[:, 0].tobytes() == base.qp_active[:, 0].tobytes()
     assert more.events == base.events
 
 
