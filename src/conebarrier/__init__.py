@@ -19,8 +19,9 @@ solver);
 ``sim`` the closed-loop engine (one kinematics pass feeding one barrier
 call over all obstacles per step, masks for perception and the cone
 domain, rows, QP, input clipping, RK4, events derived from the per-step
-logs) with audits; ``scenarios`` the packaged YAML suite; and ``cli`` the
-command-line tool.
+logs) with audits; ``scenarios`` the packaged YAML suite; ``claims`` one
+judge per paper claim, which ``audit`` and the acceptance tests share; and
+``cli`` the command-line tool.
 """
 
 from .barriers import EPS_V, ClassK

@@ -12,12 +12,12 @@ Subcommands:
 * ``conebarrier validity`` — print the barrier/model verdict matrix (or one
   --barrier/--model row) from the sampling probes, optionally writing it as
   JSON.
-* ``conebarrier audit``    — run the suite plus the invariance, recovery,
-  slip-angle and QP checks and report machine-readable pass/fail lines; the
-  QP check judges the filter on 60 seeded instances against
-  ``safety_filter.grid_project``, the grid oracle the tests use. Nonzero
-  exit on any failure, 2 on configuration errors and blown-up runs as for
-  ``run``.
+* ``conebarrier audit``    — run the suite (or the given configs) and report
+  one machine-readable pass/fail line per ``claims`` judge: collisions,
+  behaviour labels, forward invariance, recovery rate, slip smallness, the
+  negative control, and the filter QP on 60 instances drawn from --seed,
+  under the bounds the acceptance tests pin. Nonzero exit on any failure,
+  2 on configuration errors and blown-up runs as for ``run``.
 
 Bad input (an unknown emit kind, a negative --seed, a barrier not defined
 for the model, whether a validity cell or a ``run`` or ``audit`` scenario
@@ -38,27 +38,19 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+from . import claims
 from .barriers import combined_radius
 from .models import INPUT_NAMES, MODELS, STATE_NAMES
-from .safety_filter import GRID_FINE, QpProblem, grid_project, solve_multi_constraint
-from .scenarios import (
-    EXPECTED_BEHAVIORS,
-    full_suite,
-    load_configs,
-    with_overrides,
-)
+from .scenarios import full_suite, load_configs, with_overrides
 from .sim import (
     BARRIER_KINDS,
-    BETA_LIMIT,
     ConfigError,
     ScenarioTrace,
     beta_smallness_audit,
-    classify_behavior,
     invariance_audit,
     run_scenario,
 )
@@ -269,130 +261,13 @@ def cmd_validity(args) -> int:
 
 
 def _audit_checks(args) -> list[dict]:
-    configs = _load_batch(args)
-    traces = {cfg.name: run_scenario(cfg) for cfg in configs}
-    checks = []
-
-    names = set(traces)
-    barrier_on = {n: tr for n, tr in traces.items() if tr.config.barrier != "none"}
-    collided = sorted(n for n, tr in barrier_on.items() if tr.collided())
-    checks.append({
-        "name": "collision_free",
-        "passed": not collided,
-        "detail": f"collisions in {collided}" if collided else
-                  f"{len(barrier_on)} barrier-enabled runs, zero collision events",
-    })
-
-    expected = {n: b for n, b in EXPECTED_BEHAVIORS.items() if n in names}
-    if expected:
-        got = {n: classify_behavior(traces[n]) for n in expected}
-        bad = {n: (expected[n], got[n]) for n in expected if got[n] != expected[n]}
-        checks.append({
-            "name": "behavior_labels",
-            "passed": not bad,
-            "detail": f"mismatches {bad}" if bad else f"{len(expected)} labels match",
-        })
-
-    safe_start = {n: tr for n, tr in barrier_on.items()
-                  if invariance_audit(tr).started_safe and np.any(np.isfinite(tr.h))}
-    inv_ok = True
-    details = []
-    for n, tr in sorted(safe_start.items()):
-        viol = max(0.0, -tr.min_h())
-        ok = viol <= 1e-3
-        half = run_scenario(replace(tr.config, dt=tr.config.dt / 2))
-        viol_half = max(0.0, -half.min_h())
-        tightened = viol_half <= max(viol / 2, 1e-6)
-        inv_ok = inv_ok and ok and tightened
-        details.append(f"{n}: viol={viol:.2e} viol(dt/2)={viol_half:.2e}")
-    checks.append({
-        "name": "invariance_safe_start",
-        "passed": inv_ok and bool(safe_start),
-        "detail": "; ".join(details) if details else "no safe-start runs in batch",
-    })
-
-    recovery = {n: tr for n, tr in barrier_on.items() if "recovery" in n}
-    rec_ok = bool(recovery)
-    details = []
-    for n, tr in sorted(recovery.items()):
-        rep = invariance_audit(tr)
-        gamma = rep.rate_target
-        ok = (rep.recovery_rate is not None and rep.crossed_positive
-              and abs(rep.recovery_rate - gamma) <= 0.3 * gamma)
-        rec_ok = rec_ok and ok
-        details.append(f"{n}: rate={rep.recovery_rate} target={gamma} "
-                       f"crossed={rep.crossed_positive}")
-    checks.append({
-        "name": "violation_recovery",
-        "passed": rec_ok,
-        "detail": "; ".join(details) if details else "no recovery scenario in batch",
-    })
-
-    bikes = {n: tr for n, tr in barrier_on.items() if tr.config.model == "bicycle"}
-    beta_ok = True
-    details = []
-    for n, tr in sorted(bikes.items()):
-        rep = beta_smallness_audit(tr)
-        ok = rep.max_abs_beta < BETA_LIMIT and rep.divergence_ratio < 0.05
-        beta_ok = beta_ok and ok
-        details.append(f"{n}: max|beta|={rep.max_abs_beta:.3f} "
-                       f"divergence={100 * rep.divergence_ratio:.2f}%")
-    checks.append({
-        "name": "beta_smallness",
-        "passed": beta_ok,
-        "detail": "; ".join(details) if details else "no bicycle runs in batch",
-    })
-
-    if "braking_unicycle" in traces:
-        neg = run_scenario(replace(traces["braking_unicycle"].config, barrier="none"))
-        checks.append({
-            "name": "negative_control",
-            "passed": neg.collided(),
-            "detail": "unfiltered braking setup collides" if neg.collided()
-                      else "unfiltered braking setup unexpectedly avoided collision",
-        })
-
-    rng = np.random.default_rng(args.seed)
-    # As acceptance criterion 3: u* feasible, active rows tight, no worse than the
-    # grid and within |u_g - u*|^2 <= f(u_g) - f(u*), which only the exact projection
-    # obeys; an infeasible verdict leaves no feasible grid point with |u|_inf <= 9.
-    worst_feas = worst_slack = 0.0
-    worst_gap = worst_proj = -np.inf
-    evaluated = refuted = 0
-    for _ in range(60):
-        u_ref = rng.uniform(-3, 3, 2)
-        rows = []
-        for _ in range(rng.integers(1, 4)):
-            ang = rng.uniform(0, 2 * np.pi)
-            rows.append((np.array([np.cos(ang), np.sin(ang)]), float(rng.uniform(-2, 2))))
-        result = solve_multi_constraint(QpProblem(u_ref, *map(np.array, zip(*rows))))
-        ref = grid_project(u_ref, rows, deep=result.status != "infeasible")
-        if result.status == "infeasible":
-            refuted += ref is not None and float(np.max(np.abs(ref))) <= 9.0
-            continue
-        for j, (lg, rhs) in enumerate(rows):
-            resid = float(lg @ result.u_star) - rhs
-            worst_feas = max(worst_feas, -resid)
-            if j in result.active_set:
-                worst_slack = max(worst_slack, abs(resid))
-        if ref is None or float(np.max(np.abs(result.u_star))) > 8.5:
-            continue
-        evaluated += 1
-        f_star = float(np.sum((result.u_star - u_ref) ** 2))
-        f_grid = float(np.sum((ref - u_ref) ** 2))
-        worst_gap = max(worst_gap, f_star - f_grid)
-        worst_proj = max(worst_proj,
-                         float(np.sum((ref - result.u_star) ** 2)) - (f_grid - f_star))
-    ok = (worst_feas <= 1e-9 and worst_slack <= 1e-9 and worst_gap <= 1e-9
-          and worst_proj <= 2 * (2 * GRID_FINE) ** 2 and not refuted)
-    checks.append({
-        "name": "qp_grid_oracle",
-        "passed": ok and evaluated > 0,
-        "detail": f"{evaluated} instances: max infeasibility={worst_feas:.2e}, "
-                  f"objective vs grid={worst_gap:.2e}, projection residual={worst_proj:.2e}, "
-                  f"max active residual={worst_slack:.2e}, infeasible verdicts refuted={refuted}",
-    })
-    return checks
+    traces = {cfg.name: run_scenario(cfg) for cfg in _load_batch(args)}
+    judges = (claims.collision_free, claims.behavior_labels, claims.invariance_safe_start,
+              claims.violation_recovery, claims.beta_smallness, claims.negative_control)
+    judged = [(judge.__name__, judge(traces)) for judge in judges]
+    judged.append(("qp_grid_oracle", claims.qp_grid_oracle(args.seed, 60, range(1, 4))))
+    return [{"name": name, "passed": verdict["passed"], "detail": verdict["detail"]}
+            for name, verdict in judged if verdict is not None]
 
 
 def cmd_audit(args) -> int:
@@ -411,7 +286,7 @@ def cmd_audit(args) -> int:
     out_dir = _resolve_out(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"passed": passed, "checks": checks,
-               "grid_step": GRID_FINE, "seed": args.seed}
+               "grid_step": claims.GRID_FINE, "seed": args.seed}
     (out_dir / "audit.json").write_text(json.dumps(payload, indent=2))
     print(f"wrote {out_dir / 'audit.json'}")
     return 0 if passed else 1

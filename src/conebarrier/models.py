@@ -20,9 +20,10 @@ train actually receives:
 * planar point mass
       state (px, py, vx, vy), input (ax, ay)
 
-Every model is an :class:`AffineDynamics` object. ``drift`` (f) and
-``actuation`` (g) are its affine decomposition on raw state arrays, the
-reference the tests check against; calling it as ``dyn(x, u)`` evaluates the
+Every model is an :class:`AffineDynamics` object, which ``model_dynamics``
+builds from the model's name. ``drift`` (f) and ``actuation`` (g) are its
+affine decomposition on raw state arrays, the reference the tests check
+against; calling it as ``dyn(x, u)`` evaluates the
 closed-form field on Python floats with ``math.cos``/``math.sin``, by the
 arithmetic of ``drift(x) + actuation(x) @ u``, so that ``integrate_step`` runs
 its four stages without per-call NumPy dispatch on 4- and 5-element arrays.
@@ -151,6 +152,15 @@ class PointMassDynamics(AffineDynamics):
 
     def __call__(self, x, u):
         return (x[2], x[3], u[0], u[1])
+
+
+def model_dynamics(model: str, geometry: BicycleGeometry) -> AffineDynamics:
+    """The dynamics of one of ``MODELS``; only the bicycle reads ``geometry``."""
+    if model == "unicycle":
+        return UnicycleDynamics()
+    if model == "bicycle":
+        return BicycleDynamics(geometry)
+    return PointMassDynamics()
 
 
 def bicycle_dynamics_exact(x: Sequence[float], u: Sequence[float],

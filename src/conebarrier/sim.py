@@ -47,12 +47,10 @@ from . import barriers as B
 from .models import (
     MODELS,
     STATE_NAMES,
-    BicycleDynamics,
     BicycleGeometry,
-    PointMassDynamics,
-    UnicycleDynamics,
     bicycle_dynamics_exact,
     integrate_step,
+    model_dynamics,
 )
 from .safety_filter import (
     PathTrackerGains,
@@ -278,12 +276,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
     n_rec = n_steps + 1
     n_obs = len(cfg.obstacles)
 
-    if cfg.model == "unicycle":
-        dyn = UnicycleDynamics()
-    elif cfg.model == "bicycle":
-        dyn = BicycleDynamics(BicycleGeometry(cfg.wheelbase_front, cfg.wheelbase_rear))
-    else:
-        dyn = PointMassDynamics()
+    dyn = model_dynamics(cfg.model, BicycleGeometry(cfg.wheelbase_front, cfg.wheelbase_rear))
     controller = _make_controller(cfg)
     shadow_only = cfg.barrier == "none"
     barrier = "c3bf" if shadow_only else cfg.barrier

@@ -1,43 +1,31 @@
 """Acceptance gate: one test per criterion, each printing a PASS line.
 
 Every tolerance here is pinned; nothing defers to later calibration. The
-brute-force references (finite differences, the tangent-wedge membership
-test, lattice projection) are implemented independently of the library
-code paths they check.
+finite differences and the tangent-wedge membership test are implemented
+here, independently of the library code paths they check. Criteria 3 and
+7-10 run the judges of ``conebarrier.claims``, which ``conebarrier audit``
+runs too, on their own seeds and scenarios; the grid oracle the QP judge
+compares against is ``safety_filter.grid_project``. Each of these tests
+asserts its own literal bounds on the numbers a judge returns, so a bound
+changed in ``claims`` cannot loosen a criterion.
 """
 
 import math
 import time
 import zlib
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
+from conebarrier import claims
 from conebarrier.barriers import ClassK
-from conebarrier.cli import main as cli_main
-from conebarrier.models import (
-    BicycleDynamics,
-    BicycleGeometry,
-    PointMassDynamics,
-    UnicycleDynamics,
-)
-from conebarrier.safety_filter import (
-    grid_project,
-    solve_multi_constraint,
-    solve_single_constraint,
-)
+from conebarrier.models import BicycleGeometry, model_dynamics
 from conebarrier.scenarios import EXPECTED_BEHAVIORS, behavior_suite, load_packaged
-from conebarrier.sim import (
-    beta_smallness_audit,
-    classify_behavior,
-    invariance_audit,
-    run_scenario,
-)
-from conebarrier.validity import verdict_matrix
+from conebarrier.sim import run_scenario
+from conebarrier.validity import MATRIX_ROWS, verdict_matrix
 
-from conftest import cone, qp_of, terms
+from conftest import cone, terms
 
 BODY_OFFSET = 0.1
 REAR_AXLE = 1.6
@@ -87,33 +75,18 @@ def _sample_batch(rng, model, n, cone: bool):
     return states, centers, cdot, axes, radii
 
 
-_PAIRS = [
-    ("c3bf", "unicycle"), ("c3bf", "bicycle"), ("c3bf", "pointmass"),
-    ("ellipse", "unicycle"), ("ellipse", "bicycle"),
-    ("hocbf", "unicycle"), ("hocbf", "bicycle"),
-]
-
-
-def _dynamics_for(model):
-    if model == "unicycle":
-        return UnicycleDynamics()
-    if model == "bicycle":
-        return BicycleDynamics(BicycleGeometry(1.2, REAR_AXLE))
-    return PointMassDynamics()
-
-
 def test_criterion_1_gradient_suite():
     t0 = time.time()
     n = 10_000
     worst_overall = 0.0
-    for barrier, model in _PAIRS:
+    for barrier, model in MATRIX_ROWS:
         # crc32, unlike hash(), is the same in every process, so a failure reproduces.
         rng = np.random.default_rng(zlib.crc32(f"{barrier}/{model}".encode()))
         states, centers, cdot, axes, radii = _sample_batch(
             rng, model, n, cone=barrier == "c3bf")
         pair_terms = partial(terms, barrier, model, body_offset=BODY_OFFSET,
                              rear_axle=REAR_AXLE, kappa1=ClassK("linear", 1.0))
-        dyn = _dynamics_for(model)
+        dyn = model_dynamics(model, BicycleGeometry(1.2, REAR_AXLE))
         h, lf, lg = pair_terms(states, centers, cdot, axes, radii)
 
         # Drift direction in the extended (state, obstacle-center) space.
@@ -192,58 +165,22 @@ def test_criterion_2_cone_sign_oracle():
 # --------------------------------------------------------------------------
 
 def test_criterion_3_qp_optimality():
-    rng = np.random.default_rng(303)
     n_instances = 1000
-    evaluated = 0
-    slivers = 0
-    worst_feas = 0.0
-    worst_gap = -np.inf
-    worst_proj = -np.inf
-    worst_slack = 0.0
-    for _ in range(n_instances):
-        u_ref = rng.uniform(-3, 3, 2)
-        rows = []
-        for _ in range(rng.integers(1, 5)):
-            ang = rng.uniform(0, 2 * math.pi)
-            rows.append((np.array([math.cos(ang), math.sin(ang)]),
-                         float(rng.uniform(-2, 2))))
-        qp = qp_of(u_ref, rows)
-        res = solve_multi_constraint(qp)
-        if len(rows) == 1:
-            single = solve_single_constraint(qp)
-            assert np.array_equal(single.u_star, res.u_star)
-        assert len(res.active_set) <= 2
-        ref = grid_project(u_ref, rows, deep=res.status != "infeasible")
-        if res.status == "infeasible":
-            assert ref is None or np.max(np.abs(ref)) > 9.0
-            continue
-        for lg, rhs in rows:
-            worst_feas = max(worst_feas, rhs - float(lg @ res.u_star))
-        for j, (lg, rhs) in enumerate(rows):
-            if j in res.active_set:
-                worst_slack = max(worst_slack, abs(float(lg @ res.u_star - rhs)))
-        if ref is None:
-            slivers += 1
-            continue
-        if np.max(np.abs(res.u_star)) > 8.5:
-            continue
-        evaluated += 1
-        f_star = float(np.sum((res.u_star - u_ref) ** 2))
-        f_grid = float(np.sum((ref - u_ref) ** 2))
-        worst_gap = max(worst_gap, f_star - f_grid)
-        worst_proj = max(worst_proj,
-                         float(np.sum((ref - res.u_star) ** 2)) - (f_grid - f_star))
-    assert worst_feas <= 1e-9
-    assert worst_slack <= 1e-9
-    assert worst_gap <= 1e-12
-    assert worst_proj <= 2 * (2 * 1e-3) ** 2
-    assert evaluated >= 0.5 * n_instances
-    assert slivers <= 0.05 * n_instances
+    got = claims.qp_grid_oracle(303, n_instances, range(1, 5))["numbers"]
+    assert got["mismatched"] == 0  # every one-row answer equals the closed form bit for bit
+    assert got["max_active"] <= 2
+    assert got["nearest_refutation"] > 9.0  # no feasible grid point near an infeasible verdict
+    assert got["worst_feas"] <= 1e-9
+    assert got["worst_slack"] <= 1e-9
+    assert got["worst_gap"] <= 1e-12
+    assert got["worst_proj"] <= 2 * (2 * 1e-3) ** 2
+    assert got["evaluated"] >= 0.5 * n_instances
+    assert got["slivers"] <= 0.05 * n_instances
     _report("criterion 3 (QP optimality)",
-            f"{evaluated} feasible instances adjudicated (grid refined to 1e-3): "
-            f"max infeasibility {worst_feas:.1e}, grid never beats solver "
-            f"(gap {worst_gap:.1e}), projection residual {worst_proj:.1e}, "
-            f"active residual {worst_slack:.1e}")
+            f"{got['evaluated']} feasible instances adjudicated (grid refined to 1e-3): "
+            f"max infeasibility {got['worst_feas']:.1e}, grid never beats solver "
+            f"(gap {got['worst_gap']:.1e}), projection residual {got['worst_proj']:.1e}, "
+            f"active residual {got['worst_slack']:.1e}")
 
 
 # --------------------------------------------------------------------------
@@ -361,14 +298,10 @@ def test_criterion_6_validity_matrix_across_seeds(seed):
 
 def test_criterion_7_behavior_suite():
     t0 = time.time()
-    labels = {}
-    for name, cfg in behavior_suite().items():
-        trace = run_scenario(cfg)
-        assert not trace.collided(), name
-        labels[name] = classify_behavior(trace)
-    assert labels == EXPECTED_BEHAVIORS
-    negative = run_scenario(replace(load_packaged("braking_unicycle"), barrier="none"))
-    assert negative.collided()
+    traces = {name: run_scenario(cfg) for name, cfg in behavior_suite().items()}
+    assert claims.collision_free(traces)["numbers"] == {"runs": 8, "collided": []}
+    assert claims.behavior_labels(traces)["numbers"] == EXPECTED_BEHAVIORS
+    assert claims.negative_control(traces)["numbers"]["collided"]
     elapsed = time.time() - t0
     assert elapsed < 30.0
     _report("criterion 7 (behavior suite)",
@@ -382,23 +315,17 @@ def test_criterion_7_behavior_suite():
 # --------------------------------------------------------------------------
 
 def test_criterion_8_forward_invariance():
-    names = []
-    details = []
-    for name in ("weave_bicycle", "swerve_pointmass"):
-        cfg = load_packaged(name)
-        assert cfg.dt == 0.01
-        trace = run_scenario(cfg)
-        rep = invariance_audit(trace)
-        assert rep.started_safe, name
-        names.append(name)
-        viol = max(0.0, -trace.min_h())
-        assert viol <= 1e-3, name
-        half = run_scenario(replace(cfg, dt=cfg.dt / 2))
-        viol_half = max(0.0, -half.min_h())
-        assert viol_half <= max(viol / 2, 1e-6), name
-        details.append(f"{name}: viol {viol:.1e} -> {viol_half:.1e}")
-    assert names
-    _report("criterion 8 (forward invariance)", "; ".join(details))
+    names = ("swerve_pointmass", "weave_bicycle")
+    configs = {name: load_packaged(name) for name in names}
+    assert all(cfg.dt == 0.01 for cfg in configs.values())
+    got = claims.invariance_safe_start(
+        {name: run_scenario(cfg) for name, cfg in configs.items()})["numbers"]
+    assert tuple(got) == names  # both start safe
+    for name, v in got.items():
+        assert v["viol"] <= 1e-3, name
+        assert v["viol_half"] <= max(v["viol"] / 2, 1e-6), name
+    _report("criterion 8 (forward invariance)",
+            "; ".join(f"{n}: viol {v['viol']:.1e} -> {v['viol_half']:.1e}" for n, v in got.items()))
 
 
 # --------------------------------------------------------------------------
@@ -407,9 +334,8 @@ def test_criterion_8_forward_invariance():
 # --------------------------------------------------------------------------
 
 def test_criterion_9_violation_recovery():
-    cfg = load_packaged("recovery_unicycle")
-    trace = run_scenario(cfg)
-    rep = invariance_audit(trace)
+    trace = run_scenario(load_packaged("recovery_unicycle"))
+    rep = claims.violation_recovery({"recovery_unicycle": trace})["numbers"]["recovery_unicycle"]
     assert not rep.started_safe
     assert rep.crossed_positive
     assert rep.recovery_rate is not None
@@ -424,14 +350,12 @@ def test_criterion_9_violation_recovery():
 # --------------------------------------------------------------------------
 
 def test_criterion_10_beta_smallness(suite_traces):
-    details = []
-    for name, trace in sorted(suite_traces.items()):
-        if trace.config.model != "bicycle":
-            continue
-        rep = beta_smallness_audit(trace)
+    reps = claims.beta_smallness(suite_traces)["numbers"]
+    assert reps and set(reps) == {n for n, tr in suite_traces.items()
+                                  if tr.config.model == "bicycle"}
+    for name, rep in reps.items():
         assert rep.max_abs_beta < 0.3, name
         assert rep.divergence_ratio < 0.05, name
-        details.append(f"{name}: |beta|max={rep.max_abs_beta:.3f} "
-                       f"div={100 * rep.divergence_ratio:.2f}%")
-    assert details
-    _report("criterion 10 (slip-angle smallness)", "; ".join(details))
+    _report("criterion 10 (slip-angle smallness)",
+            "; ".join(f"{n}: |beta|max={r.max_abs_beta:.3f} "
+                      f"div={100 * r.divergence_ratio:.2f}%" for n, r in reps.items()))

@@ -14,7 +14,7 @@ from conebarrier.barriers import (
     hocbf_terms,
     reference_kinematics,
 )
-from conebarrier.models import BicycleDynamics, BicycleGeometry, UnicycleDynamics
+from conebarrier.models import BicycleGeometry, model_dynamics
 from conebarrier.validity import MATRIX_ROWS
 
 from conftest import cone, directional_fd, terms
@@ -218,13 +218,7 @@ def _admissible_cone_sample(rng, model, l=0.1, rear=1.6):
 @pytest.mark.parametrize("model", ["unicycle", "bicycle", "pointmass"])
 def test_c3bf_gradients_match_finite_differences(model):
     rng = np.random.default_rng(21)
-    if model == "unicycle":
-        dyn = UnicycleDynamics()
-    elif model == "bicycle":
-        dyn = BicycleDynamics(BicycleGeometry(1.2, 1.6))
-    else:
-        from conebarrier.models import PointMassDynamics
-        dyn = PointMassDynamics()
+    dyn = model_dynamics(model, BicycleGeometry(1.2, 1.6))
     terms = lambda s, c, cd, r: cone(model, s, c, cd, r, body_offset=0.1, rear_axle=1.6)
 
     worst = 0.0
@@ -251,8 +245,7 @@ def test_baseline_gradients_match_finite_differences(barrier, model):
     rng = np.random.default_rng(31)
     kappa1 = ClassK("linear", 1.0)
     rear = 1.6
-    dyn = (UnicycleDynamics() if model == "unicycle"
-           else BicycleDynamics(BicycleGeometry(1.2, rear)))
+    dyn = model_dynamics(model, BicycleGeometry(1.2, rear))
     worst = 0.0
     for _ in range(300):
         n = 5 if model == "unicycle" else 4

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conebarrier import cli, sim
+from conebarrier import claims, cli, sim
 from conebarrier.cli import main, parse_trace_csv, write_trace_csv
 from conebarrier.scenarios import SUITE_NAMES, load_packaged, save_scenario, scenario_to_dict
 from conebarrier.sim import run_scenario
@@ -231,17 +231,21 @@ def test_bad_cli_input_exit_two_before_any_run(tmp_path, capsys, monkeypatch, ar
 
 
 @pytest.mark.parametrize("wrong", [
-    pytest.param(lambda res: replace(res, u_star=res.u_ref.copy()), id="u_ref-as-corrected"),
-    pytest.param(lambda res: replace(res, status="infeasible"), id="feasible-as-infeasible"),
+    pytest.param(lambda qp, res: replace(res, u_star=res.u_ref.copy()), id="u_ref-as-corrected"),
+    pytest.param(lambda qp, res: replace(res, status="infeasible"), id="feasible-as-infeasible"),
+    # One ulp off the closed form passes every tolerance; only the bit-for-bit
+    # comparison of one-row answers with solve_single_constraint catches it.
+    pytest.param(lambda qp, res: replace(res, u_star=np.nextafter(res.u_star, np.inf))
+                 if len(qp.b) == 1 else res, id="one-ulp-single-row"),
 ])
 def test_audit_qp_check_fails_a_wrong_solver(tmp_path, braking_yaml, monkeypatch, wrong):
-    solve = cli.solve_multi_constraint
+    solve = claims.solve_multi_constraint
 
     def wrong_solver(qp, *basis):
         res = solve(qp, *basis)
-        return wrong(res) if res.status == "corrected" else res
+        return wrong(qp, res) if res.status == "corrected" else res
 
-    monkeypatch.setattr(cli, "solve_multi_constraint", wrong_solver)
+    monkeypatch.setattr(claims, "solve_multi_constraint", wrong_solver)
     out = tmp_path / "out"
     assert main(["audit", "--config", str(braking_yaml), "--out", str(out)]) == 1
     checks = json.loads((out / "audit.json").read_text())["checks"]

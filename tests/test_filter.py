@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conebarrier import sim
 from conebarrier.barriers import EPS_V, ClassK
+from conebarrier.claims import qp_draws
 from conebarrier.models import BicycleGeometry
 from conebarrier.safety_filter import (
     ACTIVE_TOL,
@@ -196,15 +197,8 @@ def test_multi_single_row_bit_identical_to_single():
 
 
 def test_multi_matches_grid_and_slackness():
-    rng = np.random.default_rng(6)
     evaluated = 0
-    for _ in range(200):
-        u_ref = rng.uniform(-3, 3, 2)
-        rows = []
-        for _ in range(rng.integers(2, 5)):
-            ang = rng.uniform(0, 2 * math.pi)
-            rows.append((np.array([math.cos(ang), math.sin(ang)]),
-                         float(rng.uniform(-2, 2))))
+    for u_ref, rows in qp_draws(6, 200, range(2, 5)):
         res = solve_multi_constraint(qp_of(u_ref, rows))
         ref = grid_project(u_ref, rows, deep=res.status != "infeasible")
         if res.status == "infeasible":
@@ -571,14 +565,8 @@ def test_exact_reference_on_criterion_3_draws():
     # statuses, u* within the 1e-9 feasibility tolerance of the exact
     # minimizer, and an infeasible answer's exact worst violation in
     # [t*, t* + 2e-9] (stage two relaxes the rows by t + 1e-9 and keeps 1e-9).
-    rng = np.random.default_rng(303)
     seen = set()
-    for _ in range(1000):
-        u_ref = rng.uniform(-3, 3, 2)
-        rows = []
-        for _ in range(rng.integers(1, 5)):
-            ang = rng.uniform(0, 2 * math.pi)
-            rows.append((np.array([math.cos(ang), math.sin(ang)]), float(rng.uniform(-2, 2))))
+    for u_ref, rows in qp_draws(303, 1000, range(1, 5)):
         res = solve_multi_constraint(qp_of(u_ref, rows))
         status, u_star, t_star = exact_qp(u_ref, rows)
         assert res.status == status
