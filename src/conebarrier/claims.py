@@ -25,10 +25,9 @@ from .safety_filter import (
     solve_single_constraint,
 )
 from .scenarios import EXPECTED_BEHAVIORS
-from .sim import BETA_LIMIT, beta_smallness_audit, classify_behavior, invariance_audit, run_scenario
+from .sim import (BETA_LIMIT, INVARIANCE_TOL, beta_smallness_audit, classify_behavior,
+                  invariance_audit, run_scenario)
 
-INVARIANCE_TOL = 1e-3
-"""Deepest dip below h = 0 allowed on a run that starts outside every cone."""
 HALVING_FLOOR = 1e-6
 """Halving dt must halve the dip, unless the halved-dt dip is below this."""
 RATE_TOL = 0.3
@@ -152,15 +151,15 @@ def qp_grid_oracle(seed: int, instances: int, rows: range) -> dict:
     """The filter QP against ``grid_project`` on the ``qp_draws`` instances.
 
     A one-row answer must equal ``solve_single_constraint``'s bit for bit. A
-    feasible answer must meet every row, keep its active rows tight, be no
-    worse than the grid and obey the projection inequality
-    |u_g - u*|^2 <= f(u_g) - f(u*); an infeasible verdict must leave no
-    feasible grid point within QP_REFUTATION_BOX.
+    feasible answer must meet every row, keep its active rows tight, name an
+    active row when it is a corrected one, be no worse than the grid and obey
+    the projection inequality |u_g - u*|^2 <= f(u_g) - f(u*); an infeasible
+    verdict must leave no feasible grid point within QP_REFUTATION_BOX.
     """
     worst_feas = worst_slack = 0.0
     worst_gap = worst_proj = -math.inf
     nearest_refutation = math.inf
-    evaluated = slivers = refuted = mismatched = max_active = 0
+    evaluated = slivers = refuted = mismatched = max_active = corrected_without_active = 0
     for u_ref, drawn in qp_draws(seed, instances, rows):
         qp = QpProblem(u_ref, *map(np.array, zip(*drawn)))
         res = solve_multi_constraint(qp)
@@ -173,6 +172,7 @@ def qp_grid_oracle(seed: int, instances: int, rows: range) -> dict:
             nearest_refutation = min(nearest_refutation, reach)
             refuted += reach <= QP_REFUTATION_BOX
             continue
+        corrected_without_active += res.status == "corrected" and not res.active_set
         for j, (lg, rhs) in enumerate(drawn):
             resid = float(lg @ res.u_star) - rhs
             worst_feas = max(worst_feas, -resid)
@@ -190,7 +190,7 @@ def qp_grid_oracle(seed: int, instances: int, rows: range) -> dict:
         worst_proj = max(worst_proj, float(np.sum((ref - res.u_star) ** 2)) - (f_grid - f_star))
     passed = (worst_feas <= QP_RESIDUAL_TOL and worst_slack <= QP_RESIDUAL_TOL
               and worst_gap <= QP_GAP_TOL and worst_proj <= QP_PROJECTION_TOL and not refuted
-              and not mismatched and max_active <= QP_MAX_ACTIVE
+              and not mismatched and max_active <= QP_MAX_ACTIVE and not corrected_without_active
               and evaluated >= QP_MIN_EVALUATED * instances
               and slivers <= QP_MAX_SLIVERS * instances)
     detail = (f"{evaluated} instances: max infeasibility={worst_feas:.2e}, "
@@ -198,9 +198,11 @@ def qp_grid_oracle(seed: int, instances: int, rows: range) -> dict:
               f"max active residual={worst_slack:.2e}, infeasible verdicts refuted={refuted}")
     if not passed:
         detail += (f"; slivers={slivers}, max active rows={max_active}, "
-                   f"one-row answers off the closed form={mismatched}")
+                   f"one-row answers off the closed form={mismatched}, "
+                   f"corrected answers without an active row={corrected_without_active}")
     return _verdict(passed, detail, {
         "evaluated": evaluated, "slivers": slivers, "refuted": refuted,
         "nearest_refutation": nearest_refutation, "mismatched": mismatched,
-        "max_active": max_active, "worst_feas": worst_feas, "worst_slack": worst_slack,
+        "max_active": max_active, "corrected_without_active": corrected_without_active,
+        "worst_feas": worst_feas, "worst_slack": worst_slack,
         "worst_gap": worst_gap, "worst_proj": worst_proj})

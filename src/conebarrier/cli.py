@@ -131,8 +131,10 @@ def _summary_payload(trace: ScenarioTrace) -> dict:
             "divergence_ratio": beta.divergence_ratio,
             "flagged": beta.flagged,
         }
-    if math.isnan(payload["min_h"]):
-        payload["min_h"] = None
+    # Without an obstacle both minima are NaN, which JSON cannot carry.
+    for key in ("min_h", "min_separation"):
+        if math.isnan(payload[key]):
+            payload[key] = None
     return payload
 
 

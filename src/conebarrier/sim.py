@@ -494,6 +494,10 @@ def classify_behavior(trace: ScenarioTrace) -> str:
     return "none"
 
 
+INVARIANCE_TOL = 1e-3
+"""Deepest dip below h = 0 allowed on a run that starts outside every cone."""
+
+
 @dataclass(frozen=True)
 class InvarianceReport:
     """Forward-invariance and violation-decay metrics of one trace."""
@@ -508,7 +512,7 @@ class InvarianceReport:
 
     @property
     def violated(self) -> bool:
-        return self.collided or (math.isfinite(self.min_h) and self.min_h < -1e-3)
+        return self.collided or (math.isfinite(self.min_h) and self.min_h < -INVARIANCE_TOL)
 
 
 def invariance_audit(trace: ScenarioTrace) -> InvarianceReport:

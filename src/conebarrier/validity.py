@@ -23,10 +23,10 @@ fixed checklist over randomized admissible configurations:
   second-order candidate already excludes (h2 < 0).
 
 Every step is an array pass: the sampled configurations go through
-``barrier_terms`` in one call, and each kind of kernel state is constructed
-in one batch and verified in one call, with the cone's q and the ellipse h1
-taken from ``barriers``. The velocity attack alone stays one call per kernel
-state over the whole velocity grid.
+``barrier_terms`` in one call, each kind of kernel state is constructed in
+one batch and verified in one call, with the cone's q and the ellipse h1
+taken from ``barriers``, and the velocity attack broadcasts chunks of kernel
+states against the whole velocity grid.
 
 The verdict phrases the outcome the way the summary comparison table does:
 'Not a valid CBF', 'Valid CBF', 'Valid CBF, No acceleration', 'Valid CBF,
@@ -57,6 +57,8 @@ BARRIERS = tuple(BARRIER_MODELS)
 OBSTACLE_SPEED_MAX = 5.0
 KERNEL_TOL = 1e-9
 PSI_TOL = 1e-6
+_ATTACK_CHUNK = 26
+"""Kernel states per velocity-attack call: 26 x 384 grid velocities = 9,984 triples."""
 
 # Vehicle and gains every probe uses: the packaged scenarios' defaults.
 WIDTH = 0.5
@@ -222,28 +224,33 @@ def _witness(psi, h, state, center, velocity, axes=None) -> dict:
 def _attack_obstacle_velocity(barrier, model, kernel_batch):
     """Search obstacle velocities defeating the constraint at kernel states.
 
-    Each state is evaluated once against a 24-direction by 16-magnitude grid.
-    Keeps only velocities that leave the row in the kernel and the state in
-    the safe set, and reports the most negative psi = L_f h + kappa(h): the
-    first such grid velocity of the first state that attains it. The loop
-    makes one call per state: one call over all 200 states and the grid at
-    once would hold ~77k triples and raise peak memory.
+    The first 200 states are each evaluated against a 24-direction by
+    16-magnitude grid, _ATTACK_CHUNK states per call: a chunk broadcasts
+    (chunk, 1) states against the (384, 2) grid, so no call holds more
+    triples than the probe's 10,000-sample batch. Keeps only velocities that
+    leave the row in the kernel and the state in the safe set, and reports
+    the most negative psi = L_f h + kappa(h): the first state that attains
+    it, at its first such grid velocity. A chunk's argmin runs in row-major
+    order and a later chunk wins only with a strictly lower psi, which keeps
+    that tie rule.
     """
-    states, centers, _, axes = kernel_batch
+    states, centers, _, axes = (a[:200] for a in kernel_batch)
     magnitudes = np.concatenate([np.linspace(0.05, 1.0, 8), np.linspace(1.5, OBSTACLE_SPEED_MAX, 8)])
     directions = _directions(np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False))
     grid = (magnitudes[None, :, None] * directions[:, None, :]).reshape(-1, 2)
     kinematics = reference_kinematics(model, states)
     worst = None
-    for i in range(min(states.shape[0], 200)):
-        h, lf, lg = barrier_terms(barrier, model, states[i], [a[i] for a in kinematics],
-                                  centers[i], grid, axes[i], None, rear_axle=REAR_AXLE,
-                                  kappa1=KAPPA1)
+    for start in range(0, states.shape[0], _ATTACK_CHUNK):
+        sl = slice(start, start + _ATTACK_CHUNK)
+        h, lf, lg = barrier_terms(barrier, model, states[sl, None], [a[sl, None] for a in kinematics],
+                                  centers[sl, None], grid, axes[sl, None], None,
+                                  rear_axle=REAR_AXLE, kappa1=KAPPA1)
         kept = (np.linalg.norm(lg, axis=-1) <= KERNEL_TOL) & (h >= 0.0)
         psi = np.where(kept, lf + KAPPA(h), np.inf)
-        j = int(np.argmin(psi))
-        if psi[j] < -PSI_TOL and (worst is None or psi[j] < worst["psi"]):
-            worst = _witness(psi[j], h[j], states[i], centers[i], grid[j], axes[i])
+        i, j = np.unravel_index(np.argmin(psi), psi.shape)
+        if psi[i, j] < -PSI_TOL and (worst is None or psi[i, j] < worst["psi"]):
+            worst = _witness(psi[i, j], h[i, j], states[start + i], centers[start + i], grid[j],
+                             axes[start + i])
     return worst
 
 

@@ -169,6 +169,7 @@ def test_criterion_3_qp_optimality():
     got = claims.qp_grid_oracle(303, n_instances, range(1, 5))["numbers"]
     assert got["mismatched"] == 0  # every one-row answer equals the closed form bit for bit
     assert got["max_active"] <= 2
+    assert got["corrected_without_active"] == 0  # a corrected answer names its active rows
     assert got["nearest_refutation"] > 9.0  # no feasible grid point near an infeasible verdict
     assert got["worst_feas"] <= 1e-9
     assert got["worst_slack"] <= 1e-9

@@ -169,6 +169,25 @@ def test_run_infinite_perception_radius_and_open_bound_side_exit_zero(tmp_path):
     assert json.loads((out / "braking_unicycle_summary.json").read_text())["collision_free"]
 
 
+def _strict_json(path):
+    def reject(constant):
+        raise ValueError(f"{path.name}: {constant} is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("name", ["braking_unicycle", "braking_bicycle"])
+def test_run_without_obstacles_writes_strict_json(tmp_path, name):
+    config = tmp_path / "free.yaml"
+    config.write_text(_packaged_tree(lambda t: t.update(obstacles=[]), name))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out),
+                 "--emit", "events-json,summary-json,plotdata"]) == 0
+    payloads = {path.name: _strict_json(path) for path in out.glob("*.json")}
+    assert sorted(payloads) == [f"{name}_{kind}.json" for kind in ("events", "plotdata", "summary")]
+    summary = payloads[f"{name}_summary.json"]
+    assert summary["min_h"] is None and summary["min_separation"] is None
+
+
 def test_run_builds_each_summary_once(tmp_path, braking_yaml, monkeypatch):
     calls = []
     classify = sim.classify_behavior

@@ -6,8 +6,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conebarrier.barriers import ClassK, hocbf_terms
+from conebarrier.barriers import ClassK, barrier_terms, hocbf_terms, reference_kinematics
 from conebarrier.validity import (
+    _ATTACK_CHUNK,
     KAPPA,
     KAPPA1,
     KERNEL_TOL,
@@ -15,9 +16,11 @@ from conebarrier.validity import (
     PSI_TOL,
     REAR_AXLE,
     _attack_obstacle_velocity,
+    _directions,
     _kernels_c3bf_bicycle,
     _kernels_hocbf_nonzero_speed,
     _kernels_weighted_perp,
+    _witness,
     validity_probe,
     verdict_matrix,
 )
@@ -51,6 +54,26 @@ def _attack_by_loops(barrier, model, kernel_batch):
                         "obstacle_velocity": [float(x) for x in cdot],
                         "axes": [float(x) for x in axes[i]],
                     }
+    return worst
+
+
+def _attack_per_state(barrier, model, kernel_batch):
+    """Reference attack: one barrier call per kernel state over the whole grid."""
+    states, centers, _, axes = kernel_batch
+    magnitudes = np.concatenate([np.linspace(0.05, 1.0, 8), np.linspace(1.5, OBSTACLE_SPEED_MAX, 8)])
+    directions = _directions(np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False))
+    grid = (magnitudes[None, :, None] * directions[:, None, :]).reshape(-1, 2)
+    kinematics = reference_kinematics(model, states)
+    worst = None
+    for i in range(min(states.shape[0], 200)):
+        h, lf, lg = barrier_terms(barrier, model, states[i], [a[i] for a in kinematics],
+                                  centers[i], grid, axes[i], None, rear_axle=REAR_AXLE,
+                                  kappa1=KAPPA1)
+        kept = (np.linalg.norm(lg, axis=-1) <= KERNEL_TOL) & (h >= 0.0)
+        psi = np.where(kept, lf + KAPPA(h), np.inf)
+        j = int(np.argmin(psi))
+        if psi[j] < -PSI_TOL and (worst is None or psi[j] < worst["psi"]):
+            worst = _witness(psi[j], h[j], states[i], centers[i], grid[j], axes[i])
     return worst
 
 
@@ -130,6 +153,18 @@ def test_reports_serialize(tmp_path):
 def test_attack_matches_loop_reference(barrier):
     kb = _kernels_weighted_perp(np.random.default_rng(13), "bicycle", "moving", 40, barrier)
     expected = _attack_by_loops(barrier, "bicycle", kb)
+    assert expected is not None
+    assert _attack_obstacle_velocity(barrier, "bicycle", kb) == expected
+
+
+# The 200-state cap the probe hands over at 10,000 samples on eight seeds, a
+# batch past the cap and one whose length is not a multiple of the chunk.
+@pytest.mark.parametrize("barrier", ["ellipse", "hocbf"])
+@pytest.mark.parametrize("seed, n", [(seed, 200) for seed in range(8)]
+                         + [(31, 500), (31, 3 * _ATTACK_CHUNK + 5)])
+def test_chunked_attack_matches_per_state_reference(barrier, seed, n):
+    kb = _kernels_weighted_perp(np.random.default_rng(seed), "bicycle", "moving", n, barrier)
+    expected = _attack_per_state(barrier, "bicycle", kb)
     assert expected is not None
     assert _attack_obstacle_velocity(barrier, "bicycle", kb) == expected
 
