@@ -33,10 +33,13 @@ pairs, ``reference_kinematics`` the one kinematics function (protected
 point, its velocity and the heading), ``combined_radius`` the one r, and
 ``barrier_terms`` the one (barrier, model) dispatch to the cores.
 
-The cone cores take p_rel, v_rel and the heading next to the state.
-``barrier_terms`` forms them from the ``reference_kinematics`` triple its
-caller passes, so the engine's one kinematics call per step feeds both its
-masks and the cone.
+The engine passes its one state as a list of Python floats, so the vehicle
+quantities are float arithmetic; states (..., n) as an array give arrays of
+their leading shape through the same operations in the same order, so a
+float state gets the bits of its batch row. Squares are products (``x ** 2``
+on a float is libm ``pow()``, which can round apart from ``x * x``), and
+cos/sin are NumPy's. ``relative_motion`` forms the per-obstacle quantities
+once, for the engine's masks and the cone cores alike.
 """
 
 from __future__ import annotations
@@ -55,12 +58,6 @@ BARRIER_MODELS = {"c3bf": MODELS, "ellipse": ("unicycle", "bicycle"),
                   "hocbf": ("unicycle", "bicycle")}
 """The models each barrier kind is defined on; the ellipse cores read a
 heading and a speed, which the point-mass state does not carry."""
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Inner product a_0 b_0 + a_1 b_1 over the last axis of (..., 2) arrays."""
-    ab = a * b
-    return ab[..., 0] + ab[..., 1]
 
 
 def _broadcast(*arrays) -> list[np.ndarray]:
@@ -140,53 +137,69 @@ class ClassK:
 # Array cores. All accept stacked/broadcast inputs and return (h, lf, lg).
 # ---------------------------------------------------------------------------
 
-_RIGHT = np.array([1.0, -1.0])
-"""Multiplies a reversed (cos, sin) heading into its right normal (sin, -cos)."""
-
-
 def combined_radius(semi_axes, width):
     """Cone radius r = max(c1, c2) + width/2 for semi-axes (..., 2) -> (...)."""
     return np.max(semi_axes, axis=-1) + 0.5 * width
 
 
-def reference_kinematics(model: str, state, body_offset: float = 0.0):
-    """Protected point, its velocity and the unit heading of states (..., n).
+def _columns(state):
+    """The entries of a state along its last axis: a list's floats, an array's (...) columns."""
+    return state if isinstance(state, list) else np.moveaxis(np.asarray(state, dtype=float), -1, 0)
 
-    Returns two (..., 2) arrays and the (..., 2) heading (None for the point
-    mass). The cone is anchored at this point: for the unicycle the body
-    center body_offset ahead of the axle (its velocity picks up the lever
-    term body_offset * omega across the heading), for the bicycle and the
-    point mass the position the state carries (returned as a view of the
-    state). The cone cores reuse the heading, so cos/sin run once per state.
+
+def reference_kinematics(model: str, state, body_offset: float = 0.0):
+    """Protected point, its velocity and the unit heading of a state.
+
+    Returns three (x, y) pairs (the heading is None for the point mass):
+    Python floats and NumPy scalars for a list state, arrays of the leading
+    shape for states (..., n); cos/sin are NumPy's for a float theta too.
+    The cone is anchored at this point: for the unicycle the body center
+    body_offset ahead of the axle (its velocity picks up the lever term
+    body_offset * omega across the heading), for the bicycle and the point
+    mass the position the state carries. The cone cores reuse the heading,
+    so cos/sin run once per state.
     """
-    state = np.asarray(state, dtype=float)
+    cols = _columns(state)
     if model == "pointmass":
-        return state[..., 0:2], state[..., 2:4], None
-    theta = state[..., 2:3]
-    heading = np.concatenate([np.cos(theta), np.sin(theta)], axis=-1)
+        return (cols[0], cols[1]), (cols[2], cols[3]), None
+    x, y, theta, v = cols[:4]
+    c, s = np.cos(theta), np.sin(theta)
     if model == "bicycle":
-        return state[..., 0:2], state[..., 3:4] * heading, heading
+        return (x, y), (v * c, v * s), (c, s)
     if model != "unicycle":
         raise ValueError(f"unknown model {model!r}")
-    lever = body_offset * state[..., 4:5]
-    return (state[..., 0:2] + body_offset * heading,
-            state[..., 3:4] * heading - lever * (heading[..., ::-1] * _RIGHT), heading)
+    lever = body_offset * cols[4]
+    return ((x + body_offset * c, y + body_offset * s),
+            (v * c - lever * s, v * s + lever * c), (c, s))
 
 
-def _cone_h(p_rel: np.ndarray, v_rel: np.ndarray, radius) -> tuple:
+def relative_motion(kinematics, center, velocity):
+    """(p_rel, v_rel, ||p_rel||^2, ||v_rel||, heading) of obstacles (..., 2).
+
+    p_rel and v_rel are (x, y) pairs of arrays, taken from the point and
+    velocity of ``reference_kinematics``'s triple; the heading passes through.
+    """
+    (px, py), (vx, vy), heading = kinematics
+    center, velocity = np.asarray(center, dtype=float), np.asarray(velocity, dtype=float)
+    dx, dy = center[..., 0] - px, center[..., 1] - py
+    ux, uy = velocity[..., 0] - vx, velocity[..., 1] - vy
+    return (dx, dy), (ux, uy), dx * dx + dy * dy, np.sqrt(ux * ux + uy * uy), heading
+
+
+def _cone_h(rel, radius) -> tuple:
     """Shared cone quantities: (h, s, v_norm, q, pv) with s the tangent length.
 
-    q = p_rel + v_rel * s / ||v_rel|| is the vector every Lie derivative of
-    the cone barrier contracts against, and pv = <p_rel, v_rel> is returned
-    for the cores' L_f h. Squares are products (NumPy squares a 0-d scalar
-    by pow()), so a (2,) obstacle gets the bits of its row in an (n, 2) batch.
+    q = p_rel + v_rel * s / ||v_rel||, an (x, y) pair, is the vector every
+    Lie derivative of the cone barrier contracts against, and pv =
+    <p_rel, v_rel> is returned for the cores' L_f h. Squares are products on
+    floats too (``x ** 2`` on a float is ``pow()``), as everywhere here.
     """
-    s = np.sqrt(_dot(p_rel, p_rel) - radius * radius)
-    v_norm = np.sqrt(_dot(v_rel, v_rel))
-    pv = _dot(p_rel, v_rel)
+    (dx, dy), (ux, uy), pp, v_norm, _ = rel
+    s = np.sqrt(pp - radius * radius)
+    pv = dx * ux + dy * uy
     h = pv + v_norm * s
-    q = p_rel + v_rel * (s / v_norm)[..., None]
-    return h, s, v_norm, q, pv
+    t = s / v_norm
+    return h, s, v_norm, (dx + ux * t, dy + uy * t), pv
 
 
 def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -197,23 +210,25 @@ def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def c3bf_unicycle_terms(state, p_rel, v_rel, heading, radius, body_offset):
+def c3bf_unicycle_terms(state, rel, radius, body_offset):
     """Cone barrier terms for the unicycle; state (...,5) -> (h, lf, lg(...,2)).
 
     The vehicle reference point sits body_offset ahead of the axle along the
     heading, so p_rel and v_rel both carry lever terms in omega; those terms
     are what give the angular input its column in L_g h.
     """
-    v, omega = state[..., 3], state[..., 4]
-    right = heading[..., ::-1] * _RIGHT
-    h, s, v_norm, q, pv = _cone_h(p_rel, v_rel, radius)
-    # Drift part of d/dt v_rel: rotation of the body-fixed lever and heading.
-    drift = (v * omega)[..., None] * right + (body_offset * omega**2)[..., None] * heading
-    lf = v_norm * v_norm + _dot(q, drift) + pv * v_norm / s
-    return h, lf, _pair(-_dot(q, heading), body_offset * _dot(q, right))
+    v, omega = _columns(state)[3:5]
+    c, s_th = rel[4]
+    h, s, v_norm, (qx, qy), pv = _cone_h(rel, radius)
+    # Drift part of d/dt v_rel: rotation of the body-fixed lever and heading,
+    # with (s_th, -c) the right normal.
+    spin, lever_rate = v * omega, body_offset * (omega * omega)
+    drift_x, drift_y = spin * s_th + lever_rate * c, spin * (-c) + lever_rate * s_th
+    lf = v_norm * v_norm + (qx * drift_x + qy * drift_y) + pv * v_norm / s
+    return h, lf, _pair(-(qx * c + qy * s_th), body_offset * (qx * s_th + qy * (-c)))
 
 
-def c3bf_bicycle_terms(state, p_rel, v_rel, heading, radius, rear_axle):
+def c3bf_bicycle_terms(state, rel, radius, rear_axle):
     """Cone barrier terms for the small-slip bicycle; state (...,4).
 
     v_rel here uses the along-body velocity v*(cos th, sin th), not the true
@@ -221,19 +236,21 @@ def c3bf_bicycle_terms(state, p_rel, v_rel, heading, radius, rear_axle):
     w = (v sin th, -v cos th) and turns the heading at rate (v / l_r) beta,
     both of which land in the beta column of L_g h.
     """
-    v = state[..., 3]
-    h, s, v_norm, q, pv = _cone_h(p_rel, v_rel, radius)
+    v = _columns(state)[3]
+    (dx, dy), (ux, uy), _, _, (c, s_th) = rel
+    h, s, v_norm, (qx, qy), pv = _cone_h(rel, radius)
     lf = v_norm * v_norm + pv * v_norm / s
-    w = v[..., None] * (heading[..., ::-1] * _RIGHT)
-    lg_beta = _dot(w, v_rel) + _dot(p_rel, w) * v_norm / s + (v / rear_axle) * _dot(q, w)
-    return h, lf, _pair(-_dot(q, heading), lg_beta)
+    wx, wy = v * s_th, v * (-c)
+    lg_beta = ((wx * ux + wy * uy) + (dx * wx + dy * wy) * v_norm / s
+               + (v / rear_axle) * (qx * wx + qy * wy))
+    return h, lf, _pair(-(qx * c + qy * s_th), lg_beta)
 
 
-def c3bf_pointmass_terms(state, p_rel, v_rel, radius):
-    """Cone barrier terms for the point mass; state (...,4) enters through p_rel, v_rel."""
-    h, s, v_norm, q, pv = _cone_h(p_rel, v_rel, radius)
+def c3bf_pointmass_terms(state, rel, radius):
+    """Cone barrier terms for the point mass; state (...,4) enters through rel."""
+    h, s, v_norm, (qx, qy), pv = _cone_h(rel, radius)
     lf = v_norm * v_norm + pv * v_norm / s
-    return h, lf, -q
+    return h, lf, _pair(-qx, -qy)
 
 
 def ellipse_terms(state, center, velocity, axes, model: str):
@@ -311,30 +328,29 @@ def hocbf_terms(state, center, velocity, axes, kappa1: ClassK, model: str,
     return h2, lf, lg
 
 
-def barrier_terms(barrier: str, model: str, state, kinematics, center, velocity, axes, radius,
+def barrier_terms(barrier: str, model: str, state, rel, center, velocity, axes, radius,
                   body_offset: float = 0.0, rear_axle: Optional[float] = None,
                   kappa1: Optional[ClassK] = None):
     """(h, L_f h, L_g h) of one barrier kind on one vehicle model.
 
     The one (barrier, model) dispatch to the array cores; it broadcasts
-    exactly as they do. ``kinematics`` is ``reference_kinematics(model,
-    state, body_offset)``; the cone takes center and velocity relative to
-    its point and velocity, its heading, and radius (and body_offset,
-    rear_axle), the ellipse candidates center, velocity, axes and kappa1.
-    A pair outside ``BARRIER_MODELS`` raises ValueError. The cores are looked
-    up by name on every call, so a wrapper installed on this module sees
-    each one.
+    exactly as they do. The cone reads the state, ``rel`` =
+    ``relative_motion(reference_kinematics(model, state, body_offset),
+    center, velocity)`` and radius (and body_offset, rear_axle); the
+    ellipse candidates read the state, center, velocity, axes and kappa1,
+    so a caller that evaluates only them may pass None for ``rel``. A pair
+    outside ``BARRIER_MODELS`` raises ValueError. The cores are looked up
+    by name on every call, so a wrapper installed on this module sees each
+    one.
     """
     if model not in BARRIER_MODELS.get(barrier, ()):
         raise ValueError(f"the {barrier} barrier is not defined for the {model} model")
     if barrier == "c3bf":
-        point, point_velocity, heading = kinematics
-        p_rel, v_rel = center - point, velocity - point_velocity
         if model == "unicycle":
-            return c3bf_unicycle_terms(state, p_rel, v_rel, heading, radius, body_offset)
+            return c3bf_unicycle_terms(state, rel, radius, body_offset)
         if model == "bicycle":
-            return c3bf_bicycle_terms(state, p_rel, v_rel, heading, radius, rear_axle)
-        return c3bf_pointmass_terms(state, p_rel, v_rel, radius)
+            return c3bf_bicycle_terms(state, rel, radius, rear_axle)
+        return c3bf_pointmass_terms(state, rel, radius)
     if barrier == "ellipse":
         return ellipse_terms(state, center, velocity, axes, model)
     return hocbf_terms(state, center, velocity, axes, kappa1, model, rear_axle)

@@ -201,8 +201,7 @@ class QpProblem(NamedTuple):
         return tuple(map(ConstraintRow, self.a, self.b))
 
 
-@dataclass(frozen=True)
-class SafetyFilterResult:
+class SafetyFilterResult(NamedTuple):
     """Filtered input with diagnostics.
 
     status 'inactive' means u_safe = 0 (every psi was nonnegative),

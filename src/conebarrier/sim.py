@@ -3,11 +3,13 @@
 A scenario fixes one vehicle, a list of moving elliptical obstacles with
 piecewise-constant velocities, a reference controller and a barrier kind.
 The obstacle tracks (centers and velocities at every step) are built before
-the loop. Each step one ``barriers.reference_kinematics`` call feeds both
-the masks of obstacles outside the cone's domain (inside the combined
-radius, or relative speed at most ``EPS_V``) or the perception radius and
-one ``barriers.barrier_terms`` call over all obstacles. The filter QP takes
-the remaining obstacles' rows as that call's arrays ``L_g h`` (m, 2) and
+the loop. Each step passes the state to ``barriers`` as a list of floats and
+forms the obstacles' relative motion once, ``barriers.relative_motion`` of
+one ``barriers.reference_kinematics`` call; it feeds both the masks of
+obstacles outside the cone's domain (inside the combined radius, or relative
+speed at most ``EPS_V``) or the perception radius and one
+``barriers.barrier_terms`` call over all obstacles. The filter QP takes the
+remaining obstacles' rows as that call's arrays ``L_g h`` (m, 2) and
 ``-L_f h - kappa(h)`` (m,); the engine clips its answer to the configured
 input bounds (the QP itself is unbounded), integrates one RK4 step with the
 filtered input held constant, and logs states, both inputs, per-obstacle
@@ -322,21 +324,21 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
                 [np.array([o.center for o in cfg.obstacles], dtype=float).reshape(1, n_obs, 2),
                  velocities[:-1] * cfg.dt]), axis=0)
             for k in range(n_rec):
-                kinematics = B.reference_kinematics(cfg.model, state, cfg.body_offset)
-                ref_pt, ref_vel, _ = kinematics
-                p_rel, v_rel = centers[k] - ref_pt, velocities[k] - ref_vel
-                sep = sep_log[k] = np.sqrt(B._dot(p_rel, p_rel))
+                x = state.tolist()
+                _, _, p_sq, v_norm, _ = rel = B.relative_motion(
+                    B.reference_kinematics(cfg.model, x, cfg.body_offset), centers[k], velocities[k])
+                sep = sep_log[k] = np.sqrt(p_sq)
                 in_range = in_range_log[k] = sep <= cfg.perception_radius
                 colliding = sep <= radii
-                slow = np.sqrt(B._dot(v_rel, v_rel)) <= B.EPS_V
+                slow = v_norm <= B.EPS_V
                 degenerate_log[k] = ~colliding & slow & cone_domain
                 skip = (colliding | slow) & cone_domain
 
                 u_ref = u_ref_log[k] = controller(state)
                 # Obstacles outside the cone domain come out NaN or infinite; skip masks them.
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    h, lf, lg = B.barrier_terms(barrier, cfg.model, state, kinematics,
-                                                centers[k], velocities[k], axes, radii,
+                    h, lf, lg = B.barrier_terms(barrier, cfg.model, x, rel, centers[k],
+                                                velocities[k], axes, radii,
                                                 body_offset=cfg.body_offset,
                                                 rear_axle=cfg.wheelbase_rear, kappa1=kappa1)
                 h_log[k] = np.where(skip, np.nan, h)

@@ -48,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .barriers import (BARRIER_MODELS, ClassK, _cone_h, barrier_terms, combined_radius,
-                       ellipse_terms, hocbf_terms, reference_kinematics)
+                       ellipse_terms, hocbf_terms, reference_kinematics, relative_motion)
 # Unused here, but bench/tracing.py wraps every *_terms name in this module.
 from .barriers import c3bf_bicycle_terms, c3bf_pointmass_terms, c3bf_unicycle_terms  # noqa: F401
 from .models import INPUT_NAMES
@@ -145,8 +145,9 @@ def _kernels_c3bf_bicycle(rng, motion, n):
     velocities = _obstacle_velocities(rng, motion, n, min_speed=0.2)
     if motion == "moving":
         # The vehicle rests at the origin, so p_rel = center and v_rel = cdot.
-        q = _cone_h(centers, velocities, radii)[3]
-        theta, v = np.arctan2(q[:, 1], q[:, 0]) + math.pi / 2.0, np.zeros(n)
+        qx, qy = _cone_h(relative_motion(((0.0, 0.0), (0.0, 0.0), None), centers, velocities),
+                         radii)[3]
+        theta, v = np.arctan2(qy, qx) + math.pi / 2.0, np.zeros(n)
     else:
         # Heading with <p, e(theta)> = -s, reached with v < 0.
         theta = ang + np.arccos(-REAR_AXLE / dist) * rng.choice([-1.0, 1.0], n)
@@ -238,11 +239,11 @@ def _attack_obstacle_velocity(barrier, model, kernel_batch):
     magnitudes = np.concatenate([np.linspace(0.05, 1.0, 8), np.linspace(1.5, OBSTACLE_SPEED_MAX, 8)])
     directions = _directions(np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False))
     grid = (magnitudes[None, :, None] * directions[:, None, :]).reshape(-1, 2)
-    kinematics = reference_kinematics(model, states)
     worst = None
     for start in range(0, states.shape[0], _ATTACK_CHUNK):
         sl = slice(start, start + _ATTACK_CHUNK)
-        h, lf, lg = barrier_terms(barrier, model, states[sl, None], [a[sl, None] for a in kinematics],
+        # The attack runs the ellipse candidates only.
+        h, lf, lg = barrier_terms(barrier, model, states[sl, None], None,
                                   centers[sl, None], grid, axes[sl, None], None,
                                   rear_axle=REAR_AXLE, kappa1=KAPPA1)
         kept = (np.linalg.norm(lg, axis=-1) <= KERNEL_TOL) & (h >= 0.0)
@@ -264,8 +265,10 @@ def _kernel_psi(barrier, model, kernel_batch, tol: float = KERNEL_TOL):
     zero analytically and only its rounding (~1e-15) falls on either side.
     """
     states, centers, velocities, axes, *radius = kernel_batch
-    h, lf, lg = barrier_terms(barrier, model, states, reference_kinematics(model, states),
-                              centers, velocities, axes, radius[0] if radius else None,
+    rel = (relative_motion(reference_kinematics(model, states), centers, velocities)
+           if barrier == "c3bf" else None)
+    h, lf, lg = barrier_terms(barrier, model, states, rel, centers, velocities, axes,
+                              radius[0] if radius else None,
                               rear_axle=REAR_AXLE, kappa1=KAPPA1)
     kernel = np.linalg.norm(lg, axis=-1) <= tol
     psi0 = lf + np.asarray(KAPPA(h))
@@ -292,15 +295,17 @@ def validity_probe(barrier: str, model: str, motion: str = "moving",
 
     states = _sample_states(rng, model, samples)
     points, point_velocities, _ = kinematics = reference_kinematics(model, states, BODY_OFFSET)
-    centers, velocities, axes, radii = _sample_obstacles(rng, points, motion)
+    centers, velocities, axes, radii = _sample_obstacles(rng, np.column_stack(points), motion)
     if barrier == "c3bf":
         # Keep admissible relative velocities only.
-        ok = np.linalg.norm(velocities - point_velocities, axis=1) > 1e-3
+        ok = np.linalg.norm(velocities - np.column_stack(point_velocities), axis=1) > 1e-3
         states, centers, velocities = states[ok], centers[ok], velocities[ok]
         axes, radii = axes[ok], radii[ok]
-        kinematics = [None if a is None else a[ok] for a in kinematics]
+        kinematics = reference_kinematics(model, states, BODY_OFFSET)
 
-    h, lf, lg = barrier_terms(barrier, model, states, kinematics, centers, velocities, axes,
+    # The ellipse candidates read no relative motion.
+    rel = relative_motion(kinematics, centers, velocities) if barrier == "c3bf" else None
+    h, lf, lg = barrier_terms(barrier, model, states, rel, centers, velocities, axes,
                               radii, body_offset=BODY_OFFSET, rear_axle=REAR_AXLE,
                               kappa1=KAPPA1)
     norms = np.linalg.norm(lg, axis=-1)

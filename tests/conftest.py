@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conebarrier.barriers import barrier_terms, reference_kinematics
+from conebarrier.barriers import barrier_terms, reference_kinematics, relative_motion
 from conebarrier.safety_filter import QpProblem
 from conebarrier.scenarios import full_suite
 from conebarrier.sim import run_scenario
@@ -36,10 +36,10 @@ def directional_fd(h_of, x, direction, delta=1e-6):
 
 def terms(barrier, model, state, center, velocity, axes=None, radius=None, body_offset=0.0,
           rear_axle=None, kappa1=None):
-    """``barrier_terms`` with the state's kinematics computed here, as the engine does."""
+    """``barrier_terms`` with the state's relative motion computed here, as the engine does."""
     state = np.asarray(state, dtype=float)
-    kinematics = reference_kinematics(model, state, body_offset)
-    return barrier_terms(barrier, model, state, kinematics, center, velocity, axes, radius,
+    rel = relative_motion(reference_kinematics(model, state, body_offset), center, velocity)
+    return barrier_terms(barrier, model, state, rel, center, velocity, axes, radius,
                          body_offset=body_offset, rear_axle=rear_axle, kappa1=kappa1)
 
 

@@ -13,6 +13,7 @@ from conebarrier.barriers import (
     ellipse_terms,
     hocbf_terms,
     reference_kinematics,
+    relative_motion,
 )
 from conebarrier.models import BicycleGeometry, model_dynamics
 from conebarrier.validity import MATRIX_ROWS
@@ -307,7 +308,8 @@ def test_cone_terms_broadcast_bit_for_bit(model):
         kinematics = reference_kinematics(model, state, body_offset)
 
         def call(center, cdot, r):
-            return barrier_terms("c3bf", model, state, kinematics, center, cdot, None, r,
+            rel = relative_motion(kinematics, center, cdot)
+            return barrier_terms("c3bf", model, state, rel, center, cdot, None, r,
                                  body_offset=body_offset, rear_axle=1.6)
 
         n = len(radii)
@@ -334,6 +336,47 @@ def test_cone_terms_broadcast_bit_for_bit(model):
         cdots = point_vel + rng.uniform(0.5, 3.0, (16, 1)) * np.column_stack(
             [np.cos(angles[1]), np.sin(angles[1])])
         check(state, 0.1, centers, cdots, radii)
+
+
+# Angular rates whose Python-float square by ``**`` (libm pow) rounds apart
+# from omega * omega, the square an array batch computes.
+OMEGA_POW_WITNESSES = (-0.2044005530144144, 1.3138264282885412)
+
+
+def _cone_call(model, state, center, cdot, radius):
+    rel = relative_motion(reference_kinematics(model, state, 0.1), center, cdot)
+    return barrier_terms("c3bf", model, state, rel, center, cdot, None, radius,
+                         body_offset=0.1, rear_axle=1.6)
+
+
+@pytest.mark.parametrize("model", ["unicycle", "bicycle", "pointmass"])
+def test_float_state_gets_the_bits_of_its_batch_row(model):
+    # A state as the engine passes it, a list of floats, gives the bytes of
+    # its row in an (N, n) array batch: against 16 obstacles, as the engine
+    # calls the cone, and one obstacle against a velocity grid, as the
+    # velocity attack calls the cores.
+    rng = np.random.default_rng(47)
+    states = np.array([_admissible_cone_sample(rng, model)[0] for _ in range(12)])
+    if model == "unicycle":
+        states[:8, 4] = np.tile(OMEGA_POW_WITNESSES, 4)
+    point, point_vel, _ = reference_kinematics(model, states, 0.1)
+    point, point_vel = np.column_stack(point), np.column_stack(point_vel)
+    radii = rng.uniform(0.4, 2.0, (12, 16))
+    angles = rng.uniform(0.0, 2.0 * math.pi, (2, 12, 16))
+    centers = point[:, None] + (radii + rng.uniform(0.2, 9.0, (12, 16)))[..., None] * np.stack(
+        [np.cos(angles[0]), np.sin(angles[0])], axis=-1)
+    cdots = point_vel[:, None] + rng.uniform(0.5, 3.0, (12, 16, 1)) * np.stack(
+        [np.cos(angles[1]), np.sin(angles[1])], axis=-1)
+    grid = rng.uniform(-4.0, 4.0, (40, 2))
+    obstacles = (_cone_call(model, states[:, None], centers, cdots, radii),
+                 [_cone_call(model, x.tolist(), centers[i], cdots[i], radii[i])
+                  for i, x in enumerate(states)])
+    velocity_grid = (_cone_call(model, states[:, None], centers[:, :1], grid, radii[:, :1]),
+                     [_cone_call(model, x.tolist(), centers[i, 0], grid, radii[i, 0])
+                      for i, x in enumerate(states)])
+    for batch, floats in (obstacles, velocity_grid):
+        for got, rows in zip(batch, zip(*floats)):
+            assert all(got[i].tobytes() == row.tobytes() for i, row in enumerate(rows))
 
 
 def test_bicycle_kernel_states_satisfy_inequality():
@@ -381,8 +424,7 @@ def test_table_is_the_one_source_of_defined_pairs():
     for barrier, model in [("c3bf", "truck"), ("ellipse", "pointmass"),
                            ("hocbf", "pointmass"), ("parabola", "unicycle")]:
         with pytest.raises(ValueError, match="not defined"):
-            barrier_terms(barrier, model, state, (center, cdot, None), center, cdot,
-                          np.ones(2), r)
+            barrier_terms(barrier, model, state, None, center, cdot, np.ones(2), r)
 
 
 @pytest.mark.parametrize("kind,gamma,table", [

@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -250,11 +249,11 @@ def test_bad_cli_input_exit_two_before_any_run(tmp_path, capsys, monkeypatch, ar
 
 
 @pytest.mark.parametrize("wrong", [
-    pytest.param(lambda qp, res: replace(res, u_star=res.u_ref.copy()), id="u_ref-as-corrected"),
-    pytest.param(lambda qp, res: replace(res, status="infeasible"), id="feasible-as-infeasible"),
+    pytest.param(lambda qp, res: res._replace(u_star=res.u_ref.copy()), id="u_ref-as-corrected"),
+    pytest.param(lambda qp, res: res._replace(status="infeasible"), id="feasible-as-infeasible"),
     # One ulp off the closed form passes every tolerance; only the bit-for-bit
     # comparison of one-row answers with solve_single_constraint catches it.
-    pytest.param(lambda qp, res: replace(res, u_star=np.nextafter(res.u_star, np.inf))
+    pytest.param(lambda qp, res: res._replace(u_star=np.nextafter(res.u_star, np.inf))
                  if len(qp.b) == 1 else res, id="one-ulp-single-row"),
 ])
 def test_audit_qp_check_fails_a_wrong_solver(tmp_path, braking_yaml, monkeypatch, wrong):

@@ -10,7 +10,7 @@ from conebarrier import barriers
 from conebarrier.barriers import ClassK
 from conebarrier.models import UnicycleDynamics, integrate_step
 from conebarrier.safety_filter import ReferenceController
-from conebarrier.scenarios import load_packaged
+from conebarrier.scenarios import SUITE_NAMES, load_packaged
 from conebarrier.sim import (
     ConfigError,
     ObstacleConfig,
@@ -223,6 +223,30 @@ def test_one_kinematics_call_per_step(cfg, monkeypatch):
     trace = run_scenario(cfg)
     assert len(calls) == len(trace.t) == round(cfg.duration / cfg.dt) + 1
     assert trace.constrained.sum(axis=1).max() >= min(8, len(cfg.obstacles))
+
+
+@pytest.mark.parametrize("name", [*SUITE_NAMES, "corridor_unicycle", "corridor_bicycle"])
+def test_engine_cone_pass_is_the_array_core(name, suite_traces):
+    # One array call over the logged states (T, 1, n) against the obstacle
+    # tracks (T, n_obs, 2) reproduces every finite h the engine logged from
+    # its per-step float pass, byte for byte.
+    trace = (suite_traces[name] if name in suite_traces
+             else run_scenario(_corridor_cfg(name.rsplit("_", 1)[1])))
+    cfg = trace.config
+    states = trace.states[:, None]
+    centers, cdots = trace.obstacle_centers, trace.obstacle_velocities
+    rel = barriers.relative_motion(barriers.reference_kinematics(cfg.model, states,
+                                                                 cfg.body_offset), centers, cdots)
+    axes = np.array([o.semi_axes for o in cfg.obstacles], dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = barriers.barrier_terms("c3bf" if cfg.barrier == "none" else cfg.barrier, cfg.model,
+                                   states, rel, centers, cdots, axes,
+                                   barriers.combined_radius(axes, cfg.width),
+                                   body_offset=cfg.body_offset, rear_axle=cfg.wheelbase_rear,
+                                   kappa1=cfg.kappa1 or cfg.kappa)[0]
+    finite = np.isfinite(trace.h)
+    assert h.shape == trace.h.shape and finite.sum() > 0
+    assert h[finite].tobytes() == trace.h[finite].tobytes()
 
 
 def test_classifier_none_without_filter_activity():

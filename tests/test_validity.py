@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conebarrier.barriers import ClassK, barrier_terms, hocbf_terms, reference_kinematics
+from conebarrier.barriers import ClassK, barrier_terms, hocbf_terms
 from conebarrier.validity import (
     _ATTACK_CHUNK,
     KAPPA,
@@ -63,12 +63,10 @@ def _attack_per_state(barrier, model, kernel_batch):
     magnitudes = np.concatenate([np.linspace(0.05, 1.0, 8), np.linspace(1.5, OBSTACLE_SPEED_MAX, 8)])
     directions = _directions(np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False))
     grid = (magnitudes[None, :, None] * directions[:, None, :]).reshape(-1, 2)
-    kinematics = reference_kinematics(model, states)
     worst = None
     for i in range(min(states.shape[0], 200)):
-        h, lf, lg = barrier_terms(barrier, model, states[i], [a[i] for a in kinematics],
-                                  centers[i], grid, axes[i], None, rear_axle=REAR_AXLE,
-                                  kappa1=KAPPA1)
+        h, lf, lg = barrier_terms(barrier, model, states[i], None, centers[i], grid, axes[i],
+                                  None, rear_axle=REAR_AXLE, kappa1=KAPPA1)
         kept = (np.linalg.norm(lg, axis=-1) <= KERNEL_TOL) & (h >= 0.0)
         psi = np.where(kept, lf + KAPPA(h), np.inf)
         j = int(np.argmin(psi))
