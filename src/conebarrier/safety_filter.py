@@ -38,9 +38,10 @@ of it, S's minimizer and u_ref that violates the rows least answers.
 
 A ``QpProblem(u_ref, a, b)`` holds the rows a u >= b as the arrays a (m, 2)
 and b (m,) that the engine slices from its barrier call. A non-finite row
-entry makes psi non-finite (or raises in the engine's errstate); then
-``_check_finite`` raises an error that is also an ArithmeticError, so the
-engine reports a NaN row as a blown-up run.
+entry makes psi non-finite (the engine's errstate raises on overflow only,
+so an inf * 0 is NaN there as well); the ``sum(slack)`` test then calls
+``_check_finite``, which raises an error that is also an ArithmeticError,
+so the engine reports a NaN row as a blown-up run.
 The ``rows`` view of ``ConstraintRow`` pairs remains only for
 ``bench/tracing.py``.
 
@@ -352,11 +353,7 @@ def _worst(a, b, rows, u) -> float:
 def solve_multi_constraint(qp: QpProblem, basis: tuple[int, ...] = ()) -> SafetyFilterResult:
     """The QP in one incremental pass, ``basis`` first; least violation when the rows conflict."""
     u_ref, a_mat, b_vec = qp
-    try:
-        psi = a_mat @ u_ref - b_vec
-    except FloatingPointError:  # inf * 0 or inf - inf, where the caller's errstate raises
-        _check_finite(a_mat, b_vec)
-        raise
+    psi = a_mat @ u_ref - b_vec
     slack = psi.tolist()
     if not math.isfinite(sum(slack)):  # as it is whenever a row entry is not finite
         _check_finite(a_mat, b_vec)

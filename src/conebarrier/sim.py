@@ -3,21 +3,23 @@
 A scenario fixes one vehicle, a list of moving elliptical obstacles with
 piecewise-constant velocities, a reference controller and a barrier kind.
 The obstacle tracks (centers and velocities at every step) are built before
-the loop. Each step passes the state to ``barriers`` as a list of floats and
-forms the obstacles' relative motion once, ``barriers.relative_motion`` of
-one ``barriers.reference_kinematics`` call; it feeds both the masks of
-obstacles outside the cone's domain (inside the combined radius, or relative
-speed at most ``EPS_V``) or the perception radius and one
-``barriers.barrier_terms`` call over all obstacles. The filter QP takes the
-remaining obstacles' rows as that call's arrays ``L_g h`` (m, 2) and
-``-L_f h - kappa(h)`` (m,); the engine clips its answer to the configured
-input bounds (the QP itself is unbounded), integrates one RK4 step with the
-filtered input held constant, and logs states, both inputs, per-obstacle
-barrier values, switching scalars and separations, and per-step flags. The
-events (perception entry, degenerate relative velocity, QP infeasibility,
-collision, saturation) are the rising edges of those logs, derived after
-the loop. An obstacle inside its combined radius has no cone and builds no
-row; the collision event records it.
+the loop, and the state is a list of Python floats. Each step computes only
+what feeds the QP and the next state: the relative motion
+(``barriers.relative_motion`` of one ``barriers.reference_kinematics``
+call), the row mask (in the perception radius and, for the cone, outside the
+combined radius with relative speed above ``EPS_V``; none on shadow runs),
+the reference input, one ``barriers.barrier_terms`` call over all obstacles,
+the QP over the rows ``L_g h`` (m, 2) and ``-L_f h - kappa(h)`` (m,), the
+clip to the input bounds (the QP itself is unbounded) and one RK4 step with
+the filtered input held constant. Separations, relative speeds, raw h, psi,
+inputs and flags go to preallocated logs. After the loop, array passes over
+the logged rows form the perception, collision and degenerate-velocity
+masks, the constrained flags and the NaN of h where the cone is undefined
+(an obstacle inside its combined radius has no cone and builds no row), and
+the events (perception entry, degenerate relative velocity, QP
+infeasibility, collision, saturation) are their rising edges. One
+``np.errstate`` covers the loop: overflow raises, while the cone's NaN and
+infinite values outside its domain pass silently until they are masked.
 
 A ``ScenarioConfig`` validates itself and its obstacles when built, so an
 invalid scenario cannot exist and ``dataclasses.replace`` checks again; each
@@ -270,8 +272,13 @@ def _make_controller(cfg: ScenarioConfig):
 def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
     """Simulate one scenario deterministically and return its trace.
 
+    Per step: the relative motion, the row mask, one barrier call, the QP
+    and one RK4 step on the float state, with separations, relative speeds
+    and raw h logged as they come. The range, collision and degenerate
+    masks, the constrained flags and h's NaN are array passes after the
+    loop. One ``np.errstate`` covers the loop, in which overflow raises.
     Raises ArithmeticError, naming the scenario and the time, when a step
-    overflows or makes a NaN (separation, barrier rows, filtered input) or
+    overflows, a constraint row is non-finite (the QP's finiteness test) or
     the integrated state is non-finite: a blown-up run has no trace.
     """
     n_steps = int(round(cfg.duration / cfg.dt))
@@ -282,28 +289,24 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
     controller = _make_controller(cfg)
     shadow_only = cfg.barrier == "none"
     barrier = "c3bf" if shadow_only else cfg.barrier
-    cone_domain = np.full(n_obs, barrier == "c3bf")  # also gates shadow runs
-    enforced = np.full(n_obs, not shadow_only)  # shadow runs build no rows
+    cone = barrier == "c3bf"  # the cone's domain also masks the shadow runs' h
     kappa1 = cfg.kappa1 or cfg.kappa
 
-    state = np.array(cfg.initial_state, dtype=float)
+    x = [float(v) for v in cfg.initial_state]
     axes = np.array([o.semi_axes for o in cfg.obstacles], dtype=float).reshape(n_obs, 2)
     radii = B.combined_radius(axes, cfg.width)
     bounds = None if cfg.input_bounds is None else np.asarray(cfg.input_bounds, dtype=float)
+    # A row: in range and, for the cone, in its domain; shadow runs build none.
+    reach = -math.inf if shadow_only else cfg.perception_radius
+    lower, vfloor = (radii, B.EPS_V) if cone else (-math.inf, -math.inf)
 
     t = np.arange(n_rec) * cfg.dt
-    states = np.zeros((n_rec, state.shape[0]))
-    u_ref_log = np.zeros((n_rec, 2))
-    u_star_log = np.zeros((n_rec, 2))
-    h_log = np.full((n_rec, n_obs), np.nan)
+    states = np.zeros((n_rec, len(x)))
+    u_ref_log, u_star_log = np.zeros((2, n_rec, 2))
+    h_log, sep_log, speed_log = np.zeros((3, n_rec, n_obs))
     psi_log = np.full((n_rec, n_obs), np.nan)
-    sep_log = np.zeros((n_rec, n_obs))
-    in_range_log = np.zeros((n_rec, n_obs), dtype=bool)
-    constrained_log = np.zeros((n_rec, n_obs), dtype=bool)
     qp_active_log = np.zeros((n_rec, n_obs), dtype=bool)
-    degenerate_log = np.zeros((n_rec, n_obs), dtype=bool)
-    infeasible_log = np.zeros(n_rec, dtype=bool)
-    saturated_log = np.zeros(n_rec, dtype=bool)
+    infeasible_log, saturated_log = np.zeros((2, n_rec), dtype=bool)
 
     halted = False
     last = n_rec - 1
@@ -311,9 +314,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
 
     k = 0
     try:
-        # Overflow or an invalid operation outside the masked barrier call means
-        # the run has blown up; it raises FloatingPointError, an ArithmeticError.
-        with np.errstate(over="raise", invalid="raise"):
+        with np.errstate(over="raise", divide="ignore", invalid="ignore"):
             # Obstacle tracks; an accumulate adds in order, so c_{k+1} = c_k + v_k dt bit for bit.
             velocities = np.empty((n_rec, n_obs, 2))
             for i, o in enumerate(cfg.obstacles):
@@ -324,30 +325,22 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
                 [np.array([o.center for o in cfg.obstacles], dtype=float).reshape(1, n_obs, 2),
                  velocities[:-1] * cfg.dt]), axis=0)
             for k in range(n_rec):
-                x = state.tolist()
                 _, _, p_sq, v_norm, _ = rel = B.relative_motion(
                     B.reference_kinematics(cfg.model, x, cfg.body_offset), centers[k], velocities[k])
-                sep = sep_log[k] = np.sqrt(p_sq)
-                in_range = in_range_log[k] = sep <= cfg.perception_radius
-                colliding = sep <= radii
-                slow = v_norm <= B.EPS_V
-                degenerate_log[k] = ~colliding & slow & cone_domain
-                skip = (colliding | slow) & cone_domain
-
-                u_ref = u_ref_log[k] = controller(state)
-                # Obstacles outside the cone domain come out NaN or infinite; skip masks them.
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    h, lf, lg = B.barrier_terms(barrier, cfg.model, x, rel, centers[k],
-                                                velocities[k], axes, radii,
-                                                body_offset=cfg.body_offset,
-                                                rear_axle=cfg.wheelbase_rear, kappa1=kappa1)
-                h_log[k] = np.where(skip, np.nan, h)
-                row = constrained_log[k] = in_range & ~skip & enforced
-                row_obstacle = row.nonzero()[0].tolist()
+                sep = np.sqrt(p_sq, out=sep_log[k])
+                speed_log[k] = v_norm
+                row = (sep <= reach) & (sep > lower) & (v_norm > vfloor)
+                u_ref = u_ref_log[k] = controller(x)
+                h, lf, lg = B.barrier_terms(barrier, cfg.model, x, rel, centers[k], velocities[k],
+                                            axes, radii, body_offset=cfg.body_offset,
+                                            rear_axle=cfg.wheelbase_rear, kappa1=kappa1)
+                h_log[k] = h
+                taken = row.nonzero()[0]
+                row_obstacle = taken.tolist()
                 # The previous step's basis, as rows of this step, if all its obstacles kept a row.
                 hint = (tuple(map(row_obstacle.index, pinned))
                         if set(pinned) <= set(row_obstacle) else ())
-                qp = QpProblem(u_ref, lg[row], -lf[row] - cfg.kappa(h[row]))
+                qp = QpProblem(u_ref, lg.take(taken, 0), -lf.take(taken) - cfg.kappa(h.take(taken)))
                 result = solve_multi_constraint(qp, hint)
                 pinned = [row_obstacle[j] for j in result.basis]
                 infeasible_log[k] = result.status == "infeasible"
@@ -358,31 +351,39 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
                     saturated_log[k] = not np.array_equal(clipped, u_star)
                     u_star = clipped
 
-                psi_log[k][row] = result.psi
+                if row_obstacle:
+                    psi_log[k][row] = result.psi
                 for j in result.active_set:
                     qp_active_log[k, row_obstacle[j]] = True
 
-                states[k] = state
+                states[k] = x
                 u_star_log[k] = u_star
 
-                if cfg.halt_on_collision and np.any(colliding):
+                if cfg.halt_on_collision and (sep <= radii).any():
                     halted = True
                     last = k
                     break
 
                 if k < n_rec - 1:
-                    state = integrate_step(dyn, state, u_star, cfg.dt)
+                    x = integrate_step(dyn, x, u_star, cfg.dt).tolist()
     except ArithmeticError as exc:
         raise ArithmeticError(f"{cfg.name}: run blew up at t = {t[k]:g}: {exc}") from None
 
     sl = slice(0, last + 1)
-    events = _step_events(t[sl], sep_log[sl], radii, in_range_log[sl], degenerate_log[sl],
+    sep, h = sep_log[sl], h_log[sl]
+    in_range = sep <= cfg.perception_radius
+    colliding = sep <= radii
+    slow = speed_log[sl] <= B.EPS_V
+    # The cone is undefined inside the combined radius and at zero relative speed.
+    skip = (colliding | slow) & cone
+    h[skip] = np.nan
+    events = _step_events(t[sl], sep, radii, in_range, ~colliding & slow & cone,
                           infeasible_log[sl], saturated_log[sl])
     return ScenarioTrace(
         config=cfg,
         t=t[sl], states=states[sl], u_ref=u_ref_log[sl], u_star=u_star_log[sl],
-        h=h_log[sl], psi=psi_log[sl], sep=sep_log[sl], in_range=in_range_log[sl],
-        constrained=constrained_log[sl], qp_active=qp_active_log[sl],
+        h=h, psi=psi_log[sl], sep=sep, in_range=in_range,
+        constrained=in_range & ~skip & (not shadow_only), qp_active=qp_active_log[sl],
         obstacle_centers=centers[sl], obstacle_velocities=velocities[sl],
         events=events, halted=halted,
     )
@@ -598,10 +599,9 @@ def beta_smallness_audit(trace: ScenarioTrace) -> BetaReport:
     exact = partial(bicycle_dynamics_exact, geom=geom)
     exact_states = np.zeros_like(trace.states)
     exact_states[0] = trace.states[0]
-    x = trace.states[0].copy()
-    for k in range(trace.states.shape[0] - 1):
-        x = integrate_step(exact, x, trace.u_star[k], trace.config.dt)
-        exact_states[k + 1] = x
+    x = trace.states[0]
+    for k in range(1, trace.states.shape[0]):
+        x = exact_states[k] = integrate_step(exact, x, trace.u_star[k - 1], trace.config.dt)
 
     diff = np.linalg.norm(exact_states[:, 0:2] - trace.states[:, 0:2], axis=1)
     seg = np.linalg.norm(np.diff(trace.states[:, 0:2], axis=0), axis=1)

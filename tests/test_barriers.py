@@ -1,6 +1,7 @@
 """Cone, ellipse and second-order barrier evaluations against independent oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -441,6 +442,13 @@ def test_classk_increasing_through_zero(kind, gamma, table):
     assert np.all(np.diff(ys) >= 0)
     nonflat = np.diff(ys) > 0
     assert np.mean(nonflat) > 0.95  # strictly increasing except cubic's flat origin
+    # An equal kappa built afresh, or through replace, compares and hashes
+    # equal; replace with another table evaluates that table.
+    twin = ClassK(kind, gamma, None if table is None else tuple(map(tuple, table)))
+    assert twin == kappa == replace(kappa) and hash(twin) == hash(kappa)
+    if kind == "custom":
+        wider = replace(kappa, table=table[:-1] + ((4.0, 9.0),))
+        assert wider != kappa and wider(4.0) == 9.0
 
 
 def test_classk_derivative_matches_fd():

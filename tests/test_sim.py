@@ -366,3 +366,69 @@ def test_ellipse_barrier_unicycle_goes_infeasible():
     trace = run_scenario(cfg)
     assert any(e.kind == "infeasible" for e in trace.events)
     assert trace.collided()
+
+
+def _rising(flags):
+    return flags & ~np.concatenate([np.zeros_like(flags[:1]), flags[:-1]])
+
+
+_LOG_RUNS = {
+    "halted": lambda: replace(load_packaged("braking_unicycle"), barrier="none",
+                              halt_on_collision=True),
+    "shadow": lambda: replace(load_packaged("overtaking_bicycle"), barrier="none"),
+    "hocbf": lambda: replace(load_packaged("turning_unicycle"), barrier="hocbf"),
+    # Obstacle 1 paces the vehicle (degenerate velocity), obstacle 0 overlaps it.
+    "pacing": lambda: _simple_cfg(obstacles=(
+        ObstacleConfig(center=(0.1, 0.3), semi_axes=(0.5, 0.5)),
+        ObstacleConfig(center=(6.0, 0.0), velocity=(1.5, 0.0), semi_axes=(0.5, 0.5))),
+        duration=1.0),
+}
+
+
+@pytest.mark.parametrize("name", [*SUITE_NAMES, "corridor_unicycle", "corridor_bicycle",
+                                  *_LOG_RUNS])
+def test_engine_logs_follow_their_definitions(name, suite_traces):
+    # The masks the engine forms after its loop, recomputed from the trace's
+    # own states and obstacle tracks with one relative_motion call.
+    if name in suite_traces:
+        trace = suite_traces[name]
+    elif name in _LOG_RUNS:
+        trace = run_scenario(_LOG_RUNS[name]())
+    else:
+        trace = run_scenario(_corridor_cfg(name.rsplit("_", 1)[1]))
+    cfg = trace.config
+    _, _, p_sq, speed, _ = barriers.relative_motion(
+        barriers.reference_kinematics(cfg.model, trace.states[:, None], cfg.body_offset),
+        trace.obstacle_centers, trace.obstacle_velocities)
+    sep = np.sqrt(p_sq)
+    assert sep.tobytes() == trace.sep.tobytes()
+    radii = barriers.combined_radius(np.array([o.semi_axes for o in cfg.obstacles]), cfg.width)
+    colliding, slow = sep <= radii, speed <= barriers.EPS_V
+    in_range = sep <= cfg.perception_radius
+    np.testing.assert_array_equal(trace.in_range, in_range)
+
+    cone = cfg.barrier in ("c3bf", "none")
+    skip = (colliding | slow) & cone
+    if cone:
+        np.testing.assert_array_equal(np.isnan(trace.h), skip)
+    else:
+        assert not np.isnan(trace.h).any()
+    np.testing.assert_array_equal(trace.constrained, in_range & ~skip & (cfg.barrier != "none"))
+    if cfg.barrier == "none":
+        assert not trace.constrained.any()
+    # psi is logged for exactly the rows the QP saw; an active row is one of them.
+    np.testing.assert_array_equal(~np.isnan(trace.psi), trace.constrained)
+    assert not (trace.qp_active & ~trace.constrained).any()
+
+    steps, obstacles = np.nonzero(_rising(~colliding & slow & in_range & cone))
+    assert [(e.time, e.obstacle) for e in trace.events if e.kind == "degenerate_velocity"] == [
+        (float(trace.t[k]), int(i)) for k, i in zip(steps, obstacles)]
+    if name == "pacing":
+        assert len(steps) == 1 and colliding[0, 0]
+
+    if cfg.halt_on_collision:
+        # The run stops at its first collision, and every log ends there.
+        assert trace.halted and colliding[-1].any() and not colliding[:-1].any()
+        for field in ("states", "u_ref", "u_star", "h", "psi", "sep", "in_range",
+                      "constrained", "qp_active", "obstacle_centers", "obstacle_velocities"):
+            assert len(getattr(trace, field)) == len(trace.t)
