@@ -14,16 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
-from .safety_filter import (
-    GRID_FINE,
-    QpProblem,
-    grid_project,
-    solve_multi_constraint,
-    solve_single_constraint,
-)
+from .safety_filter import QpProblem, solve_multi_constraint, solve_single_constraint
 from .scenarios import EXPECTED_BEHAVIORS
 from .sim import (BETA_LIMIT, INVARIANCE_TOL, beta_smallness_audit, classify_behavior,
                   invariance_audit, run_scenario)
@@ -36,21 +32,13 @@ DIVERGENCE_LIMIT = 0.05
 """Largest exact-model replay divergence, as a fraction of the path length."""
 QP_RESIDUAL_TOL = 1e-9
 """Largest row violation at u*, and largest |residual| of an active row."""
-QP_GAP_TOL = 1e-12
-"""Largest f(u*) - f(u_grid): the grid may not beat the solver."""
-QP_PROJECTION_TOL = 2 * (2 * GRID_FINE) ** 2
-"""Largest |u_g - u*|^2 - (f(u_g) - f(u*)), which only the exact projection keeps
-near zero for every feasible grid point u_g."""
+QP_DISTANCE_TOL = 1e-9
+"""Largest |u* - exact u*|_inf of a feasible answer."""
+QP_EXCESS_TOL = 2e-9
+"""Largest excess of an infeasible answer's exact worst violation over t*: stage
+two relaxes the rows by t + 1e-9 and meets them to 1e-9."""
 QP_MAX_ACTIVE = 2
 """Most rows tight at an answer: the QP has two inputs."""
-QP_MIN_EVALUATED = 0.5
-"""Least share of the instances compared with the grid."""
-QP_MAX_SLIVERS = 0.05
-"""Largest share of feasible instances whose feasible set the grid misses."""
-QP_EVALUATED_BOX = 8.5
-"""|u*|_inf beyond which the grid's box edge distorts the comparison."""
-QP_REFUTATION_BOX = 9.0
-"""A feasible grid point with |u|_inf at most this refutes an infeasible verdict."""
 
 
 def _verdict(passed, detail: str, numbers: dict) -> dict:
@@ -134,9 +122,9 @@ def negative_control(traces: dict) -> dict | None:
 
 
 def qp_draws(seed: int, instances: int, rows: range):
-    """Seeded random filter QPs as (u_ref, [(lg_h, rhs), ...]): u_ref uniform in
-    [-3, 3]^2, a row count from ``rows``, and per row a unit normal at a uniform
-    angle and a right side uniform in [-2, 2]."""
+    """Seeded random filter ``QpProblem``s: u_ref uniform in [-3, 3]^2, a row count
+    from ``rows``, and per row a unit normal at a uniform angle and a right side
+    uniform in [-2, 2]."""
     rng = np.random.default_rng(seed)
     for _ in range(instances):
         u_ref = rng.uniform(-3, 3, 2)
@@ -144,65 +132,106 @@ def qp_draws(seed: int, instances: int, rows: range):
         for _ in range(rng.integers(rows.start, rows.stop)):
             ang = rng.uniform(0, 2 * math.pi)
             drawn.append((np.array([math.cos(ang), math.sin(ang)]), float(rng.uniform(-2, 2))))
-        yield u_ref, drawn
+        yield QpProblem(u_ref, *map(np.array, zip(*drawn)))
 
 
-def qp_grid_oracle(seed: int, instances: int, rows: range) -> dict:
-    """The filter QP against ``grid_project`` on the ``qp_draws`` instances.
+def exact_qp(u_ref: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """The filter QP a u >= b solved in rational arithmetic over the float entries:
+    (status, u*, t*) in ``fractions.Fraction``s.
 
-    A one-row answer must equal ``solve_single_constraint``'s bit for bit. A
-    feasible answer must meet every row, keep its active rows tight, name an
-    active row when it is a corrected one, be no worse than the grid and obey
-    the projection inequality |u_g - u*|^2 <= f(u_g) - f(u*); an infeasible
-    verdict must leave no feasible grid point within QP_REFUTATION_BOX.
+    Evaluates the candidates of a candidate enumeration exactly: u_ref, each
+    row's projection and each row pair's intersection. The one nearest u_ref
+    that meets every row is u* ('corrected'; 'inactive' if that is u_ref).
+    Without one the rows conflict: t* = min_u max_l (b_l - a_l u) is then the
+    least worst violation among the pair ties (u_ref's projection onto the
+    line where two rows violate equally) and the triple tie points
+    ('infeasible', u* None).
     """
-    worst_feas = worst_slack = 0.0
-    worst_gap = worst_proj = -math.inf
-    nearest_refutation = math.inf
-    evaluated = slivers = refuted = mismatched = max_active = corrected_without_active = 0
-    for u_ref, drawn in qp_draws(seed, instances, rows):
-        qp = QpProblem(u_ref, *map(np.array, zip(*drawn)))
+    u = tuple(map(Fraction, u_ref.tolist()))
+    a = [tuple(map(Fraction, row)) for row in a.tolist()]
+    b = list(map(Fraction, b.tolist()))
+
+    def worst(p):
+        return max(bl - (al[0] * p[0] + al[1] * p[1]) for al, bl in zip(a, b))
+
+    def onto(n, c):
+        # u_ref's projection onto the line n p = c, or None for n = 0.
+        n2 = n[0] * n[0] + n[1] * n[1]
+        if not n2:
+            return None
+        q = (c - n[0] * u[0] - n[1] * u[1]) / n2
+        return u[0] + q * n[0], u[1] + q * n[1]
+
+    if not b or worst(u) <= 0:
+        return "inactive", u, None
+    cand = [p for al, bl in zip(a, b) if (p := onto(al, bl)) is not None]
+    for (ai, bi), (aj, bj) in combinations(zip(a, b), 2):
+        det = ai[0] * aj[1] - ai[1] * aj[0]
+        if det:
+            cand.append(((bi * aj[1] - bj * ai[1]) / det, (ai[0] * bj - aj[0] * bi) / det))
+    feasible = [p for p in cand if worst(p) <= 0]
+    if feasible:
+        return "corrected", min(feasible, key=lambda p: (p[0] - u[0]) ** 2 + (p[1] - u[1]) ** 2), None
+    ties = [u] + [p for (ai, bi), (aj, bj) in combinations(zip(a, b), 2)
+                  if (p := onto((ai[0] - aj[0], ai[1] - aj[1]), bi - bj)) is not None]
+    for i, j, k in combinations(range(len(b)), 3):
+        p, q = [x - z for x, z in zip(a[i], a[k])], [y - z for y, z in zip(a[j], a[k])]
+        det = p[0] * q[1] - p[1] * q[0]
+        if det:
+            c_p, c_q = b[i] - b[k], b[j] - b[k]
+            ties.append(((c_p * q[1] - c_q * p[1]) / det, (c_q * p[0] - c_p * q[0]) / det))
+    return "infeasible", None, min(map(worst, ties))
+
+
+def qp_exact_oracle(seed: int, instances: int, rows: range) -> dict:
+    """The filter QP against ``exact_qp`` on the ``qp_draws`` instances.
+
+    Every answer must have the exact status, and a one-row answer must equal
+    ``solve_single_constraint``'s bit for bit. A feasible answer must lie within
+    QP_DISTANCE_TOL of the exact u*, meet every row and keep its active rows
+    tight to QP_RESIDUAL_TOL, and name an active row when it is a corrected one.
+    An infeasible answer's exact worst violation must lie in [t*, t* + QP_EXCESS_TOL].
+    """
+    statuses = dict.fromkeys(("inactive", "corrected", "infeasible"), 0)
+    status_mismatches = mismatched = max_active = corrected_without_active = 0
+    worst_feas = worst_slack = worst_dist = 0.0
+    excess = []  # exact worst violation minus t* of each infeasible answer
+    for qp in qp_draws(seed, instances, rows):
         res = solve_multi_constraint(qp)
-        if len(drawn) == 1:
+        status, u_exact, t_star = exact_qp(*qp)
+        statuses[status] += 1
+        if len(qp.b) == 1:
             mismatched += not np.array_equal(solve_single_constraint(qp).u_star, res.u_star)
         max_active = max(max_active, len(res.active_set))
-        ref = grid_project(u_ref, drawn, deep=res.status != "infeasible")
-        if res.status == "infeasible":
-            reach = math.inf if ref is None else float(np.max(np.abs(ref)))
-            nearest_refutation = min(nearest_refutation, reach)
-            refuted += reach <= QP_REFUTATION_BOX
-            continue
-        corrected_without_active += res.status == "corrected" and not res.active_set
-        for j, (lg, rhs) in enumerate(drawn):
-            resid = float(lg @ res.u_star) - rhs
-            worst_feas = max(worst_feas, -resid)
-            if j in res.active_set:
-                worst_slack = max(worst_slack, abs(resid))
-        if ref is None:
-            slivers += 1
-            continue
-        if float(np.max(np.abs(res.u_star))) > QP_EVALUATED_BOX:
-            continue
-        evaluated += 1
-        f_star = float(np.sum((res.u_star - u_ref) ** 2))
-        f_grid = float(np.sum((ref - u_ref) ** 2))
-        worst_gap = max(worst_gap, f_star - f_grid)
-        worst_proj = max(worst_proj, float(np.sum((ref - res.u_star) ** 2)) - (f_grid - f_star))
-    passed = (worst_feas <= QP_RESIDUAL_TOL and worst_slack <= QP_RESIDUAL_TOL
-              and worst_gap <= QP_GAP_TOL and worst_proj <= QP_PROJECTION_TOL and not refuted
-              and not mismatched and max_active <= QP_MAX_ACTIVE and not corrected_without_active
-              and evaluated >= QP_MIN_EVALUATED * instances
-              and slivers <= QP_MAX_SLIVERS * instances)
-    detail = (f"{evaluated} instances: max infeasibility={worst_feas:.2e}, "
-              f"objective vs grid={worst_gap:.2e}, projection residual={worst_proj:.2e}, "
-              f"max active residual={worst_slack:.2e}, infeasible verdicts refuted={refuted}")
+        if res.status != status:
+            status_mismatches += 1
+        elif status == "infeasible":
+            ux, uy = map(Fraction, res.u_star.tolist())
+            excess.append(max(Fraction(bl) - Fraction(ax) * ux - Fraction(ay) * uy
+                              for (ax, ay), bl in zip(qp.a.tolist(), qp.b.tolist())) - t_star)
+        else:
+            corrected_without_active += status == "corrected" and not res.active_set
+            worst_dist = max(worst_dist, *(abs(float(Fraction(x) - y))
+                                           for x, y in zip(res.u_star.tolist(), u_exact)))
+            resid = qp.a @ res.u_star - qp.b
+            worst_feas = max(worst_feas, float(-resid.min()))
+            worst_slack = max([worst_slack, *np.abs(resid[list(res.active_set)]).tolist()])
+    least_excess, worst_excess = min(excess, default=0), max(excess, default=0)
+    passed = (not status_mismatches and not mismatched and max_active <= QP_MAX_ACTIVE
+              and not corrected_without_active and worst_dist <= QP_DISTANCE_TOL
+              and worst_feas <= QP_RESIDUAL_TOL and worst_slack <= QP_RESIDUAL_TOL
+              and 0 <= least_excess and worst_excess <= QP_EXCESS_TOL)
+    counts = ", ".join(f"{n} {status}" for status, n in statuses.items())
+    detail = (f"{instances} instances ({counts}), status mismatches={status_mismatches}: "
+              f"max |u* - exact|={worst_dist:.2e}, max infeasibility={worst_feas:.2e}, "
+              f"max active residual={worst_slack:.2e}, infeasible worst violation - t* "
+              f"in [{float(least_excess):.2e}, {float(worst_excess):.2e}]")
     if not passed:
-        detail += (f"; slivers={slivers}, max active rows={max_active}, "
+        detail += (f"; max active rows={max_active}, "
                    f"one-row answers off the closed form={mismatched}, "
                    f"corrected answers without an active row={corrected_without_active}")
     return _verdict(passed, detail, {
-        "evaluated": evaluated, "slivers": slivers, "refuted": refuted,
-        "nearest_refutation": nearest_refutation, "mismatched": mismatched,
+        "statuses": statuses, "status_mismatches": status_mismatches, "mismatched": mismatched,
         "max_active": max_active, "corrected_without_active": corrected_without_active,
-        "worst_feas": worst_feas, "worst_slack": worst_slack,
-        "worst_gap": worst_gap, "worst_proj": worst_proj})
+        "worst_dist": worst_dist, "worst_feas": worst_feas, "worst_slack": worst_slack,
+        "least_excess": float(least_excess), "worst_excess": float(worst_excess)})

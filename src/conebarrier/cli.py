@@ -16,13 +16,15 @@ Subcommands:
   one machine-readable pass/fail line per ``claims`` judge: collisions,
   behaviour labels, forward invariance, recovery rate, slip smallness, the
   negative control, and the filter QP on 60 instances drawn from --seed,
+  judged against the QP solved exactly in rationals (``claims.exact_qp``)
   under the bounds the acceptance tests pin. Nonzero exit on any failure,
   2 on configuration errors and blown-up runs as for ``run``.
 
-Bad input (an unknown emit kind, a negative --seed, a barrier not defined
-for the model, whether a validity cell or a ``run`` or ``audit`` scenario
-after its --barrier override) exits 2 with one ``config error:`` line on
-stderr before anything runs or is written.
+Bad input (an unknown emit kind, a negative --seed, a validity --samples
+outside [1000, MAX_SAMPLES], a barrier not defined for the model, whether a
+validity cell or a ``run`` or ``audit`` scenario after its --barrier
+override) exits 2 with one ``config error:`` line on stderr before anything
+runs or is written.
 
 The output directory resolves from --out, then the CONEBARRIER_OUT
 environment variable, then ./runs. Trace CSVs use '.' decimals, LF line
@@ -59,6 +61,8 @@ from .validity import BARRIERS, MATRIX_ROWS, verdict_matrix, verdict_row
 EMIT_KINDS = ("trace-csv", "events-json", "summary-json", "plotdata")
 FLAG_EVENTS = ("collision", "degenerate_velocity", "infeasible", "saturation")
 """Event kinds flagged per step in the trace CSV."""
+MAX_SAMPLES = 1_000_000
+"""Largest validity --samples: the matrix holds about 0.35 KB per sample, so 350 MB here."""
 
 
 def trace_csv_rows(trace: ScenarioTrace):
@@ -237,8 +241,8 @@ def cmd_run(args) -> int:
 
 def cmd_validity(args) -> int:
     cell = (args.barrier or "c3bf", args.model or "unicycle")
-    if args.samples < 1000:
-        return _config_error("--samples must be at least 1000")
+    if not 1000 <= args.samples <= MAX_SAMPLES:
+        return _config_error(f"--samples must be between 1000 and {MAX_SAMPLES}")
     if args.seed < 0:
         return _config_error("--seed must be nonnegative")
     if cell not in MATRIX_ROWS:
@@ -267,7 +271,7 @@ def _audit_checks(args) -> list[dict]:
     judges = (claims.collision_free, claims.behavior_labels, claims.invariance_safe_start,
               claims.violation_recovery, claims.beta_smallness, claims.negative_control)
     judged = [(judge.__name__, judge(traces)) for judge in judges]
-    judged.append(("qp_grid_oracle", claims.qp_grid_oracle(args.seed, 60, range(1, 4))))
+    judged.append(("qp_exact_oracle", claims.qp_exact_oracle(args.seed, 60, range(1, 4))))
     return [{"name": name, "passed": verdict["passed"], "detail": verdict["detail"]}
             for name, verdict in judged if verdict is not None]
 
@@ -287,8 +291,7 @@ def cmd_audit(args) -> int:
     passed = all(c["passed"] for c in checks)
     out_dir = _resolve_out(args)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {"passed": passed, "checks": checks,
-               "grid_step": claims.GRID_FINE, "seed": args.seed}
+    payload = {"passed": passed, "checks": checks, "seed": args.seed}
     (out_dir / "audit.json").write_text(json.dumps(payload, indent=2))
     print(f"wrote {out_dir / 'audit.json'}")
     return 0 if passed else 1

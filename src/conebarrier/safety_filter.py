@@ -49,16 +49,16 @@ The QP carries no input bounds. A scenario's input bounds are applied by
 the closed-loop engine (``sim.run_scenario``), which clips the QP's answer
 and logs a ``saturation`` event when the clip changes it.
 
-``grid_project`` is the brute-force projection the solver is judged by,
-both by ``conebarrier audit`` and by the tests: a lattice scan refined to
-GRID_FINE, independent of the pass above.
+``claims.exact_qp`` solves the same QP in rational arithmetic, independent
+of the pass above; it judges the solver in ``conebarrier audit`` and in the
+tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -388,46 +388,3 @@ def solve_multi_constraint(qp: QpProblem, basis: tuple[int, ...] = ()) -> Safety
     return SafetyFilterResult(u_star=np.array(u), u_ref=u_ref, psi=psi, active_set=active,
                               status="corrected" if level is None else "infeasible",
                               basis=active if level is None else conflict)
-
-
-GRID_HALF_WIDTH, GRID_COARSE, GRID_MID, GRID_FINE = 10.0, 0.05, 0.005, 0.001
-"""Box half-width and lattice steps of ``grid_project``."""
-
-
-def grid_project(u_ref, rows, deep: bool = False) -> Optional[np.ndarray]:
-    """Brute-force projection onto {u : lg u >= rhs}, the oracle that judges the QP.
-
-    Scans the box |u|_inf <= GRID_HALF_WIDTH at GRID_COARSE and refines around
-    the best point at GRID_MID, then GRID_FINE. None if the coarse scan finds
-    no feasible point; ``deep=True`` then rescans at GRID_MID, catching slivers
-    thinner than the coarse lattice (worth it only on known-feasible instances).
-    """
-    def best_on(lo, hi, step):
-        # Feasibility and distance are outer sums of two tick vectors over
-        # blocks of 128 x ticks, with no point array; strict improvement
-        # across blocks keeps the first minimizer in row-major order.
-        ticks_x = np.arange(lo[0], hi[0] + step / 2, step)
-        ticks_y = np.arange(lo[1], hi[1] + step / 2, step)
-        dx2, dy2 = (ticks_x - u_ref[0]) ** 2, (ticks_y - u_ref[1]) ** 2
-        best, best_d2 = None, np.inf
-        for start in range(0, ticks_x.size, 128):
-            xs = ticks_x[start:start + 128]
-            d2 = np.add.outer(dx2[start:start + 128], dy2)
-            for lg, rhs in rows:
-                d2[np.add.outer(xs * lg[0], ticks_y * lg[1]) < rhs - 1e-9] = np.inf
-            i, j = divmod(int(np.argmin(d2)), ticks_y.size)
-            if d2[i, j] < best_d2:
-                best, best_d2 = np.array([xs[i], ticks_y[j]]), d2[i, j]
-        return best
-
-    box = np.full(2, GRID_HALF_WIDTH)
-    best = best_on(-box, box, GRID_COARSE)
-    if best is None and deep:
-        best = best_on(-box, box, GRID_MID)
-    if best is None:
-        return None
-    for step, window in ((GRID_MID, 0.6), (GRID_FINE, 0.03)):
-        refined = best_on(best - window, best + window, step)
-        if refined is not None:
-            best = refined
-    return best

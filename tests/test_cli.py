@@ -134,8 +134,9 @@ def test_blow_up_exit_two_on_one_line(tmp_path, capsys, gamma):
 
 def test_nan_barrier_row_exit_two_on_one_line(tmp_path, capsys, braking_yaml, monkeypatch):
     # A NaN L_f h reaches the QP's finiteness test, which the engine reports
-    # as a blown-up run rather than a traceback; so does an infinite L_g h,
-    # where inf * 0 in the QP would raise under the engine's errstate first.
+    # as a blown-up run rather than a traceback; so does an infinite L_g h:
+    # the engine's errstate ignores invalid operations, so inf * 0 makes a NaN
+    # psi, and the QP's sum(slack) test sends it to the finiteness test.
     barrier_terms = sim.B.barrier_terms
 
     def nan_lf(*args, **kwargs):
@@ -234,6 +235,7 @@ def test_run_bad_emit_kind_exit_two(tmp_path, braking_yaml):
     pytest.param(["run", "--barrier", "ellipse"], id="run-suite-ellipse"),
     pytest.param(["run", "--barrier", "hocbf"], id="run-suite-hocbf"),
     pytest.param(["audit", "--barrier", "ellipse"], id="audit-suite-ellipse"),
+    pytest.param(["validity", "--samples", "100000000000000000000"], id="validity-huge-samples"),
 ])
 def test_bad_cli_input_exit_two_before_any_run(tmp_path, capsys, monkeypatch, argv):
     def no_run(*args, **kwargs):
@@ -248,6 +250,15 @@ def test_bad_cli_input_exit_two_before_any_run(tmp_path, capsys, monkeypatch, ar
     assert not out.exists()
 
 
+def _slide_along_active_row(qp, res):
+    """A multi-row answer with one active row, moved 1e-6 along that row's line:
+    it stays feasible and the row tight, but it is not the minimizer."""
+    if len(qp.b) < 2 or len(res.active_set) != 1:
+        return res
+    ax, ay = qp.a[res.active_set[0]]
+    return res._replace(u_star=res.u_star + 1e-6 * np.array([-ay, ax]) / math.hypot(ax, ay))
+
+
 @pytest.mark.parametrize("wrong", [
     pytest.param(lambda qp, res: res._replace(u_star=res.u_ref.copy()), id="u_ref-as-corrected"),
     pytest.param(lambda qp, res: res._replace(status="infeasible"), id="feasible-as-infeasible"),
@@ -255,6 +266,7 @@ def test_bad_cli_input_exit_two_before_any_run(tmp_path, capsys, monkeypatch, ar
     # comparison of one-row answers with solve_single_constraint catches it.
     pytest.param(lambda qp, res: res._replace(u_star=np.nextafter(res.u_star, np.inf))
                  if len(qp.b) == 1 else res, id="one-ulp-single-row"),
+    pytest.param(_slide_along_active_row, id="slide-along-active-row"),
 ])
 def test_audit_qp_check_fails_a_wrong_solver(tmp_path, braking_yaml, monkeypatch, wrong):
     solve = claims.solve_multi_constraint
@@ -267,7 +279,7 @@ def test_audit_qp_check_fails_a_wrong_solver(tmp_path, braking_yaml, monkeypatch
     out = tmp_path / "out"
     assert main(["audit", "--config", str(braking_yaml), "--out", str(out)]) == 1
     checks = json.loads((out / "audit.json").read_text())["checks"]
-    assert [c["passed"] for c in checks if c["name"] == "qp_grid_oracle"] == [False]
+    assert [c["passed"] for c in checks if c["name"] == "qp_exact_oracle"] == [False]
 
 
 def test_override_breaking_a_packaged_scenario_names_it(tmp_path, capsys):
@@ -349,4 +361,4 @@ def test_audit_subset(tmp_path):
     names = {c["name"] for c in payload["checks"]}
     assert {"collision_free", "behavior_labels", "invariance_safe_start",
             "violation_recovery", "beta_smallness", "negative_control",
-            "qp_grid_oracle"} <= names
+            "qp_exact_oracle"} <= names
