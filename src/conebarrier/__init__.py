@@ -18,10 +18,10 @@ over the rows, with a least-violation answer for conflicting rows (no LP
 solver);
 ``sim`` the closed-loop engine (one kinematics pass feeding one barrier
 call over all obstacles per step, masks for perception and the cone
-domain, rows, QP, input clipping, RK4, events derived from the per-step
-logs) with audits; ``scenarios`` the packaged YAML suite; ``claims`` one
-judge per paper claim, which ``audit`` and the acceptance tests share; and
-``cli`` the command-line tool.
+domain, rows, QP, input clipping, RK4; the trace is the per-step record,
+whose flags' rising edges are the events) with audits; ``scenarios`` the
+packaged YAML suite; ``claims`` one judge per paper claim, which ``audit``
+and the acceptance tests share; and ``cli`` the command-line tool.
 """
 
 from .barriers import EPS_V, ClassK

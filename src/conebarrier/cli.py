@@ -23,8 +23,9 @@ Subcommands:
 Bad input (an unknown emit kind, a negative --seed, a validity --samples
 outside [1000, MAX_SAMPLES], a barrier not defined for the model, whether a
 validity cell or a ``run`` or ``audit`` scenario after its --barrier
-override) exits 2 with one ``config error:`` line on stderr before anything
-runs or is written.
+override, a scenario name that is empty or holds '/', '\\' or NUL, or one
+that two configs of a batch share) exits 2 with one ``config error:`` line
+on stderr before anything runs or is written: a name names its outputs.
 
 The output directory resolves from --out, then the CONEBARRIER_OUT
 environment variable, then ./runs. Trace CSVs use '.' decimals, LF line
@@ -36,16 +37,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from . import claims
-from .barriers import combined_radius
 from .models import INPUT_NAMES, MODELS, STATE_NAMES
 from .scenarios import full_suite, load_configs, with_overrides
 from .sim import (
@@ -79,18 +81,14 @@ def trace_csv_rows(trace: ScenarioTrace):
                    f"obs{k}_cx", f"obs{k}_cy", f"obs{k}_vx", f"obs{k}_vy"]
     header += [f"event_{kind}" for kind in FLAG_EVENTS]
 
-    flags = np.zeros((n_rec, len(FLAG_EVENTS)))
-    for e in trace.events:
-        if e.kind in FLAG_EVENTS:
-            idx = int(round(e.time / cfg.dt))
-            if 0 <= idx < n_rec:
-                flags[idx, FLAG_EVENTS.index(e.kind)] = 1.0
+    edges = trace.edges()
+    flags = [edges[kind].reshape(n_rec, -1).any(axis=1) for kind in FLAG_EVENTS]
     per_obstacle = np.concatenate(
         [np.stack([trace.h, trace.psi, trace.sep, trace.in_range, trace.constrained,
                    trace.qp_active], axis=2),
          trace.obstacle_centers, trace.obstacle_velocities], axis=2).reshape(n_rec, 10 * n_obs)
     table = np.column_stack([trace.t, trace.states, trace.u_ref, trace.u_star,
-                             per_obstacle, flags])
+                             per_obstacle, *flags])
     fmt = ",".join(["%.17g"] * (1 + trace.states.shape[1] + 4)
                    + (["%.17g"] * 3 + ["%d"] * 3 + ["%.17g"] * 4) * n_obs
                    + ["%d"] * len(FLAG_EVENTS))
@@ -160,7 +158,7 @@ def _plotdata_payload(trace: ScenarioTrace) -> dict:
             {
                 "cx": trace.obstacle_centers[:, k, 0].tolist(),
                 "cy": trace.obstacle_centers[:, k, 1].tolist(),
-                "combined_radius": float(combined_radius(cfg.obstacles[k].semi_axes, cfg.width)),
+                "combined_radius": float(trace.radii[k]),
             }
             for k in range(trace.h.shape[1])
         ],
@@ -181,10 +179,7 @@ def _emit(trace: ScenarioTrace, out_dir: Path, emit: set) -> dict:
     if "trace-csv" in emit:
         write_trace_csv(trace, out_dir / f"{name}_trace.csv")
     if "events-json" in emit:
-        payload = [
-            {"kind": e.kind, "time": e.time, "obstacle": e.obstacle, "detail": e.detail}
-            for e in trace.events
-        ]
+        payload = [dataclasses.asdict(e) for e in trace.events]
         (out_dir / f"{name}_events.json").write_text(json.dumps(payload, indent=2))
     if "summary-json" in emit:
         (out_dir / f"{name}_summary.json").write_text(json.dumps(summary, indent=2))
@@ -195,14 +190,12 @@ def _emit(trace: ScenarioTrace, out_dir: Path, emit: set) -> dict:
 
 
 def _load_batch(args) -> list:
-    if args.config:
-        configs = load_configs(args.config)
-    else:
-        configs = list(full_suite().values())
-    return [
-        with_overrides(cfg, barrier=args.barrier, dt=args.dt, duration=args.duration)
-        for cfg in configs
-    ]
+    configs = load_configs(args.config) if args.config else list(full_suite().values())
+    repeated = sorted(n for n, count in Counter(c.name for c in configs).items() if count > 1)
+    if repeated:  # a name names a run's output files
+        raise ConfigError(f"scenario name(s) {repeated} appear more than once in the batch")
+    return [with_overrides(cfg, barrier=args.barrier, dt=args.dt, duration=args.duration)
+            for cfg in configs]
 
 
 def _config_error(message) -> int:

@@ -90,7 +90,9 @@ def _num(value, context: str) -> float:
 
 
 def _str(value, context: str) -> str:
-    return str(value)
+    if not isinstance(value, str):
+        raise ConfigError(f"{context} must be a string, got {value!r}")
+    return value
 
 
 def _bool(value, context: str) -> bool:

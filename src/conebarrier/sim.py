@@ -12,19 +12,21 @@ the reference input, one ``barriers.barrier_terms`` call over all obstacles,
 the QP over the rows ``L_g h`` (m, 2) and ``-L_f h - kappa(h)`` (m,), the
 clip to the input bounds (the QP itself is unbounded) and one RK4 step with
 the filtered input held constant. Separations, relative speeds, raw h, psi,
-inputs and flags go to preallocated logs. After the loop, array passes over
-the logged rows form the perception, collision and degenerate-velocity
-masks, the constrained flags and the NaN of h where the cone is undefined
-(an obstacle inside its combined radius has no cone and builds no row), and
-the events (perception entry, degenerate relative velocity, QP
-infeasibility, collision, saturation) are their rising edges. One
-``np.errstate`` covers the loop: overflow raises, while the cone's NaN and
-infinite values outside its domain pass silently until they are masked.
+inputs and the infeasible and saturated flags go to preallocated logs. After
+the loop, array passes over the logged rows form the perception and
+degenerate-velocity masks, the constrained flags and the NaN of h where the
+cone is undefined (an obstacle inside its combined radius has no cone and
+builds no row). One ``np.errstate`` covers the loop: overflow raises, while
+the cone's NaN and infinite values outside its domain pass silently until
+they are masked. The ``ScenarioTrace`` keeps the logs and masks as the run's
+per-step record, and ``ScenarioTrace.edges`` alone turns its flags into
+events, collisions, halting, event counts and the CSV flag columns.
 
 A ``ScenarioConfig`` validates itself and its obstacles when built, so an
 invalid scenario cannot exist and ``dataclasses.replace`` checks again; each
-ConfigError it raises starts with the scenario's name. Its field names are
-the YAML keys of ``scenarios`` and its defaults are the only ones.
+ConfigError it raises starts with the scenario's name, a nonempty string
+without '/', '\\' or NUL since it names the output files. Its field names
+are the YAML keys of ``scenarios`` and its defaults are the only ones.
 
 Collisions (separation at or below the combined radius) are recorded and
 the run continues by default so traces stay analyzable; ``halt_on_collision``
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
@@ -112,6 +114,9 @@ class ScenarioConfig:
     input_bounds: Optional[tuple[tuple[float, ...], tuple[float, ...]]] = None
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.name, str) and self.name) or not set(self.name).isdisjoint("/\\\0"):
+            raise ConfigError(f"name must be a nonempty string without '/', '\\' or NUL, "
+                              f"got {self.name!r}")
         try:
             self._check()
         except ConfigError as exc:
@@ -191,13 +196,16 @@ class SimEvent:
 
 @dataclass
 class ScenarioTrace:
-    """Uniformly sampled log of one run plus its event list.
+    """The per-step record of one run; ``edges`` derives its events.
 
     Row k holds the state at t = k dt together with the inputs and
     constraint quantities computed there; the input of the final row is
-    computed but never applied. Per-obstacle columns hold NaN where the
-    quantity was undefined (outside the cone domain, degenerate relative
-    velocity, or no constraint row).
+    computed but never applied. Per-obstacle columns (T, n_obs) hold NaN
+    where the quantity was undefined (outside the cone domain, degenerate
+    relative velocity, or no constraint row). ``degenerate`` flags a cone
+    obstacle outside its combined radius (``radii``, (n_obs,)) at relative
+    speed <= ``EPS_V``; ``infeasible`` and ``saturated`` (T,) flag a QP with
+    no feasible input and a QP answer the input bounds clipped.
     """
 
     config: ScenarioConfig
@@ -211,10 +219,12 @@ class ScenarioTrace:
     in_range: np.ndarray
     constrained: np.ndarray
     qp_active: np.ndarray
+    degenerate: np.ndarray
+    infeasible: np.ndarray
+    saturated: np.ndarray
     obstacle_centers: np.ndarray
     obstacle_velocities: np.ndarray
-    events: tuple[SimEvent, ...]
-    halted: bool = False
+    radii: np.ndarray
 
     @property
     def u_safe(self) -> np.ndarray:
@@ -224,8 +234,36 @@ class ScenarioTrace:
     def filter_active(self) -> np.ndarray:
         return np.max(np.abs(self.u_safe), axis=1) > 1e-12
 
+    def edges(self) -> dict[str, np.ndarray]:
+        """Rising edges of the flags by event kind, in event order: (T, n_obs) per
+        obstacle, else (T,). A degenerate velocity counts only while in range."""
+        def rising(flags):
+            return flags & ~np.concatenate([np.zeros_like(flags[:1]), flags[:-1]])
+
+        return {"collision": rising(self.sep <= self.radii),
+                "perception_entry": rising(self.in_range),
+                "degenerate_velocity": rising(self.degenerate) & self.in_range,
+                "infeasible": rising(self.infeasible), "saturation": rising(self.saturated)}
+
+    @cached_property
+    def events(self) -> tuple[SimEvent, ...]:
+        """The edges as events: by step, then by kind in ``edges`` order, then by obstacle."""
+        found = []
+        for kind, edge in self.edges().items():
+            for k, *i in zip(*np.nonzero(edge)):  # i is [obstacle] for per-obstacle flags
+                obstacle = int(i[0]) if i else None
+                detail = (f"separation {self.sep[k, obstacle]:.3f} <= r {self.radii[obstacle]:.3f}"
+                          if kind == "collision" else "")
+                found.append((k, SimEvent(kind, float(self.t[k]), obstacle, detail)))
+        # A stable sort by step keeps the kind order, then the obstacle order.
+        return tuple(event for _, event in sorted(found, key=lambda f: f[0]))
+
+    @property
+    def halted(self) -> bool:
+        return self.config.halt_on_collision and self.collided()
+
     def collided(self) -> bool:
-        return any(e.kind == "collision" for e in self.events)
+        return bool(self.edges()["collision"].any())
 
     def min_h(self) -> float:
         return float(np.nanmin(self.h)) if np.any(np.isfinite(self.h)) else math.nan
@@ -239,23 +277,18 @@ class ScenarioTrace:
         return float(np.max(np.abs(self.u_star[:, 1])))
 
     def summary(self) -> dict:
-        label = classify_behavior(self)
-        out = {
+        return {
             "name": self.config.name,
             "model": self.config.model,
             "barrier": self.config.barrier,
-            "behavior": label,
+            "behavior": classify_behavior(self),
             "collision_free": not self.collided(),
             "min_h": self.min_h(),
             "min_separation": self.min_separation(),
             "max_abs_beta": self.max_abs_beta(),
             "halted": self.halted,
-            "events": {
-                kind: sum(1 for e in self.events if e.kind == kind)
-                for kind in sorted({e.kind for e in self.events})
-            },
+            "events": {k: int(e.sum()) for k, e in sorted(self.edges().items()) if e.any()},
         }
-        return out
 
 
 def _make_controller(cfg: ScenarioConfig):
@@ -308,7 +341,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
     qp_active_log = np.zeros((n_rec, n_obs), dtype=bool)
     infeasible_log, saturated_log = np.zeros((2, n_rec), dtype=bool)
 
-    halted = False
     last = n_rec - 1
     pinned = []  # obstacles whose rows pinned the last QP answer
 
@@ -360,7 +392,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
                 u_star_log[k] = u_star
 
                 if cfg.halt_on_collision and (sep <= radii).any():
-                    halted = True
                     last = k
                     break
 
@@ -377,38 +408,15 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
     # The cone is undefined inside the combined radius and at zero relative speed.
     skip = (colliding | slow) & cone
     h[skip] = np.nan
-    events = _step_events(t[sl], sep, radii, in_range, ~colliding & slow & cone,
-                          infeasible_log[sl], saturated_log[sl])
     return ScenarioTrace(
         config=cfg,
         t=t[sl], states=states[sl], u_ref=u_ref_log[sl], u_star=u_star_log[sl],
         h=h, psi=psi_log[sl], sep=sep, in_range=in_range,
         constrained=in_range & ~skip & (not shadow_only), qp_active=qp_active_log[sl],
-        obstacle_centers=centers[sl], obstacle_velocities=velocities[sl],
-        events=events, halted=halted,
+        degenerate=~colliding & slow & cone, infeasible=infeasible_log[sl],
+        saturated=saturated_log[sl], obstacle_centers=centers[sl],
+        obstacle_velocities=velocities[sl], radii=radii,
     )
-
-
-def _step_events(t, sep, radii, in_range, degenerate, infeasible, saturated):
-    """Events at the rising edges of the per-step flags of a run.
-
-    Ordered by step, then by kind in the order below, then by obstacle.
-    A degenerate relative velocity counts only while the obstacle is in range.
-    """
-    def rising(flags):
-        return flags & ~np.concatenate([np.zeros_like(flags[:1]), flags[:-1]])
-
-    edges = [("collision", rising(sep <= radii)), ("perception_entry", rising(in_range)),
-             ("degenerate_velocity", rising(degenerate) & in_range),
-             ("infeasible", rising(infeasible)), ("saturation", rising(saturated))]
-    found = []
-    for kind, edge in edges:
-        for k, *i in zip(*np.nonzero(edge)):  # i is [obstacle] for per-obstacle flags
-            detail = (f"separation {sep[k, i[0]]:.3f} <= r {radii[i[0]]:.3f}"
-                      if kind == "collision" else "")
-            found.append((k, SimEvent(kind, float(t[k]), int(i[0]) if i else None, detail)))
-    # A stable sort by step keeps the kind order above, then the obstacle order.
-    return tuple(event for _, event in sorted(found, key=lambda f: f[0]))
 
 
 # Thresholds of the trace classifier.
@@ -528,19 +536,15 @@ def invariance_audit(trace: ScenarioTrace) -> InvarianceReport:
     much of any dip is attributable to the zero-order hold.
     """
     h = trace.h
-    if h.size:
-        any_finite = np.any(np.isfinite(h), axis=1)
-        agg = np.where(any_finite,
-                       np.min(np.where(np.isfinite(h), h, np.inf), axis=1), np.nan)
-    else:
-        agg = np.full(trace.t.shape, np.nan)
+    finite = np.isfinite(h)
+    agg = np.where(finite.any(axis=1),
+                   np.min(np.where(finite, h, np.inf), axis=1, initial=np.inf), np.nan)
     finite0 = np.isfinite(agg[0]) if agg.size else False
     started_safe = (not finite0) or agg[0] >= 0.0
-    min_h = float(np.nanmin(h)) if np.any(np.isfinite(h)) else math.nan
 
     # Discrete residual of hdot + kappa(h) >= 0 over each enforced step.
     resid = (h[1:] - h[:-1]) / trace.config.dt + trace.config.kappa(h[:-1])
-    enforced = trace.constrained[:-1] & np.isfinite(h[:-1]) & np.isfinite(h[1:])
+    enforced = trace.constrained[:-1] & finite[:-1] & finite[1:]
     viol = np.max(-resid[enforced], initial=0.0)
 
     rate = None
@@ -562,7 +566,7 @@ def invariance_audit(trace: ScenarioTrace) -> InvarianceReport:
 
     gamma = trace.config.kappa.gamma if trace.config.kappa.kind == "linear" else math.nan
     return InvarianceReport(
-        started_safe=bool(started_safe), min_h=min_h, max_discrete_violation=float(viol),
+        started_safe=bool(started_safe), min_h=trace.min_h(), max_discrete_violation=float(viol),
         recovery_rate=rate, rate_target=float(gamma), crossed_positive=crossed,
         collided=trace.collided(),
     )
@@ -605,7 +609,7 @@ def beta_smallness_audit(trace: ScenarioTrace) -> BetaReport:
 
     diff = np.linalg.norm(exact_states[:, 0:2] - trace.states[:, 0:2], axis=1)
     seg = np.linalg.norm(np.diff(trace.states[:, 0:2], axis=0), axis=1)
-    max_beta = float(np.max(np.abs(trace.u_star[:, 1])))
+    max_beta = trace.max_abs_beta()
     return BetaReport(
         max_abs_beta=max_beta,
         max_divergence=float(np.max(diff)),

@@ -250,6 +250,36 @@ def test_bad_cli_input_exit_two_before_any_run(tmp_path, capsys, monkeypatch, ar
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["../escaped", ["a", 1], None, "", "a\0b", "a/b", "a\\b"],
+                         ids=["parent-dir", "list", "null", "empty", "nul", "slash", "backslash"])
+def test_run_unusable_scenario_name_exit_two_writes_nothing(tmp_path, capsys, name):
+    # The name names the run's output files, so it must stay one file name part.
+    cfg_dir = tmp_path / "cfgs"
+    cfg_dir.mkdir()
+    (cfg_dir / "bad.yaml").write_text(_packaged_tree(lambda t: t.update(name=name)))
+    assert main(["run", "--config", str(cfg_dir / "bad.yaml"), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "cfgs", "cfgs/bad.yaml"]
+
+
+@pytest.mark.parametrize("command", ["run", "audit"])
+def test_duplicate_scenario_names_exit_two_before_any_run(tmp_path, capsys, monkeypatch,
+                                                          braking_yaml, command):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before rejecting the batch")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(braking_yaml), "--config", str(braking_yaml)]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "'braking_unicycle'" in err
+    assert not out.exists()
+
+
 def _slide_along_active_row(qp, res):
     """A multi-row answer with one active row, moved 1e-6 along that row's line:
     it stays feasible and the row tight, but it is not the minimizer."""

@@ -1,6 +1,7 @@
 """Closed-loop engine: determinism, gating, events, classification, audits."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from conebarrier import barriers
 from conebarrier.barriers import ClassK
+from conebarrier.cli import FLAG_EVENTS, parse_trace_csv, write_trace_csv
 from conebarrier.models import UnicycleDynamics, integrate_step
 from conebarrier.safety_filter import ReferenceController
 from conebarrier.scenarios import SUITE_NAMES, load_packaged
@@ -382,6 +384,11 @@ _LOG_RUNS = {
         ObstacleConfig(center=(0.1, 0.3), semi_axes=(0.5, 0.5)),
         ObstacleConfig(center=(6.0, 0.0), velocity=(1.5, 0.0), semi_axes=(0.5, 0.5))),
         duration=1.0),
+    # The braking filter asks for more than the bounds allow (saturation).
+    "saturated": lambda: replace(load_packaged("braking_unicycle"),
+                                 input_bounds=((-1.0, -1.0), (1.0, 1.0))),
+    # The ellipse row loses its input authority near the obstacle (QP infeasible).
+    "infeasible": lambda: replace(load_packaged("braking_unicycle"), barrier="ellipse"),
 }
 
 
@@ -420,6 +427,35 @@ def test_engine_logs_follow_their_definitions(name, suite_traces):
     np.testing.assert_array_equal(~np.isnan(trace.psi), trace.constrained)
     assert not (trace.qp_active & ~trace.constrained).any()
 
+    # The logged flags: a QP without rows is inactive, an infeasible one has a
+    # row that u_ref violates, and a saturated input sits on a bound.
+    assert trace.radii.tobytes() == radii.tobytes()
+    np.testing.assert_array_equal(trace.degenerate, ~colliding & slow & cone)
+    assert not (trace.infeasible & ~trace.constrained.any(axis=1)).any()
+    assert (np.fmin.reduce(trace.psi[trace.infeasible], axis=1) < 0).all()
+    if cfg.input_bounds is None:
+        assert not trace.saturated.any()
+    else:
+        lower, upper = cfg.input_bounds
+        on_bound = ((trace.u_star == lower) | (trace.u_star == upper)).any(axis=1)
+        assert not (trace.saturated & ~on_bound).any()
+
+    # The rising edges of those flags, and everything that reads them.
+    edges = trace.edges()
+    flags = {"collision": colliding, "perception_entry": in_range,
+             "degenerate_velocity": trace.degenerate, "infeasible": trace.infeasible,
+             "saturation": trace.saturated}
+    assert list(edges) == list(flags)
+    for kind, flag in flags.items():
+        in_scope = in_range if kind == "degenerate_velocity" else True
+        np.testing.assert_array_equal(edges[kind], _rising(flag) & in_scope, err_msg=kind)
+    assert sorted((e.time, e.kind, e.obstacle) for e in trace.events) == sorted(
+        (float(trace.t[k]), kind, int(i[0]) if i else None)
+        for kind, edge in edges.items() for k, *i in zip(*np.nonzero(edge)))
+    assert trace.summary()["events"] == dict(sorted(Counter(e.kind for e in trace.events).items()))
+    assert trace.collided() == colliding.any()
+    assert trace.halted == (cfg.halt_on_collision and colliding.any())
+
     steps, obstacles = np.nonzero(_rising(~colliding & slow & in_range & cone))
     assert [(e.time, e.obstacle) for e in trace.events if e.kind == "degenerate_velocity"] == [
         (float(trace.t[k]), int(i)) for k, i in zip(steps, obstacles)]
@@ -430,5 +466,26 @@ def test_engine_logs_follow_their_definitions(name, suite_traces):
         # The run stops at its first collision, and every log ends there.
         assert trace.halted and colliding[-1].any() and not colliding[:-1].any()
         for field in ("states", "u_ref", "u_star", "h", "psi", "sep", "in_range",
-                      "constrained", "qp_active", "obstacle_centers", "obstacle_velocities"):
+                      "constrained", "qp_active", "degenerate", "infeasible", "saturated",
+                      "obstacle_centers", "obstacle_velocities"):
             assert len(getattr(trace, field)) == len(trace.t)
+
+
+@pytest.mark.parametrize("name, kind", [("halted", "collision"),
+                                        ("pacing", "degenerate_velocity"),
+                                        ("saturated", "saturation"), ("infeasible", "infeasible")])
+def test_trace_csv_flag_columns_mark_event_steps(tmp_path, name, kind):
+    trace = run_scenario(_LOG_RUNS[name]())
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    cols = parse_trace_csv(path)
+    edges = trace.edges()
+    for flag in FLAG_EVENTS:
+        column = cols[f"event_{flag}"]
+        assert set(column.tolist()) <= {0.0, 1.0}, flag
+        # The steps of the kind's events, by the time-to-step rule t = k dt.
+        steps = {round(e.time / trace.config.dt) for e in trace.events if e.kind == flag}
+        assert set(np.flatnonzero(column).tolist()) == steps, flag
+        np.testing.assert_array_equal(
+            column.astype(bool), edges[flag].reshape(len(trace.t), -1).any(axis=1), err_msg=flag)
+    assert cols[f"event_{kind}"].any()
