@@ -2,8 +2,8 @@
 
 The package keeps a reference controller's commands unless they would send
 the relative velocity of a tracked obstacle into its collision cone; the
-minimal correction that keeps the cone constraint satisfied is the exact
-closed-form solution of a quadratic program over the two inputs.
+minimal correction is a quadratic program over the two inputs: closed form for
+one row, one incremental pass over several, least violation when they conflict.
 
 Layout: ``models`` holds the acceleration-controlled vehicle families as
 control-affine dynamics (the drift / actuation arrays and the closed-form

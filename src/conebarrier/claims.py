@@ -1,7 +1,7 @@
 """One judge per paper claim, shared by ``conebarrier audit`` and the acceptance tests.
 
-A judge takes scenario traces keyed by name (the QP judge a seed, an
-instance count and a row-count range instead) and returns a dict:
+A judge takes scenario traces keyed by name (the QP judge ``QpProblem``s,
+such as ``qp_draws`` gives, instead) and returns a dict:
 ``passed`` under the bounds defined here, ``detail`` (the line the audit
 prints) and ``numbers`` (the measured quantities, which the acceptance tests
 assert on with their own literal bounds, so a bound changed here cannot
@@ -183,34 +183,46 @@ def exact_qp(u_ref: np.ndarray, a: np.ndarray, b: np.ndarray):
     return "infeasible", None, min(map(worst, ties))
 
 
-def qp_exact_oracle(seed: int, instances: int, rows: range) -> dict:
-    """The filter QP against ``exact_qp`` on the ``qp_draws`` instances.
+def rounding_relabel(qp: QpProblem, res, status: str, u_exact) -> bool:
+    """Whether ``res`` is 'inactive' where the exact ``status`` is 'corrected' (or back)
+    by rounding alone: its u* is u_ref bit for bit and the exact u* rounds to u_ref,
+    as when float psi underflows (u_ref ~ 1e-308 against a row entry ~ 1e-38)."""
+    return ({res.status, status} == {"inactive", "corrected"}
+            and res.u_star.tobytes() == qp.u_ref.tobytes()
+            and [float(x) for x in u_exact] == qp.u_ref.tolist())
 
-    Every answer must have the exact status, and a one-row answer must equal
+
+def qp_exact_oracle(qps) -> dict:
+    """The filter QP against ``exact_qp`` on the given ``QpProblem``s.
+
+    Every answer must have the exact status or differ from it only as
+    ``rounding_relabel`` allows (counted apart), and a one-row answer must equal
     ``solve_single_constraint``'s bit for bit. A feasible answer must lie within
     QP_DISTANCE_TOL of the exact u*, meet every row and keep its active rows
     tight to QP_RESIDUAL_TOL, and name an active row when it is a corrected one.
     An infeasible answer's exact worst violation must lie in [t*, t* + QP_EXCESS_TOL].
     """
     statuses = dict.fromkeys(("inactive", "corrected", "infeasible"), 0)
-    status_mismatches = mismatched = max_active = corrected_without_active = 0
+    status_mismatches = relabels = mismatched = max_active = corrected_without_active = 0
     worst_feas = worst_slack = worst_dist = 0.0
     excess = []  # exact worst violation minus t* of each infeasible answer
-    for qp in qp_draws(seed, instances, rows):
+    for qp in qps:
         res = solve_multi_constraint(qp)
         status, u_exact, t_star = exact_qp(*qp)
         statuses[status] += 1
         if len(qp.b) == 1:
             mismatched += not np.array_equal(solve_single_constraint(qp).u_star, res.u_star)
         max_active = max(max_active, len(res.active_set))
-        if res.status != status:
+        relabelled = rounding_relabel(qp, res, status, u_exact)
+        relabels += relabelled
+        if res.status != status and not relabelled:
             status_mismatches += 1
         elif status == "infeasible":
             ux, uy = map(Fraction, res.u_star.tolist())
             excess.append(max(Fraction(bl) - Fraction(ax) * ux - Fraction(ay) * uy
                               for (ax, ay), bl in zip(qp.a.tolist(), qp.b.tolist())) - t_star)
         else:
-            corrected_without_active += status == "corrected" and not res.active_set
+            corrected_without_active += res.status == "corrected" and not res.active_set
             worst_dist = max(worst_dist, *(abs(float(Fraction(x) - y))
                                            for x, y in zip(res.u_star.tolist(), u_exact)))
             resid = qp.a @ res.u_star - qp.b
@@ -222,16 +234,19 @@ def qp_exact_oracle(seed: int, instances: int, rows: range) -> dict:
               and worst_feas <= QP_RESIDUAL_TOL and worst_slack <= QP_RESIDUAL_TOL
               and 0 <= least_excess and worst_excess <= QP_EXCESS_TOL)
     counts = ", ".join(f"{n} {status}" for status, n in statuses.items())
-    detail = (f"{instances} instances ({counts}), status mismatches={status_mismatches}: "
+    detail = (f"{sum(statuses.values())} instances ({counts}), "
+              f"status mismatches={status_mismatches}: "
               f"max |u* - exact|={worst_dist:.2e}, max infeasibility={worst_feas:.2e}, "
               f"max active residual={worst_slack:.2e}, infeasible worst violation - t* "
               f"in [{float(least_excess):.2e}, {float(worst_excess):.2e}]")
     if not passed:
         detail += (f"; max active rows={max_active}, "
                    f"one-row answers off the closed form={mismatched}, "
-                   f"corrected answers without an active row={corrected_without_active}")
+                   f"corrected answers without an active row={corrected_without_active}, "
+                   f"labels off by rounding only={relabels}")
     return _verdict(passed, detail, {
-        "statuses": statuses, "status_mismatches": status_mismatches, "mismatched": mismatched,
+        "statuses": statuses, "status_mismatches": status_mismatches, "relabels": relabels,
+        "mismatched": mismatched,
         "max_active": max_active, "corrected_without_active": corrected_without_active,
         "worst_dist": worst_dist, "worst_feas": worst_feas, "worst_slack": worst_slack,
         "least_excess": float(least_excess), "worst_excess": float(worst_excess)})

@@ -23,14 +23,17 @@ Subcommands:
 Bad input (an unknown emit kind, a negative --seed, a validity --samples
 outside [1000, MAX_SAMPLES], a barrier not defined for the model, whether a
 validity cell or a ``run`` or ``audit`` scenario after its --barrier
-override, a scenario name that is empty or holds '/', '\\' or NUL, or one
-that two configs of a batch share) exits 2 with one ``config error:`` line
-on stderr before anything runs or is written: a name names its outputs.
+override, a scenario name that is empty, holds '/', '\\' or a character
+that does not print, or one that two configs of a batch share) exits 2 with
+one ``config error:`` line on stderr before anything runs or is written: a
+name names its outputs. So does an output directory that cannot be made,
+which each command makes after checking its input and before any scenario
+or probe runs. The commands raise; ``main`` alone prints the error line.
 
 The output directory resolves from --out, then the CONEBARRIER_OUT
-environment variable, then ./runs. Trace CSVs use '.' decimals, LF line
-endings, a mandatory header and 17 significant digits so parsing one
-reproduces the in-memory arrays bit for bit.
+environment variable, then ./runs (``validity`` writes only to a named
+one). Trace CSVs use '.' decimals, LF line endings, a mandatory header and
+17 significant digits so parsing one reproduces the in-memory arrays bit for bit.
 """
 
 from __future__ import annotations
@@ -165,13 +168,6 @@ def _plotdata_payload(trace: ScenarioTrace) -> dict:
     }
 
 
-def _resolve_out(args) -> Path:
-    if args.out:
-        return Path(args.out)
-    env = os.environ.get("CONEBARRIER_OUT")
-    return Path(env) if env else Path("runs")
-
-
 def _emit(trace: ScenarioTrace, out_dir: Path, emit: set) -> dict:
     """Write the requested outputs of one run; return its summary."""
     name = trace.config.name
@@ -198,30 +194,25 @@ def _load_batch(args) -> list:
             for cfg in configs]
 
 
-def _config_error(message) -> int:
-    print(f"config error: {message}", file=sys.stderr)
-    return 2
+def _out_dir(args, default: str | None) -> Path | None:
+    """Make and return the output directory: --out, then CONEBARRIER_OUT, then ``default``."""
+    out = args.out or os.environ.get("CONEBARRIER_OUT") or default
+    if out:
+        Path(out).mkdir(parents=True, exist_ok=True)
+        return Path(out)
 
 
 def cmd_run(args) -> int:
     emit = set(args.emit.split(",")) if args.emit else set(EMIT_KINDS[:3])
     unknown = emit - set(EMIT_KINDS)
     if unknown:
-        return _config_error(f"unknown emit kind(s) {sorted(unknown)}")
-    try:
-        configs = _load_batch(args)
-    except (ConfigError, OSError) as exc:
-        return _config_error(exc)
-    out_dir = _resolve_out(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
+        raise ConfigError(f"unknown emit kind(s) {sorted(unknown)}")
+    configs = _load_batch(args)
+    out_dir = _out_dir(args, "runs")
 
     any_collision = False
     for cfg in configs:
-        try:
-            summary = _emit(run_scenario(cfg), out_dir, emit)
-        except ArithmeticError as exc:
-            print(f"run error: {exc}", file=sys.stderr)
-            return 2
+        summary = _emit(run_scenario(cfg), out_dir, emit)
         collided = not summary["collision_free"]
         any_collision = any_collision or collided
         min_h = math.nan if summary["min_h"] is None else summary["min_h"]  # JSON null
@@ -235,12 +226,12 @@ def cmd_run(args) -> int:
 def cmd_validity(args) -> int:
     cell = (args.barrier or "c3bf", args.model or "unicycle")
     if not 1000 <= args.samples <= MAX_SAMPLES:
-        return _config_error(f"--samples must be between 1000 and {MAX_SAMPLES}")
+        raise ConfigError(f"--samples must be between 1000 and {MAX_SAMPLES}")
     if args.seed < 0:
-        return _config_error("--seed must be nonnegative")
+        raise ConfigError("--seed must be nonnegative")
     if cell not in MATRIX_ROWS:
-        return _config_error(f"the {cell[0]} barrier is not defined for the {cell[1]} model")
-    out_dir = _resolve_out(args)
+        raise ConfigError(f"the {cell[0]} barrier is not defined for the {cell[1]} model")
+    out_dir = _out_dir(args, None)
     if args.model or args.barrier:
         rows = [verdict_row(*cell, samples=args.samples, seed=args.seed)]
     else:
@@ -252,38 +243,28 @@ def cmd_validity(args) -> int:
         tag = " (extension)" if r["extension"] else ""
         label = f"{r['barrier']} / {r['model']}{tag}"
         print(f"{label:{width}s} {r['static']:32s} {r['moving']}")
-    if args.out or os.environ.get("CONEBARRIER_OUT"):
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir:
         (out_dir / "validity.json").write_text(json.dumps(rows, indent=2))
         print(f"wrote {out_dir / 'validity.json'}")
     return 0
 
 
-def _audit_checks(args) -> list[dict]:
-    traces = {cfg.name: run_scenario(cfg) for cfg in _load_batch(args)}
+def cmd_audit(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("--seed must be nonnegative")
+    configs = _load_batch(args)
+    out_dir = _out_dir(args, "runs")
+    traces = {cfg.name: run_scenario(cfg) for cfg in configs}
     judges = (claims.collision_free, claims.behavior_labels, claims.invariance_safe_start,
               claims.violation_recovery, claims.beta_smallness, claims.negative_control)
     judged = [(judge.__name__, judge(traces)) for judge in judges]
-    judged.append(("qp_exact_oracle", claims.qp_exact_oracle(args.seed, 60, range(1, 4))))
-    return [{"name": name, "passed": verdict["passed"], "detail": verdict["detail"]}
-            for name, verdict in judged if verdict is not None]
-
-
-def cmd_audit(args) -> int:
-    if args.seed < 0:
-        return _config_error("--seed must be nonnegative")
-    try:
-        checks = _audit_checks(args)
-    except (ConfigError, OSError) as exc:
-        return _config_error(exc)
-    except ArithmeticError as exc:
-        print(f"run error: {exc}", file=sys.stderr)
-        return 2
+    judged.append(("qp_exact_oracle",
+                   claims.qp_exact_oracle(claims.qp_draws(args.seed, 60, range(1, 4)))))
+    checks = [{"name": name, "passed": verdict["passed"], "detail": verdict["detail"]}
+              for name, verdict in judged if verdict is not None]
     for c in checks:
         print(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {c['detail']}")
     passed = all(c["passed"] for c in checks)
-    out_dir = _resolve_out(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"passed": passed, "checks": checks, "seed": args.seed}
     (out_dir / "audit.json").write_text(json.dumps(payload, indent=2))
     print(f"wrote {out_dir / 'audit.json'}")
@@ -297,17 +278,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="simulate scenarios and emit traces")
-    run_p.add_argument("--config", action="append", default=None,
+    batch = argparse.ArgumentParser(add_help=False)  # the options of run and audit
+    batch.add_argument("--config", action="append", default=None,
                        help="YAML scenario file or directory (repeatable); "
                             "defaults to the packaged suite")
-    run_p.add_argument("--out", default=None, help="output directory")
-    run_p.add_argument("--emit", default=None,
-                       help="comma list of " + ",".join(EMIT_KINDS))
-    run_p.add_argument("--dt", type=float, default=None, help="timestep override (s)")
-    run_p.add_argument("--duration", type=float, default=None, help="duration override (s)")
-    run_p.add_argument("--barrier", default=None,
+    batch.add_argument("--out", default=None, help="output directory")
+    batch.add_argument("--dt", type=float, default=None, help="timestep override (s)")
+    batch.add_argument("--duration", type=float, default=None, help="duration override (s)")
+    batch.add_argument("--barrier", default=None,
                        help="barrier override: " + "|".join(BARRIER_KINDS))
+
+    run_p = sub.add_parser("run", parents=[batch], help="simulate scenarios and emit traces")
+    run_p.add_argument("--emit", default=None, help="comma list of " + ",".join(EMIT_KINDS))
     run_p.set_defaults(func=cmd_run)
 
     val_p = sub.add_parser("validity", help="barrier/model verdict matrix")
@@ -318,20 +300,21 @@ def build_parser() -> argparse.ArgumentParser:
     val_p.add_argument("--out", default=None)
     val_p.set_defaults(func=cmd_validity)
 
-    audit_p = sub.add_parser("audit", help="invariance, recovery, slip and QP checks")
-    audit_p.add_argument("--config", action="append", default=None)
-    audit_p.add_argument("--out", default=None)
-    audit_p.add_argument("--dt", type=float, default=None)
-    audit_p.add_argument("--duration", type=float, default=None)
+    audit_p = sub.add_parser("audit", parents=[batch], help="invariance, recovery, slip and QP checks")
     audit_p.add_argument("--seed", type=int, default=0)
-    audit_p.add_argument("--barrier", default=None)
     audit_p.set_defaults(func=cmd_audit)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, OSError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+    except ArithmeticError as exc:
+        print(f"run error: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -48,9 +48,6 @@ SUITE_NAMES = (
     "swerve_pointmass",
 )
 
-BEHAVIOR_SUITE_NAMES = SUITE_NAMES[:8]
-"""The eight canonical setups: {turning, braking, reversing, overtaking} x two models."""
-
 EXPECTED_BEHAVIORS = {
     "turning_unicycle": "turning",
     "braking_unicycle": "braking",
@@ -61,6 +58,9 @@ EXPECTED_BEHAVIORS = {
     "reversing_bicycle": "reversing",
     "overtaking_bicycle": "overtaking",
 }
+
+BEHAVIOR_SUITE_NAMES = tuple(EXPECTED_BEHAVIORS)
+"""The eight canonical setups: {turning, braking, reversing, overtaking} x two models."""
 
 
 @dataclass(frozen=True)

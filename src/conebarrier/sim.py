@@ -24,8 +24,8 @@ events, collisions, halting, event counts and the CSV flag columns.
 
 A ``ScenarioConfig`` validates itself and its obstacles when built, so an
 invalid scenario cannot exist and ``dataclasses.replace`` checks again; each
-ConfigError it raises starts with the scenario's name, a nonempty string
-without '/', '\\' or NUL since it names the output files. Its field names
+ConfigError it raises starts with the scenario's name, a nonempty printable
+string without '/' or '\\' since it names the output files. Its field names
 are the YAML keys of ``scenarios`` and its defaults are the only ones.
 
 Collisions (separation at or below the combined radius) are recorded and
@@ -114,9 +114,10 @@ class ScenarioConfig:
     input_bounds: Optional[tuple[tuple[float, ...], tuple[float, ...]]] = None
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.name, str) and self.name) or not set(self.name).isdisjoint("/\\\0"):
-            raise ConfigError(f"name must be a nonempty string without '/', '\\' or NUL, "
-                              f"got {self.name!r}")
+        name = self.name
+        if not (isinstance(name, str) and name.isprintable() and name) or {"/", "\\"} & set(name):
+            raise ConfigError(f"name must be a nonempty printable string without '/' or '\\', "
+                              f"got {name!r}")
         try:
             self._check()
         except ConfigError as exc:

@@ -60,7 +60,7 @@ PSI_TOL = 1e-6
 _ATTACK_CHUNK = 26
 """Kernel states per velocity-attack call: 26 x 384 grid velocities = 9,984 triples."""
 
-# Vehicle and gains every probe uses: the packaged scenarios' defaults.
+# Vehicle and gains every probe uses: ScenarioConfig's defaults (packaged widths: 0.6, 1.8).
 WIDTH = 0.5
 BODY_OFFSET = 0.1
 REAR_AXLE = 1.6

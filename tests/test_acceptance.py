@@ -164,9 +164,10 @@ def test_criterion_2_cone_sign_oracle():
 # --------------------------------------------------------------------------
 
 def test_criterion_3_qp_optimality():
-    got = claims.qp_exact_oracle(303, 1000, range(1, 5))["numbers"]
+    got = claims.qp_exact_oracle(claims.qp_draws(303, 1000, range(1, 5)))["numbers"]
     assert sum(got["statuses"].values()) == 1000 and min(got["statuses"].values()) > 0
     assert got["status_mismatches"] == 0
+    assert got["relabels"] == 0  # every label is the exact one, none forgiven for rounding
     assert got["mismatched"] == 0  # every one-row answer equals the closed form bit for bit
     assert got["max_active"] <= 2
     assert got["corrected_without_active"] == 0  # a corrected answer names its active rows

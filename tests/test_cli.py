@@ -250,8 +250,10 @@ def test_bad_cli_input_exit_two_before_any_run(tmp_path, capsys, monkeypatch, ar
     assert not out.exists()
 
 
-@pytest.mark.parametrize("name", ["../escaped", ["a", 1], None, "", "a\0b", "a/b", "a\\b"],
-                         ids=["parent-dir", "list", "null", "empty", "nul", "slash", "backslash"])
+@pytest.mark.parametrize("name", ["../escaped", ["a", 1], None, "", "a\0b", "a/b", "a\\b",
+                                  "a\nb", "a\tb", "a\u2028b"],
+                         ids=["parent-dir", "list", "null", "empty", "nul", "slash", "backslash",
+                              "newline", "tab", "line-separator"])
 def test_run_unusable_scenario_name_exit_two_writes_nothing(tmp_path, capsys, name):
     # The name names the run's output files, so it must stay one file name part.
     cfg_dir = tmp_path / "cfgs"
@@ -280,6 +282,28 @@ def test_duplicate_scenario_names_exit_two_before_any_run(tmp_path, capsys, monk
     assert not out.exists()
 
 
+@pytest.mark.parametrize("via", ["--out", "CONEBARRIER_OUT"])
+@pytest.mark.parametrize("command", ["run", "validity", "audit"])
+def test_unusable_output_dir_exit_two_before_any_run(tmp_path, capsys, monkeypatch, command, via):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before making the output directory")
+
+    for name in ("run_scenario", "verdict_row", "verdict_matrix"):
+        monkeypatch.setattr(cli, name, no_run)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "sub")  # under a regular file, so it cannot be made
+    argv = [command]
+    if via == "--out":
+        argv += ["--out", out]
+    else:
+        monkeypatch.setenv("CONEBARRIER_OUT", out)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def _slide_along_active_row(qp, res):
     """A multi-row answer with one active row, moved 1e-6 along that row's line:
     it stays feasible and the row tight, but it is not the minimizer."""
@@ -292,6 +316,9 @@ def _slide_along_active_row(qp, res):
 @pytest.mark.parametrize("wrong", [
     pytest.param(lambda qp, res: res._replace(u_star=res.u_ref.copy()), id="u_ref-as-corrected"),
     pytest.param(lambda qp, res: res._replace(status="infeasible"), id="feasible-as-infeasible"),
+    # A relabelled correction keeps its u* off u_ref, so the rounding allowance
+    # of claims.rounding_relabel does not cover it.
+    pytest.param(lambda qp, res: res._replace(status="inactive"), id="corrected-as-inactive"),
     # One ulp off the closed form passes every tolerance; only the bit-for-bit
     # comparison of one-row answers with solve_single_constraint catches it.
     pytest.param(lambda qp, res: res._replace(u_star=np.nextafter(res.u_star, np.inf))

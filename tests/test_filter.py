@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conebarrier import sim
 from conebarrier.barriers import EPS_V, ClassK
-from conebarrier.claims import exact_qp, qp_exact_oracle
+from conebarrier.claims import exact_qp, qp_draws, qp_exact_oracle
 from conebarrier.models import BicycleGeometry
 from conebarrier.safety_filter import (
     ACTIVE_TOL,
@@ -193,9 +193,30 @@ def test_multi_single_row_bit_identical_to_single():
 
 
 def test_multi_matches_exact_and_slackness():
-    verdict = qp_exact_oracle(6, 200, range(2, 5))
+    verdict = qp_exact_oracle(qp_draws(6, 200, range(2, 5)))
     assert verdict["passed"], verdict["detail"]
     assert min(verdict["numbers"]["statuses"].values()) > 0
+
+
+def test_exact_oracle_forgives_a_label_rounding_decides():
+    # The violation at u_ref is 2.6e-346 exactly, but psi underflows to 0.0, so
+    # the solver answers 'inactive' where the exact QP says 'corrected'; the
+    # exact u* rounds to u_ref, which the solver returns bit for bit.
+    qp = qp_of([0.0, -2.2250738585072014e-308], [([1.0, 1.1754943508222875e-38], 0.0)])
+    assert solve_multi_constraint(qp).status == "inactive"
+    assert exact_qp(*qp)[0] == "corrected"
+    verdict = qp_exact_oracle([qp])
+    assert verdict["passed"], verdict["detail"]
+    assert verdict["numbers"]["relabels"] == 1 and verdict["numbers"]["status_mismatches"] == 0
+    # A feasible set thinner than the pass's 1e-9 tolerance is not rounding: the
+    # exact QP is infeasible (t* ~ 1e-37), the solver answers 'corrected', and
+    # the judge counts a mismatch.
+    thin = qp_of([0.0, 0.0], [([math.cos(ang), math.sin(ang)], rhs)
+                              for ang, rhs in ((0.0, 0.0), (1.0, 0.0), (4.0, 9.743490069220998e-37))])
+    assert (exact_qp(*thin)[0], solve_multi_constraint(thin).status) == ("infeasible", "corrected")
+    verdict = qp_exact_oracle([thin])
+    assert not verdict["passed"]
+    assert verdict["numbers"]["relabels"] == 0 and verdict["numbers"]["status_mismatches"] == 1
 
 
 def _solve(u_ref, rows, basis=()):
