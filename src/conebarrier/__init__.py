@@ -9,17 +9,19 @@ Layout: ``models`` holds the acceleration-controlled vehicle families as
 control-affine dynamics (the drift / actuation arrays and the closed-form
 field on floats), the RK4 integrator on floats and the model / state /
 input name tables; ``barriers`` the cone barrier and the classical
-ellipse / second-order candidates as broadcasting array cores, with the one
+ellipse / second-order candidates as broadcasting array cores (the cone's
+also take one row on floats), with the one
 protected-point kinematics, the one combined radius and the one (barrier,
 model) dispatch (these cores are the only barrier API); ``validity`` the
 sampling probes behind the candidate comparison matrix; ``safety_filter``
 the reference controllers and the QP filter, solved in one incremental pass
 over the rows, with a least-violation answer for conflicting rows (no LP
 solver);
-``sim`` the closed-loop engine (one kinematics pass feeding one barrier
-call over all obstacles per step, masks for perception and the cone
-domain, rows, QP, input clipping, RK4; the trace is the per-step record,
-whose flags' rising edges are the events) with audits; ``scenarios`` the
+``sim`` the closed-loop engine (per step on floats: one kinematics call,
+each obstacle's relative motion and row test, one barrier call per row,
+QP, input clipping, RK4; after the loop, one array barrier call logs h and
+array passes form the masks; the trace is the per-step record, whose
+flags' rising edges are the events) with audits; ``scenarios`` the
 packaged YAML suite; ``claims`` one judge per paper claim, which ``audit``
 and the acceptance tests share; and ``cli`` the command-line tool.
 """

@@ -33,17 +33,25 @@ pairs, ``reference_kinematics`` the one kinematics function (protected
 point, its velocity and the heading), ``combined_radius`` the one r, and
 ``barrier_terms`` the one (barrier, model) dispatch to the cores.
 
-The engine passes its one state as a list of Python floats, so the vehicle
-quantities are float arithmetic; states (..., n) as an array give arrays of
-their leading shape through the same operations in the same order, so a
-float state gets the bits of its batch row. Squares are products (``x ** 2``
-on a float is libm ``pow()``, which can round apart from ``x * x``), and
-cos/sin are NumPy's. ``relative_motion`` forms the per-obstacle quantities
-once, for the engine's masks and the cone cores alike.
+The engine builds each obstacle's row on Python floats: a list state and
+one obstacle's center and velocity as lists of floats make every quantity
+a Python float (cos/sin are NumPy's, converted; square roots are
+``math.sqrt``; an L_g h pair is a tuple). States (..., n) and obstacles
+(..., 2) as arrays give arrays of their leading shape through the same
+operations in the same order, so a float row gets the bits of its batch
+row, and the engine logs h for every obstacle and step in one array call
+after its loop. Squares are products everywhere (``x ** 2`` on a float or
+a NumPy scalar is libm ``pow()``, which can round apart from ``x * x``).
+On floats the cores raise outside the cone's domain (ValueError from
+``math.sqrt``, ZeroDivisionError) where arrays give NaN or inf; the
+engine calls them only on rows inside it. ``relative_motion`` forms the
+per-obstacle quantities once, for the engine's rows and logs and the cone
+cores alike.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -74,7 +82,8 @@ class ClassK:
 
     kind 'linear' is gamma*h, 'cubic' is gamma*h^3, 'custom' interpolates a
     strictly increasing table of (x, kappa(x)) pairs passing through zero
-    and extends past the table ends with the edge slopes.
+    and extends past the table ends with the edge slopes. A Python float h
+    gives a Python float, arrays give arrays.
     """
 
     kind: str = "linear"
@@ -105,6 +114,8 @@ class ClassK:
         return xs, ys
 
     def __call__(self, h):
+        if self.kind == "linear" and type(h) is float:
+            return self.gamma * h
         h = np.asarray(h, dtype=float)
         if self.kind == "linear":
             out = self.gamma * h
@@ -125,7 +136,7 @@ class ClassK:
         if self.kind == "linear":
             out = np.full_like(h, self.gamma)
         elif self.kind == "cubic":
-            out = 3.0 * self.gamma * h**2
+            out = 3.0 * self.gamma * (h * h)
         else:
             xs, ys = self._table_arrays()
             seg = np.clip(np.searchsorted(xs, h, side="right") - 1, 0, len(xs) - 2)
@@ -134,7 +145,8 @@ class ClassK:
 
 
 # ---------------------------------------------------------------------------
-# Array cores. All accept stacked/broadcast inputs and return (h, lf, lg).
+# Cores. All accept stacked/broadcast inputs and return (h, lf, lg); the cone
+# cores also take one row on floats and return floats.
 # ---------------------------------------------------------------------------
 
 def combined_radius(semi_axes, width):
@@ -151,8 +163,8 @@ def reference_kinematics(model: str, state, body_offset: float = 0.0):
     """Protected point, its velocity and the unit heading of a state.
 
     Returns three (x, y) pairs (the heading is None for the point mass):
-    Python floats and NumPy scalars for a list state, arrays of the leading
-    shape for states (..., n); cos/sin are NumPy's for a float theta too.
+    Python floats for a list state, arrays of the leading shape for states
+    (..., n); cos/sin are NumPy's for a float theta too, converted to floats.
     The cone is anchored at this point: for the unicycle the body center
     body_offset ahead of the axle (its velocity picks up the lever term
     body_offset * omega across the heading), for the bicycle and the point
@@ -164,6 +176,8 @@ def reference_kinematics(model: str, state, body_offset: float = 0.0):
         return (cols[0], cols[1]), (cols[2], cols[3]), None
     x, y, theta, v = cols[:4]
     c, s = np.cos(theta), np.sin(theta)
+    if isinstance(state, list):
+        c, s = float(c), float(s)
     if model == "bicycle":
         return (x, y), (v * c, v * s), (c, s)
     if model != "unicycle":
@@ -176,14 +190,21 @@ def reference_kinematics(model: str, state, body_offset: float = 0.0):
 def relative_motion(kinematics, center, velocity):
     """(p_rel, v_rel, ||p_rel||^2, ||v_rel||, heading) of obstacles (..., 2).
 
-    p_rel and v_rel are (x, y) pairs of arrays, taken from the point and
-    velocity of ``reference_kinematics``'s triple; the heading passes through.
+    p_rel and v_rel are (x, y) pairs, taken from the point and velocity of
+    ``reference_kinematics``'s triple; the heading passes through. One
+    obstacle's center and velocity as lists of floats, with a float triple,
+    give floats; arrays give arrays of the common leading shape.
     """
     (px, py), (vx, vy), heading = kinematics
-    center, velocity = np.asarray(center, dtype=float), np.asarray(velocity, dtype=float)
-    dx, dy = center[..., 0] - px, center[..., 1] - py
-    ux, uy = velocity[..., 0] - vx, velocity[..., 1] - vy
-    return (dx, dy), (ux, uy), dx * dx + dy * dy, np.sqrt(ux * ux + uy * uy), heading
+    if isinstance(center, list):
+        (cx, cy), (wx, wy), sqrt = center, velocity, math.sqrt
+    else:
+        center, velocity = np.asarray(center, dtype=float), np.asarray(velocity, dtype=float)
+        cx, cy, wx, wy = center[..., 0], center[..., 1], velocity[..., 0], velocity[..., 1]
+        sqrt = np.sqrt
+    dx, dy = cx - px, cy - py
+    ux, uy = wx - vx, wy - vy
+    return (dx, dy), (ux, uy), dx * dx + dy * dy, sqrt(ux * ux + uy * uy), heading
 
 
 def _cone_h(rel, radius) -> tuple:
@@ -191,19 +212,21 @@ def _cone_h(rel, radius) -> tuple:
 
     q = p_rel + v_rel * s / ||v_rel||, an (x, y) pair, is the vector every
     Lie derivative of the cone barrier contracts against, and pv =
-    <p_rel, v_rel> is returned for the cores' L_f h. Squares are products on
-    floats too (``x ** 2`` on a float is ``pow()``), as everywhere here.
+    <p_rel, v_rel> is returned for the cores' L_f h.
     """
     (dx, dy), (ux, uy), pp, v_norm, _ = rel
-    s = np.sqrt(pp - radius * radius)
+    s = pp - radius * radius
+    s = math.sqrt(s) if type(s) is float else np.sqrt(s)  # no NumPy scalar in float code
     pv = dx * ux + dy * uy
     h = pv + v_norm * s
     t = s / v_norm
     return h, s, v_norm, (dx + ux * t, dy + uy * t), pv
 
 
-def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The (..., 2) array of a and b, of a's full broadcast shape, without np.stack."""
+def _pair(a, b):
+    """(a, b) for Python floats, else the (..., 2) array of a's broadcast shape, not np.stack."""
+    if type(a) is float:
+        return a, b
     out = np.empty(np.shape(a) + (2,))
     out[..., 0] = a
     out[..., 1] = b
@@ -266,9 +289,9 @@ def ellipse_terms(state, center, velocity, axes, model: str):
     ct, st = np.cos(theta), np.sin(theta)
     dx = center[..., 0] - x
     dy = center[..., 1] - y
-    a2 = axes[..., 0] ** 2
-    b2 = axes[..., 1] ** 2
-    h = dx**2 / a2 + dy**2 / b2 - 1.0
+    a2 = axes[..., 0] * axes[..., 0]
+    b2 = axes[..., 1] * axes[..., 1]
+    h = dx * dx / a2 + dy * dy / b2 - 1.0
     lf = 2.0 * dx * (velocity[..., 0] - v * ct) / a2 + 2.0 * dy * (velocity[..., 1] - v * st) / b2
     zeros = np.zeros_like(h)
     if model == "unicycle":
@@ -297,10 +320,10 @@ def hocbf_terms(state, center, velocity, axes, kappa1: ClassK, model: str,
     dy = center[..., 1] - y
     wx = velocity[..., 0] - v * ct
     wy = velocity[..., 1] - v * st
-    a2 = axes[..., 0] ** 2
-    b2 = axes[..., 1] ** 2
+    a2 = axes[..., 0] * axes[..., 0]
+    b2 = axes[..., 1] * axes[..., 1]
 
-    h1 = dx**2 / a2 + dy**2 / b2 - 1.0
+    h1 = dx * dx / a2 + dy * dy / b2 - 1.0
     h1dot = 2.0 * dx * wx / a2 + 2.0 * dy * wy / b2
     h2 = h1dot + kappa1(h1)
     k1p = kappa1.derivative(h1)

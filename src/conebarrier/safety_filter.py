@@ -37,11 +37,11 @@ relaxed rows; where rounding puts it outside (or leaves no point), the one
 of it, S's minimizer and u_ref that violates the rows least answers.
 
 A ``QpProblem(u_ref, a, b)`` holds the rows a u >= b as the arrays a (m, 2)
-and b (m,) that the engine slices from its barrier call. A non-finite row
-entry makes psi non-finite (the engine's errstate raises on overflow only,
-so an inf * 0 is NaN there as well); the ``sum(slack)`` test then calls
-``_check_finite``, which raises an error that is also an ArithmeticError,
-so the engine reports a NaN row as a blown-up run.
+and b (m,) that the engine stacks from its rows' barrier calls. A
+non-finite row entry makes psi non-finite (the engine's errstate raises on
+overflow only, so an inf * 0 is NaN there as well); the ``sum(slack)`` test
+then calls ``_check_finite``, which raises an error that is also an
+ArithmeticError, so the engine reports a NaN row as a blown-up run.
 The ``rows`` view of ``ConstraintRow`` pairs remains only for
 ``bench/tracing.py``.
 

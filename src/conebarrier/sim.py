@@ -2,25 +2,34 @@
 
 A scenario fixes one vehicle, a list of moving elliptical obstacles with
 piecewise-constant velocities, a reference controller and a barrier kind.
-The obstacle tracks (centers and velocities at every step) are built before
-the loop, and the state is a list of Python floats. Each step computes only
-what feeds the QP and the next state: the relative motion
-(``barriers.relative_motion`` of one ``barriers.reference_kinematics``
-call), the row mask (in the perception radius and, for the cone, outside the
-combined radius with relative speed above ``EPS_V``; none on shadow runs),
-the reference input, one ``barriers.barrier_terms`` call over all obstacles,
-the QP over the rows ``L_g h`` (m, 2) and ``-L_f h - kappa(h)`` (m,), the
-clip to the input bounds (the QP itself is unbounded) and one RK4 step with
-the filtered input held constant. Separations, relative speeds, raw h, psi,
-inputs and the infeasible and saturated flags go to preallocated logs. After
-the loop, array passes over the logged rows form the perception and
-degenerate-velocity masks, the constrained flags and the NaN of h where the
-cone is undefined (an obstacle inside its combined radius has no cone and
-builds no row). One ``np.errstate`` covers the loop: overflow raises, while
-the cone's NaN and infinite values outside its domain pass silently until
-they are masked. The ``ScenarioTrace`` keeps the logs and masks as the run's
-per-step record, and ``ScenarioTrace.edges`` alone turns its flags into
-events, collisions, halting, event counts and the CSV flag columns.
+The obstacle tracks (centers and velocities at every step) are built as
+arrays before the loop. The loop runs on Python floats: the state is a
+list of floats, and each step reads its row of the tracks as lists
+(``centers[k].tolist()``). Per obstacle, ``barriers.relative_motion`` of
+the step's one ``barriers.reference_kinematics`` call gives the logged
+separation and relative speed and the row test (in the perception radius
+and, for the cone, outside the combined radius with relative speed above
+``EPS_V``; none on shadow runs). Each row is one ``barriers.barrier_terms``
+call on floats, and the QP gets the rows ``L_g h`` (m, 2) and
+``-L_f h - kappa(h)`` (m,) as arrays. The QP answer is clipped to the input
+bounds (the QP itself is unbounded) and held for one RK4 step. The
+reference and filtered inputs, psi and the infeasible and saturated flags
+go to preallocated logs. After the loop, one array ``barrier_terms`` call
+over the logged states (T, 1, n) against the tracks (T, n_obs, 2) gives h
+for every obstacle and step, bit for bit what a float row gives, and array
+passes over the logs form the perception and degenerate-velocity masks,
+the constrained flags and the NaN of h where the cone is undefined (an
+obstacle inside its combined radius has no cone and builds no row).
+
+Float arithmetic overflows to inf silently, so a run blows up (an
+ArithmeticError naming the step) when a step's separations or relative
+speeds, a QP row, the RK4 state or a logged h where the cone is defined
+is not finite. One ``np.errstate`` covers the loop's NumPy work, in which
+overflow raises; the cone's out-of-domain NaN and inf arise only in the h
+pass, whose own errstate ignores them until they are masked. The
+``ScenarioTrace`` keeps the logs and masks as the run's per-step record,
+and ``ScenarioTrace.edges`` alone turns its flags into events, collisions,
+halting, event counts and the CSV flag columns.
 
 A ``ScenarioConfig`` validates itself and its obstacles when built, so an
 invalid scenario cannot exist and ``dataclasses.replace`` checks again; each
@@ -70,9 +79,10 @@ from .safety_filter import (
 BARRIER_KINDS = (*B.BARRIER_MODELS, "none")
 MAX_STEPS = 1_000_000
 """Most steps round(duration / dt) a scenario may ask for: 500 times the
-longest packaged run (2,000 steps). The engine preallocates its logs, about
-140 bytes per step with one obstacle, so a tiny dt must fail when the
-config is built rather than in the allocation or hours into the run."""
+longest packaged run (2,000 steps). The engine preallocates its logs, and
+its h pass after the loop holds about as much again in temporaries: a
+peak near 320 bytes per step with one obstacle, so a tiny dt must fail when
+the config is built rather than in the allocation or hours into the run."""
 
 
 class ConfigError(ValueError):
@@ -306,14 +316,16 @@ def _make_controller(cfg: ScenarioConfig):
 def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
     """Simulate one scenario deterministically and return its trace.
 
-    Per step: the relative motion, the row mask, one barrier call, the QP
-    and one RK4 step on the float state, with separations, relative speeds
-    and raw h logged as they come. The range, collision and degenerate
-    masks, the constrained flags and h's NaN are array passes after the
-    loop. One ``np.errstate`` covers the loop, in which overflow raises.
-    Raises ArithmeticError, naming the scenario and the time, when a step
-    overflows, a constraint row is non-finite (the QP's finiteness test) or
-    the integrated state is non-finite: a blown-up run has no trace.
+    Per step, on Python floats: each obstacle's relative motion and row
+    test, one barrier call per row, the QP and one RK4 step, with
+    separations and relative speeds logged as they come. After the loop,
+    one array barrier call logs h, and array passes form the range,
+    collision and degenerate masks, the constrained flags and h's NaN.
+    Raises ArithmeticError, naming the scenario and the time, when a step's
+    separations or relative speeds are non-finite, a NumPy operation in the
+    loop overflows, a constraint row is non-finite (the QP's finiteness
+    test), the integrated state is non-finite or a logged h the cone defines
+    is non-finite: a blown-up run has no trace.
     """
     n_steps = int(round(cfg.duration / cfg.dt))
     n_rec = n_steps + 1
@@ -329,15 +341,16 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
     x = [float(v) for v in cfg.initial_state]
     axes = np.array([o.semi_axes for o in cfg.obstacles], dtype=float).reshape(n_obs, 2)
     radii = B.combined_radius(axes, cfg.width)
+    axes_rows, radii_rows = axes.tolist(), radii.tolist()
     bounds = None if cfg.input_bounds is None else np.asarray(cfg.input_bounds, dtype=float)
     # A row: in range and, for the cone, in its domain; shadow runs build none.
     reach = -math.inf if shadow_only else cfg.perception_radius
-    lower, vfloor = (radii, B.EPS_V) if cone else (-math.inf, -math.inf)
+    lower, vfloor = (radii_rows, B.EPS_V) if cone else ([-math.inf] * n_obs, -math.inf)
 
     t = np.arange(n_rec) * cfg.dt
     states = np.zeros((n_rec, len(x)))
     u_ref_log, u_star_log = np.zeros((2, n_rec, 2))
-    h_log, sep_log, speed_log = np.zeros((3, n_rec, n_obs))
+    sep_log, speed_log = np.zeros((2, n_rec, n_obs))
     psi_log = np.full((n_rec, n_obs), np.nan)
     qp_active_log = np.zeros((n_rec, n_obs), dtype=bool)
     infeasible_log, saturated_log = np.zeros((2, n_rec), dtype=bool)
@@ -358,22 +371,31 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
                 [np.array([o.center for o in cfg.obstacles], dtype=float).reshape(1, n_obs, 2),
                  velocities[:-1] * cfg.dt]), axis=0)
             for k in range(n_rec):
-                _, _, p_sq, v_norm, _ = rel = B.relative_motion(
-                    B.reference_kinematics(cfg.model, x, cfg.body_offset), centers[k], velocities[k])
-                sep = np.sqrt(p_sq, out=sep_log[k])
-                speed_log[k] = v_norm
-                row = (sep <= reach) & (sep > lower) & (v_norm > vfloor)
+                kinematics = B.reference_kinematics(cfg.model, x, cfg.body_offset)
+                center, velocity = centers[k].tolist(), velocities[k].tolist()
+                rels = [B.relative_motion(kinematics, c, v) for c, v in zip(center, velocity)]
+                sep = [math.sqrt(rel[2]) for rel in rels]
+                speed = [rel[3] for rel in rels]
+                # Float arithmetic overflows to inf silently: here it shows, at its step.
+                if not math.isfinite(sum(sep) + sum(speed)):
+                    raise ArithmeticError("non-finite separation or relative speed")
+                sep_log[k], speed_log[k] = sep, speed
                 u_ref = u_ref_log[k] = controller(x)
-                h, lf, lg = B.barrier_terms(barrier, cfg.model, x, rel, centers[k], velocities[k],
-                                            axes, radii, body_offset=cfg.body_offset,
-                                            rear_axle=cfg.wheelbase_rear, kappa1=kappa1)
-                h_log[k] = h
-                taken = row.nonzero()[0]
-                row_obstacle = taken.tolist()
+                row_obstacle, lg_rows, b_rows = [], [], []
+                for i, (rel, s, low) in enumerate(zip(rels, sep, lower)):
+                    if low < s <= reach and rel[3] > vfloor:
+                        h, lf, lg = B.barrier_terms(
+                            barrier, cfg.model, x, rel, center[i], velocity[i], axes_rows[i],
+                            radii_rows[i], body_offset=cfg.body_offset,
+                            rear_axle=cfg.wheelbase_rear, kappa1=kappa1)
+                        row_obstacle.append(i)
+                        lg_rows.append(lg)
+                        b_rows.append(-lf - cfg.kappa(h))
                 # The previous step's basis, as rows of this step, if all its obstacles kept a row.
                 hint = (tuple(map(row_obstacle.index, pinned))
                         if set(pinned) <= set(row_obstacle) else ())
-                qp = QpProblem(u_ref, lg.take(taken, 0), -lf.take(taken) - cfg.kappa(h.take(taken)))
+                qp = QpProblem(u_ref, np.array(lg_rows, dtype=float).reshape(-1, 2),
+                               np.array(b_rows, dtype=float))
                 result = solve_multi_constraint(qp, hint)
                 pinned = [row_obstacle[j] for j in result.basis]
                 infeasible_log[k] = result.status == "infeasible"
@@ -385,14 +407,14 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
                     u_star = clipped
 
                 if row_obstacle:
-                    psi_log[k][row] = result.psi
+                    psi_log[k, row_obstacle] = result.psi
                 for j in result.active_set:
                     qp_active_log[k, row_obstacle[j]] = True
 
                 states[k] = x
                 u_star_log[k] = u_star
 
-                if cfg.halt_on_collision and (sep <= radii).any():
+                if cfg.halt_on_collision and any(s <= r for s, r in zip(sep, radii_rows)):
                     last = k
                     break
 
@@ -402,12 +424,27 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
         raise ArithmeticError(f"{cfg.name}: run blew up at t = {t[k]:g}: {exc}") from None
 
     sl = slice(0, last + 1)
-    sep, h = sep_log[sl], h_log[sl]
+    logged = states[sl, None]
+    centers, velocities = centers[sl], velocities[sl]
+    # h of every obstacle at every step in one array call; outside the cone's
+    # domain (masked below) its sqrt and division give NaN and inf, and the
+    # L_f h and L_g h of obstacles without a row are not used.
+    with np.errstate(all="ignore"):
+        rel = B.relative_motion(B.reference_kinematics(cfg.model, logged, cfg.body_offset),
+                                centers, velocities)
+        h = B.barrier_terms(barrier, cfg.model, logged, rel, centers, velocities, axes, radii,
+                            body_offset=cfg.body_offset, rear_axle=cfg.wheelbase_rear,
+                            kappa1=kappa1)[0]
+    sep = sep_log[sl]
     in_range = sep <= cfg.perception_radius
     colliding = sep <= radii
     slow = speed_log[sl] <= B.EPS_V
     # The cone is undefined inside the combined radius and at zero relative speed.
     skip = (colliding | slow) & cone
+    blown = ~np.isfinite(h) & ~skip
+    if blown.any():
+        raise ArithmeticError(f"{cfg.name}: run blew up at t = "
+                              f"{t[blown.any(axis=1).argmax()]:g}: non-finite barrier value")
     h[skip] = np.nan
     return ScenarioTrace(
         config=cfg,
@@ -415,8 +452,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
         h=h, psi=psi_log[sl], sep=sep, in_range=in_range,
         constrained=in_range & ~skip & (not shadow_only), qp_active=qp_active_log[sl],
         degenerate=~colliding & slow & cone, infeasible=infeasible_log[sl],
-        saturated=saturated_log[sl], obstacle_centers=centers[sl],
-        obstacle_velocities=velocities[sl], radii=radii,
+        saturated=saturated_log[sl], obstacle_centers=centers,
+        obstacle_velocities=velocities, radii=radii,
     )
 
 

@@ -353,9 +353,10 @@ def _cone_call(model, state, center, cdot, radius):
 @pytest.mark.parametrize("model", ["unicycle", "bicycle", "pointmass"])
 def test_float_state_gets_the_bits_of_its_batch_row(model):
     # A state as the engine passes it, a list of floats, gives the bytes of
-    # its row in an (N, n) array batch: against 16 obstacles, as the engine
-    # calls the cone, and one obstacle against a velocity grid, as the
-    # velocity attack calls the cores.
+    # its row in an (N, n) array batch: against 16 obstacles, as an array
+    # call, and one obstacle against a velocity grid, as the velocity attack
+    # calls the cores. One obstacle on floats, as the engine builds each row,
+    # gives Python floats with the bytes of its batch entry.
     rng = np.random.default_rng(47)
     states = np.array([_admissible_cone_sample(rng, model)[0] for _ in range(12)])
     if model == "unicycle":
@@ -378,6 +379,13 @@ def test_float_state_gets_the_bits_of_its_batch_row(model):
     for batch, floats in (obstacles, velocity_grid):
         for got, rows in zip(batch, zip(*floats)):
             assert all(got[i].tobytes() == row.tobytes() for i, row in enumerate(rows))
+    for (i, j), radius in np.ndenumerate(radii):
+        terms = _cone_call(model, states[i].tolist(), centers[i, j].tolist(), cdots[i, j].tolist(),
+                           float(radius))
+        h, lf, lg = terms
+        assert all(type(v) is float for v in (h, lf, *lg))
+        for got, value in zip(obstacles[0], terms):
+            assert got[i, j].tobytes() == np.array(value).tobytes()
 
 
 def test_bicycle_kernel_states_satisfy_inequality():

@@ -117,17 +117,34 @@ def test_run_malformed_config_exit_two_no_partial_outputs(tmp_path, capsys, text
     assert not out.exists()
 
 
-@pytest.mark.parametrize("gamma", [1.0e300, 1.0e308])
-def test_blow_up_exit_two_on_one_line(tmp_path, capsys, gamma):
+def _far_obstacle(tree):
+    # Out of range and receding: no row, and the separation and relative speed
+    # (~1.2e154) stay finite over the 5 steps, but h ~ 2 |p_rel| |v_rel| overflows.
+    tree["obstacles"].append({"center": [1.2e154, 0.0], "velocity": [1.2e154, 0.0],
+                              "semi_axes": [0.5, 0.5]})
+    tree["duration"] = 0.05
+
+
+@pytest.mark.parametrize("edit, at", [
     # gamma 1e300 sends the state to ~1e298 in one step, so the next separation
     # overflows; gamma 1e308 makes the first filtered input NaN.
+    pytest.param(lambda t: t["kappa"].update(gamma=1.0e300), "", id="1e+300"),
+    pytest.param(lambda t: t["kappa"].update(gamma=1.0e308), "", id="1e+308"),
+    # Finite separation and relative speed (v_rel^2 ~ 1.7e308), but the row's
+    # L_f h overflows inside the cone core at the first step.
+    pytest.param(lambda t: t["obstacles"][0].update(velocity=[-1.3e154, 0.0]), "0:",
+                 id="row-core-overflow"),
+    # The h of an obstacle without a row overflows in the h pass after the loop.
+    pytest.param(_far_obstacle, "0:", id="logged-h-overflow"),
+])
+def test_blow_up_exit_two_on_one_line(tmp_path, capsys, edit, at):
     bad = tmp_path / "blowup.yaml"
-    bad.write_text(_packaged_tree(lambda t: t["kappa"].update(gamma=gamma)))
+    bad.write_text(_packaged_tree(edit))
     for command in ("run", "audit"):
         out = tmp_path / command
         assert main([command, "--config", str(bad), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("run error: braking_unicycle: run blew up at t = ")
+        assert err.startswith(f"run error: braking_unicycle: run blew up at t = {at}")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conebarrier import barriers
+from conebarrier import barriers, sim
 from conebarrier.barriers import ClassK
 from conebarrier.cli import FLAG_EVENTS, parse_trace_csv, write_trace_csv
 from conebarrier.models import UnicycleDynamics, integrate_step
@@ -197,15 +197,15 @@ def test_out_of_range_obstacle_leaves_run_unchanged():
     assert more.events == base.events
 
 
-def _corridor_cfg(model):
-    """A crowd-style encounter: 16 moving discs in 8 jittered columns of 2."""
+def _corridor_cfg(model, columns=8):
+    """A crowd-style encounter: moving discs in jittered columns of 2 (16 by default)."""
     rng = np.random.default_rng(7)
     obstacles = tuple(
         ObstacleConfig(center=(4.0 + 2.5 * column + rng.uniform(-0.6, 0.6),
                                side * 2.0 + rng.uniform(-0.6, 0.6)),
                        velocity=tuple(rng.uniform(-1.0, 1.0, 2)),
                        semi_axes=(radius := rng.uniform(0.3, 0.6), radius))
-        for column in range(8) for side in (-1.0, 1.0))
+        for column in range(columns) for side in (-1.0, 1.0))
     initial = (0.0, 0.0, 0.0, 2.0, 0.0)[:5 if model == "unicycle" else 4]
     return ScenarioConfig(name=f"corridor_{model}", model=model, initial_state=initial,
                           obstacles=obstacles, controller=ReferenceController(v_des=2.0),
@@ -218,37 +218,67 @@ def _corridor_cfg(model):
     pytest.param(_corridor_cfg("bicycle"), id="corridor-bicycle-16"),
 ])
 def test_one_kinematics_call_per_step(cfg, monkeypatch):
+    # One call on the float state per step, then one array call over the
+    # logged states for the h pass after the loop.
     calls = []
     kinematics = barriers.reference_kinematics
-    monkeypatch.setattr(barriers, "reference_kinematics",
-                        lambda *args: calls.append(1) or kinematics(*args))
+
+    def counted(*args):
+        out = kinematics(*args)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(barriers, "reference_kinematics", counted)
     trace = run_scenario(cfg)
-    assert len(calls) == len(trace.t) == round(cfg.duration / cfg.dt) + 1
+    steps = len(trace.t)
+    assert steps == round(cfg.duration / cfg.dt) + 1 and len(calls) == steps + 1
+    for point, velocity, heading in calls[:-1]:
+        assert all(type(v) is float for v in (*point, *velocity, *heading))
+    assert all(np.shape(v) == (steps, 1) for pair in calls[-1] for v in pair)
     assert trace.constrained.sum(axis=1).max() >= min(8, len(cfg.obstacles))
 
 
-@pytest.mark.parametrize("name", [*SUITE_NAMES, "corridor_unicycle", "corridor_bicycle"])
-def test_engine_cone_pass_is_the_array_core(name, suite_traces):
+_CORE_RUNS = {
+    "corridor_unicycle": lambda: _corridor_cfg("unicycle"),
+    "corridor_bicycle": lambda: _corridor_cfg("bicycle"),
+    "corridor64_bicycle": lambda: _corridor_cfg("bicycle", columns=32),
+    "ellipse_braking_unicycle": lambda: replace(load_packaged("braking_unicycle"),
+                                                barrier="ellipse"),
+    "ellipse_weave_bicycle": lambda: replace(load_packaged("weave_bicycle"), barrier="ellipse"),
+    "hocbf_turning_unicycle": lambda: replace(load_packaged("turning_unicycle"), barrier="hocbf"),
+    "hocbf_overtaking_bicycle": lambda: replace(load_packaged("overtaking_bicycle"),
+                                                barrier="hocbf"),
+}
+
+
+@pytest.mark.parametrize("name", [*SUITE_NAMES, *_CORE_RUNS])
+def test_engine_cone_pass_is_the_array_core(name, monkeypatch):
     # One array call over the logged states (T, 1, n) against the obstacle
-    # tracks (T, n_obs, 2) reproduces every finite h the engine logged from
-    # its per-step float pass, byte for byte.
-    trace = (suite_traces[name] if name in suite_traces
-             else run_scenario(_corridor_cfg(name.rsplit("_", 1)[1])))
-    cfg = trace.config
+    # tracks (T, n_obs, 2) reproduces every finite h the engine logged and,
+    # byte for byte, the rows a u >= b its per-obstacle float pass gave the QP.
+    qps = []
+    solve = sim.solve_multi_constraint
+    monkeypatch.setattr(sim, "solve_multi_constraint",
+                        lambda qp, hint: qps.append(qp) or solve(qp, hint))
+    cfg = _CORE_RUNS[name]() if name in _CORE_RUNS else load_packaged(name)
+    trace = run_scenario(cfg)
     states = trace.states[:, None]
     centers, cdots = trace.obstacle_centers, trace.obstacle_velocities
     rel = barriers.relative_motion(barriers.reference_kinematics(cfg.model, states,
                                                                  cfg.body_offset), centers, cdots)
     axes = np.array([o.semi_axes for o in cfg.obstacles], dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        h = barriers.barrier_terms("c3bf" if cfg.barrier == "none" else cfg.barrier, cfg.model,
-                                   states, rel, centers, cdots, axes,
-                                   barriers.combined_radius(axes, cfg.width),
-                                   body_offset=cfg.body_offset, rear_axle=cfg.wheelbase_rear,
-                                   kappa1=cfg.kappa1 or cfg.kappa)[0]
+        h, lf, lg = barriers.barrier_terms(
+            "c3bf" if cfg.barrier == "none" else cfg.barrier, cfg.model, states, rel, centers,
+            cdots, axes, barriers.combined_radius(axes, cfg.width), body_offset=cfg.body_offset,
+            rear_axle=cfg.wheelbase_rear, kappa1=cfg.kappa1 or cfg.kappa)
     finite = np.isfinite(trace.h)
     assert h.shape == trace.h.shape and finite.sum() > 0
     assert h[finite].tobytes() == trace.h[finite].tobytes()
+    assert len(qps) == len(trace.t) and trace.constrained.any()
+    for k, rows in enumerate(trace.constrained):
+        assert qps[k].a.tobytes() == lg[k, rows].tobytes()
+        assert qps[k].b.tobytes() == (-lf[k, rows] - cfg.kappa(h[k, rows])).tobytes()
 
 
 def test_classifier_none_without_filter_activity():
