@@ -19,9 +19,10 @@ over the rows, with a least-violation answer for conflicting rows (no LP
 solver);
 ``sim`` the closed-loop engine (per step on floats: one kinematics call,
 each obstacle's relative motion and row test, one barrier call per row,
-QP, input clipping, RK4; after the loop, one array barrier call logs h and
-array passes form the masks; the trace is the per-step record, whose
-flags' rising edges are the events) with audits; ``scenarios`` the
+QP, input clipping, RK4; after the loop, one array pass logs every
+obstacle's separation, relative speed and h, forms the masks and names a
+blow-up's first step; the trace is the per-step record, whose flags'
+rising edges are the events) with audits; ``scenarios`` the
 packaged YAML suite; ``claims`` one judge per paper claim, which ``audit``
 and the acceptance tests share; and ``cli`` the command-line tool.
 """

@@ -276,6 +276,25 @@ def c3bf_pointmass_terms(state, rel, radius):
     return h, lf, _pair(-qx, -qy)
 
 
+def _ellipse(state, center, velocity, axes):
+    """h1, h1dot (the ellipse's L_f h) and 2 dx v sin th / c1^2 - 2 dy v cos th / c2^2
+    (the ellipse's bicycle slip column and the HOCBF's dh2/dtheta) for both ellipse
+    candidates, with the broadcast pieces the HOCBF's chain rule reuses."""
+    state, center, velocity, axes = _broadcast(state, center, velocity, axes)
+    x, y, theta, v = (state[..., i] for i in range(4))
+    ct, st = np.cos(theta), np.sin(theta)
+    dx = center[..., 0] - x
+    dy = center[..., 1] - y
+    wx = velocity[..., 0] - v * ct
+    wy = velocity[..., 1] - v * st
+    a2 = axes[..., 0] * axes[..., 0]
+    b2 = axes[..., 1] * axes[..., 1]
+    h1 = dx * dx / a2 + dy * dy / b2 - 1.0
+    h1dot = 2.0 * dx * wx / a2 + 2.0 * dy * wy / b2
+    slip = 2.0 * dx * v * st / a2 - 2.0 * dy * v * ct / b2
+    return h1, h1dot, slip, (state, velocity, v, ct, st, dx, dy, wx, wy, a2, b2)
+
+
 def ellipse_terms(state, center, velocity, axes, model: str):
     """Ellipse distance barrier h = ((cx-x)/c1)^2 + ((cy-y)/c2)^2 - 1.
 
@@ -284,23 +303,12 @@ def ellipse_terms(state, center, velocity, axes, model: str):
     Returned so a filter can flag the missing input authority instead of
     silently dividing by zero.
     """
-    state, center, velocity, axes = _broadcast(state, center, velocity, axes)
-    x, y, theta, v = (state[..., i] for i in range(4))
-    ct, st = np.cos(theta), np.sin(theta)
-    dx = center[..., 0] - x
-    dy = center[..., 1] - y
-    a2 = axes[..., 0] * axes[..., 0]
-    b2 = axes[..., 1] * axes[..., 1]
-    h = dx * dx / a2 + dy * dy / b2 - 1.0
-    lf = 2.0 * dx * (velocity[..., 0] - v * ct) / a2 + 2.0 * dy * (velocity[..., 1] - v * st) / b2
-    zeros = np.zeros_like(h)
-    if model == "unicycle":
-        lg = np.stack([zeros, zeros], axis=-1)
-    elif model == "bicycle":
-        lg_beta = 2.0 * dx * v * st / a2 - 2.0 * dy * v * ct / b2
-        lg = np.stack([zeros, lg_beta], axis=-1)
-    else:
+    h, lf, slip = _ellipse(state, center, velocity, axes)[:3]
+    if model not in ("unicycle", "bicycle"):
         raise ValueError(f"ellipse barrier supports unicycle or bicycle, got {model!r}")
+    lg = np.zeros(h.shape + (2,))
+    if model == "bicycle":
+        lg[..., 1] = slip
     return h, lf, lg
 
 
@@ -313,24 +321,13 @@ def hocbf_terms(state, center, velocity, axes, kappa1: ClassK, model: str,
     excluded from the definition of h2). The chain rule below is hand
     derived; the test suite checks it against central finite differences.
     """
-    state, center, velocity, axes = _broadcast(state, center, velocity, axes)
-    x, y, theta, v = (state[..., i] for i in range(4))
-    ct, st = np.cos(theta), np.sin(theta)
-    dx = center[..., 0] - x
-    dy = center[..., 1] - y
-    wx = velocity[..., 0] - v * ct
-    wy = velocity[..., 1] - v * st
-    a2 = axes[..., 0] * axes[..., 0]
-    b2 = axes[..., 1] * axes[..., 1]
-
-    h1 = dx * dx / a2 + dy * dy / b2 - 1.0
-    h1dot = 2.0 * dx * wx / a2 + 2.0 * dy * wy / b2
+    h1, h1dot, dh2_dth, parts = _ellipse(state, center, velocity, axes)
+    state, velocity, v, ct, st, dx, dy, wx, wy, a2, b2 = parts
     h2 = h1dot + kappa1(h1)
     k1p = kappa1.derivative(h1)
 
     dh2_dx = -2.0 * wx / a2 - 2.0 * k1p * dx / a2
     dh2_dy = -2.0 * wy / b2 - 2.0 * k1p * dy / b2
-    dh2_dth = 2.0 * dx * v * st / a2 - 2.0 * dy * v * ct / b2
     dh2_dv = -2.0 * dx * ct / a2 - 2.0 * dy * st / b2
     # Obstacle states drift with cdot; their partials mirror the vehicle's.
     obstacle_drift = -dh2_dx * velocity[..., 0] - dh2_dy * velocity[..., 1]

@@ -6,30 +6,32 @@ The obstacle tracks (centers and velocities at every step) are built as
 arrays before the loop. The loop runs on Python floats: the state is a
 list of floats, and each step reads its row of the tracks as lists
 (``centers[k].tolist()``). Per obstacle, ``barriers.relative_motion`` of
-the step's one ``barriers.reference_kinematics`` call gives the logged
-separation and relative speed and the row test (in the perception radius
-and, for the cone, outside the combined radius with relative speed above
-``EPS_V``; none on shadow runs). Each row is one ``barriers.barrier_terms``
-call on floats, and the QP gets the rows ``L_g h`` (m, 2) and
-``-L_f h - kappa(h)`` (m,) as arrays. The QP answer is clipped to the input
-bounds (the QP itself is unbounded) and held for one RK4 step. The
-reference and filtered inputs, psi and the infeasible and saturated flags
-go to preallocated logs. After the loop, one array ``barrier_terms`` call
-over the logged states (T, 1, n) against the tracks (T, n_obs, 2) gives h
-for every obstacle and step, bit for bit what a float row gives, and array
-passes over the logs form the perception and degenerate-velocity masks,
-the constrained flags and the NaN of h where the cone is undefined (an
-obstacle inside its combined radius has no cone and builds no row).
+the step's one ``barriers.reference_kinematics`` call gives the separation
+for the halt and the row test (in the perception radius and, for the cone,
+outside the combined radius with relative speed above ``EPS_V``; none on
+shadow runs). Each row is one ``barriers.barrier_terms`` call on floats,
+and the QP gets the rows ``L_g h`` (m, 2) and ``-L_f h - kappa(h)`` (m,) as
+arrays. The QP answer is clipped to the input bounds (the QP itself is
+unbounded) and held for one RK4 step. The state, the reference and
+filtered inputs, psi (NaN without a row: the constrained flags), the
+active rows and the infeasible and saturated flags go to preallocated
+logs. After the loop, one array pass over the logged states (T, 1, n)
+against the tracks (T, n_obs, 2) gives every obstacle's separation,
+relative speed and h at every step, bit for bit what a float row gives,
+and forms the perception and degenerate-velocity masks and the NaN of h
+where the cone is undefined (an obstacle inside its combined radius has
+no cone and builds no row).
 
-Float arithmetic overflows to inf silently, so a run blows up (an
-ArithmeticError naming the step) when a step's separations or relative
-speeds, a QP row, the RK4 state or a logged h where the cone is defined
-is not finite. One ``np.errstate`` covers the loop's NumPy work, in which
-overflow raises; the cone's out-of-domain NaN and inf arise only in the h
-pass, whose own errstate ignores them until they are masked. The
-``ScenarioTrace`` keeps the logs and masks as the run's per-step record,
-and ``ScenarioTrace.edges`` alone turns its flags into events, collisions,
-halting, event counts and the CSV flag columns.
+Float arithmetic overflows to inf silently (an overflowing track holds
+inf), so the pass judges a blow-up: one ArithmeticError names the first
+step at which a separation, a relative speed or an h where the cone is
+defined is not finite. Else it names a failure the loop recorded at its
+step and stopped on: a NumPy overflow under the loop's ``np.errstate``, a
+non-finite QP row or RK4 state. The cone's out-of-domain NaN and inf arise
+only in the pass, whose own errstate ignores them until they are masked.
+The ``ScenarioTrace`` keeps the logs and masks as the run's per-step
+record, and ``ScenarioTrace.edges`` alone turns its flags into events,
+collisions, halting, event counts and the CSV flag columns.
 
 A ``ScenarioConfig`` validates itself and its obstacles when built, so an
 invalid scenario cannot exist and ``dataclasses.replace`` checks again; each
@@ -80,9 +82,10 @@ BARRIER_KINDS = (*B.BARRIER_MODELS, "none")
 MAX_STEPS = 1_000_000
 """Most steps round(duration / dt) a scenario may ask for: 500 times the
 longest packaged run (2,000 steps). The engine preallocates its logs, and
-its h pass after the loop holds about as much again in temporaries: a
-peak near 320 bytes per step with one obstacle, so a tiny dt must fail when
-the config is built rather than in the allocation or hours into the run."""
+its pass after the loop holds about as much again in temporaries: a peak
+near 300 bytes per step with one obstacle (tracemalloc, a 100,001-step
+``braking_unicycle``), so a tiny dt must fail when the config is built
+rather than in the allocation or hours into the run."""
 
 
 class ConfigError(ValueError):
@@ -317,15 +320,14 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
     """Simulate one scenario deterministically and return its trace.
 
     Per step, on Python floats: each obstacle's relative motion and row
-    test, one barrier call per row, the QP and one RK4 step, with
-    separations and relative speeds logged as they come. After the loop,
-    one array barrier call logs h, and array passes form the range,
-    collision and degenerate masks, the constrained flags and h's NaN.
-    Raises ArithmeticError, naming the scenario and the time, when a step's
-    separations or relative speeds are non-finite, a NumPy operation in the
-    loop overflows, a constraint row is non-finite (the QP's finiteness
-    test), the integrated state is non-finite or a logged h the cone defines
-    is non-finite: a blown-up run has no trace.
+    test, one barrier call per row, the QP and one RK4 step. After the
+    loop, one array pass logs every obstacle's separation, relative speed
+    and h, and forms the range, collision and degenerate masks and h's NaN.
+    A blown-up run has no trace: it raises ArithmeticError naming the
+    scenario and the first step at which a separation, a relative speed or
+    an h the cone defines is non-finite; if there is none, the step at which
+    the loop failed (a NumPy overflow, a non-finite constraint row or a
+    non-finite integrated state) and that failure's message.
     """
     n_steps = int(round(cfg.duration / cfg.dt))
     n_rec = n_steps + 1
@@ -350,36 +352,32 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
     t = np.arange(n_rec) * cfg.dt
     states = np.zeros((n_rec, len(x)))
     u_ref_log, u_star_log = np.zeros((2, n_rec, 2))
-    sep_log, speed_log = np.zeros((2, n_rec, n_obs))
     psi_log = np.full((n_rec, n_obs), np.nan)
     qp_active_log = np.zeros((n_rec, n_obs), dtype=bool)
     infeasible_log, saturated_log = np.zeros((2, n_rec), dtype=bool)
 
-    last = n_rec - 1
-    pinned = []  # obstacles whose rows pinned the last QP answer
+    # Obstacle tracks; an accumulate adds in order, so c_{k+1} = c_k + v_k dt bit for bit,
+    # and an overflow leaves inf, which the pass after the loop reports at its step.
+    velocities = np.empty((n_rec, n_obs, 2))
+    for i, o in enumerate(cfg.obstacles):
+        velocities[:, i] = o.velocity
+        for t_change, v in o.velocity_schedule:
+            velocities[np.searchsorted(t, t_change - 1e-12):, i] = v
+    with np.errstate(all="ignore"):
+        centers = np.cumsum(np.concatenate(
+            [np.array([o.center for o in cfg.obstacles], dtype=float).reshape(1, n_obs, 2),
+             velocities[:-1] * cfg.dt]), axis=0)
 
-    k = 0
+    pinned = []  # obstacles whose rows pinned the last QP answer
+    failure = None
     try:
         with np.errstate(over="raise", divide="ignore", invalid="ignore"):
-            # Obstacle tracks; an accumulate adds in order, so c_{k+1} = c_k + v_k dt bit for bit.
-            velocities = np.empty((n_rec, n_obs, 2))
-            for i, o in enumerate(cfg.obstacles):
-                velocities[:, i] = o.velocity
-                for t_change, v in o.velocity_schedule:
-                    velocities[np.searchsorted(t, t_change - 1e-12):, i] = v
-            centers = np.cumsum(np.concatenate(
-                [np.array([o.center for o in cfg.obstacles], dtype=float).reshape(1, n_obs, 2),
-                 velocities[:-1] * cfg.dt]), axis=0)
             for k in range(n_rec):
+                states[k] = x
                 kinematics = B.reference_kinematics(cfg.model, x, cfg.body_offset)
                 center, velocity = centers[k].tolist(), velocities[k].tolist()
                 rels = [B.relative_motion(kinematics, c, v) for c, v in zip(center, velocity)]
                 sep = [math.sqrt(rel[2]) for rel in rels]
-                speed = [rel[3] for rel in rels]
-                # Float arithmetic overflows to inf silently: here it shows, at its step.
-                if not math.isfinite(sum(sep) + sum(speed)):
-                    raise ArithmeticError("non-finite separation or relative speed")
-                sep_log[k], speed_log[k] = sep, speed
                 u_ref = u_ref_log[k] = controller(x)
                 row_obstacle, lg_rows, b_rows = [], [], []
                 for i, (rel, s, low) in enumerate(zip(rels, sep, lower)):
@@ -410,23 +408,21 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
                     psi_log[k, row_obstacle] = result.psi
                 for j in result.active_set:
                     qp_active_log[k, row_obstacle[j]] = True
-
-                states[k] = x
                 u_star_log[k] = u_star
 
                 if cfg.halt_on_collision and any(s <= r for s, r in zip(sep, radii_rows)):
-                    last = k
                     break
 
                 if k < n_rec - 1:
                     x = integrate_step(dyn, x, u_star, cfg.dt).tolist()
     except ArithmeticError as exc:
-        raise ArithmeticError(f"{cfg.name}: run blew up at t = {t[k]:g}: {exc}") from None
+        failure = exc  # judged below, after the steps up to this one
 
-    sl = slice(0, last + 1)
+    # Step k is the last one logged: the final step, a halt or a failure.
+    sl = slice(0, k + 1)
     logged = states[sl, None]
     centers, velocities = centers[sl], velocities[sl]
-    # h of every obstacle at every step in one array call; outside the cone's
+    # Every obstacle at every step in one array pass; outside the cone's
     # domain (masked below) its sqrt and division give NaN and inf, and the
     # L_f h and L_g h of obstacles without a row are not used.
     with np.errstate(all="ignore"):
@@ -435,22 +431,23 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
         h = B.barrier_terms(barrier, cfg.model, logged, rel, centers, velocities, axes, radii,
                             body_offset=cfg.body_offset, rear_axle=cfg.wheelbase_rear,
                             kappa1=kappa1)[0]
-    sep = sep_log[sl]
+        sep, speed = np.sqrt(rel[2]), rel[3]
     in_range = sep <= cfg.perception_radius
     colliding = sep <= radii
-    slow = speed_log[sl] <= B.EPS_V
+    slow = speed <= B.EPS_V
     # The cone is undefined inside the combined radius and at zero relative speed.
     skip = (colliding | slow) & cone
-    blown = ~np.isfinite(h) & ~skip
-    if blown.any():
-        raise ArithmeticError(f"{cfg.name}: run blew up at t = "
-                              f"{t[blown.any(axis=1).argmax()]:g}: non-finite barrier value")
+    blown = ~(np.isfinite(sep) & np.isfinite(speed) & (np.isfinite(h) | skip)).all(axis=1)
+    if blown.any():  # the first step wins over the loop's own failure
+        k, failure = blown.argmax(), "non-finite separation, relative speed or barrier value"
+    if failure is not None:
+        raise ArithmeticError(f"{cfg.name}: run blew up at t = {t[k]:g}: {failure}")
     h[skip] = np.nan
     return ScenarioTrace(
         config=cfg,
         t=t[sl], states=states[sl], u_ref=u_ref_log[sl], u_star=u_star_log[sl],
         h=h, psi=psi_log[sl], sep=sep, in_range=in_range,
-        constrained=in_range & ~skip & (not shadow_only), qp_active=qp_active_log[sl],
+        constrained=~np.isnan(psi_log[sl]), qp_active=qp_active_log[sl],
         degenerate=~colliding & slow & cone, infeasible=infeasible_log[sl],
         saturated=saturated_log[sl], obstacle_centers=centers,
         obstacle_velocities=velocities, radii=radii,

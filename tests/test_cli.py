@@ -117,25 +117,32 @@ def test_run_malformed_config_exit_two_no_partial_outputs(tmp_path, capsys, text
     assert not out.exists()
 
 
-def _far_obstacle(tree):
-    # Out of range and receding: no row, and the separation and relative speed
-    # (~1.2e154) stay finite over the 5 steps, but h ~ 2 |p_rel| |v_rel| overflows.
+def _far_obstacle_full_run(tree):
+    # Out of range and receding: no row, and h ~ 2 |p_rel| |v_rel| overflows
+    # from the first step, while the separation overflows only at t = 0.12.
     tree["obstacles"].append({"center": [1.2e154, 0.0], "velocity": [1.2e154, 0.0],
                               "semi_axes": [0.5, 0.5]})
+
+
+def _far_obstacle(tree):
+    # Over 5 steps the separation and relative speed (~1.2e154) stay finite.
+    _far_obstacle_full_run(tree)
     tree["duration"] = 0.05
 
 
 @pytest.mark.parametrize("edit, at", [
     # gamma 1e300 sends the state to ~1e298 in one step, so the next separation
     # overflows; gamma 1e308 makes the first filtered input NaN.
-    pytest.param(lambda t: t["kappa"].update(gamma=1.0e300), "", id="1e+300"),
-    pytest.param(lambda t: t["kappa"].update(gamma=1.0e308), "", id="1e+308"),
+    pytest.param(lambda t: t["kappa"].update(gamma=1.0e300), "0.01:", id="1e+300"),
+    pytest.param(lambda t: t["kappa"].update(gamma=1.0e308), "0:", id="1e+308"),
     # Finite separation and relative speed (v_rel^2 ~ 1.7e308), but the row's
     # L_f h overflows inside the cone core at the first step.
     pytest.param(lambda t: t["obstacles"][0].update(velocity=[-1.3e154, 0.0]), "0:",
                  id="row-core-overflow"),
-    # The h of an obstacle without a row overflows in the h pass after the loop.
+    # The h of an obstacle without a row overflows in the pass after the loop.
     pytest.param(_far_obstacle, "0:", id="logged-h-overflow"),
+    # The first non-finite value is named, not the later overflowing separation.
+    pytest.param(_far_obstacle_full_run, "0:", id="far-obstacle-full-run"),
 ])
 def test_blow_up_exit_two_on_one_line(tmp_path, capsys, edit, at):
     bad = tmp_path / "blowup.yaml"

@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from itertools import count
 from dataclasses import replace
 
 import numpy as np
@@ -195,6 +196,30 @@ def test_out_of_range_obstacle_leaves_run_unchanged():
     assert more.psi[:, 0].tobytes() == base.psi[:, 0].tobytes()
     assert more.qp_active[:, 0].tobytes() == base.qp_active[:, 0].tobytes()
     assert more.events == base.events
+
+
+@pytest.mark.parametrize("far, at, why", [
+    pytest.param(False, "0.05", "RK4 failed", id="rk4-failure"),
+    # h of the far obstacle overflows from t = 0: the pass's earlier step wins.
+    pytest.param(True, "0", "non-finite separation, relative speed or barrier value",
+                 id="earlier-overflow"),
+])
+def test_blow_up_names_its_first_step(far, at, why, monkeypatch):
+    steps = count()
+
+    def fail_at_step_5(*args):
+        if next(steps) == 5:
+            raise ArithmeticError("RK4 failed")
+        return integrate_step(*args)
+
+    monkeypatch.setattr(sim, "integrate_step", fail_at_step_5)
+    cfg = load_packaged("braking_unicycle")
+    if far:
+        cfg = replace(cfg, obstacles=cfg.obstacles + (ObstacleConfig(
+            center=(1.2e154, 0.0), velocity=(1.2e154, 0.0), semi_axes=(0.5, 0.5)),))
+    with pytest.raises(ArithmeticError) as err:
+        run_scenario(cfg)
+    assert str(err.value) == f"braking_unicycle: run blew up at t = {at}: {why}"
 
 
 def _corridor_cfg(model, columns=8):
