@@ -22,12 +22,15 @@ each obstacle's relative motion and row test, one barrier call per row,
 QP, input clipping, RK4; after the loop, one array pass logs every
 obstacle's separation, relative speed and h, forms the masks and names a
 blow-up's first step; the trace is the per-step record, whose flags'
-rising edges are the events) with audits; ``scenarios`` the
-packaged YAML suite; ``claims`` one judge per paper claim, which ``audit``
-and the acceptance tests share; and ``cli`` the command-line tool.
+rising edges are the events) and the behaviour label; ``scenarios`` the
+packaged YAML suite; ``claims`` the per-trace audits, whose reports are the
+summary JSON's audit blocks, and one judge per paper claim under every judge
+bound, which ``audit`` and the acceptance tests share; and ``cli`` the
+command-line tool.
 """
 
 from .barriers import EPS_V, ClassK
+from .claims import BetaReport, InvarianceReport, beta_smallness_audit, invariance_audit
 from .models import (
     AffineDynamics,
     BicycleDynamics,
@@ -52,16 +55,12 @@ from .safety_filter import (
     solve_single_constraint,
 )
 from .sim import (
-    BetaReport,
     ConfigError,
-    InvarianceReport,
     ObstacleConfig,
     ScenarioConfig,
     ScenarioTrace,
     SimEvent,
-    beta_smallness_audit,
     classify_behavior,
-    invariance_audit,
     run_scenario,
 )
 from .validity import ValidityReport, validity_probe, verdict_matrix

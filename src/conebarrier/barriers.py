@@ -277,9 +277,8 @@ def c3bf_pointmass_terms(state, rel, radius):
 
 
 def _ellipse(state, center, velocity, axes):
-    """h1, h1dot (the ellipse's L_f h) and 2 dx v sin th / c1^2 - 2 dy v cos th / c2^2
-    (the ellipse's bicycle slip column and the HOCBF's dh2/dtheta) for both ellipse
-    candidates, with the broadcast pieces the HOCBF's chain rule reuses."""
+    """h1, h1dot (the ellipse's L_f h) for both ellipse candidates, with the
+    broadcast pieces that ``_slip`` and the HOCBF's chain rule reuse."""
     state, center, velocity, axes = _broadcast(state, center, velocity, axes)
     x, y, theta, v = (state[..., i] for i in range(4))
     ct, st = np.cos(theta), np.sin(theta)
@@ -291,8 +290,14 @@ def _ellipse(state, center, velocity, axes):
     b2 = axes[..., 1] * axes[..., 1]
     h1 = dx * dx / a2 + dy * dy / b2 - 1.0
     h1dot = 2.0 * dx * wx / a2 + 2.0 * dy * wy / b2
-    slip = 2.0 * dx * v * st / a2 - 2.0 * dy * v * ct / b2
-    return h1, h1dot, slip, (state, velocity, v, ct, st, dx, dy, wx, wy, a2, b2)
+    return h1, h1dot, (state, velocity, v, ct, st, dx, dy, wx, wy, a2, b2)
+
+
+def _slip(parts):
+    """2 dx v sin th / c1^2 - 2 dy v cos th / c2^2 of ``_ellipse``'s pieces: the
+    ellipse's bicycle slip column and the HOCBF's dh2/dtheta."""
+    _, _, v, ct, st, dx, dy, _, _, a2, b2 = parts
+    return 2.0 * dx * v * st / a2 - 2.0 * dy * v * ct / b2
 
 
 def ellipse_terms(state, center, velocity, axes, model: str):
@@ -303,12 +308,12 @@ def ellipse_terms(state, center, velocity, axes, model: str):
     Returned so a filter can flag the missing input authority instead of
     silently dividing by zero.
     """
-    h, lf, slip = _ellipse(state, center, velocity, axes)[:3]
+    h, lf, parts = _ellipse(state, center, velocity, axes)
     if model not in ("unicycle", "bicycle"):
         raise ValueError(f"ellipse barrier supports unicycle or bicycle, got {model!r}")
     lg = np.zeros(h.shape + (2,))
     if model == "bicycle":
-        lg[..., 1] = slip
+        lg[..., 1] = _slip(parts)
     return h, lf, lg
 
 
@@ -321,7 +326,8 @@ def hocbf_terms(state, center, velocity, axes, kappa1: ClassK, model: str,
     excluded from the definition of h2). The chain rule below is hand
     derived; the test suite checks it against central finite differences.
     """
-    h1, h1dot, dh2_dth, parts = _ellipse(state, center, velocity, axes)
+    h1, h1dot, parts = _ellipse(state, center, velocity, axes)
+    dh2_dth = _slip(parts)
     state, velocity, v, ct, st, dx, dy, wx, wy, a2, b2 = parts
     h2 = h1dot + kappa1(h1)
     k1p = kappa1.derivative(h1)

@@ -8,26 +8,39 @@ assert on with their own literal bounds, so a bound changed here cannot
 loosen a test). Only barrier-enabled runs are judged, apart from the
 behaviour labels. Each docstring says what a batch with nothing to judge
 gives: a pass, a fail, or None (not reported).
+
+The per-trace audits live here too, beside the judges that read them:
+``invariance_audit`` and ``beta_smallness_audit`` measure one trace and
+return a report whose fields are exactly the ``invariance`` and
+``beta_audit`` blocks of ``conebarrier run``'s summary JSON. A report holds
+measurements only; what they are held to (every judge bound, the recovery
+rate's target) is the judges'.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
+from typing import Optional
 
 import numpy as np
 
+from .models import BicycleGeometry, bicycle_dynamics_exact, integrate_step
 from .safety_filter import QpProblem, solve_multi_constraint, solve_single_constraint
 from .scenarios import EXPECTED_BEHAVIORS
-from .sim import (BETA_LIMIT, INVARIANCE_TOL, beta_smallness_audit, classify_behavior,
-                  invariance_audit, run_scenario)
+from .sim import ScenarioTrace, classify_behavior, run_scenario
 
+INVARIANCE_TOL = 1e-3
+"""Deepest dip below h = 0 allowed on a run that starts outside every cone."""
 HALVING_FLOOR = 1e-6
 """Halving dt must halve the dip, unless the halved-dt dip is below this."""
 RATE_TOL = 0.3
 """Largest error of the fitted recovery rate, as a fraction of gamma."""
+BETA_LIMIT = 0.3
+"""Largest |beta| (rad) the small-slip bicycle is trusted at."""
 DIVERGENCE_LIMIT = 0.05
 """Largest exact-model replay divergence, as a fraction of the path length."""
 QP_RESIDUAL_TOL = 1e-9
@@ -39,6 +52,103 @@ QP_EXCESS_TOL = 2e-9
 two relaxes the rows by t + 1e-9 and meets them to 1e-9."""
 QP_MAX_ACTIVE = 2
 """Most rows tight at an answer: the QP has two inputs."""
+
+
+@dataclass(frozen=True)
+class InvarianceReport:
+    """Forward-invariance and violation-decay metrics of one trace."""
+
+    started_safe: bool
+    min_h: float
+    max_discrete_violation: float
+    recovery_rate: Optional[float]
+    crossed_positive: Optional[bool]
+
+
+def invariance_audit(trace: ScenarioTrace) -> InvarianceReport:
+    """Check the invariance story of one trace.
+
+    For runs starting with h >= 0 the headline number is min_t h. For runs
+    starting inside the cone the magnitude of h should decay at roughly the
+    class-K rate until it crosses zero, so the audit fits an exponential to
+    the pre-crossing stretch. The per-step discrete violation measures how
+    much of any dip is attributable to the zero-order hold.
+    """
+    h = trace.h
+    finite = np.isfinite(h)
+    agg = np.where(finite.any(axis=1),
+                   np.min(np.where(finite, h, np.inf), axis=1, initial=np.inf), np.nan)
+    finite0 = np.isfinite(agg[0]) if agg.size else False
+    started_safe = (not finite0) or agg[0] >= 0.0
+
+    # Discrete residual of hdot + kappa(h) >= 0 over each enforced step.
+    resid = (h[1:] - h[:-1]) / trace.config.dt + trace.config.kappa(h[:-1])
+    enforced = trace.constrained[:-1] & finite[:-1] & finite[1:]
+    viol = np.max(-resid[enforced], initial=0.0)
+
+    rate = None
+    crossed = None
+    if finite0 and agg[0] < 0.0:
+        # Fit only the stretch where the filter is actually enforcing a row;
+        # before perception entry h evolves freely and would bias the rate.
+        enforced_any = np.any(trace.constrained, axis=1)
+        start = int(np.argmax(enforced_any)) if np.any(enforced_any) else 0
+        crossing = np.argmax(agg >= 0.0) if np.any(agg >= 0.0) else len(agg)
+        crossed = bool(np.any(agg[1:] >= 0.0))
+        floor = max(1e-6, abs(agg[0]) * 1e-3)
+        mask = np.zeros(len(agg), dtype=bool)
+        mask[start:crossing] = True
+        mask &= np.isfinite(agg) & (agg < -floor)
+        if np.sum(mask) >= 10:
+            slope = np.polyfit(trace.t[mask], np.log(-agg[mask]), 1)[0]
+            rate = -float(slope)
+
+    return InvarianceReport(
+        started_safe=bool(started_safe), min_h=trace.min_h(), max_discrete_violation=float(viol),
+        recovery_rate=rate, crossed_positive=crossed,
+    )
+
+
+@dataclass(frozen=True)
+class BetaReport:
+    """Slip-angle magnitude and exact-model divergence of a bicycle trace."""
+
+    max_abs_beta: float
+    max_divergence: float
+    path_length: float
+    divergence_ratio: float
+    flagged: bool
+
+
+def beta_smallness_audit(trace: ScenarioTrace) -> BetaReport:
+    """Replay the recorded inputs through the exact bicycle kinematics.
+
+    The small-slip model drops the cos/sin of beta; re-integrating the
+    exact model under the identical zero-order-hold input sequence bounds
+    the approximation error actually incurred in this run. The divergence
+    ratio is the largest divergence over the path length (0 on no path).
+    """
+    if trace.config.model != "bicycle":
+        raise ValueError("beta audit applies to bicycle traces only")
+    geom = BicycleGeometry(trace.config.wheelbase_front, trace.config.wheelbase_rear)
+    exact = partial(bicycle_dynamics_exact, geom=geom)
+    exact_states = np.zeros_like(trace.states)
+    exact_states[0] = trace.states[0]
+    x = trace.states[0]
+    for k in range(1, trace.states.shape[0]):
+        x = exact_states[k] = integrate_step(exact, x, trace.u_star[k - 1], trace.config.dt)
+
+    diff = np.linalg.norm(exact_states[:, 0:2] - trace.states[:, 0:2], axis=1)
+    seg = np.linalg.norm(np.diff(trace.states[:, 0:2], axis=0), axis=1)
+    max_beta = trace.max_abs_beta()
+    divergence, path_length = float(np.max(diff)), float(np.sum(seg))
+    return BetaReport(
+        max_abs_beta=max_beta,
+        max_divergence=divergence,
+        path_length=path_length,
+        divergence_ratio=divergence / path_length if path_length > 0 else 0.0,
+        flagged=max_beta > BETA_LIMIT,
+    )
 
 
 def _verdict(passed, detail: str, numbers: dict) -> dict:
@@ -87,13 +197,16 @@ def invariance_safe_start(traces: dict) -> dict:
 
 def violation_recovery(traces: dict) -> dict:
     """Runs named *recovery* start inside a cone, cross into h > 0 and decay |h| at a
-    fitted rate within RATE_TOL of gamma; fails without such a run. The numbers are
-    ``sim.InvarianceReport``s."""
-    reps = {n: invariance_audit(tr) for n, tr in _enabled(traces).items() if "recovery" in n}
+    fitted rate within RATE_TOL of the target, gamma of a linear kappa (NaN, a fail,
+    for any other); fails without such a run. The numbers are ``InvarianceReport``s."""
+    runs = {n: tr for n, tr in _enabled(traces).items() if "recovery" in n}
+    reps = {n: invariance_audit(tr) for n, tr in runs.items()}
+    target = {n: float(tr.config.kappa.gamma) if tr.config.kappa.kind == "linear" else math.nan
+              for n, tr in runs.items()}
     passed = reps and all(not r.started_safe and r.crossed_positive and r.recovery_rate is not None
-                          and abs(r.recovery_rate - r.rate_target) <= RATE_TOL * r.rate_target
-                          for r in reps.values())
-    detail = "; ".join(f"{n}: rate={r.recovery_rate} target={r.rate_target} "
+                          and abs(r.recovery_rate - target[n]) <= RATE_TOL * target[n]
+                          for n, r in reps.items())
+    detail = "; ".join(f"{n}: rate={r.recovery_rate} target={target[n]} "
                        f"crossed={r.crossed_positive}" for n, r in reps.items())
     return _verdict(passed, detail or "no recovery scenario in batch", reps)
 
@@ -101,7 +214,7 @@ def violation_recovery(traces: dict) -> dict:
 def beta_smallness(traces: dict) -> dict:
     """Bicycle runs keep |beta| below BETA_LIMIT and their exact-model replay within
     DIVERGENCE_LIMIT of the path length; passes without a bicycle run. The numbers
-    are ``sim.BetaReport``s."""
+    are ``BetaReport``s."""
     reps = {n: beta_smallness_audit(tr) for n, tr in _enabled(traces).items()
             if tr.config.model == "bicycle"}
     passed = all(r.max_abs_beta < BETA_LIMIT and r.divergence_ratio < DIVERGENCE_LIMIT

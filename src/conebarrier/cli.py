@@ -39,7 +39,6 @@ one). Trace CSVs use '.' decimals, LF line endings, a mandatory header and
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -51,16 +50,10 @@ from pathlib import Path
 import numpy as np
 
 from . import claims
+from .claims import beta_smallness_audit, invariance_audit
 from .models import INPUT_NAMES, MODELS, STATE_NAMES
 from .scenarios import full_suite, load_configs, with_overrides
-from .sim import (
-    BARRIER_KINDS,
-    ConfigError,
-    ScenarioTrace,
-    beta_smallness_audit,
-    invariance_audit,
-    run_scenario,
-)
+from .sim import BARRIER_KINDS, ConfigError, ScenarioTrace, run_scenario
 from .validity import BARRIERS, MATRIX_ROWS, verdict_matrix, verdict_row
 
 EMIT_KINDS = ("trace-csv", "events-json", "summary-json", "plotdata")
@@ -105,41 +98,18 @@ def write_trace_csv(trace: ScenarioTrace, path: Path) -> None:
         fh.writelines(row + "\n" for row in rows)
 
 
-def parse_trace_csv(path) -> dict[str, np.ndarray]:
-    """Read an emitted trace back into named float columns."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        cols = [[] for _ in header]
-        for row in reader:
-            for j, cell in enumerate(row):
-                cols[j].append(float(cell))
-    return {name: np.array(col) for name, col in zip(header, cols)}
+def _json_block(fields: dict) -> dict:
+    """``fields`` with each NaN as None: JSON cannot carry NaN, which a minimum over
+    no obstacle (min_h, min_separation) is."""
+    return {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in fields.items()}
 
 
 def _summary_payload(trace: ScenarioTrace) -> dict:
-    payload = trace.summary()
-    inv = invariance_audit(trace)
-    payload["invariance"] = {
-        "started_safe": inv.started_safe,
-        "min_h": None if math.isnan(inv.min_h) else inv.min_h,
-        "max_discrete_violation": inv.max_discrete_violation,
-        "recovery_rate": inv.recovery_rate,
-        "crossed_positive": inv.crossed_positive,
-    }
+    payload = _json_block(trace.summary())
+    # The audits are called through this module's names: bench/tracing.py times them there.
+    payload["invariance"] = _json_block(dataclasses.asdict(invariance_audit(trace)))
     if trace.config.model == "bicycle":
-        beta = beta_smallness_audit(trace)
-        payload["beta_audit"] = {
-            "max_abs_beta": beta.max_abs_beta,
-            "max_divergence": beta.max_divergence,
-            "path_length": beta.path_length,
-            "divergence_ratio": beta.divergence_ratio,
-            "flagged": beta.flagged,
-        }
-    # Without an obstacle both minima are NaN, which JSON cannot carry.
-    for key in ("min_h", "min_separation"):
-        if math.isnan(payload[key]):
-            payload[key] = None
+        payload["beta_audit"] = _json_block(dataclasses.asdict(beta_smallness_audit(trace)))
     return payload
 
 

@@ -58,10 +58,8 @@ EXPECTED_BEHAVIORS = {
     "reversing_bicycle": "reversing",
     "overtaking_bicycle": "overtaking",
 }
-
-BEHAVIOR_SUITE_NAMES = tuple(EXPECTED_BEHAVIORS)
-"""The eight canonical setups: {turning, braking, reversing, overtaking} x two models."""
-
+"""The eight canonical setups, {turning, braking, reversing, overtaking} x two models,
+and the label each must get."""
 
 @dataclass(frozen=True)
 class _Change:
@@ -210,10 +208,6 @@ def load_scenario(path) -> ScenarioConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def save_scenario(cfg: ScenarioConfig, path) -> None:
-    Path(path).write_text(yaml.safe_dump(scenario_to_dict(cfg), sort_keys=False))
-
-
 def load_packaged(name: str) -> ScenarioConfig:
     """Load one of the shipped scenarios by bare name."""
     if name not in SUITE_NAMES:
@@ -226,11 +220,6 @@ def load_packaged(name: str) -> ScenarioConfig:
 def full_suite() -> dict[str, ScenarioConfig]:
     """All packaged scenarios, keyed by name."""
     return {name: load_packaged(name) for name in SUITE_NAMES}
-
-
-def behavior_suite() -> dict[str, ScenarioConfig]:
-    """The eight canonical behavior setups only."""
-    return {name: load_packaged(name) for name in BEHAVIOR_SUITE_NAMES}
 
 
 def with_overrides(cfg: ScenarioConfig, barrier=None, dt=None, duration=None) -> ScenarioConfig:

@@ -1,4 +1,4 @@
-"""Closed-loop scenario engine: obstacle kinematics, filtering, tracing, audits.
+"""Closed-loop scenario engine: obstacle kinematics, filtering, tracing.
 
 A scenario fixes one vehicle, a list of moving elliptical obstacles with
 piecewise-constant velocities, a reference controller and a barrier kind.
@@ -46,16 +46,16 @@ as a shadow metric so negative controls can show what was violated.
 
 ``classify_behavior`` reduces a trace to one of the canonical avoidance
 outcomes (turning, braking, reversing, overtaking) using the explicit
-thresholds defined next to it; the audits quantify forward invariance, the
-decay rate of boundary violations, and how far the small-slip bicycle
-strays from the exact kinematics.
+thresholds defined next to it. It is the one judgement kept here, because
+``ScenarioTrace.summary`` labels every run with it and ``claims`` imports
+this module; the per-trace audits and every judge bound live in ``claims``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -65,7 +65,6 @@ from .models import (
     MODELS,
     STATE_NAMES,
     BicycleGeometry,
-    bicycle_dynamics_exact,
     integrate_step,
     model_dynamics,
 )
@@ -538,116 +537,3 @@ def classify_behavior(trace: ScenarioTrace) -> str:
             and v_min_after > REVERSE_SPEED and max_heading_deg < HEADING_DEG):
         return "braking"
     return "none"
-
-
-INVARIANCE_TOL = 1e-3
-"""Deepest dip below h = 0 allowed on a run that starts outside every cone."""
-
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    """Forward-invariance and violation-decay metrics of one trace."""
-
-    started_safe: bool
-    min_h: float
-    max_discrete_violation: float
-    recovery_rate: Optional[float]
-    rate_target: float
-    crossed_positive: Optional[bool]
-    collided: bool
-
-    @property
-    def violated(self) -> bool:
-        return self.collided or (math.isfinite(self.min_h) and self.min_h < -INVARIANCE_TOL)
-
-
-def invariance_audit(trace: ScenarioTrace) -> InvarianceReport:
-    """Check the invariance story of one trace.
-
-    For runs starting with h >= 0 the headline number is min_t h. For runs
-    starting inside the cone the magnitude of h should decay at roughly the
-    class-K rate until it crosses zero, so the audit fits an exponential to
-    the pre-crossing stretch. The per-step discrete violation measures how
-    much of any dip is attributable to the zero-order hold.
-    """
-    h = trace.h
-    finite = np.isfinite(h)
-    agg = np.where(finite.any(axis=1),
-                   np.min(np.where(finite, h, np.inf), axis=1, initial=np.inf), np.nan)
-    finite0 = np.isfinite(agg[0]) if agg.size else False
-    started_safe = (not finite0) or agg[0] >= 0.0
-
-    # Discrete residual of hdot + kappa(h) >= 0 over each enforced step.
-    resid = (h[1:] - h[:-1]) / trace.config.dt + trace.config.kappa(h[:-1])
-    enforced = trace.constrained[:-1] & finite[:-1] & finite[1:]
-    viol = np.max(-resid[enforced], initial=0.0)
-
-    rate = None
-    crossed = None
-    if finite0 and agg[0] < 0.0:
-        # Fit only the stretch where the filter is actually enforcing a row;
-        # before perception entry h evolves freely and would bias the rate.
-        enforced_any = np.any(trace.constrained, axis=1)
-        start = int(np.argmax(enforced_any)) if np.any(enforced_any) else 0
-        crossing = np.argmax(agg >= 0.0) if np.any(agg >= 0.0) else len(agg)
-        crossed = bool(np.any(agg[1:] >= 0.0))
-        floor = max(1e-6, abs(agg[0]) * 1e-3)
-        mask = np.zeros(len(agg), dtype=bool)
-        mask[start:crossing] = True
-        mask &= np.isfinite(agg) & (agg < -floor)
-        if np.sum(mask) >= 10:
-            slope = np.polyfit(trace.t[mask], np.log(-agg[mask]), 1)[0]
-            rate = -float(slope)
-
-    gamma = trace.config.kappa.gamma if trace.config.kappa.kind == "linear" else math.nan
-    return InvarianceReport(
-        started_safe=bool(started_safe), min_h=trace.min_h(), max_discrete_violation=float(viol),
-        recovery_rate=rate, rate_target=float(gamma), crossed_positive=crossed,
-        collided=trace.collided(),
-    )
-
-
-@dataclass(frozen=True)
-class BetaReport:
-    """Slip-angle magnitude and exact-model divergence of a bicycle trace."""
-
-    max_abs_beta: float
-    max_divergence: float
-    path_length: float
-    flagged: bool
-
-    @property
-    def divergence_ratio(self) -> float:
-        return self.max_divergence / self.path_length if self.path_length > 0 else 0.0
-
-
-BETA_LIMIT = 0.3
-"""Largest |beta| (rad) the small-slip bicycle is trusted at."""
-
-
-def beta_smallness_audit(trace: ScenarioTrace) -> BetaReport:
-    """Replay the recorded inputs through the exact bicycle kinematics.
-
-    The small-slip model drops the cos/sin of beta; re-integrating the
-    exact model under the identical zero-order-hold input sequence bounds
-    the approximation error actually incurred in this run.
-    """
-    if trace.config.model != "bicycle":
-        raise ValueError("beta audit applies to bicycle traces only")
-    geom = BicycleGeometry(trace.config.wheelbase_front, trace.config.wheelbase_rear)
-    exact = partial(bicycle_dynamics_exact, geom=geom)
-    exact_states = np.zeros_like(trace.states)
-    exact_states[0] = trace.states[0]
-    x = trace.states[0]
-    for k in range(1, trace.states.shape[0]):
-        x = exact_states[k] = integrate_step(exact, x, trace.u_star[k - 1], trace.config.dt)
-
-    diff = np.linalg.norm(exact_states[:, 0:2] - trace.states[:, 0:2], axis=1)
-    seg = np.linalg.norm(np.diff(trace.states[:, 0:2], axis=0), axis=1)
-    max_beta = trace.max_abs_beta()
-    return BetaReport(
-        max_abs_beta=max_beta,
-        max_divergence=float(np.max(diff)),
-        path_length=float(np.sum(seg)),
-        flagged=max_beta > BETA_LIMIT,
-    )

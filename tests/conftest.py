@@ -1,11 +1,15 @@
-"""Shared fixtures, the finite-difference oracle and the QP builder for the tests."""
+"""Shared fixtures, the finite-difference oracle, the QP builder and file helpers for the tests."""
+
+import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from conebarrier.barriers import barrier_terms, reference_kinematics, relative_motion
 from conebarrier.safety_filter import QpProblem
-from conebarrier.scenarios import full_suite
+from conebarrier.scenarios import EXPECTED_BEHAVIORS, full_suite, load_packaged, scenario_to_dict
 from conebarrier.sim import run_scenario
 
 
@@ -50,3 +54,25 @@ def qp_of(u_ref, rows):
     return QpProblem(np.asarray(u_ref, dtype=float),
                      np.array([lg for lg, _ in rows], dtype=float).reshape(len(rows), 2),
                      np.array([rhs for _, rhs in rows], dtype=float))
+
+
+def behavior_suite():
+    """The eight canonical behaviour setups, keyed by name."""
+    return {name: load_packaged(name) for name in EXPECTED_BEHAVIORS}
+
+
+def save_scenario(cfg, path):
+    """Write a config as the YAML file ``scenarios.load_scenario`` reads."""
+    Path(path).write_text(yaml.safe_dump(scenario_to_dict(cfg), sort_keys=False))
+
+
+def parse_trace_csv(path):
+    """Read an emitted trace back into named float columns."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        cols = [[] for _ in header]
+        for row in reader:
+            for j, cell in enumerate(row):
+                cols[j].append(float(cell))
+    return {name: np.array(col) for name, col in zip(header, cols)}

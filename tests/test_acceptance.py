@@ -21,11 +21,11 @@ import pytest
 from conebarrier import claims
 from conebarrier.barriers import ClassK
 from conebarrier.models import BicycleGeometry, model_dynamics
-from conebarrier.scenarios import EXPECTED_BEHAVIORS, behavior_suite, load_packaged
+from conebarrier.scenarios import EXPECTED_BEHAVIORS, load_packaged
 from conebarrier.sim import run_scenario
 from conebarrier.validity import MATRIX_ROWS, verdict_matrix
 
-from conftest import cone, terms
+from conftest import behavior_suite, cone, terms
 
 BODY_OFFSET = 0.1
 REAR_AXLE = 1.6

@@ -1,5 +1,6 @@
 """Command-line contract: emissions, exit codes, CSV round trip."""
 
+import dataclasses
 import json
 import math
 import os
@@ -12,9 +13,11 @@ import pytest
 import yaml
 
 from conebarrier import claims, cli, sim
-from conebarrier.cli import main, parse_trace_csv, write_trace_csv
-from conebarrier.scenarios import SUITE_NAMES, load_packaged, save_scenario, scenario_to_dict
+from conebarrier.cli import main, write_trace_csv
+from conebarrier.scenarios import SUITE_NAMES, load_packaged, scenario_to_dict
 from conebarrier.sim import run_scenario
+
+from conftest import parse_trace_csv, save_scenario
 
 
 @pytest.fixture()
@@ -210,6 +213,23 @@ def test_run_without_obstacles_writes_strict_json(tmp_path, name):
     assert sorted(payloads) == [f"{name}_{kind}.json" for kind in ("events", "plotdata", "summary")]
     summary = payloads[f"{name}_summary.json"]
     assert summary["min_h"] is None and summary["min_separation"] is None
+
+
+def test_summary_audit_blocks_are_the_claims_reports(tmp_path, suite_traces):
+    out = tmp_path / "out"
+    assert main(["run", "--emit", "summary-json", "--out", str(out)]) == 0
+
+    def block(report):  # NaN is written as null
+        return {k: None if isinstance(v, float) and math.isnan(v) else v
+                for k, v in dataclasses.asdict(report).items()}
+
+    for name, trace in suite_traces.items():
+        summary = json.loads((out / f"{name}_summary.json").read_text())
+        assert summary["invariance"] == block(claims.invariance_audit(trace)), name
+        if trace.config.model == "bicycle":
+            assert summary["beta_audit"] == block(claims.beta_smallness_audit(trace)), name
+        else:
+            assert "beta_audit" not in summary, name
 
 
 def test_run_builds_each_summary_once(tmp_path, braking_yaml, monkeypatch):

@@ -13,26 +13,26 @@ from conebarrier.barriers import BARRIER_MODELS, ClassK
 from conebarrier.models import MODELS, STATE_NAMES
 from conebarrier.safety_filter import PathTrackerGains, ReferenceController
 from conebarrier.scenarios import (
-    BEHAVIOR_SUITE_NAMES,
+    EXPECTED_BEHAVIORS,
     SUITE_NAMES,
-    behavior_suite,
     full_suite,
     load_configs,
     load_packaged,
     load_scenario,
-    save_scenario,
     scenario_from_dict,
     scenario_to_dict,
     with_overrides,
 )
 from conebarrier.sim import MAX_STEPS, ConfigError, ObstacleConfig, ScenarioConfig
 
+from conftest import save_scenario
+
 
 def test_packaged_suite_complete():
     suite = full_suite()
     assert set(suite) == set(SUITE_NAMES)
-    assert len(behavior_suite()) == 8
-    assert set(behavior_suite()) == set(BEHAVIOR_SUITE_NAMES)
+    assert len(EXPECTED_BEHAVIORS) == 8
+    assert set(EXPECTED_BEHAVIORS) <= set(SUITE_NAMES)
 
 
 def test_roundtrip_all_packaged(tmp_path):

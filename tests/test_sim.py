@@ -8,9 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conebarrier import barriers, sim
+from conebarrier import barriers, claims, sim
 from conebarrier.barriers import ClassK
-from conebarrier.cli import FLAG_EVENTS, parse_trace_csv, write_trace_csv
+from conebarrier.claims import beta_smallness_audit, invariance_audit
+from conebarrier.cli import FLAG_EVENTS, write_trace_csv
 from conebarrier.models import UnicycleDynamics, integrate_step
 from conebarrier.safety_filter import ReferenceController
 from conebarrier.scenarios import SUITE_NAMES, load_packaged
@@ -18,11 +19,11 @@ from conebarrier.sim import (
     ConfigError,
     ObstacleConfig,
     ScenarioConfig,
-    beta_smallness_audit,
     classify_behavior,
-    invariance_audit,
     run_scenario,
 )
+
+from conftest import parse_trace_csv
 
 
 def _simple_cfg(**overrides):
@@ -315,21 +316,23 @@ def test_invariance_audit_safe_start(suite_traces):
     rep = invariance_audit(suite_traces["weave_bicycle"])
     assert rep.started_safe
     assert rep.min_h >= -1e-3
-    assert not rep.violated
+    assert not suite_traces["weave_bicycle"].collided()
 
 
 def test_invariance_audit_recovery(suite_traces):
     rep = invariance_audit(suite_traces["recovery_unicycle"])
     assert not rep.started_safe
     assert rep.crossed_positive
-    assert rep.rate_target == 1.0
+    verdict = claims.violation_recovery({"recovery_unicycle": suite_traces["recovery_unicycle"]})
+    assert "target=1.0 " in verdict["detail"]
 
 
 def test_invariance_audit_flags_negative_control():
     cfg = replace(load_packaged("braking_unicycle"), barrier="none")
-    rep = invariance_audit(run_scenario(cfg))
-    assert rep.violated
-    assert rep.collided
+    trace = run_scenario(cfg)
+    rep = invariance_audit(trace)
+    assert rep.min_h < -claims.INVARIANCE_TOL
+    assert trace.collided()
 
 
 def test_beta_audit_zero_slip_run(suite_traces):
