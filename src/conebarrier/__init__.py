@@ -23,10 +23,11 @@ QP, input clipping, RK4; after the loop, one array pass logs every
 obstacle's separation, relative speed and h, forms the masks and names a
 blow-up's first step; the trace is the per-step record, whose flags'
 rising edges are the events) and the behaviour label; ``scenarios`` the
-packaged YAML suite; ``claims`` the per-trace audits, whose reports are the
-summary JSON's audit blocks, and one judge per paper claim under every judge
-bound, which ``audit`` and the acceptance tests share; and ``cli`` the
-command-line tool.
+scenario format (the configs, their checks and ``ConfigError``, the YAML
+codec and the packaged suite); ``claims`` the per-trace audits, whose
+reports are the summary JSON's audit blocks, and one judge per paper claim
+under every judge bound, which ``audit`` and the acceptance tests share;
+and ``cli`` the command-line tool.
 """
 
 from .barriers import EPS_V, ClassK
@@ -54,10 +55,8 @@ from .safety_filter import (
     solve_multi_constraint,
     solve_single_constraint,
 )
+from .scenarios import ConfigError, ObstacleConfig, ScenarioConfig
 from .sim import (
-    ConfigError,
-    ObstacleConfig,
-    ScenarioConfig,
     ScenarioTrace,
     SimEvent,
     classify_behavior,

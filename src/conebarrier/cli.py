@@ -52,8 +52,8 @@ import numpy as np
 from . import claims
 from .claims import beta_smallness_audit, invariance_audit
 from .models import INPUT_NAMES, MODELS, STATE_NAMES
-from .scenarios import full_suite, load_configs, with_overrides
-from .sim import BARRIER_KINDS, ConfigError, ScenarioTrace, run_scenario
+from .scenarios import BARRIER_KINDS, ConfigError, full_suite, load_configs, with_overrides
+from .sim import ScenarioTrace, run_scenario
 from .validity import BARRIERS, MATRIX_ROWS, verdict_matrix, verdict_row
 
 EMIT_KINDS = ("trace-csv", "events-json", "summary-json", "plotdata")

@@ -1,4 +1,9 @@
-"""Scenario configuration files: YAML codec and the packaged suite.
+"""The scenario format's one home: config dataclasses and checks, YAML codec, packaged suite.
+
+A ``ScenarioConfig`` checks itself and its obstacles when built, also in
+``dataclasses.replace``, and each ConfigError it raises starts with its
+name: a nonempty printable string without '/' or '\\', since it names the
+output files. The engine, ``sim``, runs configs; nothing here imports it.
 
 Configs are plain YAML trees with SI units and radians throughout. The
 packaged suite (``data/*.yaml``) covers the four canonical avoidance
@@ -15,24 +20,151 @@ The codec reads the config dataclasses rather than restating them:
 - the YAML differs from the dataclasses in two places only: a velocity
   change is written ``{t, velocity}`` and the input bounds
   ``{lower, upper}``;
-- validation runs when the dataclasses are built (``ScenarioConfig`` checks
-  itself and its obstacles), so every loaded config is valid and any error
-  is a ConfigError naming the field.
+- the codec turns YAML numbers (not booleans), lists and mappings into
+  Python values and passes strings and flags on; the dataclasses judge
+  every value, so any error is a ConfigError naming the field.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, asdict, astuple, dataclass, fields, replace
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Optional
 
 import yaml
 
-from .barriers import ClassK
+from .barriers import BARRIER_MODELS, ClassK
+from .models import MODELS, STATE_NAMES
 from .safety_filter import PathTrackerGains, ReferenceController
-from .sim import ConfigError, ObstacleConfig, ScenarioConfig
+
+BARRIER_KINDS = (*BARRIER_MODELS, "none")
+MAX_STEPS = 1_000_000
+"""Most steps round(duration / dt) a scenario may ask for: 500 times the
+longest packaged run (2,000 steps). The engine preallocates its logs, and
+its pass after the loop holds about as much again in temporaries: a peak
+near 300 bytes per step with one obstacle (tracemalloc, a 100,001-step
+``braking_unicycle``), so a tiny dt must fail when the config is built
+rather than in the allocation or hours into the run."""
+
+
+class ConfigError(ValueError):
+    """Scenario configuration violates an invariant."""
+
+
+@dataclass(frozen=True)
+class ObstacleConfig:
+    """Moving ellipse with optional timed velocity changes."""
+
+    center: tuple[float, float]
+    velocity: tuple[float, float] = (0.0, 0.0)
+    semi_axes: tuple[float, float] = (1.0, 1.0)
+    velocity_schedule: tuple[tuple[float, tuple[float, float]], ...] = ()
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """Complete description of one closed-loop run."""
+
+    name: str
+    model: str
+    initial_state: tuple[float, ...]
+    obstacles: tuple[ObstacleConfig, ...]
+    controller: ReferenceController
+    barrier: str = "c3bf"
+    kappa: ClassK = field(default_factory=ClassK)
+    kappa1: Optional[ClassK] = None
+    body_offset: float = 0.1
+    width: float = 0.5
+    wheelbase_front: float = 1.2
+    wheelbase_rear: float = 1.6
+    perception_radius: float = 10.0
+    dt: float = 0.01
+    duration: float = 10.0
+    path: Optional[tuple[tuple[float, float], ...]] = None
+    path_gains: Optional[PathTrackerGains] = None
+    halt_on_collision: bool = False
+    input_bounds: Optional[tuple[tuple[float, ...], tuple[float, ...]]] = None
+
+    def __post_init__(self) -> None:
+        name = self.name
+        if not (isinstance(name, str) and name.isprintable() and name) or {"/", "\\"} & set(name):
+            raise ConfigError(f"name must be a nonempty printable string without '/' or '\\', "
+                              f"got {name!r}")
+        try:
+            self._check()
+        except ConfigError as exc:
+            raise ConfigError(f"{self.name}: {exc}") from None
+
+    def _check(self) -> None:
+        if self.model not in MODELS:
+            raise ConfigError(f"unknown model {self.model!r}")
+        if self.barrier not in BARRIER_KINDS:
+            raise ConfigError(f"unknown barrier {self.barrier!r}")
+        if self.barrier != "none" and self.model not in BARRIER_MODELS[self.barrier]:
+            raise ConfigError(f"the {self.barrier} barrier is not defined for the "
+                              f"{self.model} model")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
+        if not (math.isfinite(self.duration) and self.duration >= self.dt):
+            raise ConfigError(f"duration must be finite and cover at least one step, "
+                              f"got {self.duration}")
+        steps = self.duration / self.dt
+        if math.isinf(steps) or round(steps) > MAX_STEPS:
+            raise ConfigError(f"duration / dt asks for {steps:.3g} steps, more than "
+                              f"MAX_STEPS = {MAX_STEPS}")
+        expected = len(STATE_NAMES[self.model])
+        if len(self.initial_state) != expected:
+            raise ConfigError(
+                f"{self.model} initial state needs {expected} entries, got {len(self.initial_state)}"
+            )
+        if not all(math.isfinite(x) for x in self.initial_state):
+            raise ConfigError(f"initial state must be finite, got {self.initial_state}")
+        if not (0 < self.wheelbase_front < math.inf and 0 < self.wheelbase_rear < math.inf):
+            raise ConfigError(f"wheelbase distances must be positive and finite, got front="
+                              f"{self.wheelbase_front}, rear={self.wheelbase_rear}")
+        if not math.isfinite(self.body_offset):
+            raise ConfigError(f"body_offset must be finite, got {self.body_offset}")
+        if not (self.perception_radius >= 0 and 0 <= self.width < math.inf):
+            raise ConfigError(f"perception_radius must be nonnegative and width nonnegative "
+                              f"and finite, got {self.perception_radius} and {self.width}")
+        if not isinstance(self.halt_on_collision, bool):
+            raise ConfigError(f"halt_on_collision must be a boolean, got {self.halt_on_collision!r}")
+        if self.input_bounds is not None:
+            if not (len(self.input_bounds) == 2 and all(len(s) == 2 for s in self.input_bounds)):
+                raise ConfigError(f"input_bounds needs two sides of two entries each, "
+                                  f"got {self.input_bounds}")
+            lo, hi = self.input_bounds
+            if not all(lo_j <= hi_j for lo_j, hi_j in zip(lo, hi)):
+                raise ConfigError(f"input_bounds lower side exceeds upper, "
+                                  f"got {self.input_bounds}")
+        if self.path is not None and self.model != "bicycle":
+            raise ConfigError("path tracking is only wired for the bicycle model")
+        if self.path is not None and not all(
+                len(p) == 2 and all(math.isfinite(x) for x in p) for p in self.path):
+            raise ConfigError(f"path waypoints need two finite entries each, got {self.path}")
+        if self.path is not None and len({tuple(p) for p in self.path}) < 2:
+            raise ConfigError(f"path needs two distinct waypoints, got {self.path}")
+        for i, obs in enumerate(self.obstacles):
+            where = f"obstacles[{i}]: obstacle"
+            if any(len(change) != 2 for change in obs.velocity_schedule):
+                raise ConfigError(f"{where} velocity_schedule entries need a time and a velocity")
+            pairs = [("center", obs.center), ("velocity", obs.velocity),
+                     ("semi_axes", obs.semi_axes)]
+            pairs += [(f"velocity_schedule[{j}].velocity", v)
+                      for j, (_, v) in enumerate(obs.velocity_schedule)]
+            for name, value in pairs:
+                if len(value) != 2 or not all(math.isfinite(x) for x in value):
+                    raise ConfigError(f"{where} {name} needs two finite entries, got {value}")
+            if not (obs.semi_axes[0] > 0 and obs.semi_axes[1] > 0):
+                raise ConfigError(f"{where} semi-axes must be positive, got {obs.semi_axes}")
+            times = [t for t, _ in obs.velocity_schedule]
+            if not all(math.isfinite(t) for t in times):
+                raise ConfigError(f"{where} velocity-change times must be finite, got {times}")
+            if times != sorted(times):
+                raise ConfigError(f"{where} velocity-change times must be sorted")
+
 
 SUITE_NAMES = (
     "turning_unicycle",
@@ -78,8 +210,8 @@ class _Bounds:
 
 
 def _num(value, context: str) -> float:
-    try:
-        out = float(value)
+    try:  # a numeric string counts: YAML reads 1e-3, with no dot, as one
+        out = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         out = math.nan
     if math.isnan(out):
@@ -87,15 +219,7 @@ def _num(value, context: str) -> float:
     return out
 
 
-def _str(value, context: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{context} must be a string, got {value!r}")
-    return value
-
-
-def _bool(value, context: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{context} must be true or false, got {value!r}")
+def _as_is(value, context: str):
     return value
 
 
@@ -152,13 +276,13 @@ def _reader(cls, **parsers):
     return lambda value, context: _build(cls, value, context, parsers)
 
 
-_classk = _reader(ClassK, kind=_str, table=_list_of(_pair))
+_classk = _reader(ClassK, kind=_as_is, table=_list_of(_pair))
 _change = _reader(_Change, velocity=_nums)
 _bounds = _reader(_Bounds, lower=_nums, upper=_nums)
 
 _SCENARIO = {
-    "name": _str, "model": _str, "barrier": _str, "halt_on_collision": _bool,
-    "initial_state": _nums, "path": _list_of(_pair), "kappa": _classk, "kappa1": _classk,
+    "name": _as_is, "model": _as_is, "barrier": _as_is, "halt_on_collision": _as_is,
+    "initial_state": _nums, "path": _list_of(_nums), "kappa": _classk, "kappa1": _classk,
     "obstacles": _list_of(_reader(
         ObstacleConfig, center=_nums, velocity=_nums, semi_axes=_nums,
         velocity_schedule=_list_of(lambda value, context: astuple(_change(value, context))))),

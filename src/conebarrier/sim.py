@@ -33,12 +33,6 @@ The ``ScenarioTrace`` keeps the logs and masks as the run's per-step
 record, and ``ScenarioTrace.edges`` alone turns its flags into events,
 collisions, halting, event counts and the CSV flag columns.
 
-A ``ScenarioConfig`` validates itself and its obstacles when built, so an
-invalid scenario cannot exist and ``dataclasses.replace`` checks again; each
-ConfigError it raises starts with the scenario's name, a nonempty printable
-string without '/' or '\\' since it names the output files. Its field names
-are the YAML keys of ``scenarios`` and its defaults are the only ones.
-
 Collisions (separation at or below the combined radius) are recorded and
 the run continues by default so traces stay analyzable; ``halt_on_collision``
 truncates instead. With the barrier disabled the cone value is still logged
@@ -54,7 +48,7 @@ this module; the per-trace audits and every judge bound live in ``claims``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -62,8 +56,6 @@ import numpy as np
 
 from . import barriers as B
 from .models import (
-    MODELS,
-    STATE_NAMES,
     BicycleGeometry,
     integrate_step,
     model_dynamics,
@@ -71,130 +63,12 @@ from .models import (
 from .safety_filter import (
     PathTrackerGains,
     QpProblem,
-    ReferenceController,
     reference_p_controller,
     reference_path_tracker,
     solve_multi_constraint,
 )
-
-BARRIER_KINDS = (*B.BARRIER_MODELS, "none")
-MAX_STEPS = 1_000_000
-"""Most steps round(duration / dt) a scenario may ask for: 500 times the
-longest packaged run (2,000 steps). The engine preallocates its logs, and
-its pass after the loop holds about as much again in temporaries: a peak
-near 300 bytes per step with one obstacle (tracemalloc, a 100,001-step
-``braking_unicycle``), so a tiny dt must fail when the config is built
-rather than in the allocation or hours into the run."""
-
-
-class ConfigError(ValueError):
-    """Scenario configuration violates an invariant."""
-
-
-@dataclass(frozen=True)
-class ObstacleConfig:
-    """Moving ellipse with optional timed velocity changes."""
-
-    center: tuple[float, float]
-    velocity: tuple[float, float] = (0.0, 0.0)
-    semi_axes: tuple[float, float] = (1.0, 1.0)
-    velocity_schedule: tuple[tuple[float, tuple[float, float]], ...] = ()
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Complete description of one closed-loop run."""
-
-    name: str
-    model: str
-    initial_state: tuple[float, ...]
-    obstacles: tuple[ObstacleConfig, ...]
-    controller: ReferenceController
-    barrier: str = "c3bf"
-    kappa: B.ClassK = field(default_factory=B.ClassK)
-    kappa1: Optional[B.ClassK] = None
-    body_offset: float = 0.1
-    width: float = 0.5
-    wheelbase_front: float = 1.2
-    wheelbase_rear: float = 1.6
-    perception_radius: float = 10.0
-    dt: float = 0.01
-    duration: float = 10.0
-    path: Optional[tuple[tuple[float, float], ...]] = None
-    path_gains: Optional[PathTrackerGains] = None
-    halt_on_collision: bool = False
-    input_bounds: Optional[tuple[tuple[float, ...], tuple[float, ...]]] = None
-
-    def __post_init__(self) -> None:
-        name = self.name
-        if not (isinstance(name, str) and name.isprintable() and name) or {"/", "\\"} & set(name):
-            raise ConfigError(f"name must be a nonempty printable string without '/' or '\\', "
-                              f"got {name!r}")
-        try:
-            self._check()
-        except ConfigError as exc:
-            raise ConfigError(f"{self.name}: {exc}") from None
-
-    def _check(self) -> None:
-        if self.model not in MODELS:
-            raise ConfigError(f"unknown model {self.model!r}")
-        if self.barrier != "none" and self.model not in B.BARRIER_MODELS.get(self.barrier, ()):
-            raise ConfigError(f"the {self.barrier} barrier is not defined for the "
-                              f"{self.model} model")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
-        if not (math.isfinite(self.duration) and self.duration >= self.dt):
-            raise ConfigError(f"duration must be finite and cover at least one step, "
-                              f"got {self.duration}")
-        steps = self.duration / self.dt
-        if math.isinf(steps) or round(steps) > MAX_STEPS:
-            raise ConfigError(f"duration / dt asks for {steps:.3g} steps, more than "
-                              f"MAX_STEPS = {MAX_STEPS}")
-        expected = len(STATE_NAMES[self.model])
-        if len(self.initial_state) != expected:
-            raise ConfigError(
-                f"{self.model} initial state needs {expected} entries, got {len(self.initial_state)}"
-            )
-        if not all(math.isfinite(x) for x in self.initial_state):
-            raise ConfigError(f"initial state must be finite, got {self.initial_state}")
-        if not (0 < self.wheelbase_front < math.inf and 0 < self.wheelbase_rear < math.inf):
-            raise ConfigError(f"wheelbase distances must be positive and finite, got front="
-                              f"{self.wheelbase_front}, rear={self.wheelbase_rear}")
-        if not math.isfinite(self.body_offset):
-            raise ConfigError(f"body_offset must be finite, got {self.body_offset}")
-        if not (self.perception_radius >= 0 and 0 <= self.width < math.inf):
-            raise ConfigError(f"perception_radius must be nonnegative and width nonnegative "
-                              f"and finite, got {self.perception_radius} and {self.width}")
-        if self.input_bounds is not None:
-            lo, hi = self.input_bounds
-            if not (len(lo) == 2 and len(hi) == 2):
-                raise ConfigError(f"input_bounds sides need two entries each, "
-                                  f"got {self.input_bounds}")
-            if not all(lo_j <= hi_j for lo_j, hi_j in zip(lo, hi)):
-                raise ConfigError(f"input_bounds lower side exceeds upper, "
-                                  f"got {self.input_bounds}")
-        if self.path is not None and self.model != "bicycle":
-            raise ConfigError("path tracking is only wired for the bicycle model")
-        if self.path is not None and not all(math.isfinite(x) for p in self.path for x in p):
-            raise ConfigError(f"path waypoints must be finite, got {self.path}")
-        if self.path is not None and len({tuple(p) for p in self.path}) < 2:
-            raise ConfigError(f"path needs two distinct waypoints, got {self.path}")
-        for i, obs in enumerate(self.obstacles):
-            where = f"obstacles[{i}]: obstacle"
-            pairs = [("center", obs.center), ("velocity", obs.velocity),
-                     ("semi_axes", obs.semi_axes)]
-            pairs += [(f"velocity_schedule[{j}].velocity", v)
-                      for j, (_, v) in enumerate(obs.velocity_schedule)]
-            for name, value in pairs:
-                if len(value) != 2 or not all(math.isfinite(x) for x in value):
-                    raise ConfigError(f"{where} {name} needs two finite entries, got {value}")
-            if not (obs.semi_axes[0] > 0 and obs.semi_axes[1] > 0):
-                raise ConfigError(f"{where} semi-axes must be positive, got {obs.semi_axes}")
-            times = [t for t, _ in obs.velocity_schedule]
-            if not all(math.isfinite(t) for t in times):
-                raise ConfigError(f"{where} velocity-change times must be finite, got {times}")
-            if times != sorted(times):
-                raise ConfigError(f"{where} velocity-change times must be sorted")
+from .scenarios import ScenarioConfig
+from .scenarios import ObstacleConfig  # noqa: F401  (bench/crowd.py imports it from here)
 
 
 @dataclass(frozen=True)

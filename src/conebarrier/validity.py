@@ -52,6 +52,7 @@ from .barriers import (BARRIER_MODELS, ClassK, _cone_h, barrier_terms, combined_
 # Unused here, but bench/tracing.py wraps every *_terms name in this module.
 from .barriers import c3bf_bicycle_terms, c3bf_pointmass_terms, c3bf_unicycle_terms  # noqa: F401
 from .models import INPUT_NAMES
+from .scenarios import ScenarioConfig
 
 BARRIERS = tuple(BARRIER_MODELS)
 OBSTACLE_SPEED_MAX = 5.0
@@ -60,10 +61,10 @@ PSI_TOL = 1e-6
 _ATTACK_CHUNK = 26
 """Kernel states per velocity-attack call: 26 x 384 grid velocities = 9,984 triples."""
 
-# Vehicle and gains every probe uses: ScenarioConfig's defaults (packaged widths: 0.6, 1.8).
-WIDTH = 0.5
-BODY_OFFSET = 0.1
-REAR_AXLE = 1.6
+# Vehicle and gains every probe uses; the vehicle is ScenarioConfig's default one.
+WIDTH = ScenarioConfig.width  # the packaged scenarios use 0.6 and 1.8
+BODY_OFFSET = ScenarioConfig.body_offset
+REAR_AXLE = ScenarioConfig.wheelbase_rear
 KAPPA = ClassK()
 KAPPA1 = ClassK()
 

@@ -79,6 +79,7 @@ def _packaged_tree(edit, name="braking_unicycle"):
                  id="infinite-speed"),
     pytest.param(_packaged_tree(lambda t: t.update(halt_on_collision="false")),
                  id="quoted-bool"),
+    pytest.param(_packaged_tree(lambda t: t.update(width=True)), id="bool-for-number"),
     pytest.param(_packaged_tree(lambda t: t.update(path=[[0.0, 0.0]]), "weave_bicycle"),
                  id="one-waypoint"),
     pytest.param(_packaged_tree(lambda t: t.update(path=[[1.0, 2.0], [1.0, 2.0]]),

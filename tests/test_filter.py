@@ -24,7 +24,8 @@ from conebarrier.safety_filter import (
     solve_multi_constraint,
     solve_single_constraint,
 )
-from conebarrier.sim import ObstacleConfig, ScenarioConfig, run_scenario
+from conebarrier.scenarios import ObstacleConfig, ScenarioConfig
+from conebarrier.sim import run_scenario
 
 from conftest import qp_of
 

@@ -1,7 +1,10 @@
 """The package's public surface."""
 
+import ast
+import inspect
+
 import conebarrier
-from conebarrier import claims, cli, sim
+from conebarrier import claims, cli, scenarios, sim
 
 
 def test_public_surface_resolves():
@@ -25,3 +28,18 @@ def test_audits_live_in_claims_only():
     for name in AUDIT_NAMES[:4]:
         assert getattr(conebarrier, name) is getattr(claims, name), name
     assert [name for name in AUDIT_NAMES if hasattr(sim, name)] == []
+
+
+def test_scenario_format_lives_in_scenarios_only():
+    # sim re-exports the two config classes that bench/crowd.py imports from it.
+    assert sim.ScenarioConfig is scenarios.ScenarioConfig
+    assert sim.ObstacleConfig is scenarios.ObstacleConfig
+    assert [name for name in ("ConfigError", "MAX_STEPS", "BARRIER_KINDS")
+            if hasattr(sim, name)] == []
+    for name in ("ConfigError", "ObstacleConfig", "ScenarioConfig"):
+        assert getattr(conebarrier, name) is getattr(scenarios, name), name
+    tree = ast.parse(inspect.getsource(scenarios))
+    imported = [f"{getattr(node, 'module', None) or ''}.{alias.name}".split(".")
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names]
+    assert not any("sim" in parts for parts in imported)

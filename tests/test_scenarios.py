@@ -14,7 +14,11 @@ from conebarrier.models import MODELS, STATE_NAMES
 from conebarrier.safety_filter import PathTrackerGains, ReferenceController
 from conebarrier.scenarios import (
     EXPECTED_BEHAVIORS,
+    MAX_STEPS,
     SUITE_NAMES,
+    ConfigError,
+    ObstacleConfig,
+    ScenarioConfig,
     full_suite,
     load_configs,
     load_packaged,
@@ -23,7 +27,6 @@ from conebarrier.scenarios import (
     scenario_to_dict,
     with_overrides,
 )
-from conebarrier.sim import MAX_STEPS, ConfigError, ObstacleConfig, ScenarioConfig
 
 from conftest import save_scenario
 
@@ -74,6 +77,17 @@ def test_null_takes_a_none_default_only():
     with pytest.raises(ConfigError, match="width"):
         scenario_from_dict(tree)
 
+
+def test_number_without_a_dot_loads(tmp_path):
+    # PyYAML reads 1e-3, written without a dot, as the string '1e-3'.
+    tree = scenario_to_dict(load_packaged("braking_unicycle"))
+    del tree["dt"]
+    path = tmp_path / "dt.yaml"
+    path.write_text(yaml.safe_dump(tree) + "dt: 1e-3\n")
+    assert yaml.safe_load(path.read_text())["dt"] == "1e-3"
+    assert load_scenario(path).dt == 0.001
+
+
 def test_invalid_yaml_raises_config_error(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("model: [unclosed")
@@ -105,6 +119,12 @@ def test_with_overrides_validates():
     dict(initial_state=(0.0,)),
     dict(barrier="ellipse", model="pointmass", initial_state=(0.0, 0.0, 1.0, 0.0)),
     dict(obstacles=(ObstacleConfig(center=(1.0, 1.0), semi_axes=(0.0, 1.0)),)),
+    pytest.param(dict(path=((0.0, 0.0, 0.0), (60.0, 0.0, 0.0))), id="three-entry-waypoints"),
+    pytest.param(dict(obstacles=(ObstacleConfig(center=(1.0, 1.0), velocity_schedule=((1.0,),)),)),
+                 id="schedule-entry-without-velocity"),
+    pytest.param(dict(input_bounds=((1.0, 2.0),)), id="one-sided-input-bounds"),
+    pytest.param(dict(halt_on_collision="false"), id="quoted-bool-halt"),
+    pytest.param(dict(barrier=["c3bf"]), id="list-barrier"),
 ])
 def test_config_errors_name_the_scenario(change):
     # Overrides and replace() break packaged scenarios with no file to name.

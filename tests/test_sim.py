@@ -14,14 +14,14 @@ from conebarrier.claims import beta_smallness_audit, invariance_audit
 from conebarrier.cli import FLAG_EVENTS, write_trace_csv
 from conebarrier.models import UnicycleDynamics, integrate_step
 from conebarrier.safety_filter import ReferenceController
-from conebarrier.scenarios import SUITE_NAMES, load_packaged
-from conebarrier.sim import (
+from conebarrier.scenarios import (
+    SUITE_NAMES,
     ConfigError,
     ObstacleConfig,
     ScenarioConfig,
-    classify_behavior,
-    run_scenario,
+    load_packaged,
 )
+from conebarrier.sim import classify_behavior, run_scenario
 
 from conftest import parse_trace_csv
 
