@@ -5,10 +5,11 @@ the relative velocity of a tracked obstacle into its collision cone; the
 minimal correction is a quadratic program over the two inputs: closed form for
 one row, one incremental pass over several, least violation when they conflict.
 
-Layout: ``models`` holds the acceleration-controlled vehicle families as
-control-affine dynamics (the drift / actuation arrays and the closed-form
-field on floats), the RK4 integrator on floats and the model / state /
-input name tables; ``barriers`` the cone barrier and the classical
+Layout: ``models`` holds the acceleration-controlled vehicle families,
+each its name and (for the bicycle) the rear-axle float: the drift /
+actuation array cores over states (..., n), the field on floats that
+``model_dynamics`` selects, the RK4 integrator on floats and the model /
+state / input name tables; ``barriers`` the cone barrier and the classical
 ellipse / second-order candidates as broadcasting array cores (the cone's
 also take one row on floats), with the one
 protected-point kinematics, the one combined radius and the one (barrier,
@@ -33,13 +34,11 @@ and ``cli`` the command-line tool.
 from .barriers import EPS_V, ClassK
 from .claims import BetaReport, InvarianceReport, beta_smallness_audit, invariance_audit
 from .models import (
-    AffineDynamics,
-    BicycleDynamics,
-    BicycleGeometry,
-    PointMassDynamics,
-    UnicycleDynamics,
+    actuation,
     bicycle_dynamics_exact,
+    drift,
     integrate_step,
+    model_dynamics,
     slip_from_steering,
 )
 from .safety_filter import (
@@ -67,13 +66,12 @@ from .validity import ValidityReport, validity_probe, verdict_matrix
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineDynamics", "BetaReport", "BicycleDynamics", "BicycleGeometry", "ClassK",
-    "ConfigError", "DegenerateRowError", "EPS_V", "EmptyPathError", "InvarianceReport",
-    "NonFiniteRowError", "ObstacleConfig", "PathTrackerGains", "PointMassDynamics",
+    "BetaReport", "ClassK", "ConfigError", "DegenerateRowError", "EPS_V", "EmptyPathError",
+    "InvarianceReport", "NonFiniteRowError", "ObstacleConfig", "PathTrackerGains",
     "QpProblem", "ReferenceController", "SafetyFilterResult", "ScenarioConfig",
-    "ScenarioTrace", "SimEvent", "UnicycleDynamics", "ValidityReport",
-    "beta_smallness_audit", "bicycle_dynamics_exact", "classify_behavior",
-    "integrate_step", "invariance_audit", "reference_p_controller",
+    "ScenarioTrace", "SimEvent", "ValidityReport", "actuation", "beta_smallness_audit",
+    "bicycle_dynamics_exact", "classify_behavior", "drift", "integrate_step",
+    "invariance_audit", "model_dynamics", "reference_p_controller",
     "reference_path_tracker", "run_scenario", "slip_from_steering",
     "solve_multi_constraint", "solve_single_constraint", "validity_probe",
     "verdict_matrix",

@@ -98,20 +98,17 @@ class ClassK:
         if self.kind != "custom" and self.table is not None:
             raise ValueError(f"class-K kind {self.kind!r} takes no table")
         if self.kind == "custom":
-            if self.table is None or len(self.table) < 2:
-                raise ValueError("custom class-K needs a table of at least two points")
-            xs, ys = self._table_arrays()
+            if not (hasattr(self.table, "__len__") and len(self.table) >= 2
+                    and all(np.shape(p) == (2,) for p in self.table)):
+                raise ValueError(f"custom class-K needs a table of at least two "
+                                 f"(x, kappa(x)) pairs, got {self.table!r}")
+            xs, ys = np.array(self.table, dtype=float).T
             if not np.isfinite([xs, ys]).all():
                 raise ValueError("custom class-K table entries must be finite")
             if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) <= 0):
                 raise ValueError("custom class-K table must be strictly increasing")
             if abs(float(np.interp(0.0, xs, ys))) > 1e-12:
                 raise ValueError("custom class-K table must pass through (0, 0)")
-
-    def _table_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        xs = np.array([p[0] for p in self.table], dtype=float)
-        ys = np.array([p[1] for p in self.table], dtype=float)
-        return xs, ys
 
     def __call__(self, h):
         if self.kind == "linear" and type(h) is float:
@@ -122,7 +119,7 @@ class ClassK:
         elif self.kind == "cubic":
             out = self.gamma * h**3
         else:
-            xs, ys = self._table_arrays()
+            xs, ys = np.array(self.table, dtype=float).T
             out = np.interp(h, xs, ys)
             lo_slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
             hi_slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
@@ -138,7 +135,7 @@ class ClassK:
         elif self.kind == "cubic":
             out = 3.0 * self.gamma * (h * h)
         else:
-            xs, ys = self._table_arrays()
+            xs, ys = np.array(self.table, dtype=float).T
             seg = np.clip(np.searchsorted(xs, h, side="right") - 1, 0, len(xs) - 2)
             out = (ys[seg + 1] - ys[seg]) / (xs[seg + 1] - xs[seg])
         return out if out.ndim else float(out)

@@ -22,13 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
-from .models import BicycleGeometry, bicycle_dynamics_exact, integrate_step
+from .models import bicycle_dynamics_exact, integrate_step
 from .safety_filter import QpProblem, solve_multi_constraint, solve_single_constraint
 from .scenarios import EXPECTED_BEHAVIORS
 from .sim import ScenarioTrace, classify_behavior, run_scenario
@@ -130,8 +129,8 @@ def beta_smallness_audit(trace: ScenarioTrace) -> BetaReport:
     """
     if trace.config.model != "bicycle":
         raise ValueError("beta audit applies to bicycle traces only")
-    geom = BicycleGeometry(trace.config.wheelbase_front, trace.config.wheelbase_rear)
-    exact = partial(bicycle_dynamics_exact, geom=geom)
+    l_r = trace.config.wheelbase_rear
+    exact = lambda x, u: bicycle_dynamics_exact(x, u, l_r)
     exact_states = np.zeros_like(trace.states)
     exact_states[0] = trace.states[0]
     x = trace.states[0]

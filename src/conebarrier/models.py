@@ -1,4 +1,4 @@
-"""Control-affine vehicle models and fixed-step integration.
+"""Vehicle models as plain functions of raw states, and fixed-step integration.
 
 Three model families are provided, all with accelerations (not velocities)
 as inputs so that a safety filter can act on the same quantities a drive
@@ -20,23 +20,20 @@ train actually receives:
 * planar point mass
       state (px, py, vx, vy), input (ax, ay)
 
-Every model is an :class:`AffineDynamics` object, which ``model_dynamics``
-builds from the model's name. ``drift`` (f) and ``actuation`` (g) are its
-affine decomposition on raw state arrays, the reference the tests check
-against; calling it as ``dyn(x, u)`` evaluates the
-closed-form field on Python floats with ``math.cos``/``math.sin``, by the
-arithmetic of ``drift(x) + actuation(x) @ u``, so that ``integrate_step`` runs
-its four stages without per-call NumPy dispatch on 4- and 5-element arrays.
-Headings are never wrapped; all formulas go through sin/cos, and unwrapped
-angles keep logged traces smooth.
+A model is its name in ``MODELS`` and, for the bicycle, the rear-axle
+distance ``l_r`` as a float. ``drift`` (f) and ``actuation`` (g) are the
+array cores of xdot = f(x) + g(x) u over raw states (..., n), the tests'
+reference. ``model_dynamics`` gives the field on one state's Python
+floats, by the arithmetic of ``drift(x) + actuation(x) @ u`` with
+``math.cos``/``math.sin``, which ``integrate_step`` runs without per-call
+NumPy dispatch on 4- and 5-element arrays. Headings are never wrapped; all
+formulas go through sin/cos, and unwrapped angles keep logged traces smooth.
 """
 
 from __future__ import annotations
 
-import abc
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -53,122 +50,81 @@ INPUT_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class BicycleGeometry:
-    """Axle distances from the center of mass, both strictly positive."""
-
-    l_f: float
-    l_r: float
-
-    def __post_init__(self) -> None:
-        if not (self.l_f > 0 and self.l_r > 0):
-            raise ValueError(f"axle distances must be positive, got l_f={self.l_f}, l_r={self.l_r}")
+def unicycle_dynamics(x: Sequence[float], u: Sequence[float]) -> tuple[float, ...]:
+    """The unicycle's field on floats."""
+    _, _, theta, v, omega = x
+    return (v * math.cos(theta), v * math.sin(theta), omega, u[0], u[1])
 
 
-class AffineDynamics(abc.ABC):
-    """Control-affine system xdot = f(x) + g(x) u on raw states."""
-
-    state_dim: int
-    input_dim: int
-
-    @abc.abstractmethod
-    def drift(self, x: np.ndarray) -> np.ndarray:
-        """Drift field f(x), shape (state_dim,)."""
-
-    @abc.abstractmethod
-    def actuation(self, x: np.ndarray) -> np.ndarray:
-        """Actuation matrix g(x), shape (state_dim, input_dim)."""
-
-    @abc.abstractmethod
-    def __call__(self, x: Sequence[float], u: Sequence[float]) -> tuple[float, ...]:
-        """Closed-form field f(x) + g(x) u as floats, by the arithmetic of
-        ``drift(x) + actuation(x) @ u``."""
+def bicycle_dynamics(x: Sequence[float], u: Sequence[float], l_r: float) -> tuple[float, ...]:
+    """The small-slip bicycle's field on floats."""
+    _, _, theta, v = x
+    beta = u[1]
+    vc, vs = v * math.cos(theta), v * math.sin(theta)
+    return (vc - vs * beta, vs + vc * beta, (v / l_r) * beta, u[0])
 
 
-class UnicycleDynamics(AffineDynamics):
-    """Acceleration-controlled unicycle; g is constant."""
-
-    state_dim = 5
-    input_dim = 2
-
-    def drift(self, x: np.ndarray) -> np.ndarray:
-        _, _, theta, v, omega = x
-        return np.array([v * np.cos(theta), v * np.sin(theta), omega, 0.0, 0.0])
-
-    def actuation(self, x: np.ndarray) -> np.ndarray:
-        g = np.zeros((5, 2))
-        g[3, 0] = 1.0
-        g[4, 1] = 1.0
-        return g
-
-    def __call__(self, x, u):
-        _, _, theta, v, omega = x
-        return (v * math.cos(theta), v * math.sin(theta), omega, u[0], u[1])
+def pointmass_dynamics(x: Sequence[float], u: Sequence[float]) -> tuple[float, ...]:
+    """The point mass's field on floats."""
+    return (x[2], x[3], u[0], u[1])
 
 
-class BicycleDynamics(AffineDynamics):
-    """Small-slip kinematic bicycle; beta enters the actuation matrix."""
-
-    state_dim = 4
-    input_dim = 2
-
-    def __init__(self, geometry: BicycleGeometry):
-        self.geometry = geometry
-
-    def drift(self, x: np.ndarray) -> np.ndarray:
-        _, _, theta, v = x
-        return np.array([v * np.cos(theta), v * np.sin(theta), 0.0, 0.0])
-
-    def actuation(self, x: np.ndarray) -> np.ndarray:
-        _, _, theta, v = x
-        return np.array([
-            [0.0, -v * np.sin(theta)],
-            [0.0, v * np.cos(theta)],
-            [0.0, v / self.geometry.l_r],
-            [1.0, 0.0],
-        ])
-
-    def __call__(self, x, u):
-        _, _, theta, v = x
-        beta = u[1]
-        vc, vs = v * math.cos(theta), v * math.sin(theta)
-        return (vc - vs * beta, vs + vc * beta, (v / self.geometry.l_r) * beta, u[0])
-
-
-class PointMassDynamics(AffineDynamics):
-    """Planar double integrator in block form."""
-
-    state_dim = 4
-    input_dim = 2
-
-    def drift(self, x: np.ndarray) -> np.ndarray:
-        return np.array([x[2], x[3], 0.0, 0.0])
-
-    def actuation(self, x: np.ndarray) -> np.ndarray:
-        g = np.zeros((4, 2))
-        g[2, 0] = 1.0
-        g[3, 1] = 1.0
-        return g
-
-    def __call__(self, x, u):
-        return (x[2], x[3], u[0], u[1])
-
-
-def model_dynamics(model: str, geometry: BicycleGeometry) -> AffineDynamics:
-    """The dynamics of one of ``MODELS``; only the bicycle reads ``geometry``."""
-    if model == "unicycle":
-        return UnicycleDynamics()
+def model_dynamics(model: str, l_r: Optional[float] = None) -> Callable:
+    """The field (x, u) -> xdot on floats of ``model``; only the bicycle reads ``l_r``."""
+    _check_axle(model, l_r)
     if model == "bicycle":
-        return BicycleDynamics(geometry)
-    return PointMassDynamics()
+        return lambda x, u: bicycle_dynamics(x, u, l_r)
+    return unicycle_dynamics if model == "unicycle" else pointmass_dynamics
+
+
+def drift(model: str, x) -> np.ndarray:
+    """Drift f(x) of raw states (..., n), shape (..., n)."""
+    _check_model(model)
+    x = np.asarray(x, dtype=float)
+    f = np.zeros_like(x)
+    if model == "pointmass":
+        f[..., 0:2] = x[..., 2:4]
+        return f
+    f[..., 0] = x[..., 3] * np.cos(x[..., 2])
+    f[..., 1] = x[..., 3] * np.sin(x[..., 2])
+    if model == "unicycle":
+        f[..., 2] = x[..., 4]
+    return f
+
+
+def actuation(model: str, x, l_r: Optional[float] = None) -> np.ndarray:
+    """Actuation g(x) of raw states (..., n), shape (..., n, 2); only the bicycle reads ``l_r``."""
+    _check_axle(model, l_r)
+    x = np.asarray(x, dtype=float)
+    g = np.zeros(x.shape + (2,))
+    if model != "bicycle":
+        g[..., -2, 0] = g[..., -1, 1] = 1.0
+        return g
+    theta, v = x[..., 2], x[..., 3]
+    g[..., 3, 0] = 1.0
+    g[..., 0, 1] = -v * np.sin(theta)
+    g[..., 1, 1] = v * np.cos(theta)
+    g[..., 2, 1] = v / l_r
+    return g
+
+
+def _check_model(model: str) -> None:
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}")
+
+
+def _check_axle(model: str, l_r: Optional[float]) -> None:
+    """Reject an unknown model, and a bicycle rear axle that is not positive."""
+    _check_model(model)
+    if model == "bicycle" and not (l_r is not None and l_r > 0):
+        raise ValueError(f"rear-axle distance l_r must be positive, got {l_r}")
 
 
 def bicycle_dynamics_exact(x: Sequence[float], u: Sequence[float],
-                           geom: BicycleGeometry) -> tuple[float, ...]:
+                           l_r: float) -> tuple[float, ...]:
     """State derivative of the exact bicycle model (no small-angle approximation).
 
-    Takes one raw state (x_p, y_p, theta, v) and input (a, beta) and returns
-    the field as floats, like the models' ``__call__``. Not affine in the
+    A field on floats like ``bicycle_dynamics``, but not affine in the
     input; used only to audit how far the small-beta model drifts from the
     exact kinematics under a recorded input sequence.
     """
@@ -177,20 +133,23 @@ def bicycle_dynamics_exact(x: Sequence[float], u: Sequence[float],
     return (
         v * math.cos(theta + beta),
         v * math.sin(theta + beta),
-        (v / geom.l_r) * math.sin(beta),
+        (v / l_r) * math.sin(beta),
         a,
     )
 
 
-def slip_from_steering(delta: float, geom: BicycleGeometry) -> float:
+def slip_from_steering(delta: float, l_f: float, l_r: float) -> float:
     """Slip angle beta at the CoM for a front-wheel steering angle delta.
 
     beta = arctan( l_r / (l_f + l_r) * tan(delta) ); odd and monotone in
-    delta. Rejects |delta| >= pi/2 where the tangent blows up.
+    delta. Rejects nonpositive axle distances, and |delta| >= pi/2 where
+    the tangent blows up.
     """
+    if not (l_f > 0 and l_r > 0):
+        raise ValueError(f"axle distances must be positive, got l_f={l_f}, l_r={l_r}")
     if not abs(delta) < math.pi / 2:
         raise ValueError(f"steering angle {delta} outside (-pi/2, pi/2)")
-    ratio = geom.l_r / (geom.l_f + geom.l_r)
+    ratio = l_r / (l_f + l_r)
     return math.atan(ratio * math.tan(delta))
 
 
@@ -202,10 +161,10 @@ def integrate_step(
 ) -> np.ndarray:
     """One classical RK4 step with the input held constant over the step.
 
-    ``dynamics`` is any callable (x, u) -> xdot on sequences of floats;
-    AffineDynamics instances and ``bicycle_dynamics_exact`` qualify. The four
-    stages run on Python floats, in the operation order of the array form
-    x + (dt/6) (k1 + 2 k2 + 2 k3 + k4), and one float64 array is returned.
+    ``dynamics`` is any callable (x, u) -> xdot on sequences of floats, such
+    as ``model_dynamics(model, l_r)``. The four stages run on Python floats,
+    in the operation order of the array form x + (dt/6) (k1 + 2 k2 + 2 k3 +
+    k4), and one float64 array is returned.
     Raises ArithmeticError when a stage or the update is non-finite, which
     signals integration blow-up rather than silently propagating NaNs.
     """

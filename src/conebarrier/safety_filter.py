@@ -62,7 +62,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .models import BicycleGeometry, slip_from_steering
+from .models import slip_from_steering
 
 ACTIVE_TOL = 1e-9
 """A constraint counts as tight when |L_g h u - rhs| is below this."""
@@ -138,7 +138,7 @@ class PathTrackerGains:
                              f"k_speed > 0 and k_cross >= 0, got {self}")
 
 
-def reference_path_tracker(state: np.ndarray, path: Sequence, geom: BicycleGeometry,
+def reference_path_tracker(state: np.ndarray, path: Sequence, l_f: float, l_r: float,
                            gains: PathTrackerGains) -> np.ndarray:
     """Cross-track plus heading-error steering mapped through the slip relation.
 
@@ -177,7 +177,7 @@ def reference_path_tracker(state: np.ndarray, path: Sequence, geom: BicycleGeome
 
     delta = heading_err - math.atan(gains.k_cross * e_cross / (gains.k_soft + abs(v)))
     delta = float(np.clip(delta, -1.4, 1.4))
-    beta_ref = slip_from_steering(delta, geom)
+    beta_ref = slip_from_steering(delta, l_f, l_r)
     a_ref = gains.k_speed * (gains.v_des - v)
     return np.array([a_ref, beta_ref])
 

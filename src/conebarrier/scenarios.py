@@ -115,12 +115,9 @@ class ScenarioConfig:
             raise ConfigError(f"duration / dt asks for {steps:.3g} steps, more than "
                               f"MAX_STEPS = {MAX_STEPS}")
         expected = len(STATE_NAMES[self.model])
-        if len(self.initial_state) != expected:
-            raise ConfigError(
-                f"{self.model} initial state needs {expected} entries, got {len(self.initial_state)}"
-            )
-        if not all(math.isfinite(x) for x in self.initial_state):
-            raise ConfigError(f"initial state must be finite, got {self.initial_state}")
+        if not _entries(self.initial_state, expected):
+            raise ConfigError(f"{self.model} initial_state needs {expected} finite entries, "
+                              f"got {self.initial_state!r}")
         if not (0 < self.wheelbase_front < math.inf and 0 < self.wheelbase_rear < math.inf):
             raise ConfigError(f"wheelbase distances must be positive and finite, got front="
                               f"{self.wheelbase_front}, rear={self.wheelbase_rear}")
@@ -132,7 +129,7 @@ class ScenarioConfig:
         if not isinstance(self.halt_on_collision, bool):
             raise ConfigError(f"halt_on_collision must be a boolean, got {self.halt_on_collision!r}")
         if self.input_bounds is not None:
-            if not (len(self.input_bounds) == 2 and all(len(s) == 2 for s in self.input_bounds)):
+            if not _entries(self.input_bounds, 2, ok=lambda side: _entries(side, 2, ok=None)):
                 raise ConfigError(f"input_bounds needs two sides of two entries each, "
                                   f"got {self.input_bounds}")
             lo, hi = self.input_bounds
@@ -141,29 +138,37 @@ class ScenarioConfig:
                                   f"got {self.input_bounds}")
         if self.path is not None and self.model != "bicycle":
             raise ConfigError("path tracking is only wired for the bicycle model")
-        if self.path is not None and not all(
-                len(p) == 2 and all(math.isfinite(x) for x in p) for p in self.path):
+        if self.path is not None and not _entries(self.path, None, ok=_entries):
             raise ConfigError(f"path waypoints need two finite entries each, got {self.path}")
         if self.path is not None and len({tuple(p) for p in self.path}) < 2:
             raise ConfigError(f"path needs two distinct waypoints, got {self.path}")
         for i, obs in enumerate(self.obstacles):
             where = f"obstacles[{i}]: obstacle"
-            if any(len(change) != 2 for change in obs.velocity_schedule):
+            if not _entries(obs.velocity_schedule, None, ok=lambda c: _entries(c, 2, ok=None)):
                 raise ConfigError(f"{where} velocity_schedule entries need a time and a velocity")
             pairs = [("center", obs.center), ("velocity", obs.velocity),
                      ("semi_axes", obs.semi_axes)]
             pairs += [(f"velocity_schedule[{j}].velocity", v)
                       for j, (_, v) in enumerate(obs.velocity_schedule)]
             for name, value in pairs:
-                if len(value) != 2 or not all(math.isfinite(x) for x in value):
+                if not _entries(value, 2):
                     raise ConfigError(f"{where} {name} needs two finite entries, got {value}")
             if not (obs.semi_axes[0] > 0 and obs.semi_axes[1] > 0):
                 raise ConfigError(f"{where} semi-axes must be positive, got {obs.semi_axes}")
             times = [t for t, _ in obs.velocity_schedule]
-            if not all(math.isfinite(t) for t in times):
+            if not _entries(times, None):
                 raise ConfigError(f"{where} velocity-change times must be finite, got {times}")
             if times != sorted(times):
                 raise ConfigError(f"{where} velocity-change times must be sorted")
+
+
+def _entries(value, n: Optional[int] = 2, ok=math.isfinite) -> bool:
+    """Whether ``value`` holds ``n`` entries (any count if None) that pass ``ok``
+    (any if None); a value or an entry of the wrong type fails."""
+    try:
+        return (n is None or len(value) == n) and (ok is None or all(map(ok, value)))
+    except TypeError:
+        return False
 
 
 SUITE_NAMES = (
@@ -235,13 +240,6 @@ def _list_of(read):
 _nums = _list_of(_num)
 
 
-def _pair(value, context: str) -> tuple[float, float]:
-    out = _nums(value, context)
-    if len(out) != 2:
-        raise ConfigError(f"{context} needs 2 entries, got {value!r}")
-    return out
-
-
 def _build(cls, tree, context: str, parsers: dict):
     """Build dataclass ``cls`` from a YAML mapping keyed by its field names.
 
@@ -276,7 +274,7 @@ def _reader(cls, **parsers):
     return lambda value, context: _build(cls, value, context, parsers)
 
 
-_classk = _reader(ClassK, kind=_as_is, table=_list_of(_pair))
+_classk = _reader(ClassK, kind=_as_is, table=_list_of(_nums))
 _change = _reader(_Change, velocity=_nums)
 _bounds = _reader(_Bounds, lower=_nums, upper=_nums)
 

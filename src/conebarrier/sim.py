@@ -55,11 +55,7 @@ from typing import Optional
 import numpy as np
 
 from . import barriers as B
-from .models import (
-    BicycleGeometry,
-    integrate_step,
-    model_dynamics,
-)
+from .models import integrate_step, model_dynamics
 from .safety_filter import (
     PathTrackerGains,
     QpProblem,
@@ -180,11 +176,10 @@ class ScenarioTrace:
 
 def _make_controller(cfg: ScenarioConfig):
     if cfg.path is not None:
-        geom = BicycleGeometry(cfg.wheelbase_front, cfg.wheelbase_rear)
         gains = cfg.path_gains or PathTrackerGains(v_des=cfg.controller.v_des,
                                                    k_speed=cfg.controller.k_speed)
-        path = np.asarray(cfg.path, dtype=float)
-        return lambda state: reference_path_tracker(state, path, geom, gains)
+        path, l_f, l_r = np.asarray(cfg.path, dtype=float), cfg.wheelbase_front, cfg.wheelbase_rear
+        return lambda state: reference_path_tracker(state, path, l_f, l_r, gains)
 
     return lambda state: reference_p_controller(cfg.model, state, cfg.controller)
 
@@ -206,7 +201,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
     n_rec = n_steps + 1
     n_obs = len(cfg.obstacles)
 
-    dyn = model_dynamics(cfg.model, BicycleGeometry(cfg.wheelbase_front, cfg.wheelbase_rear))
+    dyn = model_dynamics(cfg.model, cfg.wheelbase_rear)
     controller = _make_controller(cfg)
     shadow_only = cfg.barrier == "none"
     barrier = "c3bf" if shadow_only else cfg.barrier

@@ -20,7 +20,7 @@ import pytest
 
 from conebarrier import claims
 from conebarrier.barriers import ClassK
-from conebarrier.models import BicycleGeometry, model_dynamics
+from conebarrier.models import actuation, drift
 from conebarrier.scenarios import EXPECTED_BEHAVIORS, load_packaged
 from conebarrier.sim import run_scenario
 from conebarrier.validity import MATRIX_ROWS, verdict_matrix
@@ -86,12 +86,10 @@ def test_criterion_1_gradient_suite():
             rng, model, n, cone=barrier == "c3bf")
         pair_terms = partial(terms, barrier, model, body_offset=BODY_OFFSET,
                              rear_axle=REAR_AXLE, kappa1=ClassK("linear", 1.0))
-        dyn = model_dynamics(model, BicycleGeometry(1.2, REAR_AXLE))
         h, lf, lg = pair_terms(states, centers, cdot, axes, radii)
 
         # Drift direction in the extended (state, obstacle-center) space.
-        drift = np.stack([dyn.drift(s) for s in states])
-        dir_full = np.concatenate([drift, cdot], axis=1)
+        dir_full = np.concatenate([drift(model, states), cdot], axis=1)
         nrm = np.maximum(np.linalg.norm(dir_full, axis=1), 1e-12)
         unit = dir_full / nrm[:, None]
         delta = 1e-6
@@ -101,8 +99,9 @@ def test_criterion_1_gradient_suite():
         fd_lf = (hp - hm) / (2 * delta) * nrm
         worst = float(np.max(np.abs(fd_lf - lf) / np.maximum(1.0, np.abs(lf))))
 
+        g = actuation(model, states, REAR_AXLE)
         for j in range(2):
-            cols = np.stack([dyn.actuation(s)[:, j] for s in states])
+            cols = g[..., j]
             cn = np.maximum(np.linalg.norm(cols, axis=1), 1e-12)
             ucols = cols / cn[:, None]
             hp = pair_terms(states + delta * ucols, centers, cdot, axes, radii)[0]

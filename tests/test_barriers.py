@@ -16,7 +16,7 @@ from conebarrier.barriers import (
     reference_kinematics,
     relative_motion,
 )
-from conebarrier.models import BicycleGeometry, model_dynamics
+from conebarrier.models import actuation, drift
 from conebarrier.validity import MATRIX_ROWS
 
 from conftest import cone, directional_fd, terms
@@ -220,7 +220,6 @@ def _admissible_cone_sample(rng, model, l=0.1, rear=1.6):
 @pytest.mark.parametrize("model", ["unicycle", "bicycle", "pointmass"])
 def test_c3bf_gradients_match_finite_differences(model):
     rng = np.random.default_rng(21)
-    dyn = model_dynamics(model, BicycleGeometry(1.2, 1.6))
     terms = lambda s, c, cd, r: cone(model, s, c, cd, r, body_offset=0.1, rear_axle=1.6)
 
     worst = 0.0
@@ -230,9 +229,9 @@ def test_c3bf_gradients_match_finite_differences(model):
         n = state.shape[0]
         ext = np.concatenate([state, center])
         h_ext = lambda z: terms(z[:n], z[n:], cdot, r)[0]
-        fd_lf = directional_fd(h_ext, ext, np.concatenate([dyn.drift(state), cdot]))
+        fd_lf = directional_fd(h_ext, ext, np.concatenate([drift(model, state), cdot]))
         worst = max(worst, abs(fd_lf - lf) / max(1.0, abs(lf)))
-        g = dyn.actuation(state)
+        g = actuation(model, state, 1.6)
         for j in range(2):
             fd = directional_fd(h_ext, ext, np.concatenate([g[:, j], np.zeros(2)]))
             worst = max(worst, abs(fd - lg[j]) / max(1.0, abs(lg[j])))
@@ -247,7 +246,6 @@ def test_baseline_gradients_match_finite_differences(barrier, model):
     rng = np.random.default_rng(31)
     kappa1 = ClassK("linear", 1.0)
     rear = 1.6
-    dyn = model_dynamics(model, BicycleGeometry(1.2, rear))
     worst = 0.0
     for _ in range(300):
         n = 5 if model == "unicycle" else 4
@@ -263,9 +261,9 @@ def test_baseline_gradients_match_finite_differences(barrier, model):
         h, lf, lg = fn(state, center)
         ext = np.concatenate([state, center])
         h_ext = lambda z: fn(z[:n], z[n:])[0]
-        fd_lf = directional_fd(h_ext, ext, np.concatenate([dyn.drift(state), cdot]))
+        fd_lf = directional_fd(h_ext, ext, np.concatenate([drift(model, state), cdot]))
         worst = max(worst, abs(fd_lf - lf) / max(1.0, abs(lf)))
-        g = dyn.actuation(state)
+        g = actuation(model, state, rear)
         for j in range(2):
             fd = directional_fd(h_ext, ext, np.concatenate([g[:, j], np.zeros(2)]))
             worst = max(worst, abs(fd - lg[j]) / max(1.0, abs(lg[j])))
@@ -479,3 +477,8 @@ def test_classk_validation():
     for kind in ("linear", "cubic"):
         with pytest.raises(ValueError, match="takes no table"):
             ClassK(kind, 1.0, ((0.0, 0.0), (1.0, 1.0)))
+    # A table point that is not an (x, kappa(x)) pair: three entries, or one.
+    for table in (((-1.0, -1.0, 5.0), (0.0, 0.0, 9.0), (1.0, 1.0, 7.0)),
+                  ((-1.0,), (0.0, 0.0), (1.0, 1.0))):
+        with pytest.raises(ValueError, match=r"\(x, kappa\(x\)\) pairs"):
+            ClassK("custom", 1.0, table)

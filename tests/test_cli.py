@@ -99,6 +99,12 @@ def _packaged_tree(edit, name="braking_unicycle"):
     pytest.param(_packaged_tree(lambda t: t.update(kappa={
         "kind": "linear", "gamma": 1.0, "table": [[0.0, 0.0], [1.0, 1.0]]})),
                  id="table-on-linear-kappa"),
+    pytest.param(_packaged_tree(lambda t: t.update(kappa={
+        "kind": "custom", "table": [[-1.0, -1.0, 5.0], [0.0, 0.0, 9.0], [1.0, 1.0, 7.0]]})),
+                 id="three-entry-table-points"),
+    pytest.param(_packaged_tree(lambda t: t.update(kappa={
+        "kind": "custom", "table": [[-1.0], [0.0, 0.0], [1.0, 1.0]]})),
+                 id="one-entry-table-point"),
     pytest.param(_packaged_tree(lambda t: t.update(width=math.inf), "weave_bicycle"),
                  id="infinite-width"),
     pytest.param(_packaged_tree(lambda t: t.update(wheelbase_rear=math.inf), "weave_bicycle"),

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conebarrier import sim
 from conebarrier.barriers import EPS_V, ClassK
 from conebarrier.claims import exact_qp, qp_draws, qp_exact_oracle
-from conebarrier.models import BicycleGeometry
 from conebarrier.safety_filter import (
     ACTIVE_TOL,
     DegenerateRowError,
@@ -64,40 +63,36 @@ def test_controller_validation():
 
 
 def test_path_tracker_on_path_aligned():
-    geom = BicycleGeometry(1.0, 1.0)
     gains = PathTrackerGains(k_cross=1.0, k_soft=0.5, k_speed=1.0, v_des=2.0)
     path = [(0.0, 0.0), (10.0, 0.0)]
-    u = reference_path_tracker(np.array([3.0, 0.0, 0.0, 2.0]), path, geom, gains)
+    u = reference_path_tracker(np.array([3.0, 0.0, 0.0, 2.0]), path, 1.0, 1.0, gains)
     assert u[0] == pytest.approx(0.0, abs=1e-15)
     assert u[1] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_path_tracker_offset_left_steers_right():
-    geom = BicycleGeometry(1.0, 1.0)
     gains = PathTrackerGains(k_cross=1.0, k_soft=0.5, k_speed=1.0, v_des=2.0)
     path = [(0.0, 0.0), (10.0, 0.0)]
-    u = reference_path_tracker(np.array([3.0, 1.0, 0.0, 2.0]), path, geom, gains)
+    u = reference_path_tracker(np.array([3.0, 1.0, 0.0, 2.0]), path, 1.0, 1.0, gains)
     assert u[1] < 0.0  # left of the path: slip toward negative y
 
 
 def test_path_tracker_rejects_short_path():
-    geom = BicycleGeometry(1.0, 1.0)
     gains = PathTrackerGains()
     with pytest.raises(EmptyPathError):
-        reference_path_tracker(np.array([0, 0, 0, 1.0]), [(0.0, 0.0)], geom, gains)
+        reference_path_tracker(np.array([0, 0, 0, 1.0]), [(0.0, 0.0)], 1.0, 1.0, gains)
 
 
 def test_path_tracker_converges_from_offset():
     # Closed loop without obstacles: 1 m offset must settle within 10 s.
-    from conebarrier.models import BicycleDynamics, integrate_step
-    geom = BicycleGeometry(1.0, 1.0)
+    from conebarrier.models import integrate_step, model_dynamics
     gains = PathTrackerGains(k_cross=1.0, k_soft=0.5, k_speed=1.0, v_des=2.0)
     path = np.array([[0.0, 0.0], [80.0, 0.0]])
-    dyn = BicycleDynamics(geom)
+    dyn = model_dynamics("bicycle", 1.0)
     x = np.array([0.0, 1.0, 0.0, 2.0])
     dt = 0.01
     for _ in range(1000):
-        u = reference_path_tracker(x, path, geom, gains)
+        u = reference_path_tracker(x, path, 1.0, 1.0, gains)
         x = integrate_step(dyn, x, u, dt)
     assert abs(x[1]) < 0.05
 

@@ -4,7 +4,7 @@ import ast
 import inspect
 
 import conebarrier
-from conebarrier import claims, cli, scenarios, sim
+from conebarrier import claims, cli, models, scenarios, sim
 
 
 def test_public_surface_resolves():
@@ -15,6 +15,18 @@ def test_public_surface_resolves():
     namespace = {}
     exec("from conebarrier import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def test_models_are_names_and_array_cores():
+    # A model is its name and the rear-axle float: no class layer over f and g.
+    gone = ("AffineDynamics", "UnicycleDynamics", "BicycleDynamics", "PointMassDynamics",
+            "BicycleGeometry")
+    assert [name for name in gone if hasattr(conebarrier, name) or name in conebarrier.__all__] == []
+    assert [name for name in gone + ("state_dim", "input_dim") if hasattr(models, name)] == []
+    assert not any(inspect.isclass(v) and v.__module__ == models.__name__
+                   for v in vars(models).values())
+    for name in ("drift", "actuation", "model_dynamics"):
+        assert getattr(conebarrier, name) is getattr(models, name), name
 
 
 AUDIT_NAMES = ("invariance_audit", "beta_smallness_audit", "InvarianceReport", "BetaReport",

@@ -125,6 +125,13 @@ def test_with_overrides_validates():
     pytest.param(dict(input_bounds=((1.0, 2.0),)), id="one-sided-input-bounds"),
     pytest.param(dict(halt_on_collision="false"), id="quoted-bool-halt"),
     pytest.param(dict(barrier=["c3bf"]), id="list-barrier"),
+    # A number where a sequence belongs is a ConfigError, not len()'s TypeError.
+    pytest.param(dict(path=(1.0, 2.0)), id="number-waypoints"),
+    pytest.param(dict(input_bounds=(1.0, 2.0)), id="number-input-bound-sides"),
+    pytest.param(dict(initial_state=5.0), id="number-initial-state"),
+    pytest.param(dict(obstacles=(ObstacleConfig(center=1.0),)), id="number-center"),
+    pytest.param(dict(obstacles=(ObstacleConfig(center=(1.0, 1.0), velocity_schedule=(1.0,)),)),
+                 id="number-schedule-entry"),
 ])
 def test_config_errors_name_the_scenario(change):
     # Overrides and replace() break packaged scenarios with no file to name.
@@ -133,6 +140,7 @@ def test_config_errors_name_the_scenario(change):
         replace(cfg, **change)
     message = str(err.value)
     assert message.startswith("weave_bicycle: ") and message.count("weave_bicycle") == 1
+    assert next(iter(change)) in message
 
 
 def test_step_count_capped_when_built():

@@ -12,7 +12,7 @@ from conebarrier import barriers, claims, sim
 from conebarrier.barriers import ClassK
 from conebarrier.claims import beta_smallness_audit, invariance_audit
 from conebarrier.cli import FLAG_EVENTS, write_trace_csv
-from conebarrier.models import UnicycleDynamics, integrate_step
+from conebarrier.models import integrate_step, unicycle_dynamics
 from conebarrier.safety_filter import ReferenceController
 from conebarrier.scenarios import (
     SUITE_NAMES,
@@ -61,14 +61,13 @@ def test_barrier_disabled_equals_reference_only_loop():
                       obstacles=(ObstacleConfig(center=(2.0, 0.0), semi_axes=(0.5, 0.5)),),
                       duration=2.0)
     trace = run_scenario(cfg)
-    dyn = UnicycleDynamics()
     x = np.array(cfg.initial_state)
     ctrl = cfg.controller
     for k in range(trace.states.shape[0]):
         assert np.array_equal(trace.states[k], x)
         u = np.array([ctrl.k_speed * (ctrl.v_des - x[3]), -ctrl.k_damp * x[4]])
         assert np.array_equal(trace.u_star[k], u)
-        x = integrate_step(dyn, x, u, cfg.dt)
+        x = integrate_step(unicycle_dynamics, x, u, cfg.dt)
 
 
 def test_perception_gating_passthrough():
