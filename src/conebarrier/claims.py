@@ -131,11 +131,10 @@ def beta_smallness_audit(trace: ScenarioTrace) -> BetaReport:
         raise ValueError("beta audit applies to bicycle traces only")
     l_r = trace.config.wheelbase_rear
     exact = lambda x, u: bicycle_dynamics_exact(x, u, l_r)
-    exact_states = np.zeros_like(trace.states)
-    exact_states[0] = trace.states[0]
-    x = trace.states[0]
-    for k in range(1, trace.states.shape[0]):
-        x = exact_states[k] = integrate_step(exact, x, trace.u_star[k - 1], trace.config.dt)
+    exact_states = trace.states.copy()  # row 0, the start, is shared; each row feeds the next
+    for k in range(1, len(exact_states)):
+        exact_states[k] = integrate_step(exact, exact_states[k - 1].tolist(),
+                                         trace.u_star[k - 1].tolist(), trace.config.dt)
 
     diff = np.linalg.norm(exact_states[:, 0:2] - trace.states[:, 0:2], axis=1)
     seg = np.linalg.norm(np.diff(trace.states[:, 0:2], axis=0), axis=1)

@@ -25,8 +25,9 @@ distance ``l_r`` as a float. ``drift`` (f) and ``actuation`` (g) are the
 array cores of xdot = f(x) + g(x) u over raw states (..., n), the tests'
 reference. ``model_dynamics`` gives the field on one state's Python
 floats, by the arithmetic of ``drift(x) + actuation(x) @ u`` with
-``math.cos``/``math.sin``, which ``integrate_step`` runs without per-call
-NumPy dispatch on 4- and 5-element arrays. Headings are never wrapped; all
+``math.cos``/``math.sin``. ``integrate_step`` runs it on the engine's list
+state and list input as they are, so an RK4 step makes no NumPy call until
+it returns its one float64 array. Headings are never wrapped; all
 formulas go through sin/cos, and unwrapped angles keep logged traces smooth.
 """
 
@@ -155,45 +156,37 @@ def slip_from_steering(delta: float, l_f: float, l_r: float) -> float:
 
 def integrate_step(
     dynamics: Callable[[Sequence[float], Sequence[float]], Sequence[float]],
-    state: np.ndarray,
-    u: np.ndarray,
+    state: Sequence[float],
+    u: Sequence[float],
     dt: float,
 ) -> np.ndarray:
     """One classical RK4 step with the input held constant over the step.
 
     ``dynamics`` is any callable (x, u) -> xdot on sequences of floats, such
-    as ``model_dynamics(model, l_r)``. The four stages run on Python floats,
-    in the operation order of the array form x + (dt/6) (k1 + 2 k2 + 2 k3 +
-    k4), and one float64 array is returned.
-    Raises ArithmeticError when a stage or the update is non-finite, which
-    signals integration blow-up rather than silently propagating NaNs.
+    as ``model_dynamics(model, l_r)``. ``state`` and ``u`` are used as they
+    are, so on the engine's lists the four stages run on Python floats, in
+    the operation order of the array form x + (dt/6) (k1 + 2 k2 + 2 k3 +
+    k4); one float64 array is returned. Raises ArithmeticError when the
+    update is non-finite, or when a stage on a non-finite state raises
+    ValueError (as ``math.cos`` does on inf): integration blow-up rather than
+    silently propagating NaNs. A finite stage's ValueError propagates.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    x = np.asarray(state, dtype=float).tolist()
-    u = np.asarray(u, dtype=float).tolist()
     half = 0.5 * dt
-    k1 = _field(dynamics, x, u)
-    k2 = _field(dynamics, [xi + half * ki for xi, ki in zip(x, k1)], u)
-    k3 = _field(dynamics, [xi + half * ki for xi, ki in zip(x, k2)], u)
-    k4 = _field(dynamics, [xi + dt * ki for xi, ki in zip(x, k3)], u)
+    stage = state
+    try:
+        k1 = dynamics(stage, u)
+        k2 = dynamics(stage := [xi + half * ki for xi, ki in zip(state, k1)], u)
+        k3 = dynamics(stage := [xi + half * ki for xi, ki in zip(state, k2)], u)
+        k4 = dynamics(stage := [xi + dt * ki for xi, ki in zip(state, k3)], u)
+    except ValueError:
+        if all(map(math.isfinite, stage)):
+            raise
+        raise ArithmeticError("integration blow-up: non-finite RK4 stage") from None
     sixth = dt / 6.0
     out = [xi + sixth * (a + 2.0 * b + 2.0 * c + d)
-           for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+           for xi, a, b, c, d in zip(state, k1, k2, k3, k4)]
     if not all(map(math.isfinite, out)):
         raise ArithmeticError("integration blow-up: non-finite state after RK4 step")
     return np.array(out)
-
-
-def _field(dynamics, x: list, u: list):
-    """dynamics(x, u) at one RK4 stage; an infinite stage is a blow-up.
-
-    ``math.cos``/``math.sin`` reject infinite arguments with ValueError; a
-    ValueError from a finite stage is the caller's and propagates.
-    """
-    try:
-        return dynamics(x, u)
-    except ValueError:
-        if all(map(math.isfinite, x)):
-            raise
-        raise ArithmeticError("integration blow-up: non-finite RK4 stage") from None

@@ -13,12 +13,13 @@ psi >= 0 leaves the reference untouched, psi < 0 projects it onto the
 constraint plane; ``solve_single_constraint`` keeps this closed form as the
 tests' reference.
 
-``solve_multi_constraint(qp, basis)`` solves any number of rows in one
-incremental pass on Python floats, as an LP-type problem of dimension two
-(Seidel 1991; RVO2's ``linearProgram2``). Rows are taken in order, the
-previous ``basis`` first; a row violated at the current u (at all at u_ref,
-by more than 1e-9 once u has moved) moves u to u_ref's projection onto its
-line, clamped to the interval there that the earlier rows allow. One row is
+``solve_multi_constraint(qp, basis)`` answers no rows inactive at once and
+solves other rows in one incremental pass on Python floats, as an LP-type
+problem of dimension two (Seidel 1991; RVO2's ``linearProgram2``). Rows
+are taken in order, the previous ``basis`` first; a row violated at the
+current u (at all at u_ref, by more than 1e-9 once u has moved) moves u to
+u_ref's projection onto its line, clamped to the interval there that the
+earlier rows allow. One row is
 the closed form bit for bit: psi = A u_ref - b comes from numpy, as it is
 logged, and so does the first moving row's squared norm (Python's
 x*x + y*y differs from BLAS in the last bit on 1,080 of the packaged
@@ -146,7 +147,9 @@ def reference_path_tracker(state: np.ndarray, path: Sequence, l_f: float, l_r: f
     point on the polyline, steers with
     delta = heading_error + atan(k_cross * e / (k_soft + |v|)) where e is the
     signed cross-track error (positive left of the path), converts delta to a
-    slip angle, and holds speed with the P-law.
+    slip angle, and holds speed with the P-law. Float ``min``/``max`` clamps and
+    ``math.sqrt`` norms give ``np.clip``'s and ``np.linalg.norm``'s bits; the
+    2-vector products stay ``@``, as Python's x*x + y*y rounds apart from BLAS.
     """
     pts = np.asarray(path, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
@@ -160,23 +163,23 @@ def reference_path_tracker(state: np.ndarray, path: Sequence, l_f: float, l_r: f
         seg_len2 = float(seg @ seg)
         if seg_len2 == 0.0:
             continue
-        tau = float(np.clip((pos - pts[i]) @ seg / seg_len2, 0.0, 1.0))
+        tau = float(min(max((pos - pts[i]) @ seg / seg_len2, 0.0), 1.0))
         foot = pts[i] + tau * seg
         d2 = float((pos - foot) @ (pos - foot))
         if best is None or d2 < best[0]:
-            best = (d2, foot, seg)
+            best = (d2, foot, seg, seg_len2)
     if best is None:
         raise EmptyPathError("path has zero total length")
-    _, foot, seg = best
+    _, foot, seg, seg_len2 = best
 
-    tangent = seg / np.linalg.norm(seg)
+    tangent = seg / math.sqrt(seg_len2)
     # Signed cross-track error: positive when the vehicle is left of the path.
     e_cross = float(tangent[0] * (pos[1] - foot[1]) - tangent[1] * (pos[0] - foot[0]))
     path_heading = math.atan2(tangent[1], tangent[0])
     heading_err = math.atan2(math.sin(path_heading - theta), math.cos(path_heading - theta))
 
     delta = heading_err - math.atan(gains.k_cross * e_cross / (gains.k_soft + abs(v)))
-    delta = float(np.clip(delta, -1.4, 1.4))
+    delta = min(max(delta, -1.4), 1.4)
     beta_ref = slip_from_steering(delta, l_f, l_r)
     a_ref = gains.k_speed * (gains.v_des - v)
     return np.array([a_ref, beta_ref])
@@ -353,11 +356,13 @@ def _worst(a, b, rows, u) -> float:
 def solve_multi_constraint(qp: QpProblem, basis: tuple[int, ...] = ()) -> SafetyFilterResult:
     """The QP in one incremental pass, ``basis`` first; least violation when the rows conflict."""
     u_ref, a_mat, b_vec = qp
+    if not len(b_vec):  # no row: inactive, before any arithmetic
+        return SafetyFilterResult(u_ref.copy(), u_ref, psi=b_vec, active_set=(), status="inactive")
     psi = a_mat @ u_ref - b_vec
     slack = psi.tolist()
     if not math.isfinite(sum(slack)):  # as it is whenever a row entry is not finite
         _check_finite(a_mat, b_vec)
-    if min(slack, default=0.0) >= 0.0:
+    if min(slack) >= 0.0:
         return SafetyFilterResult(u_star=u_ref.copy(), u_ref=u_ref, psi=psi,
                                   active_set=(), status="inactive")
     start, a, b = u_ref.tolist(), a_mat.tolist(), b_vec.tolist()

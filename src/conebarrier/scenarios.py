@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, replace
 from importlib import resources
+from numbers import Real
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -47,6 +48,11 @@ its pass after the loop holds about as much again in temporaries: a peak
 near 300 bytes per step with one obstacle (tracemalloc, a 100,001-step
 ``braking_unicycle``), so a tiny dt must fail when the config is built
 rather than in the allocation or hours into the run."""
+_KINDS = {"controller": ReferenceController, "kappa": ClassK, "kappa1": (ClassK, type(None)),
+          "path_gains": (PathTrackerGains, type(None)), "halt_on_collision": bool,
+          **dict.fromkeys(("body_offset", "width", "wheelbase_front", "wheelbase_rear",
+                           "perception_radius", "dt", "duration"), Real)}
+"""The type of each ``ScenarioConfig`` field that holds one number, flag or config."""
 
 
 class ConfigError(ValueError):
@@ -98,6 +104,11 @@ class ScenarioConfig:
             raise ConfigError(f"{self.name}: {exc}") from None
 
     def _check(self) -> None:
+        for f in fields(self):
+            if not isinstance(value := getattr(self, f.name), _KINDS.get(f.name, object)):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        if not _entries(self.obstacles, None, ok=lambda obs: isinstance(obs, ObstacleConfig)):
+            raise ConfigError(f"obstacles must be ObstacleConfigs, got {self.obstacles!r}")
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.barrier not in BARRIER_KINDS:
@@ -126,8 +137,6 @@ class ScenarioConfig:
         if not (self.perception_radius >= 0 and 0 <= self.width < math.inf):
             raise ConfigError(f"perception_radius must be nonnegative and width nonnegative "
                               f"and finite, got {self.perception_radius} and {self.width}")
-        if not isinstance(self.halt_on_collision, bool):
-            raise ConfigError(f"halt_on_collision must be a boolean, got {self.halt_on_collision!r}")
         if self.input_bounds is not None:
             if not _entries(self.input_bounds, 2, ok=lambda side: _entries(side, 2, ok=None)):
                 raise ConfigError(f"input_bounds needs two sides of two entries each, "

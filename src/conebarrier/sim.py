@@ -11,16 +11,18 @@ for the halt and the row test (in the perception radius and, for the cone,
 outside the combined radius with relative speed above ``EPS_V``; none on
 shadow runs). Each row is one ``barriers.barrier_terms`` call on floats,
 and the QP gets the rows ``L_g h`` (m, 2) and ``-L_f h - kappa(h)`` (m,) as
-arrays. The QP answer is clipped to the input bounds (the QP itself is
-unbounded) and held for one RK4 step. The state, the reference and
-filtered inputs, psi (NaN without a row: the constrained flags), the
-active rows and the infeasible and saturated flags go to preallocated
-logs. After the loop, one array pass over the logged states (T, 1, n)
-against the tracks (T, n_obs, 2) gives every obstacle's separation,
-relative speed and h at every step, bit for bit what a float row gives,
-and forms the perception and degenerate-velocity masks and the NaN of h
-where the cone is undefined (an obstacle inside its combined radius has
-no cone and builds no row).
+arrays; steps without a row share one read-only (0, 2)/(0,) pair, which
+the QP answers inactive at once. The QP answer is clipped to the input
+bounds (the QP itself is unbounded) and held, as a list, for one RK4 step
+of the list state. The state, the reference and filtered inputs, psi (by
+row index; NaN without a row: the constrained flags), the active rows and
+the infeasible and saturated flags go to preallocated logs. After the
+loop, one array pass over the logged states (T, 1, n) against the tracks
+(T, n_obs, 2) gives every obstacle's separation, relative speed and h at
+every step, bit for bit what a float row gives, and forms the perception
+and degenerate-velocity masks and the NaN of h where the cone is
+undefined (an obstacle inside its combined radius has no cone and builds
+no row).
 
 Float arithmetic overflows to inf silently (an overflowing track holds
 inf), so the pass judges a blow-up: one ArithmeticError names the first
@@ -223,6 +225,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
     psi_log = np.full((n_rec, n_obs), np.nan)
     qp_active_log = np.zeros((n_rec, n_obs), dtype=bool)
     infeasible_log, saturated_log = np.zeros((2, n_rec), dtype=bool)
+    no_rows = np.broadcast_to(0.0, (0, 2)), np.broadcast_to(0.0, 0)  # read-only empty rows
 
     # Obstacle tracks; an accumulate adds in order, so c_{k+1} = c_k + v_k dt bit for bit,
     # and an overflow leaves inf, which the pass after the loop reports at its step.
@@ -260,8 +263,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
                 # The previous step's basis, as rows of this step, if all its obstacles kept a row.
                 hint = (tuple(map(row_obstacle.index, pinned))
                         if set(pinned) <= set(row_obstacle) else ())
-                qp = QpProblem(u_ref, np.array(lg_rows, dtype=float).reshape(-1, 2),
-                               np.array(b_rows, dtype=float))
+                qp = QpProblem(u_ref, *(no_rows if not row_obstacle else (
+                    np.array(lg_rows, dtype=float), np.array(b_rows, dtype=float))))
                 result = solve_multi_constraint(qp, hint)
                 pinned = [row_obstacle[j] for j in result.basis]
                 infeasible_log[k] = result.status == "infeasible"
@@ -272,8 +275,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
                     saturated_log[k] = not np.array_equal(clipped, u_star)
                     u_star = clipped
 
-                if row_obstacle:
-                    psi_log[k, row_obstacle] = result.psi
+                for i, psi in zip(row_obstacle, result.psi.tolist()):
+                    psi_log[k, i] = psi
                 for j in result.active_set:
                     qp_active_log[k, row_obstacle[j]] = True
                 u_star_log[k] = u_star
@@ -282,7 +285,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
                     break
 
                 if k < n_rec - 1:
-                    x = integrate_step(dyn, x, u_star, cfg.dt).tolist()
+                    x = integrate_step(dyn, x, u_star.tolist(), cfg.dt).tolist()
     except ArithmeticError as exc:
         failure = exc  # judged below, after the steps up to this one
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conebarrier import sim
 from conebarrier.barriers import EPS_V, ClassK
 from conebarrier.claims import exact_qp, qp_draws, qp_exact_oracle
+from conebarrier.models import slip_from_steering
 from conebarrier.safety_filter import (
     ACTIVE_TOL,
     DegenerateRowError,
@@ -23,7 +24,7 @@ from conebarrier.safety_filter import (
     solve_multi_constraint,
     solve_single_constraint,
 )
-from conebarrier.scenarios import ObstacleConfig, ScenarioConfig
+from conebarrier.scenarios import ObstacleConfig, ScenarioConfig, load_packaged, with_overrides
 from conebarrier.sim import run_scenario
 
 from conftest import qp_of
@@ -81,6 +82,62 @@ def test_path_tracker_rejects_short_path():
     gains = PathTrackerGains()
     with pytest.raises(EmptyPathError):
         reference_path_tracker(np.array([0, 0, 0, 1.0]), [(0.0, 0.0)], 1.0, 1.0, gains)
+
+
+def _tracker_with_np_clip(state, path, l_f, l_r, gains, clamps):
+    """``reference_path_tracker`` with ``np.clip`` and ``np.linalg.norm``, as the
+    reference for its float clamps and tangent norm; records in ``clamps``
+    which of tau's and delta's clamps bit."""
+    pts = np.asarray(path, dtype=float)
+    pos = np.array(state[0:2], dtype=float)
+    theta, v = state[2], state[3]
+    best = None
+    for i in range(pts.shape[0] - 1):
+        seg = pts[i + 1] - pts[i]
+        seg_len2 = float(seg @ seg)
+        if seg_len2 == 0.0:
+            continue
+        raw = (pos - pts[i]) @ seg / seg_len2
+        clamps.update({"tau 0"} if raw < 0.0 else {"tau 1"} if raw > 1.0 else set())
+        tau = float(np.clip(raw, 0.0, 1.0))
+        foot = pts[i] + tau * seg
+        d2 = float((pos - foot) @ (pos - foot))
+        if best is None or d2 < best[0]:
+            best = (d2, foot, seg)
+    _, foot, seg = best
+    tangent = seg / np.linalg.norm(seg)
+    e_cross = float(tangent[0] * (pos[1] - foot[1]) - tangent[1] * (pos[0] - foot[0]))
+    path_heading = math.atan2(tangent[1], tangent[0])
+    heading_err = math.atan2(math.sin(path_heading - theta), math.cos(path_heading - theta))
+    delta = heading_err - math.atan(gains.k_cross * e_cross / (gains.k_soft + abs(v)))
+    clamps.update({"delta -1.4"} if delta < -1.4 else {"delta 1.4"} if delta > 1.4 else set())
+    delta = float(np.clip(delta, -1.4, 1.4))
+    return np.array([gains.k_speed * (gains.v_des - v), slip_from_steering(delta, l_f, l_r)])
+
+
+def test_path_tracker_bit_identical_to_np_clip_version():
+    rng = np.random.default_rng(29)
+    gains = PathTrackerGains(k_cross=1.3, k_soft=0.5, k_speed=1.0, v_des=2.0)
+    paths = [np.cumsum(rng.uniform(-4.0, 4.0, (n + 1, 2)), axis=0) for n in (2, 3, 4, 5)]
+    paths.append(np.array([[0.0, 0.0], [5.0, 0.0], [5.0, 0.0], [9.0, 3.0]]))  # a zero-length segment
+    clamps = set()
+    for path in paths:
+        lo, hi = path.min(axis=0) - 3.0, path.max(axis=0) + 3.0
+        for _ in range(200):
+            state = [*rng.uniform(lo, hi), rng.uniform(-2 * math.pi, 2 * math.pi),
+                     rng.uniform(-3.0, 3.0)]
+            for x in (state, np.array(state)):
+                got = reference_path_tracker(x, path, 1.2, 1.6, gains)
+                want = _tracker_with_np_clip(x, path, 1.2, 1.6, gains, clamps)
+                assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert clamps == {"tau 0", "tau 1", "delta -1.4", "delta 1.4"}
+
+    nan_state = [math.nan, 0.0, 0.0, 1.0]
+    with pytest.raises(ValueError) as new:
+        reference_path_tracker(nan_state, paths[-1], 1.2, 1.6, gains)
+    with pytest.raises(ValueError) as old:
+        _tracker_with_np_clip(nan_state, paths[-1], 1.2, 1.6, gains, set())
+    assert type(new.value) is type(old.value) and str(new.value) == str(old.value)
 
 
 def test_path_tracker_converges_from_offset():
@@ -166,7 +223,27 @@ def test_multi_no_rows_passthrough():
     res = solve_multi_constraint(QpProblem(u_ref, np.empty((0, 2)), np.empty(0)))
     assert res.status == "inactive"
     np.testing.assert_array_equal(res.u_star, u_ref)
+    assert res.u_star is not u_ref and not np.shares_memory(res.u_star, u_ref)
     assert res.psi.shape == (0,)
+    assert res.active_set == () and res.basis == ()
+
+
+def test_engine_steps_without_rows_share_read_only_empty_rows(monkeypatch):
+    # A shadow run (--barrier none) builds no row at any step: every step's
+    # QP gets the same read-only (0, 2) and (0,) arrays, still one QP per step.
+    qps = []
+    solve = sim.solve_multi_constraint
+    monkeypatch.setattr(sim, "solve_multi_constraint",
+                        lambda qp, basis: qps.append(qp) or solve(qp, basis))
+    trace = run_scenario(with_overrides(load_packaged("braking_unicycle"), barrier="none"))
+    assert len(qps) == len(trace.t) > 1
+    assert len({id(qp.a) for qp in qps}) == len({id(qp.b) for qp in qps}) == 1
+    a, b = qps[0].a, qps[0].b
+    assert a.shape == (0, 2) and b.shape == (0,) and a.dtype == b.dtype == np.float64
+    assert not a.flags.writeable and not b.flags.writeable
+    assert np.isnan(trace.psi).all() and not trace.constrained.any()
+    assert not trace.qp_active.any()
+    np.testing.assert_array_equal(trace.u_star, trace.u_ref)
 
 
 def test_multi_single_row_bit_identical_to_single():

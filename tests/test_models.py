@@ -227,15 +227,50 @@ def test_integrate_step_rejects_bad_dt_and_blowup():
 
 def test_integrate_step_infinite_stage_is_blow_up():
     # The theta stage overflows to inf, which math.cos rejects with ValueError.
+    # The state is a list of floats, as the engine passes it: float arithmetic
+    # overflows silently, where NumPy scalars would warn first.
     with pytest.raises(ArithmeticError):
-        integrate_step(unicycle_dynamics, np.array([0.0, 0.0, 0.0, 1.0, 1.7e308]),
-                       np.zeros(2), 10.0)
+        integrate_step(unicycle_dynamics, [0.0, 0.0, 0.0, 1.0, 1.7e308], [0.0, 0.0], 10.0)
 
     def misshapen(x, u):
         raise ValueError("field of the wrong model")
 
     with pytest.raises(ValueError, match="wrong model"):
         integrate_step(misshapen, np.zeros(4), np.zeros(2), 0.01)
+
+
+def _counting_field(calls, stage, fails):
+    """A field that records its stage states and, at call ``stage``, either
+    returns an infinite derivative (``fails`` False) or raises ValueError;
+    it raises ValueError on a non-finite state, as ``math.cos`` does."""
+    def field(x, u):
+        calls.append(list(x))
+        if not all(map(math.isfinite, x)):
+            raise ValueError("math domain error")
+        if len(calls) == stage:
+            if fails:
+                raise ValueError("field of the wrong model")
+            return [math.inf, 0.0, 0.0, 0.0]
+        return [1.0, 0.0, 0.0, 0.0]
+    return field
+
+
+@pytest.mark.parametrize("stage", [2, 3, 4])
+def test_integrate_step_non_finite_stage_raises_arithmetic_error(stage):
+    calls = []
+    # The derivative of stage - 1 is infinite, so stage ``stage`` sees a non-finite state.
+    with pytest.raises(ArithmeticError, match="non-finite RK4 stage"):
+        integrate_step(_counting_field(calls, stage - 1, False), [0.0] * 4, [0.0, 0.0], 0.1)
+    assert len(calls) == stage and not math.isfinite(calls[-1][0])
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+def test_integrate_step_finite_stage_value_error_propagates(stage):
+    calls = []
+    with pytest.raises(ValueError, match="wrong model") as info:
+        integrate_step(_counting_field(calls, stage, True), [0.0] * 4, [0.0, 0.0], 0.1)
+    assert not isinstance(info.value, ArithmeticError)
+    assert len(calls) == stage and all(map(math.isfinite, calls[-1]))
 
 
 def _rk4_reference(field, x, u, dt):
@@ -264,6 +299,9 @@ def test_integrate_step_matches_array_reference(model):
         got = integrate_step(dyn, x, u, dt)
         ref = _rk4_reference(field, x, u, dt)
         assert got.dtype == np.float64 and got.shape == (dim,)
+        # The engine's lists of floats give the bytes of the arrays.
+        on_lists = integrate_step(dyn, x.tolist(), u.tolist(), dt)
+        assert on_lists.dtype == np.float64 and on_lists.tobytes() == got.tobytes()
         # Only math vs NumPy cos/sin may differ, across builds; 2 ulp allows it.
         assert np.all(np.abs(got - ref) <= 2 * np.spacing(np.abs(ref)))
 

@@ -132,6 +132,12 @@ def test_with_overrides_validates():
     pytest.param(dict(obstacles=(ObstacleConfig(center=1.0),)), id="number-center"),
     pytest.param(dict(obstacles=(ObstacleConfig(center=(1.0, 1.0), velocity_schedule=(1.0,)),)),
                  id="number-schedule-entry"),
+    # A field of the wrong type is a ConfigError, not a later check's TypeError.
+    *(pytest.param({k: v}, id=f"{k}-{type(v).__name__}") for k, v in (
+        ("kappa", None), ("controller", None), ("dt", "0.01"), ("width", "1"),
+        ("wheelbase_rear", None), ("obstacles", 5.0), ("obstacles", (5.0,)),
+        ("kappa1", 1.0), ("kappa1", ReferenceController()), ("path_gains", ClassK()),
+        ("path_gains", ReferenceController()))),
 ])
 def test_config_errors_name_the_scenario(change):
     # Overrides and replace() break packaged scenarios with no file to name.
