@@ -25,9 +25,8 @@ distance ``l_r`` as a float. ``drift`` (f) and ``actuation`` (g) are the
 array cores of xdot = f(x) + g(x) u over raw states (..., n), the tests'
 reference. ``model_dynamics`` gives the field on one state's Python
 floats, by the arithmetic of ``drift(x) + actuation(x) @ u`` with
-``math.cos``/``math.sin``. ``integrate_step`` runs it on the engine's list
-state and list input as they are, so an RK4 step makes no NumPy call until
-it returns its one float64 array. Headings are never wrapped; all
+``math.cos``/``math.sin``; ``integrate_step`` runs it on list states with
+no NumPy call before its float64 array out. Headings are never wrapped; all
 formulas go through sin/cos, and unwrapped angles keep logged traces smooth.
 """
 
@@ -163,16 +162,18 @@ def integrate_step(
     """One classical RK4 step with the input held constant over the step.
 
     ``dynamics`` is any callable (x, u) -> xdot on sequences of floats, such
-    as ``model_dynamics(model, l_r)``. ``state`` and ``u`` are used as they
-    are, so on the engine's lists the four stages run on Python floats, in
-    the operation order of the array form x + (dt/6) (k1 + 2 k2 + 2 k3 +
-    k4); one float64 array is returned. Raises ArithmeticError when the
-    update is non-finite, or when a stage on a non-finite state raises
-    ValueError (as ``math.cos`` does on inf): integration blow-up rather than
-    silently propagating NaNs. A finite stage's ValueError propagates.
+    as ``model_dynamics(model, l_r)``. Lists (the engine's) are used as they
+    are, other input is read as floats first (NumPy scalars warn on
+    overflow); the four stages run on Python floats, in the operation order
+    of x + (dt/6) (k1 + 2 k2 + 2 k3 + k4), and one float64 array is returned.
+    Raises ArithmeticError, integration blow-up rather than NaNs, when the
+    update is non-finite or a stage on a non-finite state raises ValueError
+    (as ``math.cos`` does on inf); a finite stage's ValueError propagates.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    if type(state) is not list or type(u) is not list:
+        state, u = np.asarray(state, dtype=float).tolist(), np.asarray(u, dtype=float).tolist()
     half = 0.5 * dt
     stage = state
     try:

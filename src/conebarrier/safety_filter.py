@@ -13,18 +13,17 @@ psi >= 0 leaves the reference untouched, psi < 0 projects it onto the
 constraint plane; ``solve_single_constraint`` keeps this closed form as the
 tests' reference.
 
-``solve_multi_constraint(qp, basis)`` answers no rows inactive at once and
-solves other rows in one incremental pass on Python floats, as an LP-type
-problem of dimension two (Seidel 1991; RVO2's ``linearProgram2``). Rows
-are taken in order, the previous ``basis`` first; a row violated at the
-current u (at all at u_ref, by more than 1e-9 once u has moved) moves u to
-u_ref's projection onto its line, clamped to the interval there that the
-earlier rows allow. One row is
-the closed form bit for bit: psi = A u_ref - b comes from numpy, as it is
-logged, and so does the first moving row's squared norm (Python's
-x*x + y*y differs from BLAS in the last bit on 1,080 of the packaged
-suite's 12,727 rows). Normals parallel to within PARALLEL_TOL count as
-parallel, and clamp bounds crossing by at most 1e-9 of violation are a point.
+``solve_multi_constraint(qp, basis)`` answers no rows inactive at once, and
+other rows in one incremental pass on Python floats, as an LP-type problem
+of dimension two (Seidel 1991; RVO2's ``linearProgram2``). Rows are taken
+in order, the previous ``basis`` first; a row violated at the current u (at
+all at u_ref, by more than 1e-9 once u has moved) moves u to u_ref's
+projection onto its line, clamped to the interval there that the earlier
+rows allow. One row is the closed form bit for bit: psi = A u_ref - b comes
+from numpy, as it is logged, and so does the first moving row's squared
+norm (Python's x*x + y*y differs from BLAS in the last bit on 1,080 of the
+packaged suite's 12,727 rows). Normals parallel to within PARALLEL_TOL count
+as parallel, and clamp bounds crossing by at most 1e-9 of violation are a point.
 
 Conflicting rows (possible with several cones, never with one) empty an
 interval; by Helly's theorem in R^2 the conflict S is a zero row, an
@@ -147,9 +146,9 @@ def reference_path_tracker(state: np.ndarray, path: Sequence, l_f: float, l_r: f
     point on the polyline, steers with
     delta = heading_error + atan(k_cross * e / (k_soft + |v|)) where e is the
     signed cross-track error (positive left of the path), converts delta to a
-    slip angle, and holds speed with the P-law. Float ``min``/``max`` clamps and
-    ``math.sqrt`` norms give ``np.clip``'s and ``np.linalg.norm``'s bits; the
-    2-vector products stay ``@``, as Python's x*x + y*y rounds apart from BLAS.
+    slip angle, and holds speed with the P-law. ``min``/``max`` and ``math.sqrt``
+    give the bits of ``np.clip`` and ``np.linalg.norm``; the 2-vector products
+    stay ``@`` (BLAS's dot and Python's x*x + y*y round apart).
     """
     pts = np.asarray(path, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:

@@ -52,7 +52,7 @@ _KINDS = {"controller": ReferenceController, "kappa": ClassK, "kappa1": (ClassK,
           "path_gains": (PathTrackerGains, type(None)), "halt_on_collision": bool,
           **dict.fromkeys(("body_offset", "width", "wheelbase_front", "wheelbase_rear",
                            "perception_radius", "dt", "duration"), Real)}
-"""The type of each ``ScenarioConfig`` field that holds one number, flag or config."""
+"""The type of each ``ScenarioConfig`` field that holds one number (not a bool), flag or config."""
 
 
 class ConfigError(ValueError):
@@ -105,7 +105,8 @@ class ScenarioConfig:
 
     def _check(self) -> None:
         for f in fields(self):
-            if not isinstance(value := getattr(self, f.name), _KINDS.get(f.name, object)):
+            value, kind = getattr(self, f.name), _KINDS.get(f.name, object)
+            if not isinstance(value, kind) or (kind is Real and isinstance(value, bool)):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if not _entries(self.obstacles, None, ok=lambda obs: isinstance(obs, ObstacleConfig)):
             raise ConfigError(f"obstacles must be ObstacleConfigs, got {self.obstacles!r}")

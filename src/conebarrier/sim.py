@@ -11,13 +11,13 @@ for the halt and the row test (in the perception radius and, for the cone,
 outside the combined radius with relative speed above ``EPS_V``; none on
 shadow runs). Each row is one ``barriers.barrier_terms`` call on floats,
 and the QP gets the rows ``L_g h`` (m, 2) and ``-L_f h - kappa(h)`` (m,) as
-arrays; steps without a row share one read-only (0, 2)/(0,) pair, which
-the QP answers inactive at once. The QP answer is clipped to the input
-bounds (the QP itself is unbounded) and held, as a list, for one RK4 step
-of the list state. The state, the reference and filtered inputs, psi (by
-row index; NaN without a row: the constrained flags), the active rows and
-the infeasible and saturated flags go to preallocated logs. After the
-loop, one array pass over the logged states (T, 1, n) against the tracks
+arrays (a step without a row passes (0, 2) and (0,), which the QP answers
+inactive at once). The QP answer is clipped to the input bounds (the QP
+itself is unbounded) and held, as a list, for one RK4 step of the list
+state. The state, the reference and filtered inputs, psi (by row index;
+NaN without a row: the constrained flags), the active rows and the
+infeasible and saturated flags go to preallocated logs. After the loop,
+one array pass over the logged states (T, 1, n) against the tracks
 (T, n_obs, 2) gives every obstacle's separation, relative speed and h at
 every step, bit for bit what a float row gives, and forms the perception
 and degenerate-velocity masks and the NaN of h where the cone is
@@ -225,7 +225,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
     psi_log = np.full((n_rec, n_obs), np.nan)
     qp_active_log = np.zeros((n_rec, n_obs), dtype=bool)
     infeasible_log, saturated_log = np.zeros((2, n_rec), dtype=bool)
-    no_rows = np.broadcast_to(0.0, (0, 2)), np.broadcast_to(0.0, 0)  # read-only empty rows
 
     # Obstacle tracks; an accumulate adds in order, so c_{k+1} = c_k + v_k dt bit for bit,
     # and an overflow leaves inf, which the pass after the loop reports at its step.
@@ -263,8 +262,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioTrace:
                 # The previous step's basis, as rows of this step, if all its obstacles kept a row.
                 hint = (tuple(map(row_obstacle.index, pinned))
                         if set(pinned) <= set(row_obstacle) else ())
-                qp = QpProblem(u_ref, *(no_rows if not row_obstacle else (
-                    np.array(lg_rows, dtype=float), np.array(b_rows, dtype=float))))
+                qp = QpProblem(u_ref, np.array(lg_rows, dtype=float).reshape(-1, 2),
+                               np.array(b_rows, dtype=float))
                 result = solve_multi_constraint(qp, hint)
                 pinned = [row_obstacle[j] for j in result.basis]
                 infeasible_log[k] = result.status == "infeasible"

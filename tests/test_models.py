@@ -227,10 +227,13 @@ def test_integrate_step_rejects_bad_dt_and_blowup():
 
 def test_integrate_step_infinite_stage_is_blow_up():
     # The theta stage overflows to inf, which math.cos rejects with ValueError.
-    # The state is a list of floats, as the engine passes it: float arithmetic
-    # overflows silently, where NumPy scalars would warn first.
-    with pytest.raises(ArithmeticError):
-        integrate_step(unicycle_dynamics, [0.0, 0.0, 0.0, 1.0, 1.7e308], [0.0, 0.0], 10.0)
+    # Arrays, as the engine's lists, give the blow-up and no overflow warning
+    # (the suite runs with RuntimeWarnings as errors).
+    state, u = [0.0, 0.0, 0.0, 1.0, 1.7e308], [0.0, 0.0]
+    for x, v in ((np.array(state), np.zeros(2)), (state, u), (tuple(state), tuple(u)),
+                 (state, np.zeros(2)), (np.array(state), u)):
+        with pytest.raises(ArithmeticError, match="non-finite RK4 stage"):
+            integrate_step(unicycle_dynamics, x, v, 10.0)
 
     def misshapen(x, u):
         raise ValueError("field of the wrong model")

@@ -137,7 +137,7 @@ def test_with_overrides_validates():
         ("kappa", None), ("controller", None), ("dt", "0.01"), ("width", "1"),
         ("wheelbase_rear", None), ("obstacles", 5.0), ("obstacles", (5.0,)),
         ("kappa1", 1.0), ("kappa1", ReferenceController()), ("path_gains", ClassK()),
-        ("path_gains", ReferenceController()))),
+        ("path_gains", ReferenceController()), ("width", True), ("body_offset", False))),
 ])
 def test_config_errors_name_the_scenario(change):
     # Overrides and replace() break packaged scenarios with no file to name.
