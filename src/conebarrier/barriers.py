@@ -25,7 +25,10 @@ closed form; finite differences exist only in the test suite.
 
 The ``*_terms`` functions are the package's only barrier API. They
 broadcast their array inputs over the common leading shape (one state
-against an (m, 2) grid of obstacle velocities returns m triples) and
+against an (m, 2) grid of obstacle velocities returns m triples): each
+term is computed at the broadcast shape of the inputs it reads, so a term
+of the state alone runs once per state, not once per grid velocity, and
+h, L_f h and L_g h come out at the full leading shape, writable. They
 perform no domain checking: callers gate the cone's admissible domain
 (||p_rel|| > r, ||v_rel|| > EPS_V) themselves, as ``sim.run_scenario``
 does. ``BARRIER_MODELS`` is the one source of the defined (barrier, model)
@@ -66,14 +69,6 @@ BARRIER_MODELS = {"c3bf": MODELS, "ellipse": ("unicycle", "bicycle"),
                   "hocbf": ("unicycle", "bicycle")}
 """The models each barrier kind is defined on; the ellipse cores read a
 heading and a speed, which the point-mass state does not carry."""
-
-
-def _broadcast(*arrays) -> list[np.ndarray]:
-    """Float views of (..., k) arrays over their common leading shape."""
-    arrays = [np.asarray(a, dtype=float) for a in arrays]
-    lead = np.broadcast(*(a[..., 0] for a in arrays)).shape
-    return [a if a.shape[:-1] == lead else np.broadcast_to(a, lead + a.shape[-1:])
-            for a in arrays]
 
 
 @dataclass(frozen=True)
@@ -148,7 +143,8 @@ class ClassK:
 
 def combined_radius(semi_axes, width):
     """Cone radius r = max(c1, c2) + width/2 for semi-axes (..., 2) -> (...)."""
-    return np.max(semi_axes, axis=-1) + 0.5 * width
+    semi_axes = np.asarray(semi_axes, dtype=float)
+    return np.maximum(semi_axes[..., 0], semi_axes[..., 1]) + 0.5 * width
 
 
 def _columns(state):
@@ -274,9 +270,18 @@ def c3bf_pointmass_terms(state, rel, radius):
 
 
 def _ellipse(state, center, velocity, axes):
-    """h1, h1dot (the ellipse's L_f h) for both ellipse candidates, with the
-    broadcast pieces that ``_slip`` and the HOCBF's chain rule reuse."""
-    state, center, velocity, axes = _broadcast(state, center, velocity, axes)
+    """h1, h1dot (the ellipse's L_f h) for both ellipse candidates, the pieces
+    that ``_slip`` and the HOCBF's chain rule reuse, and the leading shape.
+
+    Each term has the broadcast shape of the inputs it reads, not the leading
+    shape: against a velocity grid cos, sin, dx, dy, c1^2, c2^2 and h1 keep
+    the state's shape and only w, h1dot and what reads them take the grid's.
+    The callers return h, L_f h and L_g h at the leading shape.
+    """
+    state, center, velocity, axes = (np.asarray(a, dtype=float)
+                                     for a in (state, center, velocity, axes))
+    lead = np.broadcast_shapes(state.shape[:-1], center.shape[:-1], velocity.shape[:-1],
+                               axes.shape[:-1])
     x, y, theta, v = (state[..., i] for i in range(4))
     ct, st = np.cos(theta), np.sin(theta)
     dx = center[..., 0] - x
@@ -287,7 +292,7 @@ def _ellipse(state, center, velocity, axes):
     b2 = axes[..., 1] * axes[..., 1]
     h1 = dx * dx / a2 + dy * dy / b2 - 1.0
     h1dot = 2.0 * dx * wx / a2 + 2.0 * dy * wy / b2
-    return h1, h1dot, (state, velocity, v, ct, st, dx, dy, wx, wy, a2, b2)
+    return h1, h1dot, (state, velocity, v, ct, st, dx, dy, wx, wy, a2, b2), lead
 
 
 def _slip(parts):
@@ -305,13 +310,14 @@ def ellipse_terms(state, center, velocity, axes, model: str):
     Returned so a filter can flag the missing input authority instead of
     silently dividing by zero.
     """
-    h, lf, parts = _ellipse(state, center, velocity, axes)
+    h, lf, parts, lead = _ellipse(state, center, velocity, axes)
     if model not in ("unicycle", "bicycle"):
         raise ValueError(f"ellipse barrier supports unicycle or bicycle, got {model!r}")
-    lg = np.zeros(h.shape + (2,))
+    lg = np.zeros(lead + (2,))
     if model == "bicycle":
         lg[..., 1] = _slip(parts)
-    return h, lf, lg
+    # h reads no obstacle velocity; L_f h reads every input, so it has the leading shape.
+    return h if np.shape(h) == lead else np.broadcast_to(h, lead).copy(), lf, lg
 
 
 def hocbf_terms(state, center, velocity, axes, kappa1: ClassK, model: str,
@@ -323,7 +329,7 @@ def hocbf_terms(state, center, velocity, axes, kappa1: ClassK, model: str,
     excluded from the definition of h2). The chain rule below is hand
     derived; the test suite checks it against central finite differences.
     """
-    h1, h1dot, parts = _ellipse(state, center, velocity, axes)
+    h1, h1dot, parts, lead = _ellipse(state, center, velocity, axes)
     dh2_dth = _slip(parts)
     state, velocity, v, ct, st, dx, dy, wx, wy, a2, b2 = parts
     h2 = h1dot + kappa1(h1)
@@ -335,19 +341,19 @@ def hocbf_terms(state, center, velocity, axes, kappa1: ClassK, model: str,
     # Obstacle states drift with cdot; their partials mirror the vehicle's.
     obstacle_drift = -dh2_dx * velocity[..., 0] - dh2_dy * velocity[..., 1]
 
-    zeros = np.zeros_like(h2)
+    lg_beta = 0.0
     if model == "unicycle":
         omega = state[..., 4]
         lf = dh2_dx * v * ct + dh2_dy * v * st + dh2_dth * omega + obstacle_drift
-        lg = np.stack([dh2_dv, zeros], axis=-1)
     elif model == "bicycle":
         if rear_axle is None:
             raise ValueError("bicycle HOCBF needs the rear axle distance")
         lf = dh2_dx * v * ct + dh2_dy * v * st + obstacle_drift
         lg_beta = dh2_dx * (-v * st) + dh2_dy * (v * ct) + dh2_dth * (v / rear_axle)
-        lg = np.stack([dh2_dv, lg_beta], axis=-1)
     else:
         raise ValueError(f"HOCBF barrier supports unicycle or bicycle, got {model!r}")
+    lg = np.empty(lead + (2,))
+    lg[..., 0], lg[..., 1] = dh2_dv, lg_beta
     return h2, lf, lg
 
 

@@ -26,7 +26,9 @@ Every step is an array pass: the sampled configurations go through
 ``barrier_terms`` in one call, each kind of kernel state is constructed in
 one batch and verified in one call, with the cone's q and the ellipse h1
 taken from ``barriers``, and the velocity attack broadcasts chunks of kernel
-states against the whole velocity grid.
+states against the whole velocity grid. Row norms are elementwise,
+sqrt(x*x + y*y), with the bits of ``np.linalg.norm`` over the last axis
+and without its reduction's cost.
 
 The verdict phrases the outcome the way the summary comparison table does:
 'Not a valid CBF', 'Valid CBF', 'Valid CBF, No acceleration', 'Valid CBF,
@@ -88,6 +90,11 @@ class ValidityReport:
     conservative: bool
     verdict: str
     checks: tuple[str, ...] = field(default_factory=tuple)
+
+
+def _row_norms(v):
+    """sqrt(x*x + y*y) of (..., 2) rows: ``np.linalg.norm(v, axis=-1)``'s bits, not its cost."""
+    return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1])
 
 
 def _sample_states(rng: np.random.Generator, model: str, n: int) -> np.ndarray:
@@ -247,7 +254,7 @@ def _attack_obstacle_velocity(barrier, model, kernel_batch):
         h, lf, lg = barrier_terms(barrier, model, states[sl, None], None,
                                   centers[sl, None], grid, axes[sl, None], None,
                                   rear_axle=REAR_AXLE, kappa1=KAPPA1)
-        kept = (np.linalg.norm(lg, axis=-1) <= KERNEL_TOL) & (h >= 0.0)
+        kept = (_row_norms(lg) <= KERNEL_TOL) & (h >= 0.0)
         psi = np.where(kept, lf + KAPPA(h), np.inf)
         i, j = np.unravel_index(np.argmin(psi), psi.shape)
         if psi[i, j] < -PSI_TOL and (worst is None or psi[i, j] < worst["psi"]):
@@ -271,7 +278,7 @@ def _kernel_psi(barrier, model, kernel_batch, tol: float = KERNEL_TOL):
     h, lf, lg = barrier_terms(barrier, model, states, rel, centers, velocities, axes,
                               radius[0] if radius else None,
                               rear_axle=REAR_AXLE, kappa1=KAPPA1)
-    kernel = np.linalg.norm(lg, axis=-1) <= tol
+    kernel = _row_norms(lg) <= tol
     psi0 = lf + np.asarray(KAPPA(h))
 
     def least(where):
@@ -299,7 +306,7 @@ def validity_probe(barrier: str, model: str, motion: str = "moving",
     centers, velocities, axes, radii = _sample_obstacles(rng, np.column_stack(points), motion)
     if barrier == "c3bf":
         # Keep admissible relative velocities only.
-        ok = np.linalg.norm(velocities - np.column_stack(point_velocities), axis=1) > 1e-3
+        ok = _row_norms(velocities - np.column_stack(point_velocities)) > 1e-3
         states, centers, velocities = states[ok], centers[ok], velocities[ok]
         axes, radii = axes[ok], radii[ok]
         kinematics = reference_kinematics(model, states, BODY_OFFSET)
@@ -309,7 +316,7 @@ def validity_probe(barrier: str, model: str, motion: str = "moving",
     h, lf, lg = barrier_terms(barrier, model, states, rel, centers, velocities, axes,
                               radii, body_offset=BODY_OFFSET, rear_axle=REAR_AXLE,
                               kappa1=KAPPA1)
-    norms = np.linalg.norm(lg, axis=-1)
+    norms = _row_norms(lg)
     channel_max = tuple(float(np.max(np.abs(lg[..., j]))) for j in range(lg.shape[-1]))
     scale = max(1.0, float(np.max(norms))) if norms.size else 1.0
     inactive = tuple(

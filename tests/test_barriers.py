@@ -276,20 +276,48 @@ def test_baseline_gradients_match_finite_differences(barrier, model):
     ("hocbf", "unicycle"), ("hocbf", "bicycle"),
 ])
 def test_terms_broadcast_one_state_over_velocity_grid(barrier, model):
+    # Three call shapes give the bits of one-obstacle calls, with every output
+    # at the full leading shape and writable (the engine's pass writes
+    # h[skip] = nan): one state against a velocity grid; the attack's chunk,
+    # (k, 1, n) states against an (m, 2) grid; and the engine's pass, (T, 1, n)
+    # states against (T, n_obs, 2) obstacles with (n_obs, 2) semi-axes.
     rng = np.random.default_rng(41)
-    state, center, _, r = _admissible_cone_sample(rng, model)
-    _, point_vel, _ = reference_kinematics(model, state, 0.1)
-    angles = rng.uniform(0.0, 2.0 * math.pi, 32)
-    grid = point_vel + rng.uniform(0.5, 3.0, (32, 1)) * np.column_stack(
-        [np.cos(angles), np.sin(angles)])
-    axes = np.array([0.9, 0.6])
-    kw = dict(body_offset=0.1, rear_axle=1.6, kappa1=ClassK("cubic", 0.5))
-    h, lf, lg = terms(barrier, model, state, center, grid, axes, r, **kw)
-    assert (h.shape, lf.shape, lg.shape) == ((32,), (32,), (32, 2))
-    for j, cdot in enumerate(grid):
-        hj, lfj, lgj = terms(barrier, model, state, center, cdot, axes, r, **kw)
-        np.testing.assert_allclose([h[j], lf[j], *lg[j]], [hj, lfj, *lgj],
-                                   rtol=1e-12, atol=1e-12)
+    samples = [_admissible_cone_sample(rng, model) for _ in range(4)]
+    states = np.array([s[0] for s in samples])
+    points, point_vels = (np.column_stack(p) for p in reference_kinematics(model, states, 0.1)[:2])
+
+    def around(vel, n):  # n velocities at 0.5-3 m/s relative to vel
+        angles = rng.uniform(0.0, 2.0 * math.pi, n)
+        return vel + rng.uniform(0.5, 3.0, (n, 1)) * np.column_stack([np.cos(angles), np.sin(angles)])
+
+    axes = rng.uniform(0.4, 1.2, (4, 2))
+    radii = np.max(axes, axis=1) + 0.3
+    grid = around(point_vels[0], 32)
+    # Obstacle o of step t sits outside radius o around step t's protected point.
+    headings = rng.uniform(0.0, 2.0 * math.pi, (4, 3))
+    engine_centers = points[:, None] + (radii[:3] + rng.uniform(0.2, 9.0, (4, 3)))[..., None] * \
+        np.stack([np.cos(headings), np.sin(headings)], axis=-1)
+    engine_vels = np.stack([around(v, 3) for v in point_vels])
+    chunk_centers = points + (radii + 1.0)[:, None] * np.array([0.6, 0.8])
+    cases = {  # (state, center, velocity, axes, radius), leading shape
+        "grid": ((states[0], samples[0][1], grid, axes[0], samples[0][3]), (32,)),
+        "chunk": ((states[:, None], chunk_centers[:, None], grid[:8], axes[:, None],
+                   radii[:, None]), (4, 8)),
+        "engine": ((states[:, None], engine_centers, engine_vels, axes[:3], radii[:3]), (4, 3)),
+    }
+    trailing = (states.shape[1], 2, 2, 2, 0)
+    for kappa1 in (ClassK(), ClassK("cubic", 0.5),
+                   ClassK("custom", 1.0, ((-1.0, -2.0), (0.0, 0.0), (2.0, 1.0)))):
+        kw = dict(body_offset=0.1, rear_axle=1.6, kappa1=kappa1)
+        for name, (args, lead) in cases.items():
+            spread = [np.broadcast_to(a, lead + (k,) * bool(k)) for a, k in zip(args, trailing)]
+            out = terms(barrier, model, *args, **kw)
+            for got, shape in zip(out, (lead, lead, lead + (2,))):
+                assert got.shape == shape and got.flags.writeable, (name, kappa1)
+            for idx in np.ndindex(*lead):
+                want = terms(barrier, model, *(a[idx] for a in spread), **kw)
+                for got, single in zip(out, want):
+                    assert got[idx].tobytes() == np.asarray(single).tobytes(), (name, kappa1, idx)
 
 
 # (p_rel, v_rel) at radius 0.5 where squaring the (2,) call's 0-d ||v_rel||

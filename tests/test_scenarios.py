@@ -9,6 +9,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conebarrier import scenarios
 from conebarrier.barriers import BARRIER_MODELS, ClassK
 from conebarrier.models import MODELS, STATE_NAMES
 from conebarrier.safety_filter import PathTrackerGains, ReferenceController
@@ -78,21 +79,42 @@ def test_null_takes_a_none_default_only():
         scenario_from_dict(tree)
 
 
-def test_number_without_a_dot_loads(tmp_path):
+# The codec parses with libyaml's safe loader where PyYAML has it; each
+# loader test runs under both loaders and must see the same trees and errors.
+LOADERS = (yaml.SafeLoader,) + ((yaml.CSafeLoader,) if hasattr(yaml, "CSafeLoader") else ())
+
+
+def test_packaged_trees_do_not_depend_on_the_loader(monkeypatch):
+    from importlib import resources
+    assert scenarios._LOADER is LOADERS[-1]  # the fastest loader at hand is the default
+    for loader in LOADERS:
+        monkeypatch.setattr(scenarios, "_LOADER", loader)
+        for name in SUITE_NAMES:
+            text = resources.files("conebarrier").joinpath(f"data/{name}.yaml").read_text()
+            tree = yaml.safe_load(text)
+            assert yaml.load(text, Loader=loader) == tree
+            assert load_packaged(name) == scenario_from_dict(tree)
+
+
+def test_number_without_a_dot_loads(tmp_path, monkeypatch):
     # PyYAML reads 1e-3, written without a dot, as the string '1e-3'.
     tree = scenario_to_dict(load_packaged("braking_unicycle"))
     del tree["dt"]
     path = tmp_path / "dt.yaml"
     path.write_text(yaml.safe_dump(tree) + "dt: 1e-3\n")
-    assert yaml.safe_load(path.read_text())["dt"] == "1e-3"
-    assert load_scenario(path).dt == 0.001
+    for loader in LOADERS:
+        monkeypatch.setattr(scenarios, "_LOADER", loader)
+        assert yaml.load(path.read_text(), Loader=loader)["dt"] == "1e-3"
+        assert load_scenario(path).dt == 0.001
 
 
-def test_invalid_yaml_raises_config_error(tmp_path):
+def test_invalid_yaml_raises_config_error(tmp_path, monkeypatch):
     bad = tmp_path / "bad.yaml"
     bad.write_text("model: [unclosed")
-    with pytest.raises(ConfigError):
-        load_scenario(bad)
+    for loader in LOADERS:
+        monkeypatch.setattr(scenarios, "_LOADER", loader)
+        with pytest.raises(ConfigError, match="not valid YAML"):
+            load_scenario(bad)
 
 
 def test_load_configs_directory(tmp_path):

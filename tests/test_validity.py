@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conebarrier.barriers import ClassK, barrier_terms, hocbf_terms
+from conebarrier.barriers import ClassK, barrier_terms, combined_radius, hocbf_terms
 from conebarrier.validity import (
     _ATTACK_CHUNK,
     KAPPA,
@@ -20,12 +20,29 @@ from conebarrier.validity import (
     _kernels_c3bf_bicycle,
     _kernels_hocbf_nonzero_speed,
     _kernels_weighted_perp,
+    _row_norms,
     _witness,
     validity_probe,
     verdict_matrix,
 )
 
 from conftest import terms
+
+
+def test_row_norms_and_radius_are_the_reductions_bit_for_bit():
+    # The elementwise forms give the bits of the reductions they replace, also
+    # on signed zeros, inf, NaN, subnormals and entries whose square overflows
+    # (where np.hypot would not: it scales to avoid the overflow).
+    rng = np.random.default_rng(7)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2e-310, 1e200, -1e200, 1.5])
+    pairs = np.array([[a, b] for a in special for b in special])
+    with np.errstate(all="ignore"):
+        for v in (rng.normal(size=(1000, 2)), rng.uniform(-3, 3, (26, 384, 2)), pairs,
+                  pairs.reshape(10, 10, 2), rng.normal(size=2)):
+            assert _row_norms(v).tobytes() == np.linalg.norm(v, axis=-1).tobytes()
+            for width in (0.0, 0.6, 1.8):
+                assert (np.asarray(combined_radius(v, width)).tobytes()
+                        == np.asarray(np.max(v, axis=-1) + width / 2).tobytes())
 
 
 def _attack_by_loops(barrier, model, kernel_batch):
